@@ -12,7 +12,8 @@ from .params import GraphClass
 from .groups import GroupVerdict
 
 DEFAULT_MAX_STEPS = 6
-DEFAULT_CLOSURE_CAP = 400_000
+# the largest label set at the default maximum genus 12 has 12 points
+DEFAULT_CLOSURE_CAP = math.factorial(12)
 
 
 def predict_group(cg: ConnectionGraph, v: Vertex) -> GroupVerdict:
@@ -39,7 +40,8 @@ class SpinGroupResult:
     vertex: Vertex
     verdict: GroupVerdict
     predicted: GroupVerdict
-    elements: tuple[groups.Perm, ...]
+    order: int
+    generators: tuple[groups.Perm, ...]
     witnesses: tuple[SpinChain, ...]
     chains_tried: int
 
@@ -126,10 +128,12 @@ def spin_group_at(
     closure_cap: int = DEFAULT_CLOSURE_CAP,
     exhaustive: bool = False,
 ) -> SpinGroupResult:
-    """Close the permutations of enumerated chains at v.
+    """Sift the permutations of enumerated chains at v into one stabilizer chain.
 
-    Stops as soon as the prediction is reached (or the full symmetric group,
-    which nothing can exceed) unless `exhaustive` asks for the whole budget.
+    A permutation is kept as a generator, with its chain as witness, exactly
+    when it is not yet in the group.  Stops as soon as the prediction is
+    reached (or the full symmetric group, which nothing can exceed) unless
+    `exhaustive` asks for the whole budget.
     """
     key = (cg.order, cg.connected, v, max_steps, closure_cap, exhaustive)
     hit = _RESULT_CACHE.get(key)
@@ -137,27 +141,33 @@ def spin_group_at(
         return hit
     n = len(cg.label_classes(v))
     predicted = predict_group(cg, v)
-    if math.factorial(n) > closure_cap:
-        raise groups.CapExceededError(f"label set of size {n} needs cap >= {math.factorial(n)}")
-    ident = groups.identity_perm(n)
-    elems: set[groups.Perm] = {ident}
+    full_order = math.factorial(n)
+    if full_order > closure_cap:
+        raise groups.CapExceededError(f"label set of size {n} needs cap >= {full_order}")
+    group = groups.StabChain(n)
+    # every permutation sifted so far, each a member by now: most chains repeat
+    # one of a few permutations, and a set lookup is cheaper than a sift
+    seen: set[groups.Perm] = {groups.identity_perm(n)}
     gens: list[groups.Perm] = []
     witnesses: list[SpinChain] = []
     tried = 0
-    full_order = math.factorial(n)
     for chain, perm in _admissible_evaluations(cg, v, max_steps):
         tried += 1
-        if perm == ident or perm in elems:
+        if perm in seen:
+            continue
+        seen.add(perm)
+        if not group.add(perm):
             continue
         gens.append(perm)
         witnesses.append(chain)
-        elems = set(groups.closure(gens, n, closure_cap))
         if not exhaustive:
-            verdict = groups.recognize(elems, n)
-            if verdict == predicted or len(elems) == full_order:
+            order = group.order()
+            if groups.recognize(order, n) == predicted or order == full_order:
                 break
-    ordered = tuple(sorted(elems))
-    result = SpinGroupResult(v, groups.recognize(ordered, n), predicted, ordered, tuple(witnesses), tried)
+    order = group.order()
+    result = SpinGroupResult(
+        v, groups.recognize(order, n), predicted, order, tuple(gens), tuple(witnesses), tried
+    )
     _RESULT_CACHE[key] = result
     return result
 
@@ -196,6 +206,6 @@ def verify_class(
         ok = res.match
         if exhaustive:
             # over-generation guard: the computed group may never exceed the prediction
-            ok = ok and len(res.elements) <= res.predicted.order
+            ok = ok and res.order <= res.predicted.order
         report.rows.append(VertexRow(v, cg.epsilon_degree(v), res.predicted, res.verdict, ok, res.witnesses))
     return report

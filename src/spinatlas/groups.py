@@ -1,4 +1,9 @@
-"""Plain tuple permutations, naive product closure, and small-group recognition."""
+"""Plain tuple permutations, an incremental stabilizer chain, and recognition by order.
+
+The group engine is the deterministic Schreier-Sims algorithm with sifting
+(Knuth, "Efficient representation of perm groups", 1991; Seress, *Permutation
+Group Algorithms*, 2003, ch. 4), on the fixed base 0..n-1.
+"""
 from __future__ import annotations
 
 import math
@@ -8,7 +13,7 @@ Perm = tuple[int, ...]
 
 
 class CapExceededError(RuntimeError):
-    """Closure grew past the element cap."""
+    """A group, or the full symmetric group on a label set, has order above the cap."""
 
 
 def identity_perm(n: int) -> Perm:
@@ -69,27 +74,84 @@ def cycles_str(a: Perm) -> str:
     return "".join(parts) or "()"
 
 
+class StabChain:
+    """Subgroup of S_n held as a stabilizer chain on the base 0, 1, ..., n-1.
+
+    Level i holds the strong generators added there, which fix 0..i-1, and a
+    transversal: for each point p in the orbit of i, an element mapping i to p.
+    Every Schreier generator of a level has been sifted into the levels below
+    it, so sifting decides membership exactly and the order is the product of
+    the orbit lengths.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        ident = identity_perm(n)
+        self._gens: list[list[Perm]] = [[] for _ in range(n)]
+        self._trans: list[dict[int, Perm]] = [{i: ident} for i in range(n)]
+        self._trans_inv: list[dict[int, Perm]] = [{i: ident} for i in range(n)]
+
+    def _sift(self, g: Perm, level: int = 0) -> bool:
+        """True when g, which fixes 0..level-1, lies in the group of that level."""
+        for i in range(level, self.n):
+            p = g[i]
+            if p != i:
+                u_inv = self._trans_inv[i].get(p)
+                if u_inv is None:
+                    return False
+                g = tuple(u_inv[x] for x in g)
+        return True
+
+    def __contains__(self, g: Perm) -> bool:
+        return self._sift(tuple(g))
+
+    def add(self, g: Perm) -> bool:
+        """Extend the group by g; False when g was already a member."""
+        return self._add(0, tuple(g))
+
+    def _add(self, level: int, g: Perm) -> bool:
+        if self._sift(g, level):
+            return False
+        self._gens[level].append(g)
+        for u in list(self._trans[level].values()):
+            self._extend(level, compose(u, g))
+        return True
+
+    def _extend(self, level: int, h: Perm) -> None:
+        """Enter h's coset at this level: a new orbit point, or a Schreier generator below."""
+        p = h[level]
+        u_inv = self._trans_inv[level].get(p)
+        if u_inv is not None:
+            self._add(level + 1, compose(h, u_inv))
+            return
+        self._trans[level][p] = h
+        self._trans_inv[level][p] = inverse(h)
+        for t in list(self._gens[level]):
+            self._extend(level, compose(h, t))
+
+    def order(self) -> int:
+        return math.prod(len(t) for t in self._trans)
+
+    def elements(self) -> list[Perm]:
+        """Every element, once each, as a product of one transversal element per level."""
+        elems = [identity_perm(self.n)]
+        for trans in reversed(self._trans):
+            elems = [compose(e, u) for e in elems for u in trans.values()]
+        return elems
+
+
 def closure(gens, n: int, cap: int = 400_000) -> tuple[Perm, ...]:
-    """Subgroup generated by `gens`, by breadth-first products, in sorted order."""
-    ident = identity_perm(n)
+    """Subgroup generated by `gens`, enumerated from its stabilizer chain, in sorted order."""
     gen_list = sorted({tuple(g) for g in gens})
     for g in gen_list:
         if len(g) != n or not is_permutation(g):
             raise ValueError(f"not a permutation of {n} points: {g}")
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gen_list:
-                b = compose(a, g)
-                if b not in elems:
-                    if len(elems) >= cap:
-                        raise CapExceededError(f"closure exceeded cap {cap} on {n} points")
-                    elems.add(b)
-                    fresh.append(b)
-        frontier = sorted(fresh)
-    return tuple(sorted(elems))
+    chain = StabChain(n)
+    for g in gen_list:
+        chain.add(g)
+    if chain.order() > cap:
+        raise CapExceededError(f"closure exceeded cap {cap} on {n} points")
+    return tuple(sorted(chain.elements()))
 
 
 @dataclass(frozen=True, order=True)
@@ -137,9 +199,12 @@ def alternating(n: int) -> GroupVerdict:
     return GroupVerdict("A", n, max(1, math.factorial(n) // 2))
 
 
-def recognize(group, n: int) -> GroupVerdict:
-    """Classify a closed element set by order, with the parity check for A(n)."""
-    order = len(group)
+def recognize(order: int, n: int) -> GroupVerdict:
+    """Classify a subgroup of S_n by its order.
+
+    For n >= 2, A_n is the only subgroup of index 2 in S_n, so the order alone
+    separates it from the other groups of that order.
+    """
     if order == 1:
         return TRIVIAL
     if order == 2:
@@ -149,6 +214,6 @@ def recognize(group, n: int) -> GroupVerdict:
     full = math.factorial(n)
     if order == full:
         return symmetric(n)
-    if 2 * order == full and all(parity(g) == 0 for g in group):
+    if 2 * order == full:
         return alternating(n)
     return GroupVerdict("other", 0, order)

@@ -116,6 +116,13 @@ def test_verify_small_range(capsys):
     assert summary == {"kind": "summary", "classes": "36", "mismatches": "0"}
 
 
+def test_verify_genus10_under_default_flags(capsys):
+    # label sets of up to 10 points: S10 must fit the default closure cap
+    code, out, _ = run(capsys, "verify", "--genus", "10")
+    assert code == 0
+    assert parse_record(out.splitlines()[-1]) == {"kind": "summary", "classes": "55", "mismatches": "0"}
+
+
 def test_verify_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--genus", "2..6")
     code2, out2, _ = run(capsys, "verify", "--genus", "2..6")

@@ -1,4 +1,4 @@
-"""Closure, recognition, predictions, and per-vertex group computation."""
+"""Stabilizer chain, closure, recognition, predictions, and per-vertex group computation."""
 from __future__ import annotations
 
 import itertools
@@ -15,6 +15,7 @@ from spinatlas.groups import (
     C3,
     CapExceededError,
     GroupVerdict,
+    StabChain,
     TRIVIAL,
     alternating,
     closure,
@@ -62,6 +63,54 @@ def test_closure_matches_brute_force_randomized():
         assert set(closure(gens, n)) == brute_closure(gens, n)
 
 
+def sifted_chain(gens, n):
+    chain = StabChain(n)
+    for g in gens:
+        chain.add(g)
+    return chain
+
+
+def test_stab_chain_matches_brute_closure():
+    rng = random.Random(20261017)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        gens = [random_perm(rng, n) for _ in range(rng.randint(0, 3))]
+        chain = sifted_chain(gens, n)
+        group = brute_closure(gens, n)
+        assert chain.order() == len(group)
+        for perm in itertools.permutations(range(n)):
+            assert (perm in chain) == (perm in group)
+
+
+def test_stab_chain_add_reports_new_members():
+    chain = StabChain(4)
+    assert not chain.add(identity_perm(4))
+    assert chain.add((1, 2, 0, 3))
+    assert not chain.add((2, 0, 1, 3))  # the square of the 3-cycle is already a member
+    assert chain.add((1, 0, 2, 3))
+    assert chain.order() == 6
+    assert (0, 1, 3, 2) not in chain
+
+
+def test_stab_chain_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(7)
+    cases = [
+        (n, [(1, 0, *range(2, n)), (*range(1, n), 0)]) for n in (9, 10)  # S9 and S10 from two generators
+    ]
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        cases.append((n, [random_perm(rng, n) for _ in range(rng.randint(1, 3))]))
+    for n, gens in cases:
+        chain = sifted_chain(gens, n)
+        oracle = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
+        assert chain.order() == oracle.order(), gens
+        probes = [*gens, *(random_perm(rng, n) for _ in range(20))]
+        probes += [compose(a, b) for a, b in zip(gens, reversed(gens))]
+        for perm in probes:
+            assert (perm in chain) == oracle.contains(combinatorics.Permutation(list(perm))), (gens, perm)
+
+
 def test_closure_cap():
     with pytest.raises(CapExceededError):
         closure([(1, 0, 2, 3), (1, 2, 3, 0)], 4, cap=10)
@@ -83,15 +132,19 @@ def test_perm_helpers():
 
 
 def test_recognize():
-    assert recognize([identity_perm(3)], 3) == TRIVIAL
-    assert recognize(closure([(1, 0)], 2), 2) == C2
-    assert recognize(closure([(1, 2, 0)], 3), 3) == C3
-    s4 = closure([(1, 0, 2, 3), (1, 2, 3, 0)], 4)
-    assert recognize(s4, 4) == symmetric(4)
-    a4 = [g for g in s4 if parity(g) == 0]
-    assert recognize(a4, 4) == alternating(4)
+    assert recognize(len(closure([], 3)), 3) == TRIVIAL
+    assert recognize(len(closure([(1, 0)], 2)), 2) == C2
+    assert recognize(len(closure([(1, 2, 0)], 3)), 3) == C3
+    assert recognize(len(closure([(1, 0, 2, 3), (1, 2, 3, 0)], 4)), 4) == symmetric(4)
+    assert recognize(len(closure([(1, 2, 0, 3), (0, 2, 3, 1)], 4)), 4) == alternating(4)
+    a5 = closure([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], 5)
+    assert all(parity(g) == 0 for g in a5)
+    assert recognize(len(a5), 5) == alternating(5)
     v4 = closure([(1, 0, 3, 2), (2, 3, 0, 1)], 4)
-    assert recognize(v4, 4) == GroupVerdict("other", 0, 4)
+    assert recognize(len(v4), 4) == GroupVerdict("other", 0, 4)
+    d4 = closure([(1, 2, 3, 0), (0, 3, 2, 1)], 4)
+    assert recognize(len(d4), 4) == GroupVerdict("other", 0, 8)
+    assert str(recognize(len(d4), 4)) == "G[8]"
 
 
 def test_verdict_strings_round_trip():
@@ -160,7 +213,9 @@ def test_witnesses_are_enumerable_chains(order3_one_chord):
         assert chain.start == P3
         assert is_admissible(order3_one_chord, chain).admissible
     perms = [evaluate(order3_one_chord, chain) for chain in res.witnesses]
-    assert set(closure(perms, 4)) == set(res.elements)
+    group = set(closure(res.generators, 4))
+    assert len(group) == res.order
+    assert set(closure(perms, 4)) == group
 
 
 def test_conjugate_vertices_get_equal_verdicts():
@@ -199,9 +254,14 @@ def test_fully_chorded_classes_get_full_symmetric():
 
 
 def test_exhaustive_mode_never_overshoots(hexagon_one_chord, hexagon_two_chords):
+    from spinatlas.classify import _admissible_evaluations
+
     for cg, v in [(hexagon_one_chord, P2), (hexagon_one_chord, P), (hexagon_two_chords, P)]:
         res = spin_group_at(cg, v, max_steps=4, exhaustive=True)
-        assert len(res.elements) <= res.predicted.order
+        n = len(cg.label_classes(v))
+        group = set(closure(res.generators, n))
+        assert len(group) == res.order <= res.predicted.order
+        assert all(perm in group for _, perm in _admissible_evaluations(cg, v, 4))
         assert res.verdict == res.predicted
 
 
@@ -215,8 +275,12 @@ def test_label_relabeling_conjugates_the_group(order3_one_chord):
     # relabeling the start's label positions conjugates every element; verdicts are unchanged
     res = spin_group_at(order3_one_chord, P3)
     relabel = (1, 2, 3, 0)
-    conjugated = {compose(compose(inverse(relabel), g), relabel) for g in res.elements}
-    assert recognize(conjugated, 4) == res.verdict
+    group = closure(res.generators, 4)
+    assert len(group) == res.order
+    conjugated = {compose(compose(inverse(relabel), g), relabel) for g in group}
+    conjugated_gens = [compose(compose(inverse(relabel), g), relabel) for g in res.generators]
+    assert set(closure(conjugated_gens, 4)) == conjugated
+    assert recognize(len(conjugated), 4) == res.verdict
 
 
 def test_pruned_search_agrees_with_plain_stream():
