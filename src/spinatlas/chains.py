@@ -78,17 +78,41 @@ def validate_structure(cg: ConnectionGraph, chain: SpinChain) -> None:
         current = step.target
 
 
-def _compose(cg: ConnectionGraph, chain: SpinChain) -> tuple[dict[int, int], int | None]:
-    """Carry the first domain through all steps; report the 1-based step of first loss."""
-    current = chain.start
-    first = face_map(cg, chain.steps[0].cell, chain.steps[0].face, current, chain.steps[0].target)
-    carried = {c: first[c] for c in cg.label_classes(current) if c in first}
-    current = chain.steps[0].target
-    for k, step in enumerate(chain.steps[1:], start=2):
-        mapping = face_map(cg, step.cell, step.face, current, step.target)
-        if any(val not in mapping for val in carried.values()):
-            return carried, k
-        carried = {src: mapping[val] for src, val in carried.items()}
+def carry(mapping: dict[int, int], carried: dict[int, int] | None) -> dict[int, int] | None:
+    """Push the carried map (start label -> current label) through one step's face map.
+
+    None as `carried` starts a chain from the face map's whole domain (part of
+    the start's label set); None comes back once a carried label is lost.
+    """
+    if carried is None:
+        return dict(mapping)
+    if not all(map(mapping.__contains__, carried.values())):
+        return None
+    return {src: mapping[val] for src, val in carried.items()}
+
+
+def close_out(labels: tuple[int, ...], carried: dict[int, int]) -> tuple[int, ...]:
+    """Permutation of label positions from a closed loop's carried map.
+
+    At most one label may be missing, on return to a base vertex of maximal
+    degree; it is repaired onto the one missing image.
+    """
+    images = set(carried.values())
+    missing_src = [c for c in labels if c not in carried]
+    missing_tgt = [c for c in labels if c not in images]
+    assert len(missing_src) == len(missing_tgt) <= 1
+    if missing_src:
+        carried = {**carried, missing_src[0]: missing_tgt[0]}
+    return tuple(map(labels.index, map(carried.__getitem__, labels)))
+
+
+def _compose(cg: ConnectionGraph, chain: SpinChain) -> tuple[dict[int, int] | None, int | None]:
+    """Carry the first face's domain through every step: (map, None), or (None, 1-based step of first loss)."""
+    carried, current = None, chain.start
+    for k, step in enumerate(chain.steps, start=1):
+        carried = carry(face_map(cg, step.cell, step.face, current, step.target), carried)
+        if carried is None:
+            return None, k
         current = step.target
     return carried, None
 
@@ -115,14 +139,7 @@ def evaluate(cg: ConnectionGraph, chain: SpinChain) -> tuple[int, ...]:
         return identity
     carried, lost_at = _compose(cg, chain)
     assert lost_at is None
-    images = set(carried.values())
-    missing_src = [c for c in labels if c not in carried]
-    missing_tgt = [c for c in labels if c not in images]
-    assert len(missing_src) == len(missing_tgt) <= 1
-    for a, b in zip(missing_src, missing_tgt):
-        carried[a] = b
-    pos = {c: k for k, c in enumerate(labels)}
-    return tuple(pos[carried[c]] for c in labels)
+    return close_out(labels, carried)
 
 
 def is_basic(cg: ConnectionGraph, chain: SpinChain) -> bool:

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import groups
-from .chains import ChainStep, SpinChain, _step_choices
+from .chains import ChainStep, SpinChain, _step_choices, carry, close_out
 from .faces import face_map
 from .graph import ConnectionGraph, Vertex, build_connection_graph
 from .params import GraphClass
@@ -74,47 +74,23 @@ def _admissible_evaluations(cg: ConnectionGraph, start: Vertex, max_steps: int):
     is dropped with all its extensions: those chains evaluate to the identity.
     """
     labels = cg.label_classes(start)
-    pos = {c: k for k, c in enumerate(labels)}
     verts = cg.vertices()
     by_degree = cg.order <= 2
     start_degree = cg.epsilon_degree(start)
 
-    def close_out(carried: dict[int, int]) -> tuple[int, ...]:
-        images = set(carried.values())
-        missing_src = [c for c in labels if c not in carried]
-        missing_tgt = [c for c in labels if c not in images]
-        full = dict(carried)
-        for a, b in zip(missing_src, missing_tgt):
-            full[a] = b
-        return tuple(pos[full[c]] for c in labels)
-
     def extend(current: Vertex, carried: dict[int, int] | None, steps: list[ChainStep], remaining: int):
-        if remaining == 1:
-            if current == start:
-                return
-            for cell, face in _step_choices(cg, current, start):
-                mapping = face_map(cg, cell, face, current, start)
-                if carried is None:
-                    moved = {c: mapping[c] for c in labels if c in mapping}
-                else:
-                    if any(val not in mapping for val in carried.values()):
-                        continue
-                    moved = {src: mapping[val] for src, val in carried.items()}
-                yield SpinChain(start, (*steps, ChainStep(cell, face, start))), close_out(moved)
-            return
-        for w in verts:
+        for w in (start,) if remaining == 1 else verts:
             if w == current or (by_degree and cg.epsilon_degree(w) != start_degree):
                 continue
             for cell, face in _step_choices(cg, current, w):
-                mapping = face_map(cg, cell, face, current, w)
-                if carried is None:
-                    moved = {c: mapping[c] for c in labels if c in mapping}
-                else:
-                    if any(val not in mapping for val in carried.values()):
-                        continue
-                    moved = {src: mapping[val] for src, val in carried.items()}
+                moved = carry(face_map(cg, cell, face, current, w), carried)
+                if moved is None:
+                    continue
                 steps.append(ChainStep(cell, face, w))
-                yield from extend(w, moved, steps, remaining - 1)
+                if remaining == 1:
+                    yield SpinChain(start, tuple(steps)), close_out(labels, moved)
+                else:
+                    yield from extend(w, moved, steps, remaining - 1)
                 steps.pop()
 
     for length in range(2, max_steps + 1):
@@ -131,9 +107,10 @@ def spin_group_at(
     """Sift the permutations of enumerated chains at v into one stabilizer chain.
 
     A permutation is kept as a generator, with its chain as witness, exactly
-    when it is not yet in the group.  Stops as soon as the prediction is
-    reached (or the full symmetric group, which nothing can exceed) unless
-    `exhaustive` asks for the whole budget.
+    when it is not yet in the group.  Stops once the group is the full
+    symmetric group on the label set, which no chain can exceed, and, unless
+    `exhaustive`, as soon as the prediction is reached.  So `exhaustive`
+    consumes the whole chain budget only while the group is smaller than S_n.
     """
     key = (cg.order, cg.connected, v, max_steps, closure_cap, exhaustive)
     hit = _RESULT_CACHE.get(key)
@@ -160,10 +137,9 @@ def spin_group_at(
             continue
         gens.append(perm)
         witnesses.append(chain)
-        if not exhaustive:
-            order = group.order()
-            if groups.recognize(order, n) == predicted or order == full_order:
-                break
+        order = group.order()
+        if order == full_order or (not exhaustive and groups.recognize(order, n) == predicted):
+            break
     order = group.order()
     result = SpinGroupResult(
         v, groups.recognize(order, n), predicted, order, tuple(gens), tuple(witnesses), tried

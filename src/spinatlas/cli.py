@@ -1,6 +1,7 @@
 """Command-line front end: enumerate classes, classify vertices, verify, export DOT.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parameter error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parameter error,
+3 closure cap exceeded (`atlas` records the class as `match=skipped` instead).
 All output is deterministic for fixed flags.
 """
 from __future__ import annotations
@@ -11,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import classify as _classify
 from . import tables as _tables
+from .groups import CapExceededError
 from .graph import UnsupportedOrderError, Vertex, build_connection_graph, edge_multiplicities_r_le_2
 from .params import GraphClass, InvalidClassError, enumerate_classes, heads
 
@@ -110,8 +112,6 @@ def cmd_atlas(args) -> int:
         raise UsageError(f"genus must be within 2..{args.max_genus}")
     if args.order is not None and not 0 <= args.order < args.genus:
         raise UsageError(f"order must satisfy 0 <= r < genus")
-    from .groups import CapExceededError
-
     for gc in enumerate_classes(args.genus, args.order):
         report = None
         if not args.no_compute:
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--max-steps", type=int, default=_classify.DEFAULT_MAX_STEPS)
         p.add_argument("--closure-cap", type=int, default=_classify.DEFAULT_CLOSURE_CAP)
-        p.add_argument("--exhaustive", action="store_true", help="consume the whole chain budget")
+        p.add_argument("--exhaustive", action="store_true", help="consume the whole chain budget until the group is S_n")
 
     p_atlas = sub.add_parser("atlas", help="one row per class of a genus")
     p_atlas.add_argument("--genus", type=int, required=True)
@@ -298,7 +298,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
+        if "max_steps" in vars(args) and args.max_steps < 2:
+            raise UsageError(f"--max-steps must be >= 2, got {args.max_steps}")
         return args.func(args)
+    except CapExceededError as exc:
+        print(f"CapExceeded: {exc}", file=sys.stderr)
+        return 3
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .params import GraphClass
 
@@ -107,12 +108,12 @@ def label_set(cg: ConnectionGraph, v: Vertex) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def edge_multiplicities_r_le_2(gc: GraphClass) -> dict[tuple[Vertex, Vertex], int]:
+def edge_multiplicities_r_le_2(gc: GraphClass) -> MappingProxyType[tuple[Vertex, Vertex], int]:
     """Multiplicity labels of the straight edges of the full graph, orders 0..2 only.
 
     Chord edges carry k_l - 1 (the own-pair exponent); skeleton edges carry k_0
     on the four short sides and k_1 on the two long sides.  Zero-multiplicity
-    chords are omitted.
+    chords are omitted.  The result is cached per class, so it is read-only.
     """
     if gc.order > 2:
         raise UnsupportedOrderError(f"full-graph multiplicities are only tabulated for order <= 2, got {gc.order}")
@@ -135,4 +136,4 @@ def edge_multiplicities_r_le_2(gc: GraphClass) -> dict[tuple[Vertex, Vertex], in
         out[edge(Vertex(2, False), Vertex(1, True))] = k[1]
     if gc.i >= 1:
         out[edge(P, Pt)] = gc.i
-    return out
+    return MappingProxyType(out)

@@ -123,6 +123,37 @@ def test_verify_genus10_under_default_flags(capsys):
     assert parse_record(out.splitlines()[-1]) == {"kind": "summary", "classes": "55", "mismatches": "0"}
 
 
+def test_verify_exhaustive_range_finishes(capsys):
+    # stops at S_n wherever the prediction is the full symmetric group
+    code, out, _ = run(capsys, "verify", "--genus", "2..7", "--exhaustive")
+    assert code == 0
+    assert out.splitlines()[-1] == "kind=summary classes=57 mismatches=0"
+
+
+def test_cap_exceeded_exits_3(capsys):
+    # S3 (6 elements) on the order-2 label sets does not fit a cap of 2
+    for argv in (
+        ["verify", "--genus", "3", "--closure-cap", "2"],
+        ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--closure-cap", "2"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and err.startswith("CapExceeded: "), argv
+    code, out, _ = run(capsys, "atlas", "--genus", "3", "--closure-cap", "2")
+    assert code == 0
+    assert "skipped" in {parse_record(line)["match"] for line in out.splitlines()}
+
+
+def test_max_steps_below_two_is_a_usage_error(capsys):
+    for argv in (
+        ["atlas", "--genus", "3", "--max-steps", "1"],
+        ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--max-steps", "1"],
+        ["verify", "--genus", "3", "--max-steps", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "usage error" in err and "--max-steps" in err, argv
+        assert out == ""
+
+
 def test_verify_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--genus", "2..6")
     code2, out2, _ = run(capsys, "verify", "--genus", "2..6")

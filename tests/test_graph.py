@@ -125,6 +125,15 @@ def test_edge_multiplicities_order_one_and_zero():
     assert mult0 == {(P, Pt): 2}  # the single pair carries the whole genus
 
 
+def test_edge_multiplicities_are_read_only():
+    # the mapping is cached per class: a caller's write would leak into every later call
+    gc = GraphClass(5, 2, 1, (0, 0))
+    mult = edge_multiplicities_r_le_2(gc)
+    with pytest.raises(TypeError):
+        mult[(P, Pt)] = 99
+    assert edge_multiplicities_r_le_2(gc)[(P, Pt)] == 1
+
+
 def test_edge_multiplicities_reject_high_order():
     with pytest.raises(UnsupportedOrderError):
         edge_multiplicities_r_le_2(GraphClass(4, 3, 0, (0, 0, 1)))

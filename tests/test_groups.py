@@ -261,8 +261,25 @@ def test_exhaustive_mode_never_overshoots(hexagon_one_chord, hexagon_two_chords)
         n = len(cg.label_classes(v))
         group = set(closure(res.generators, n))
         assert len(group) == res.order <= res.predicted.order
-        assert all(perm in group for _, perm in _admissible_evaluations(cg, v, 4))
+        evaluations = list(_admissible_evaluations(cg, v, 4))
+        assert all(perm in group for _, perm in evaluations)
+        # every group here (C3 at P2, trivial elsewhere) stays below S_n, so nothing
+        # stops the exhaustive search: it consumes the whole budget
+        assert res.order < math.factorial(n) and res.chains_tried == len(evaluations)
         assert res.verdict == res.predicted
+
+
+def test_exhaustive_stops_at_the_full_symmetric_group(order3_one_chord):
+    # from order 3 on the prediction is S_n, which no chain can exceed, so the
+    # exhaustive search stops exactly where the early-stopping one does
+    order4 = ConnectionGraph(4, frozenset({4}))
+    for cg, v in [(order3_one_chord, P), (order3_one_chord, P3), (order4, P1), (order4, P4t)]:
+        early = spin_group_at(cg, v)
+        full = spin_group_at(cg, v, exhaustive=True)
+        assert full.order == math.factorial(len(cg.label_classes(v)))
+        assert full.generators == early.generators
+        assert full.witnesses == early.witnesses
+        assert full.chains_tried == early.chains_tried
 
 
 def test_cap_guard():
