@@ -16,7 +16,6 @@ from .chains import (
     ChainStep,
     ChainStructureError,
     SpinChain,
-    enumerate_chains,
     evaluate,
     is_admissible,
     is_basic,
@@ -44,7 +43,6 @@ __all__ = [
     "closure",
     "decorated_cell",
     "edge_multiplicities_r_le_2",
-    "enumerate_chains",
     "enumerate_classes",
     "enumerate_faces",
     "epsilon_degree",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .faces import Face, FaceKind, cells_containing, enumerate_faces, face_map
+from .faces import Face, FaceKind, _face_map_pairs, cells_containing, enumerate_faces
 from .graph import ConnectionGraph, Vertex
 
 
@@ -78,68 +78,77 @@ def validate_structure(cg: ConnectionGraph, chain: SpinChain) -> None:
         current = step.target
 
 
-def carry(mapping: dict[int, int], carried: dict[int, int] | None) -> dict[int, int] | None:
-    """Push the carried map (start label -> current label) through one step's face map.
+Carried = tuple[tuple[int, ...], tuple[int, ...]]
 
-    None as `carried` starts a chain from the face map's whole domain (part of
-    the start's label set); None comes back once a carried label is lost.
+
+def carry(mapping: tuple[int, ...], carried: Carried | None) -> Carried | None:
+    """Push the carried labels (start labels, current labels) through one step's face map.
+
+    `mapping` is a face map as `faces._face_map_pairs` gives it.  None as
+    `carried` starts a chain from the face map's whole domain (part of the
+    start's label set); None comes back once a carried label is lost.
     """
     if carried is None:
-        return dict(mapping)
-    if not all(map(mapping.__contains__, carried.values())):
-        return None
-    return {src: mapping[val] for src, val in carried.items()}
+        srcs = tuple(c for c, t in enumerate(mapping) if t >= 0)
+        return srcs, tuple(map(mapping.__getitem__, srcs))
+    moved = tuple(map(mapping.__getitem__, carried[1]))
+    return None if -1 in moved else (carried[0], moved)
 
 
-def close_out(labels: tuple[int, ...], carried: dict[int, int]) -> tuple[int, ...]:
-    """Permutation of label positions from a closed loop's carried map.
+def close_out(labels: tuple[int, ...], carried: Carried) -> tuple[int, ...]:
+    """Permutation of label positions from a closed loop's carried labels.
 
     At most one label may be missing, on return to a base vertex of maximal
     degree; it is repaired onto the one missing image.
     """
-    images = set(carried.values())
-    missing_src = [c for c in labels if c not in carried]
-    missing_tgt = [c for c in labels if c not in images]
+    pos = dict(zip(labels, range(len(labels))))
+    perm = [-1] * len(labels)
+    for src, cur in zip(*carried):
+        perm[pos[src]] = pos[cur]
+    missing_src = [k for k, image in enumerate(perm) if image < 0]
+    missing_tgt = set(range(len(labels))).difference(perm)
     assert len(missing_src) == len(missing_tgt) <= 1
     if missing_src:
-        carried = {**carried, missing_src[0]: missing_tgt[0]}
-    return tuple(map(labels.index, map(carried.__getitem__, labels)))
+        perm[missing_src[0]] = missing_tgt.pop()
+    return tuple(perm)
 
 
-def _compose(cg: ConnectionGraph, chain: SpinChain) -> tuple[dict[int, int] | None, int | None]:
-    """Carry the first face's domain through every step: (map, None), or (None, 1-based step of first loss)."""
+def _compose(cg: ConnectionGraph, chain: SpinChain) -> tuple[Carried | None, int | None]:
+    """Carry the first face's domain through every step: (labels, None), or (None, 1-based step of first loss)."""
     carried, current = None, chain.start
     for k, step in enumerate(chain.steps, start=1):
-        carried = carry(face_map(cg, step.cell, step.face, current, step.target), carried)
+        carried = carry(_face_map_pairs(cg, step.cell, step.face, current, step.target), carried)
         if carried is None:
             return None, k
         current = step.target
     return carried, None
 
 
-def is_admissible(cg: ConnectionGraph, chain: SpinChain) -> AdmissibilityVerdict:
+def _admit(cg: ConnectionGraph, chain: SpinChain) -> tuple[AdmissibilityVerdict, Carried | None]:
+    """The verdict, and for an admissible chain its carried labels, from one composition."""
     validate_structure(cg, chain)
     if cg.order <= 2:
         degrees = [cg.epsilon_degree(v) for v in chain.loop()]
         for k, d in enumerate(degrees):
             if d != degrees[0]:
-                return AdmissibilityVerdict(False, k, "DomainMismatch")
-        return AdmissibilityVerdict(True, None, "Composable")
-    _, lost_at = _compose(cg, chain)
+                return AdmissibilityVerdict(False, k, "DomainMismatch"), None
+    carried, lost_at = _compose(cg, chain)
     if lost_at is not None:
-        return AdmissibilityVerdict(False, lost_at, "DomainMismatch")
-    return AdmissibilityVerdict(True, None, "Composable")
+        # at order <= 2 the degree rule admits only loops that compose
+        assert cg.order > 2
+        return AdmissibilityVerdict(False, lost_at, "DomainMismatch"), None
+    return AdmissibilityVerdict(True, None, "Composable"), carried
+
+
+def is_admissible(cg: ConnectionGraph, chain: SpinChain) -> AdmissibilityVerdict:
+    return _admit(cg, chain)[0]
 
 
 def evaluate(cg: ConnectionGraph, chain: SpinChain) -> tuple[int, ...]:
     """Permutation of the base vertex's label positions; identity if inadmissible."""
     labels = cg.label_classes(chain.start)
-    identity = tuple(range(len(labels)))
-    if not is_admissible(cg, chain).admissible:
-        return identity
-    carried, lost_at = _compose(cg, chain)
-    assert lost_at is None
-    return close_out(labels, carried)
+    verdict, carried = _admit(cg, chain)
+    return close_out(labels, carried) if verdict.admissible else tuple(range(len(labels)))
 
 
 def is_basic(cg: ConnectionGraph, chain: SpinChain) -> bool:
@@ -148,35 +157,46 @@ def is_basic(cg: ConnectionGraph, chain: SpinChain) -> bool:
     return all(step.face.kind is FaceKind.STANDARD for step in chain.steps)
 
 
+Choice = tuple[frozenset[int], Face]
+
+
+class StepTable:
+    """The chain steps of one connection graph, by index into `vertices`.
+
+    For a step from vertex a to vertex b, `entry(a, b)` gives the (cell, face)
+    choices, in `enumerate_faces` order and then cell order, and one slot per
+    choice for its face map, which `fill` computes when the search first steps
+    through that choice.  Entries are built on first use.
+    """
+
+    def __init__(self, cg: ConnectionGraph) -> None:
+        self.cg = cg
+        self.vertices = cg.vertices()
+        self.faces = enumerate_faces(cg)
+        index = {v: k for k, v in enumerate(self.vertices)}
+        # per vertex, the positions in `faces` of the faces through it, ascending
+        self._faces_at: list[list[int]] = [[] for _ in self.vertices]
+        for f, face in enumerate(self.faces):
+            for w in face.cycle:
+                self._faces_at[index[w]].append(f)
+        self._entries: dict[tuple[int, int], tuple[tuple[Choice, ...], list]] = {}
+
+    def entry(self, a: int, b: int) -> tuple[tuple[Choice, ...], list]:
+        hit = self._entries.get((a, b))
+        if hit is None:
+            through_b = set(self._faces_at[b])
+            faces = [self.faces[f] for f in self._faces_at[a] if f in through_b]
+            choices = tuple((cell, face) for face in faces for cell in cells_containing(self.cg, face))
+            hit = self._entries[(a, b)] = (choices, [None] * len(choices))
+        return hit
+
+    def fill(self, a: int, b: int, k: int) -> tuple[int, ...]:
+        choices, slots = self._entries[(a, b)]
+        cell, face = choices[k]
+        slots[k] = _face_map_pairs(self.cg, cell, face, self.vertices[a], self.vertices[b])
+        return slots[k]
+
+
 @lru_cache(maxsize=None)
-def _step_choices(cg: ConnectionGraph, a: Vertex, b: Vertex) -> tuple[tuple[frozenset[int], Face], ...]:
-    out = []
-    for face in enumerate_faces(cg):
-        if a in face and b in face:
-            for cell in cells_containing(cg, face):
-                out.append((cell, face))
-    return tuple(out)
-
-
-def enumerate_chains(cg: ConnectionGraph, start: Vertex, max_steps: int):
-    """All structurally valid chains at `start`, shortest first, in a fixed order."""
-    if max_steps < 2:
-        raise ValueError(f"max_steps must be >= 2, got {max_steps}")
-    verts = cg.vertices()
-
-    def extend(current: Vertex, steps: list[ChainStep], remaining: int):
-        if remaining == 1:
-            if current != start:
-                for cell, face in _step_choices(cg, current, start):
-                    yield SpinChain(start, (*steps, ChainStep(cell, face, start)))
-            return
-        for w in verts:
-            if w == current:
-                continue
-            for cell, face in _step_choices(cg, current, w):
-                steps.append(ChainStep(cell, face, w))
-                yield from extend(w, steps, remaining - 1)
-                steps.pop()
-
-    for length in range(2, max_steps + 1):
-        yield from extend(start, [], length)
+def step_table(cg: ConnectionGraph) -> StepTable:
+    return StepTable(cg)

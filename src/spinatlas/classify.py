@@ -5,8 +5,8 @@ import math
 from dataclasses import dataclass, field
 
 from . import groups
-from .chains import ChainStep, SpinChain, _step_choices, carry, close_out
-from .faces import face_map
+from .chains import Carried, ChainStep, SpinChain, carry, close_out, step_table
+from .faces import face_map  # noqa: F401  (perfbench/probe.py traces classify.face_map)
 from .graph import ConnectionGraph, Vertex, build_connection_graph
 from .params import GraphClass
 from .groups import GroupVerdict
@@ -54,11 +54,11 @@ _RESULT_CACHE: dict[tuple, SpinGroupResult] = {}
 
 
 def clear_caches() -> None:
-    """Drop every memoized result (group runs, face maps, face lists, step choices)."""
+    """Drop every memoized result (group runs, face maps, face lists, step tables)."""
     from . import chains, faces, graph
 
     _RESULT_CACHE.clear()
-    chains._step_choices.cache_clear()
+    chains.step_table.cache_clear()
     faces._face_map_pairs.cache_clear()
     faces.enumerate_faces.cache_clear()
     faces.cells_containing.cache_clear()
@@ -74,27 +74,31 @@ def _admissible_evaluations(cg: ConnectionGraph, start: Vertex, max_steps: int):
     is dropped with all its extensions: those chains evaluate to the identity.
     """
     labels = cg.label_classes(start)
-    verts = cg.vertices()
-    by_degree = cg.order <= 2
-    start_degree = cg.epsilon_degree(start)
+    table = step_table(cg)
+    verts = table.vertices
+    base = verts.index(start)
+    walk = range(len(verts))
+    if cg.order <= 2:
+        walk = [k for k in walk if cg.epsilon_degree(verts[k]) == cg.epsilon_degree(start)]
 
-    def extend(current: Vertex, carried: dict[int, int] | None, steps: list[ChainStep], remaining: int):
-        for w in (start,) if remaining == 1 else verts:
-            if w == current or (by_degree and cg.epsilon_degree(w) != start_degree):
+    def extend(a: int, carried: Carried | None, steps: list[ChainStep], remaining: int):
+        for b in (base,) if remaining == 1 else walk:
+            if b == a:
                 continue
-            for cell, face in _step_choices(cg, current, w):
-                moved = carry(face_map(cg, cell, face, current, w), carried)
+            choices, slots = table.entry(a, b)
+            for k, mapping in enumerate(slots):
+                moved = carry(table.fill(a, b, k) if mapping is None else mapping, carried)
                 if moved is None:
                     continue
-                steps.append(ChainStep(cell, face, w))
+                steps.append(ChainStep(*choices[k], verts[b]))
                 if remaining == 1:
                     yield SpinChain(start, tuple(steps)), close_out(labels, moved)
                 else:
-                    yield from extend(w, moved, steps, remaining - 1)
+                    yield from extend(b, moved, steps, remaining - 1)
                 steps.pop()
 
     for length in range(2, max_steps + 1):
-        yield from extend(start, None, [], length)
+        yield from extend(base, None, [], length)
 
 
 def spin_group_at(

@@ -86,8 +86,15 @@ def atlas_record(gc: GraphClass, report: _classify.ClassReport | None) -> dict[s
     return fields
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _class_from_args(args) -> GraphClass:
-    p = tuple(int(x) for x in args.p.split(",")) if args.p not in (None, "", "-") else ()
+    p = tuple(_int(x, "-p") for x in args.p.split(",")) if args.p not in (None, "", "-") else ()
     i = args.i
     if i is None:
         if args.order == 0:
@@ -100,8 +107,8 @@ def _class_from_args(args) -> GraphClass:
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
+        return _int(lo, "--genus"), _int(hi, "--genus")
+    value = _int(text, "--genus")
     return value, value
 
 
@@ -126,8 +133,11 @@ def cmd_atlas(args) -> int:
 def cmd_classify(args) -> int:
     gc = _class_from_args(args)
     cg = build_connection_graph(gc)
-    wanted = Vertex.parse(args.vertex) if args.vertex else None
-    if wanted is not None and wanted.cls > gc.order:
+    try:
+        wanted = Vertex.parse(args.vertex) if args.vertex else None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if wanted is not None and not 0 <= wanted.cls <= gc.order:
         raise UsageError(f"vertex {args.vertex} is not in an order-{gc.order} graph")
     rows = []
     for v in cg.vertices():
@@ -168,7 +178,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"genus range must lie within 2..{args.max_genus}")
     orders = None
     if args.orders:
-        orders = sorted({int(x) for x in args.orders.split(",")})
+        orders = sorted({_int(x, "--orders") for x in args.orders.split(",")})
     targets = []
     for genus in range(lo, hi + 1):
         for gc in enumerate_classes(genus):
@@ -180,34 +190,30 @@ def cmd_verify(args) -> int:
             gc, max_steps=args.max_steps, closure_cap=args.closure_cap, exhaustive=args.exhaustive
         )
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run, targets))
-    else:
-        reports = [run(gc) for gc in targets]
-
     mismatches = 0
-    for gc, report in zip(targets, reports):
-        ok = report.match_all
-        mismatches += 0 if ok else 1
-        print(
-            render_record(
-                {
-                    "kind": "verify",
-                    "genus": str(gc.genus),
-                    "order": str(gc.order),
-                    "i": str(gc.i),
-                    "p": _fmt_list(gc.p),
-                    "match": "true" if ok else "false",
-                }
+    # a pool starts threads only on submit, so a serial run starts none
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        reports = pool.map(run, targets) if args.jobs > 1 else map(run, targets)
+        for gc, report in zip(targets, reports):
+            ok = report.match_all
+            mismatches += 0 if ok else 1
+            print(
+                render_record(
+                    {
+                        "kind": "verify",
+                        "genus": str(gc.genus),
+                        "order": str(gc.order),
+                        "i": str(gc.i),
+                        "p": _fmt_list(gc.p),
+                        "match": "true" if ok else "false",
+                    }
+                )
             )
-        )
-        if not ok:
             for row in report.rows:
                 if not row.match:
-                    print(
-                        f"  mismatch {row.vertex.name}: predicted {row.predicted}, computed {row.computed}"
-                    )
+                    print(f"  mismatch {row.vertex.name}: predicted {row.predicted}, computed {row.computed}")
+            # each class's records leave as it finishes, so a run cut short keeps them
+            sys.stdout.flush()
     print(render_record({"kind": "summary", "classes": str(len(targets)), "mismatches": str(mismatches)}))
     return 0 if mismatches == 0 else 1
 
@@ -310,8 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidClassError as exc:
         print(f"InvalidClass: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except _tables.TableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

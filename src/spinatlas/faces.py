@@ -39,13 +39,10 @@ class Face:
         """Canonicalize a 4-cycle: lexicographically least rotation or reflection."""
         if len(cycle) != 4 or len(set(cycle)) != 4:
             raise ValueError(f"a face needs four distinct vertices, got {cycle}")
-        best = None
-        for seq in (cycle, cycle[::-1]):
-            for k in range(4):
-                cand = seq[k:] + seq[:k]
-                if best is None or cand < best:
-                    best = cand
-        return Face(tuple(best))
+        # the least sequence starts at the least vertex and goes on to its lesser neighbor
+        k = cycle.index(min(cycle))
+        a, b, c, d = cycle[k:] + cycle[:k]
+        return Face((a, b, c, d) if b < d else (a, d, c, b))
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.cycle
@@ -194,26 +191,26 @@ def _build_face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Ve
 
 
 @lru_cache(maxsize=None)
-def _face_map_pairs(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> tuple[tuple[int, int], ...]:
+def _face_map_pairs(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> tuple[int, ...]:
+    """The face map as a tuple over classes 0..r: each class's image, -1 off the domain."""
     if u == v or u not in face or v not in face:
         raise ValueError(f"{u.name}->{v.name} is not a vertex pair of face {face.name}")
     if cg.order <= 3:
         mapping = _build_face_map(cg, cell, face, u, v)
-        return tuple(sorted(mapping.items()))
+    else:
+        from . import tables
 
-    from . import tables
-
-    classes = tuple(sorted(cell))
-    local_cg, _ = decorated_cell(cg, cell)
-    local_face = Face.from_cycle(tuple(localize_vertex(classes, w) for w in face.cycle))
-    local = tables.active_tables().lookup(
-        local_cg.connected, local_face, localize_vertex(classes, u), localize_vertex(classes, v)
-    )
-    mapping = {classes[a]: classes[b] for a, b in local}
-    for c in cg.label_classes(u):
-        if c not in cell:
-            mapping[c] = c
-    return tuple(sorted(mapping.items()))
+        classes = tuple(sorted(cell))
+        local_cg, _ = decorated_cell(cg, cell)
+        local_face = Face.from_cycle(tuple(localize_vertex(classes, w) for w in face.cycle))
+        pairs = tables.active_tables().lookup(
+            local_cg.connected, local_face, localize_vertex(classes, u), localize_vertex(classes, v)
+        )
+        mapping = {classes[a]: classes[b] for a, b in pairs}
+        for c in cg.label_classes(u):
+            if c not in cell:
+                mapping[c] = c
+    return tuple(mapping.get(c, -1) for c in cg.classes)
 
 
 def face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> dict[int, int]:
@@ -223,4 +220,4 @@ def face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v
     order-3 pattern, consult the order-3 tables, and lift the answer back,
     mapping every class outside the cell to itself.
     """
-    return dict(_face_map_pairs(cg, cell, face, u, v))
+    return {c: t for c, t in enumerate(_face_map_pairs(cg, cell, face, u, v)) if t >= 0}

@@ -22,7 +22,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(a: Perm, b: Perm) -> Perm:
     """Apply a first, then b."""
-    return tuple(b[x] for x in a)
+    return tuple(map(b.__getitem__, a))
 
 
 def inverse(a: Perm) -> Perm:
@@ -99,7 +99,7 @@ class StabChain:
                 u_inv = self._trans_inv[i].get(p)
                 if u_inv is None:
                     return False
-                g = tuple(u_inv[x] for x in g)
+                g = tuple(map(u_inv.__getitem__, g))
         return True
 
     def __contains__(self, g: Perm) -> bool:

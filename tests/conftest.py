@@ -1,10 +1,12 @@
 """Shared fixture data: the small connection graphs and their named faces."""
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 from spinatlas.chains import ChainStep, SpinChain
-from spinatlas.faces import Face
+from spinatlas.faces import Face, cells_containing, enumerate_faces
 from spinatlas.graph import ConnectionGraph, Vertex
 
 
@@ -18,6 +20,32 @@ def F(*verts: Vertex) -> Face:
 
 def mk_chain(start: Vertex, *steps) -> SpinChain:
     return SpinChain(start, tuple(ChainStep(frozenset(cell), face, target) for cell, face, target in steps))
+
+
+@lru_cache(maxsize=None)
+def step_choices(cg: ConnectionGraph, a: Vertex, b: Vertex) -> tuple[tuple[frozenset[int], Face], ...]:
+    """Every (cell, face) for a step a -> b: faces through both in enumeration order, then their cells."""
+    return tuple(
+        (cell, face) for face in enumerate_faces(cg) if a in face and b in face for cell in cells_containing(cg, face)
+    )
+
+
+def enumerate_chains(cg: ConnectionGraph, start: Vertex, max_steps: int):
+    """All structurally valid chains at `start`, shortest first, in the order the search walks them."""
+    if max_steps < 2:
+        raise ValueError(f"max_steps must be >= 2, got {max_steps}")
+
+    def extend(current: Vertex, steps: tuple[ChainStep, ...], remaining: int):
+        for w in (start,) if remaining == 1 else cg.vertices():
+            if w != current:
+                for cell, face in step_choices(cg, current, w):
+                    if remaining == 1:
+                        yield SpinChain(start, (*steps, ChainStep(cell, face, w)))
+                    else:
+                        yield from extend(w, (*steps, ChainStep(cell, face, w)), remaining - 1)
+
+    for length in range(2, max_steps + 1):
+        yield from extend(start, (), length)
 
 
 P, Pt = V(0), V(0, True)

@@ -27,9 +27,10 @@ from conftest import (
     P4,
     P4t,
     Pt,
+    enumerate_chains,
     mk_chain,
 )
-from spinatlas.chains import enumerate_chains, evaluate, is_admissible, is_basic
+from spinatlas.chains import evaluate, is_admissible, is_basic
 from spinatlas.classify import clear_caches, spin_group_at, verify_class
 from spinatlas.cli import main, parse_record
 from spinatlas.faces import enumerate_faces, cells_containing, face_map

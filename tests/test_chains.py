@@ -24,9 +24,10 @@ from conftest import (
     P4,
     P4t,
     Pt,
+    enumerate_chains,
     mk_chain,
 )
-from spinatlas.chains import ChainStructureError, SpinChain, enumerate_chains, evaluate, is_admissible, is_basic, validate_structure
+from spinatlas.chains import ChainStructureError, SpinChain, evaluate, is_admissible, is_basic, validate_structure
 from spinatlas.faces import Face, enumerate_faces
 from spinatlas.graph import ConnectionGraph
 from spinatlas.groups import compose, cycle_type, cycles_str, identity_perm, inverse, parity
@@ -318,9 +319,9 @@ def test_enumeration_includes_published_loops(order3_one_chord):
 
 
 def test_enumeration_reaches_published_four_step_loop(order3_one_chord):
-    # every step of the four-step witness is an enumerated (cell, face) choice,
-    # so the depth-4 level of the stream contains the whole chain
-    from spinatlas.chains import _step_choices
+    # every step of the four-step witness is a (cell, face) choice of the search's
+    # step table, so the depth-4 level of the search walks the whole chain
+    from spinatlas.chains import step_table
 
     cg = order3_one_chord
     chain = mk_chain(
@@ -331,9 +332,11 @@ def test_enumeration_reaches_published_four_step_loop(order3_one_chord):
         (CELL3, CHORD3_FACES["F5"], P3),
     )
     validate_structure(cg, chain)
+    table = step_table(cg)
     current = chain.start
     for step in chain.steps:
-        assert (step.cell, step.face) in _step_choices(cg, current, step.target)
+        choices, _ = table.entry(table.vertices.index(current), table.vertices.index(step.target))
+        assert (step.cell, step.face) in choices
         current = step.target
 
 
@@ -352,6 +355,43 @@ def test_enumeration_validates_structurally(order3_two_chords):
 def test_min_steps_guard(order3_one_chord):
     with pytest.raises(ValueError):
         list(enumerate_chains(order3_one_chord, P, 1))
+
+
+SEARCH_ORDER_CASES = [
+    (ConnectionGraph(2, frozenset({2})), P2),
+    (ConnectionGraph(2, frozenset({1, 2})), P1t),
+    (ConnectionGraph(3, frozenset({3})), P3),
+    (ConnectionGraph(3, frozenset({2, 3})), P1),
+    (ConnectionGraph(4, frozenset({4})), P),
+]
+
+
+@pytest.mark.parametrize("cg,start", SEARCH_ORDER_CASES, ids=["r2a", "r2b", "r3a", "r3b", "r4"])
+def test_search_keeps_enumeration_order(cg, start):
+    """The step-table search yields the admissible chains of the plain stream, in its order."""
+    from spinatlas.classify import _admissible_evaluations
+
+    plain = [
+        (chain, evaluate(cg, chain)) for chain in enumerate_chains(cg, start, 3) if is_admissible(cg, chain).admissible
+    ]
+    assert plain
+    assert list(_admissible_evaluations(cg, start, 3)) == plain
+
+
+def test_evaluate_composes_once(order3_one_chord, monkeypatch):
+    from spinatlas import chains
+
+    calls = []
+    face_maps = chains._face_map_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return face_maps(*args)
+
+    monkeypatch.setattr(chains, "_face_map_pairs", counted)
+    witness = mk_chain(P3, (CELL3, F(P, P1, P2t, P3), P), (CELL3, F(P, P1, P3t, P3), P3))
+    assert evaluate(order3_one_chord, witness) != identity_perm(4)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------- basic chains

@@ -180,6 +180,46 @@ def test_verify_rejects_bad_range(capsys):
     assert code == 2 and "usage error" in err
 
 
+def test_verify_streams_records_before_a_cap_hit(capsys):
+    # label sets of orders 0 and 1 have at most 2 points, so their classes fit a
+    # cap of 2; the first order-2 class (genus 3) needs 3! and stops the run
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "verify", "--genus", "2..3", "--closure-cap", "2", "--jobs", jobs)
+        records = [parse_record(line) for line in out.splitlines()]
+        assert code == 3 and err.startswith("CapExceeded: ")
+        assert all(r["kind"] == "verify" and r["match"] == "true" for r in records)
+        assert [(r["genus"], r["order"], r["i"], r["p"]) for r in records] == [
+            ("2", "0", "2", "-"),
+            ("2", "1", "0", "1"),
+            ("3", "0", "3", "-"),
+            ("3", "1", "0", "2"),
+            ("3", "1", "1", "0"),
+        ]
+
+
+def test_bad_numbers_and_vertices_are_usage_errors(capsys):
+    for argv in (
+        ["verify", "--genus", "2..x"],
+        ["verify", "--genus", "2", "--orders", "0,y"],
+        ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--vertex", "Q"],
+        ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--vertex", "Px"],
+        ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--vertex", "P-1"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("usage error: "), argv
+
+
+def test_internal_value_error_propagates(monkeypatch):
+    from spinatlas import classify
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal defect")
+
+    monkeypatch.setattr(classify, "verify_class", broken)
+    with pytest.raises(ValueError, match="internal defect"):
+        main(["verify", "--genus", "2"])
+
+
 def test_malformed_values_exit_2(capsys):
     for argv in (
         ["verify", "--genus", "abc"],

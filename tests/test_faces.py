@@ -41,6 +41,15 @@ def test_listed_faces_of_order3_graphs(order3_one_chord, order3_two_chords):
     )
 
 
+def test_from_cycle_takes_the_least_rotation_or_reflection():
+    verts = ConnectionGraph(3, frozenset()).vertices()
+    for cycle in itertools.permutations(verts, 4):
+        spins = [seq[k:] + seq[:k] for seq in (cycle, cycle[::-1]) for k in range(4)]
+        assert Face.from_cycle(cycle).cycle == min(spins)
+    with pytest.raises(ValueError):
+        Face.from_cycle((P, P1, P, P2))
+
+
 def test_faces_closed_under_conjugation():
     for order, connected in [(2, {2}), (2, {1, 2}), (3, {3}), (3, {2, 3}), (4, {4}), (4, {3, 4})]:
         cg = ConnectionGraph(order, frozenset(connected))
@@ -248,6 +257,31 @@ def test_table_lookup_path_agrees_with_direct_construction():
         for cell, face in itertools.islice(all_cell_face_pairs(cg), 120):
             for u, w in itertools.permutations(face.cycle, 2):
                 assert face_map(cg, cell, face, u, w) == _build_face_map(cg, cell, face, u, w)
+
+
+def _table_lift(cg, cell, face, u, w):
+    """A face map at order >= 4 as a dict: localize the cell, look it up, lift it back."""
+    classes = tuple(sorted(cell))
+    local_cg, _ = decorated_cell(cg, cell)
+    local_face = Face.from_cycle(tuple(localize_vertex(classes, x) for x in face.cycle))
+    local = tables.active_tables().lookup(
+        local_cg.connected, local_face, localize_vertex(classes, u), localize_vertex(classes, w)
+    )
+    mapping = {classes[a]: classes[b] for a, b in local}
+    mapping.update((c, c) for c in cg.label_classes(u) if c not in cell)
+    return mapping
+
+
+def test_face_map_equals_the_dict_construction():
+    from spinatlas.faces import _build_face_map
+
+    for cg, build in (
+        (ConnectionGraph(3, frozenset({3})), _build_face_map),
+        (ConnectionGraph(4, frozenset({3, 4})), _table_lift),
+    ):
+        for cell, face in all_cell_face_pairs(cg):
+            for u, w in itertools.permutations(face.cycle, 2):
+                assert face_map(cg, cell, face, u, w) == build(cg, cell, face, u, w)
 
 
 def test_loaded_tables_drive_higher_orders(tmp_path):

@@ -227,7 +227,8 @@ def test_conjugate_vertices_get_equal_verdicts():
 
 
 def test_conjugated_chains_evaluate_identically(order3_two_chords):
-    from spinatlas.chains import ChainStep, SpinChain, enumerate_chains, evaluate
+    from conftest import enumerate_chains
+    from spinatlas.chains import ChainStep, SpinChain, evaluate
 
     cg = order3_two_chords
     for chain in itertools.islice(enumerate_chains(cg, P2, 2), 200):
@@ -302,7 +303,8 @@ def test_label_relabeling_conjugates_the_group(order3_one_chord):
 
 def test_pruned_search_agrees_with_plain_stream():
     """The group engine's pruned generator must yield exactly the admissible chains."""
-    from spinatlas.chains import enumerate_chains, evaluate, is_admissible
+    from conftest import enumerate_chains
+    from spinatlas.chains import evaluate, is_admissible
     from spinatlas.classify import _admissible_evaluations
 
     for order, connected, start in [(2, {2}, P2), (2, {1, 2}, P), (3, {3}, P3), (3, {2, 3}, P1)]:
