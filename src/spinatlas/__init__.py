@@ -7,10 +7,8 @@ from .graph import (
     Vertex,
     build_connection_graph,
     edge_multiplicities_r_le_2,
-    epsilon_degree,
-    label_set,
 )
-from .faces import Face, FaceKind, cells_containing, decorated_cell, enumerate_faces, face_kind, face_map
+from .faces import Face, FaceKind, cells_containing, decorated_cell, enumerate_faces, face_map
 from .chains import (
     AdmissibilityVerdict,
     ChainStep,
@@ -45,16 +43,13 @@ __all__ = [
     "edge_multiplicities_r_le_2",
     "enumerate_classes",
     "enumerate_faces",
-    "epsilon_degree",
     "evaluate",
-    "face_kind",
     "face_map",
     "genus_of",
     "heads",
     "is_admissible",
     "is_basic",
     "k_tuple",
-    "label_set",
     "predict_group",
     "recognize",
     "spin_group_at",

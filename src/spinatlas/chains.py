@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .faces import Face, FaceKind, _face_map_pairs, cells_containing, enumerate_faces
+from .faces import Face, FaceKind, cell_frame, cells_containing, enumerate_faces, face_images, vertex_id
+from .faces import _face_map_pairs  # the memoized face maps `evaluate` composes
 from .graph import ConnectionGraph, Vertex
 
 
@@ -95,21 +96,28 @@ def carry(mapping: tuple[int, ...], carried: Carried | None) -> Carried | None:
     return None if -1 in moved else (carried[0], moved)
 
 
-def close_out(labels: tuple[int, ...], carried: Carried) -> tuple[int, ...]:
+def label_positions(cg: ConnectionGraph, v: Vertex) -> list[int | None]:
+    """Per class 0..r, its position in v's label set, or None if it labels nothing at v."""
+    labels = cg.label_classes(v)
+    return [labels.index(c) if c in labels else None for c in cg.classes]
+
+
+def close_out(pos: list[int | None], carried: Carried) -> tuple[int, ...]:
     """Permutation of label positions from a closed loop's carried labels.
 
-    At most one label may be missing, on return to a base vertex of maximal
-    degree; it is repaired onto the one missing image.
+    `pos` is the base vertex's `label_positions`.  At most one label may be
+    missing, on return to a base vertex of maximal degree; it is repaired
+    onto the one missing image.
     """
-    pos = dict(zip(labels, range(len(labels))))
-    perm = [-1] * len(labels)
-    for src, cur in zip(*carried):
+    srcs, curs = carried
+    n = len(pos) - pos.count(None)
+    perm = [-1] * n
+    for src, cur in zip(srcs, curs):
         perm[pos[src]] = pos[cur]
-    missing_src = [k for k, image in enumerate(perm) if image < 0]
-    missing_tgt = set(range(len(labels))).difference(perm)
-    assert len(missing_src) == len(missing_tgt) <= 1
-    if missing_src:
-        perm[missing_src[0]] = missing_tgt.pop()
+    if len(srcs) < n:
+        # the images 0..n-1 sum to n(n-1)/2, and the -1 still in perm stands for the missing one
+        perm[perm.index(-1)] = n * (n - 1) // 2 - sum(perm) - 1
+    assert sorted(perm) == list(range(n)), f"{carried} does not close to a permutation"
     return tuple(perm)
 
 
@@ -146,9 +154,10 @@ def is_admissible(cg: ConnectionGraph, chain: SpinChain) -> AdmissibilityVerdict
 
 def evaluate(cg: ConnectionGraph, chain: SpinChain) -> tuple[int, ...]:
     """Permutation of the base vertex's label positions; identity if inadmissible."""
-    labels = cg.label_classes(chain.start)
     verdict, carried = _admit(cg, chain)
-    return close_out(labels, carried) if verdict.admissible else tuple(range(len(labels)))
+    if not verdict.admissible:
+        return tuple(range(len(cg.label_classes(chain.start))))
+    return close_out(label_positions(cg, chain.start), carried)
 
 
 def is_basic(cg: ConnectionGraph, chain: SpinChain) -> bool:
@@ -161,25 +170,27 @@ Choice = tuple[frozenset[int], Face]
 
 
 class StepTable:
-    """The chain steps of one connection graph, by index into `vertices`.
+    """The chain steps of one connection graph, by vertex id (index into `vertices`).
 
     For a step from vertex a to vertex b, `entry(a, b)` gives the (cell, face)
     choices, in `enumerate_faces` order and then cell order, and one slot per
     choice for its face map, which `fill` computes when the search first steps
-    through that choice.  Entries are built on first use.
+    through that choice.  Entries are built on first use.  A search path is a
+    tuple of (vertex id, choice index) steps, and `chain` turns one into its chain.
     """
 
     def __init__(self, cg: ConnectionGraph) -> None:
         self.cg = cg
         self.vertices = cg.vertices()
         self.faces = enumerate_faces(cg)
-        index = {v: k for k, v in enumerate(self.vertices)}
         # per vertex, the positions in `faces` of the faces through it, ascending
         self._faces_at: list[list[int]] = [[] for _ in self.vertices]
         for f, face in enumerate(self.faces):
             for w in face.cycle:
-                self._faces_at[index[w]].append(f)
+                self._faces_at[vertex_id(w)].append(f)
         self._entries: dict[tuple[int, int], tuple[tuple[Choice, ...], list]] = {}
+        # per cell, its `cell_frame` for the table lookup at order >= 4
+        self._frames: dict[frozenset[int], tuple] = {}
 
     def entry(self, a: int, b: int) -> tuple[tuple[Choice, ...], list]:
         hit = self._entries.get((a, b))
@@ -193,8 +204,19 @@ class StepTable:
     def fill(self, a: int, b: int, k: int) -> tuple[int, ...]:
         choices, slots = self._entries[(a, b)]
         cell, face = choices[k]
-        slots[k] = _face_map_pairs(self.cg, cell, face, self.vertices[a], self.vertices[b])
+        frame = None
+        if self.cg.order > 3:
+            frame = self._frames.get(cell) or self._frames.setdefault(cell, cell_frame(self.cg, cell))
+        slots[k] = face_images(self.cg, cell, face, self.vertices[a], self.vertices[b], frame)
         return slots[k]
+
+    def chain(self, start: Vertex, path: tuple[tuple[int, int], ...]) -> SpinChain:
+        """The chain at `start` whose steps take, in turn, choice k of the step to vertex b."""
+        steps, a = [], vertex_id(start)
+        for b, k in path:
+            steps.append(ChainStep(*self._entries[(a, b)][0][k], self.vertices[b]))
+            a = b
+        return SpinChain(start, tuple(steps))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import groups
-from .chains import Carried, ChainStep, SpinChain, carry, close_out, step_table
+from .chains import Carried, SpinChain, carry, close_out, label_positions, step_table
 from .faces import face_map  # noqa: F401  (perfbench/probe.py traces classify.face_map)
 from .graph import ConnectionGraph, Vertex, build_connection_graph
 from .params import GraphClass
@@ -67,38 +67,41 @@ def clear_caches() -> None:
 
 
 def _admissible_evaluations(cg: ConnectionGraph, start: Vertex, max_steps: int):
-    """Yield (chain, permutation) for every admissible chain at `start`, shortest first.
+    """Yield (path, permutation) for every admissible chain at `start`, shortest first.
 
-    Equivalent to evaluating the full chain stream, but a prefix whose carried
-    label set has already lost an element (or, at order <= 2, mixed degrees)
-    is dropped with all its extensions: those chains evaluate to the identity.
+    A path is a tuple of (vertex id, choice index) steps through the graph's
+    step table, whose `chain(start, path)` builds the chain.  Equivalent to
+    evaluating the full chain stream, but a prefix whose carried label set has
+    already lost an element (or, at order <= 2, mixed degrees) is dropped with
+    all its extensions: those chains evaluate to the identity.
     """
-    labels = cg.label_classes(start)
     table = step_table(cg)
+    pos = label_positions(cg, start)
     verts = table.vertices
     base = verts.index(start)
     walk = range(len(verts))
     if cg.order <= 2:
         walk = [k for k in walk if cg.epsilon_degree(verts[k]) == cg.epsilon_degree(start)]
+    path: list[tuple[int, int]] = []
 
-    def extend(a: int, carried: Carried | None, steps: list[ChainStep], remaining: int):
+    def extend(a: int, carried: Carried | None, remaining: int):
         for b in (base,) if remaining == 1 else walk:
             if b == a:
                 continue
-            choices, slots = table.entry(a, b)
+            slots = table.entry(a, b)[1]
             for k, mapping in enumerate(slots):
                 moved = carry(table.fill(a, b, k) if mapping is None else mapping, carried)
                 if moved is None:
                     continue
-                steps.append(ChainStep(*choices[k], verts[b]))
+                path.append((b, k))
                 if remaining == 1:
-                    yield SpinChain(start, tuple(steps)), close_out(labels, moved)
+                    yield tuple(path), close_out(pos, moved)
                 else:
-                    yield from extend(b, moved, steps, remaining - 1)
-                steps.pop()
+                    yield from extend(b, moved, remaining - 1)
+                path.pop()
 
     for length in range(2, max_steps + 1):
-        yield from extend(base, None, [], length)
+        yield from extend(base, None, length)
 
 
 def spin_group_at(
@@ -132,7 +135,7 @@ def spin_group_at(
     gens: list[groups.Perm] = []
     witnesses: list[SpinChain] = []
     tried = 0
-    for chain, perm in _admissible_evaluations(cg, v, max_steps):
+    for path, perm in _admissible_evaluations(cg, v, max_steps):
         tried += 1
         if perm in seen:
             continue
@@ -140,7 +143,7 @@ def spin_group_at(
         if not group.add(perm):
             continue
         gens.append(perm)
-        witnesses.append(chain)
+        witnesses.append(step_table(cg).chain(v, path))
         order = group.order()
         if order == full_order or (not exhaustive and groups.recognize(order, n) == predicted):
             break

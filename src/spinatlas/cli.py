@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import classify as _classify
 from . import tables as _tables
-from .groups import CapExceededError
+from .groups import CapExceededError, cycles_str
 from .graph import UnsupportedOrderError, Vertex, build_connection_graph, edge_multiplicities_r_le_2
 from .params import GraphClass, InvalidClassError, enumerate_classes, heads
 
@@ -160,16 +160,10 @@ def cmd_classify(args) -> int:
                 }
             )
         )
-        for chain, perm in zip(res.witnesses, _witness_perms(cg, res)):
-            print(f"  witness {perm}: {chain.describe()}")
+        # each witness evaluates to the generator kept with it
+        for chain, perm in zip(res.witnesses, res.generators):
+            print(f"  witness {cycles_str(perm)}: {chain.describe()}")
     return 0
-
-
-def _witness_perms(cg, res):
-    from .chains import evaluate
-    from .groups import cycles_str
-
-    return [cycles_str(evaluate(cg, chain)) for chain in res.witnesses]
 
 
 def cmd_verify(args) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
 
 from .graph import ConnectionGraph, Vertex
 
@@ -39,10 +40,7 @@ class Face:
         """Canonicalize a 4-cycle: lexicographically least rotation or reflection."""
         if len(cycle) != 4 or len(set(cycle)) != 4:
             raise ValueError(f"a face needs four distinct vertices, got {cycle}")
-        # the least sequence starts at the least vertex and goes on to its lesser neighbor
-        k = cycle.index(min(cycle))
-        a, b, c, d = cycle[k:] + cycle[:k]
-        return Face((a, b, c, d) if b < d else (a, d, c, b))
+        return Face(_canonical(tuple(cycle)))
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.cycle
@@ -80,24 +78,33 @@ class Face:
         return "-".join(v.name for v in self.cycle)
 
 
-def face_kind(face: Face) -> FaceKind:
-    return face.kind
+def _canonical(cycle: tuple) -> tuple:
+    """The least rotation or reflection of a 4-cycle: least vertex first, then its lesser neighbor."""
+    k = cycle.index(min(cycle))
+    a, b, c, d = cycle[k:] + cycle[:k]
+    return (a, b, c, d) if b < d else (a, d, c, b)
+
+
+def vertex_id(v: Vertex) -> int:
+    """A vertex's index in `ConnectionGraph.vertices()`; ids sort like vertices."""
+    return 2 * v.cls + v.tilded
 
 
 @lru_cache(maxsize=None)
 def enumerate_faces(cg: ConnectionGraph) -> tuple[Face, ...]:
     """All 4-cycles, found by pairing same-side vertices with two common neighbors."""
     verts = cg.vertices()
-    found: set[Face] = set()
-    for a in verts:
-        for b in verts:
-            if b <= a or a.side != b.side:
-                continue
-            common = [w for w in verts if cg.adjacent(a, w) and cg.adjacent(b, w)]
-            for x in range(len(common)):
-                for y in range(x + 1, len(common)):
-                    found.add(Face.from_cycle((a, common[x], b, common[y])))
-    return tuple(sorted(found))
+    ids = range(len(verts))
+    near = [{w for w in ids if cg.adjacent(verts[a], verts[w])} for a in ids]
+    found: set[tuple[int, int, int, int]] = set()
+    for a in ids:
+        for b in ids[a + 1:]:
+            if verts[a].side == verts[b].side:
+                common = sorted(near[a] & near[b])
+                for x, w in enumerate(common):
+                    for y in common[x + 1:]:
+                        found.add(_canonical((a, w, b, y)))
+    return tuple(Face(tuple(map(verts.__getitem__, cycle))) for cycle in sorted(found))
 
 
 @lru_cache(maxsize=None)
@@ -107,27 +114,7 @@ def cells_containing(cg: ConnectionGraph, face: Face) -> tuple[frozenset[int], .
     if cg.order < 3:
         return (frozenset(cg.classes),)
     rest = sorted(set(cg.classes) - base)
-    need = 4 - len(base)
-    out = []
-    for combo in _subsets(rest, need):
-        out.append(frozenset(base | set(combo)))
-    return tuple(sorted(out, key=sorted))
-
-
-def _subsets(items: list[int], size: int):
-    if size == 0:
-        yield ()
-        return
-    for idx, first in enumerate(items):
-        for rest in _subsets(items[idx + 1:], size - 1):
-            yield (first, *rest)
-
-
-def localize_vertex(cell_classes: tuple[int, ...], v: Vertex) -> Vertex:
-    """Rename v into the order-3 graph of a cell; parity is adjusted so sides carry over."""
-    local_cls = cell_classes.index(v.cls)
-    tilded = bool(v.tilded ^ (v.cls == 0) ^ (local_cls == 0))
-    return Vertex(local_cls, tilded)
+    return tuple(sorted((base.union(combo) for combo in combinations(rest, 4 - len(base))), key=sorted))
 
 
 @lru_cache(maxsize=None)
@@ -139,10 +126,6 @@ def decorated_cell(cg: ConnectionGraph, cell: frozenset[int]) -> tuple[Connectio
     renaming = {c: k for k, c in enumerate(classes)}
     local = ConnectionGraph(len(classes) - 1, frozenset(renaming[c] for c in cg.connected & cell))
     return local, renaming
-
-
-def _whole_cell(cg: ConnectionGraph) -> frozenset[int]:
-    return frozenset(cg.classes)
 
 
 def _absent_class(cell: frozenset[int], face: Face) -> int | None:
@@ -190,27 +173,54 @@ def _build_face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Ve
     return mapping
 
 
-@lru_cache(maxsize=None)
-def _face_map_pairs(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> tuple[int, ...]:
-    """The face map as a tuple over classes 0..r: each class's image, -1 off the domain."""
-    if u == v or u not in face or v not in face:
-        raise ValueError(f"{u.name}->{v.name} is not a vertex pair of face {face.name}")
+Frame = tuple[tuple[int, ...], frozenset[int], tuple[int, ...]]
+
+
+def cell_frame(cg: ConnectionGraph, cell: frozenset[int]) -> Frame:
+    """A cell's sorted classes, its order-3 chord pattern, and per vertex id of the graph
+    its id in the cell's order-3 graph (-1 off the cell); parity is adjusted so sides carry over."""
+    if len(cell) != 4 or not cell <= set(cg.classes):
+        raise ValueError(f"not a cell of an order-{cg.order} graph: {sorted(cell)}")
+    classes = tuple(sorted(cell))
+    local = [-1] * (2 * cg.order + 2)
+    for lc, c in enumerate(classes):
+        for t in (0, 1):
+            local[2 * c + t] = 2 * lc + (t ^ (c == 0) ^ (lc == 0))
+    return classes, frozenset(lc for lc, c in enumerate(classes) if c in cg.connected), tuple(local)
+
+
+def face_images(
+    cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex, frame: Frame | None = None
+) -> tuple[int, ...]:
+    """The face map, uncached, as a tuple over classes 0..r: each class's image, -1 off the domain.
+
+    Orders up to 3 are built directly.  Higher orders rename the face and the
+    pair into the cell's order-3 graph through its `cell_frame` (`frame`, if
+    given), look them up in the order-3 tables, and lift the answer back,
+    mapping every class outside the cell to itself.
+    """
     if cg.order <= 3:
         mapping = _build_face_map(cg, cell, face, u, v)
-    else:
-        from . import tables
+        return tuple(mapping.get(c, -1) for c in cg.classes)
+    from . import tables
 
-        classes = tuple(sorted(cell))
-        local_cg, _ = decorated_cell(cg, cell)
-        local_face = Face.from_cycle(tuple(localize_vertex(classes, w) for w in face.cycle))
-        pairs = tables.active_tables().lookup(
-            local_cg.connected, local_face, localize_vertex(classes, u), localize_vertex(classes, v)
-        )
-        mapping = {classes[a]: classes[b] for a, b in pairs}
-        for c in cg.label_classes(u):
-            if c not in cell:
-                mapping[c] = c
-    return tuple(mapping.get(c, -1) for c in cg.classes)
+    classes, pattern, local = frame or cell_frame(cg, cell)
+    cycle = tuple(local[vertex_id(w)] for w in face.cycle)
+    pairs = tables.active_tables().lookup(pattern, cycle, local[vertex_id(u)], local[vertex_id(v)])
+    images = list(cg.classes)
+    for c in classes:
+        images[c] = -1
+    for a, b in pairs:
+        images[classes[a]] = classes[b]
+    return tuple(images)
+
+
+@lru_cache(maxsize=None)
+def _face_map_pairs(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> tuple[int, ...]:
+    """`face_images`, memoized, for a vertex pair of the face."""
+    if u == v or u not in face or v not in face:
+        raise ValueError(f"{u.name}->{v.name} is not a vertex pair of face {face.name}")
+    return face_images(cg, cell, face, u, v)
 
 
 def face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> dict[int, int]:

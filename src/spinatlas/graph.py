@@ -99,14 +99,6 @@ def build_connection_graph(gc: GraphClass) -> ConnectionGraph:
     return ConnectionGraph(gc.order, gc.connected_pairs)
 
 
-def epsilon_degree(cg: ConnectionGraph, v: Vertex) -> int:
-    return cg.epsilon_degree(v)
-
-
-def label_set(cg: ConnectionGraph, v: Vertex) -> tuple[int, ...]:
-    return cg.label_classes(v)
-
-
 @lru_cache(maxsize=None)
 def edge_multiplicities_r_le_2(gc: GraphClass) -> MappingProxyType[tuple[Vertex, Vertex], int]:
     """Multiplicity labels of the straight edges of the full graph, orders 0..2 only.

@@ -8,11 +8,12 @@ class pairs.  The text format is line-oriented and round-trips byte-exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations
 
 from .graph import ConnectionGraph, Vertex
-from .faces import Face, enumerate_faces, _build_face_map
+from .faces import Face, _build_face_map, _canonical, enumerate_faces, vertex_id
 
 FORMAT_HEADER = "spin-atlas-face-tables v1"
 ENV_VAR = "SPIN_ATLAS_TABLES"
@@ -36,12 +37,25 @@ class TableError(ValueError):
 @dataclass(frozen=True)
 class FaceTables:
     entries: dict[frozenset[int], dict[Face, dict[tuple[Vertex, Vertex], MapPairs]]]
+    # per pattern, the entries keyed by (canonical cycle, u, v) in vertex ids; built on first lookup
+    _index: dict[frozenset[int], dict] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def lookup(self, pattern: frozenset[int], face: Face, u: Vertex, v: Vertex) -> MapPairs:
+    def lookup(self, pattern: frozenset[int], cycle: tuple[int, ...], u: int, v: int) -> MapPairs:
+        """The map of pair u -> v on the face with this cycle, all as vertex ids of the order-3 graph."""
+        index = self._index.get(pattern)
+        if index is None:
+            index = self._index[pattern] = {
+                (_canonical(tuple(map(vertex_id, face.cycle))), vertex_id(a), vertex_id(b)): pairs
+                for face, per_pair in self.entries.get(pattern, {}).items()
+                for (a, b), pairs in per_pair.items()
+            }
+        cycle = _canonical(cycle)
         try:
-            return self.entries[pattern][face][(u, v)]
-        except KeyError as exc:
-            raise TableError(f"no table entry for pattern {sorted(pattern)}, face {face.name}, {u.name}->{v.name}") from exc
+            return index[(cycle, u, v)]
+        except KeyError:
+            names = [Vertex(w >> 1, bool(w & 1)).name for w in (*cycle, u, v)]
+            where = f"face {'-'.join(names[:4])}, {names[4]}->{names[5]}"
+            raise TableError(f"no table entry for pattern {sorted(pattern)}, {where}") from None
 
 
 def compute_order3_tables() -> FaceTables:
@@ -99,6 +113,8 @@ def render_tables(tables: FaceTables) -> str:
 
 
 def parse_tables(text: str) -> FaceTables:
+    """Read the text format.  Each face must be a canonical 4-cycle of its pattern's graph, each map
+    injective from the label set at u into the one at v, and every pattern, face and pair present."""
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
         raise TableError(f"missing header line {FORMAT_HEADER!r}")
@@ -112,12 +128,17 @@ def parse_tables(text: str) -> FaceTables:
         fields = line.split()
         if fields[0] == "pattern" and len(fields) == 2:
             pattern = _parse_pattern(fields[1])
+            if pattern not in PATTERNS:
+                raise TableError(f"line {lineno}: {fields[1]!r} is not an order-3 cell pattern")
+            graph = ConnectionGraph(3, pattern)
             entries.setdefault(pattern, {})
             face = None
         elif fields[0] == "face" and len(fields) == 5:
             if pattern is None:
                 raise TableError(f"line {lineno}: face before any pattern")
             face = Face(tuple(_parse_vertex(t) for t in fields[1:]))
+            if face not in enumerate_faces(graph):
+                raise TableError(f"line {lineno}: {face.name} is not a canonical face of its pattern")
             entries[pattern].setdefault(face, {})
         elif fields[0] == "pair" and len(fields) >= 3:
             if pattern is None or face is None:
@@ -129,9 +150,22 @@ def parse_tables(text: str) -> FaceTables:
                 if sep != ">" or not a.isdigit() or not b.isdigit():
                     raise TableError(f"line {lineno}: bad map token {tok!r}")
                 sends.append((int(a), int(b)))
+            srcs, tgts = {a for a, _ in sends}, {b for _, b in sends}
+            if u == v or u not in face or v not in face or (u, v) in entries[pattern][face]:
+                raise TableError(f"line {lineno}: {u.name}->{v.name} is not a new vertex pair of face {face.name}")
+            if not len(srcs) == len(tgts) == len(sends):
+                raise TableError(f"line {lineno}: the map {u.name}->{v.name} is not injective")
+            if not srcs <= set(graph.label_classes(u)) or not tgts <= set(graph.label_classes(v)):
+                raise TableError(f"line {lineno}: the map {u.name}->{v.name} leaves their label sets")
             entries[pattern][face][(u, v)] = tuple(sends)
         else:
             raise TableError(f"line {lineno}: unrecognized line {raw!r}")
+    for pattern in PATTERNS:
+        for face in enumerate_faces(ConnectionGraph(3, pattern)):
+            for u, v in permutations(face.cycle, 2):
+                if (u, v) not in entries.get(pattern, {}).get(face, {}):
+                    where = f"pattern {_pattern_token(pattern)}, face {face.name}, pair {u.name}->{v.name}"
+                    raise TableError(f"missing table entry: {where}")
     return FaceTables(entries)
 
 

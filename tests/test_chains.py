@@ -369,13 +369,31 @@ SEARCH_ORDER_CASES = [
 @pytest.mark.parametrize("cg,start", SEARCH_ORDER_CASES, ids=["r2a", "r2b", "r3a", "r3b", "r4"])
 def test_search_keeps_enumeration_order(cg, start):
     """The step-table search yields the admissible chains of the plain stream, in its order."""
+    from spinatlas.chains import step_table
     from spinatlas.classify import _admissible_evaluations
 
     plain = [
         (chain, evaluate(cg, chain)) for chain in enumerate_chains(cg, start, 3) if is_admissible(cg, chain).admissible
     ]
     assert plain
-    assert list(_admissible_evaluations(cg, start, 3)) == plain
+    table = step_table(cg)
+    assert [(table.chain(start, path), perm) for path, perm in _admissible_evaluations(cg, start, 3)] == plain
+
+
+def test_close_out_repairs_one_label_and_rejects_the_rest():
+    from spinatlas.chains import close_out, label_positions
+
+    cg = ConnectionGraph(3, frozenset({3}))
+    assert label_positions(cg, P) == [None, 0, 1, 2]
+    pos = label_positions(cg, P3)
+    assert pos == [0, 1, 2, 3]
+    assert close_out(pos, ((0, 1, 2, 3), (1, 2, 3, 0))) == (1, 2, 3, 0)
+    # one label lost on return to the base: it goes to the one image left over
+    assert close_out(pos, ((0, 1, 3), (2, 0, 1))) == (2, 0, 3, 1)
+    with pytest.raises(AssertionError):
+        close_out(pos, ((0, 1), (2, 0)))
+    with pytest.raises(AssertionError):
+        close_out(pos, ((0, 1, 2), (1, 1, 3)))
 
 
 def test_evaluate_composes_once(order3_one_chord, monkeypatch):

@@ -1,6 +1,8 @@
 """Command-line behavior: records, fixtures, exit codes, determinism, DOT output."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from spinatlas import tables
@@ -101,6 +103,42 @@ def test_classify_trivial_class(capsys):
     assert code == 0 and "computed=1" in out
     code, _, err = run(capsys, "classify", "-g", "3", "-r", "2", "-p", "0,1")
     assert code == 2 and "usage error" in err
+
+
+# stdout of the classify sweep below, taken before witnesses were printed from the
+# kept generators: 2,233 lines, 1,535 of them witnesses
+CLASSIFY_SWEEP_SHA256 = "0b2c4f765111841c88f6778c3ac05d1d97a8d96f142af6eaca7af352095c4e78"
+
+
+def _classify_argv(gc) -> list[str]:
+    return ["classify", "-g", str(gc.genus), "-r", str(gc.order), "-i", str(gc.i), "-p", ",".join(map(str, gc.p)) or "-"]
+
+
+def test_classify_sweep_output_is_pinned(capsys, monkeypatch):
+    """classify over every class of genus 2..8, then `--exhaustive --max-steps 4` over the
+    order <= 3 classes of genus 2..5: byte-identical, and no witness is evaluated again."""
+    from spinatlas import chains
+    from spinatlas.params import enumerate_classes
+
+    def evaluate(*args):
+        raise AssertionError("classify evaluated a witness chain")
+
+    monkeypatch.setattr(chains, "evaluate", evaluate)
+    runs = [_classify_argv(gc) for genus in range(2, 9) for gc in enumerate_classes(genus)]
+    runs += [
+        _classify_argv(gc) + ["--exhaustive", "--max-steps", "4"]
+        for genus in range(2, 6)
+        for gc in enumerate_classes(genus)
+        if gc.order <= 3
+    ]
+    out = []
+    for argv in runs:
+        code, text, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        out.append(text)
+    text = "".join(out)
+    assert len(text.splitlines()) == 2233 and text.count("\n  witness ") == 1535
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_SWEEP_SHA256
 
 
 def test_classify_invalid_class(capsys):

@@ -4,6 +4,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BASIC3_FACES, CHORD2_FACES, CHORD3_FACES, CELL3, F, P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V
 from spinatlas import tables
@@ -13,11 +15,11 @@ from spinatlas.faces import (
     cells_containing,
     decorated_cell,
     enumerate_faces,
-    face_kind,
+    cell_frame,
     face_map,
-    localize_vertex,
+    vertex_id,
 )
-from spinatlas.graph import ConnectionGraph
+from spinatlas.graph import ConnectionGraph, Vertex
 
 
 def test_face_counts(hexagon_one_chord, hexagon_two_chords, order3_one_chord, order3_two_chords, order3_three_chords, order3_full):
@@ -41,6 +43,20 @@ def test_listed_faces_of_order3_graphs(order3_one_chord, order3_two_chords):
     )
 
 
+@pytest.mark.parametrize(
+    "order,connected", [(1, {0, 1}), (2, {2}), (3, set()), (3, {0, 1, 2, 3}), (4, {4}), (5, {3, 4, 5})]
+)
+def test_enumerate_faces_matches_brute_force(order, connected):
+    # every closed walk through four distinct vertices, canonicalized, in sorted order
+    cg = ConnectionGraph(order, frozenset(connected))
+    cycles = {
+        Face.from_cycle(seq)
+        for seq in itertools.permutations(cg.vertices(), 4)
+        if all(cg.adjacent(seq[k], seq[(k + 1) % 4]) for k in range(4))
+    }
+    assert enumerate_faces(cg) == tuple(sorted(cycles))
+
+
 def test_from_cycle_takes_the_least_rotation_or_reflection():
     verts = ConnectionGraph(3, frozenset()).vertices()
     for cycle in itertools.permutations(verts, 4):
@@ -61,9 +77,9 @@ def test_faces_closed_under_conjugation():
 
 
 def test_face_kinds():
-    assert face_kind(BASIC3_FACES["F1"]) is FaceKind.STANDARD
-    assert face_kind(CHORD3_FACES["F4"]) is FaceKind.ONE_PAIR
-    assert face_kind(CHORD2_FACES["F10"]) is FaceKind.TWO_PAIR
+    assert BASIC3_FACES["F1"].kind is FaceKind.STANDARD
+    assert CHORD3_FACES["F4"].kind is FaceKind.ONE_PAIR
+    assert CHORD2_FACES["F10"].kind is FaceKind.TWO_PAIR
 
 
 def test_two_pair_faces_have_maximal_degrees(order3_two_chords):
@@ -125,6 +141,13 @@ def test_decorated_cell_renaming():
     assert local3.connected == {0, 1, 2, 3}
 
 
+def localize_vertex(cell_classes: tuple[int, ...], v: Vertex) -> Vertex:
+    """Rename v into the order-3 graph of a cell; parity is adjusted so sides carry over."""
+    local_cls = cell_classes.index(v.cls)
+    tilded = bool(v.tilded ^ (v.cls == 0) ^ (local_cls == 0))
+    return Vertex(local_cls, tilded)
+
+
 def test_localization_preserves_structure():
     cg = ConnectionGraph(5, frozenset({4, 5}))
     for cell in map(frozenset, itertools.combinations(range(6), 4)):
@@ -137,6 +160,13 @@ def test_localization_preserves_structure():
                 assert cg.adjacent(u, w) == local.adjacent(lu, lw)
         # localization is a bijection onto the order-3 vertex set
         assert {localize_vertex(classes, v) for v in cell_verts} == set(local.vertices())
+        # the frame the table lookup uses renames by vertex id in the same way
+        frame_classes, pattern, ids = cell_frame(cg, cell)
+        assert frame_classes == classes and pattern == local.connected
+        for v in cg.vertices():
+            assert ids[vertex_id(v)] == (vertex_id(localize_vertex(classes, v)) if v.cls in cell else -1)
+    with pytest.raises(ValueError):
+        cell_frame(cg, frozenset({0, 1, 2}))
 
 
 def all_cell_face_pairs(cg):
@@ -265,7 +295,10 @@ def _table_lift(cg, cell, face, u, w):
     local_cg, _ = decorated_cell(cg, cell)
     local_face = Face.from_cycle(tuple(localize_vertex(classes, x) for x in face.cycle))
     local = tables.active_tables().lookup(
-        local_cg.connected, local_face, localize_vertex(classes, u), localize_vertex(classes, w)
+        local_cg.connected,
+        tuple(map(vertex_id, local_face.cycle)),
+        vertex_id(localize_vertex(classes, u)),
+        vertex_id(localize_vertex(classes, w)),
     )
     mapping = {classes[a]: classes[b] for a, b in local}
     mapping.update((c, c) for c in cg.label_classes(u) if c not in cell)
@@ -298,11 +331,59 @@ def test_loaded_tables_drive_higher_orders(tmp_path):
         tables.set_active_tables(None)
 
 
+TABLE_LINES = tables.render_tables(tables.compute_order3_tables()).splitlines()
+
+
+def _mutate(kind: str, pick: int) -> str:
+    """The rendered tables with one line broken: a pair line dropped, a target repeated
+    within a pair line, or a face line rotated."""
+    lines = list(TABLE_LINES)
+    if kind == "drop pair":
+        at = [k for k, line in enumerate(lines) if line.startswith("pair ")]
+        del lines[at[pick % len(at)]]
+    elif kind == "repeat target":
+        at = [k for k, line in enumerate(lines) if line.startswith("pair ") and len(line.split()) >= 5]
+        fields = lines[at[pick % len(at)]].split()
+        fields[4] = fields[4].split(">")[0] + ">" + fields[3].split(">")[1]
+        lines[at[pick % len(at)]] = " ".join(fields)
+    else:
+        at = [k for k, line in enumerate(lines) if line.startswith("face ")]
+        fields = lines[at[pick % len(at)]].split()
+        shift = 1 + pick % 3
+        lines[at[pick % len(at)]] = " ".join(["face", *fields[1 + shift:], *fields[1:1 + shift]])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["drop pair", "repeat target", "rotate face"]), st.integers(min_value=0, max_value=10_000))
+def test_broken_table_files_are_rejected_at_load(kind, pick):
+    with pytest.raises(tables.TableError):
+        tables.parse_tables(_mutate(kind, pick))
+
+
+def test_table_file_errors_name_the_line_or_entry():
+    text = "\n".join(TABLE_LINES) + "\n"
+    face_line, pair_line = TABLE_LINES[2:4]
+    assert face_line.startswith("face ") and pair_line.startswith("pair ")
+    first, *rest = face_line.split()[1:]
+    with pytest.raises(tables.TableError, match="^line 3: .* is not a canonical face"):
+        tables.parse_tables(text.replace(face_line, " ".join(["face", *rest, first])))
+    with pytest.raises(tables.TableError, match="^missing table entry: pattern -, face P-P1-P2~-P3, pair P->P1$"):
+        tables.parse_tables(text.replace(pair_line + "\n", ""))
+    with pytest.raises(tables.TableError, match="^line 5: P->P1 is not a new vertex pair"):
+        tables.parse_tables(text.replace(pair_line, pair_line + "\n" + pair_line))
+    # class 9 labels nothing in an order-3 graph
+    with pytest.raises(tables.TableError, match="^line 4: .* leaves their label sets"):
+        tables.parse_tables(text.replace(pair_line, pair_line.rsplit(">", 1)[0] + ">9"))
+    with pytest.raises(tables.TableError, match="^line 2: '5' is not an order-3 cell pattern"):
+        tables.parse_tables(text.replace("pattern -", "pattern 5", 1))
+
+
 def test_bad_tables_rejected():
     with pytest.raises(tables.TableError):
         tables.parse_tables("wrong header\n")
     with pytest.raises(tables.TableError):
         tables.parse_tables(tables.FORMAT_HEADER + "\nnonsense line\n")
     incomplete = tables.FaceTables({})
-    with pytest.raises(tables.TableError):
-        incomplete.lookup(frozenset(), F(P, P1, P2t, P3), P, P1)
+    with pytest.raises(tables.TableError, match=r"pattern \[\], face P-P1-P2~-P3, P->P1$"):
+        incomplete.lookup(frozenset(), (0, 2, 5, 6), 0, 2)

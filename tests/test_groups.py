@@ -304,15 +304,17 @@ def test_label_relabeling_conjugates_the_group(order3_one_chord):
 def test_pruned_search_agrees_with_plain_stream():
     """The group engine's pruned generator must yield exactly the admissible chains."""
     from conftest import enumerate_chains
-    from spinatlas.chains import evaluate, is_admissible
+    from spinatlas.chains import evaluate, is_admissible, step_table
     from spinatlas.classify import _admissible_evaluations
 
-    for order, connected, start in [(2, {2}, P2), (2, {1, 2}, P), (3, {3}, P3), (3, {2, 3}, P1)]:
+    for order, connected, start in [(2, {2}, P2), (2, {1, 2}, P1t), (3, {3}, P3), (3, {2, 3}, P1)]:
         cg = ConnectionGraph(order, frozenset(connected))
         plain = {
             (chain, evaluate(cg, chain))
             for chain in enumerate_chains(cg, start, 3)
             if is_admissible(cg, chain).admissible
         }
-        pruned = set(_admissible_evaluations(cg, start, 3))
+        table = step_table(cg)
+        pruned = {(table.chain(start, path), perm) for path, perm in _admissible_evaluations(cg, start, 3)}
+        assert plain
         assert pruned == plain
