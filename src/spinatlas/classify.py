@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import groups
+from . import groups, tables
 from .chains import Carried, SpinChain, carry, close_out, label_positions, step_table
 from .faces import face_map  # noqa: F401  (perfbench/probe.py traces classify.face_map)
 from .graph import ConnectionGraph, Vertex, build_connection_graph
@@ -162,7 +162,6 @@ class VertexRow:
     predicted: GroupVerdict
     computed: GroupVerdict
     match: bool
-    witnesses: tuple[SpinChain, ...]
 
 
 @dataclass
@@ -175,20 +174,48 @@ class ClassReport:
         return all(row.match for row in self.rows)
 
 
+def orbit_reduction_applies(cg: ConnectionGraph) -> bool:
+    """Whether the graph's face maps are the program's own, which commute with its automorphisms.
+
+    Maps are built directly up to order 3; from order 4 on they come from the
+    active tables, and only the computed ones are known to be equivariant.
+    """
+    return cg.order <= 3 or tables.active_tables() is tables.computed_tables()
+
+
 def verify_class(
     gc: GraphClass,
     max_steps: int = DEFAULT_MAX_STEPS,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
     exhaustive: bool = False,
 ) -> ClassReport:
-    """Compute and compare the group at every vertex of the class's connection graph."""
+    """Compute and compare the group at every vertex of the class's connection graph.
+
+    A valid class's chords are a top slice of the classes, so every class
+    permutation keeping chorded with chorded (sides kept), and the conjugation
+    swap, are automorphisms of its graph.  The face maps commute with them, so
+    the chains at two vertices of one orbit correspond one to one and their
+    groups are conjugate.  The orbits are the chorded and the unchorded
+    vertices: when `orbit_reduction_applies`, the search runs once per orbit,
+    at its first (untilded) vertex, and the rest of the orbit reuses that
+    group.  Each row still gets its own prediction and comparison.
+    """
     cg = build_connection_graph(gc)
     report = ClassReport(gc)
+    reduce = orbit_reduction_applies(cg)
+    searched: dict[bool, SpinGroupResult] = {}
     for v in cg.vertices():
-        res = spin_group_at(cg, v, max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive)
-        ok = res.match
+        orbit = v.cls in cg.connected
+        res = searched.get(orbit) if reduce else None
+        if res is None:
+            # through the module global, so a wrapper installed on it sees every search
+            res = searched[orbit] = spin_group_at(
+                cg, v, max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive
+            )
+        predicted = predict_group(cg, v)
+        ok = res.verdict == predicted
         if exhaustive:
             # over-generation guard: the computed group may never exceed the prediction
-            ok = ok and res.order <= res.predicted.order
-        report.rows.append(VertexRow(v, cg.epsilon_degree(v), res.predicted, res.verdict, ok, res.witnesses))
+            ok = ok and res.order <= predicted.order
+        report.rows.append(VertexRow(v, cg.epsilon_degree(v), predicted, res.verdict, ok))
     return report

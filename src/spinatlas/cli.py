@@ -173,6 +173,8 @@ def cmd_verify(args) -> int:
     orders = None
     if args.orders:
         orders = sorted({_int(x, "--orders") for x in args.orders.split(",")})
+        if orders[0] < 0 or orders[-1] >= hi:
+            raise UsageError(f"--orders must lie within 0..{hi - 1} for genus up to {hi}")
     targets = []
     for genus in range(lo, hi + 1):
         for gc in enumerate_classes(genus):
@@ -186,7 +188,7 @@ def cmd_verify(args) -> int:
 
     mismatches = 0
     # a pool starts threads only on submit, so a serial run starts none
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         reports = pool.map(run, targets) if args.jobs > 1 else map(run, targets)
         for gc, report in zip(targets, reports):
             ok = report.match_all
@@ -300,6 +302,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "max_steps" in vars(args) and args.max_steps < 2:
             raise UsageError(f"--max-steps must be >= 2, got {args.max_steps}")
+        if "closure_cap" in vars(args) and args.closure_cap < 1:
+            raise UsageError(f"--closure-cap must be >= 1, got {args.closure_cap}")
+        if "jobs" in vars(args) and args.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except CapExceededError as exc:
         print(f"CapExceeded: {exc}", file=sys.stderr)

@@ -182,7 +182,8 @@ _active: FaceTables | None = None
 
 
 @lru_cache(maxsize=1)
-def _computed() -> FaceTables:
+def computed_tables() -> FaceTables:
+    """The tables computed from the order-3 graphs, built once; the default store."""
     return compute_order3_tables()
 
 
@@ -193,7 +194,7 @@ def active_tables() -> FaceTables:
     if env:
         set_active_tables(load_tables(env))
         return _active  # type: ignore[return-value]
-    return _computed()
+    return computed_tables()
 
 
 def set_active_tables(tables: FaceTables | None) -> None:

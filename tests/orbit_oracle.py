@@ -1,0 +1,113 @@
+"""Oracles for the orbit reduction in `verify_class`.
+
+`verify_class` searches one vertex per automorphism orbit and reuses that
+group for the rest of the orbit.  `face_map_differences` checks the premise:
+each face map commutes with the graph's automorphisms.  `row_differences`
+checks the result: it runs `spin_group_at` at every vertex and names each row
+whose prediction, verdict or match differs from that vertex's own result.
+Run as a script, it checks the rows over a genus range at the default search
+settings and exits 1 on any difference:
+
+    PYTHONPATH=src python3 tests/orbit_oracle.py 10..12
+"""
+from __future__ import annotations
+
+import sys
+import time
+from itertools import permutations
+
+from spinatlas.classify import DEFAULT_MAX_STEPS, spin_group_at, verify_class
+from spinatlas.faces import Face, cells_containing, enumerate_faces, face_map
+from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
+from spinatlas.params import GraphClass, enumerate_classes
+
+# an automorphism as a class permutation and a conjugation bit
+Automorphism = tuple[tuple[int, ...], int]
+
+
+def generating_automorphisms(cg: ConnectionGraph) -> list[Automorphism]:
+    """Each transposition of two adjacent classes of one kind (chorded or not), and the swap.
+
+    For a top-slice chord set these generate every class permutation that keeps
+    chorded with chorded, together with the conjugation swap.
+    """
+    out = []
+    for c in range(cg.order):
+        if (c in cg.connected) == (c + 1 in cg.connected):
+            perm = list(cg.classes)
+            perm[c], perm[c + 1] = c + 1, c
+            out.append((tuple(perm), 0))
+    out.append((tuple(cg.classes), 1))
+    return out
+
+
+def apply(sigma: Automorphism, v: Vertex) -> Vertex:
+    """The image vertex; the tilde parity changes with class 0 so that sides are kept."""
+    perm, swap = sigma
+    return Vertex(perm[v.cls], v.tilded ^ (v.cls == 0) ^ (perm[v.cls] == 0) ^ bool(swap))
+
+
+def face_map_differences(cg: ConnectionGraph) -> tuple[int, list[str]]:
+    """How many face maps were compared, and each one that an automorphism does not carry
+    to the face map at the image cell, face and vertex pair."""
+    sigmas = generating_automorphisms(cg)
+    compared, out = 0, []
+    for face in enumerate_faces(cg):
+        for cell in cells_containing(cg, face):
+            for u, v in permutations(face.cycle, 2):
+                mapping = face_map(cg, cell, face, u, v)
+                for sigma in sigmas:
+                    perm = sigma[0]
+                    image = face_map(
+                        cg,
+                        frozenset(perm[c] for c in cell),
+                        Face.from_cycle(tuple(apply(sigma, w) for w in face.cycle)),
+                        apply(sigma, u),
+                        apply(sigma, v),
+                    )
+                    compared += 1
+                    if image != {perm[a]: perm[b] for a, b in mapping.items()}:
+                        where = f"order {cg.order} chords {sorted(cg.connected)} {face.name}"
+                        out.append(f"{where} {u.name}->{v.name} under {sigma}")
+    return compared, out
+
+
+def distinct_graph_classes(lo: int, hi: int) -> list[GraphClass]:
+    """The first class of each distinct connection graph over genus lo..hi."""
+    found: dict[tuple, GraphClass] = {}
+    for genus in range(lo, hi + 1):
+        for gc in enumerate_classes(genus):
+            found.setdefault((gc.order, gc.connected_pairs), gc)
+    return list(found.values())
+
+
+def row_differences(gc: GraphClass, max_steps: int = DEFAULT_MAX_STEPS, exhaustive: bool = False) -> list[str]:
+    """Each `verify_class` row whose prediction, verdict or match differs from its own vertex's search."""
+    cg = build_connection_graph(gc)
+    out = []
+    for row in verify_class(gc, max_steps=max_steps, exhaustive=exhaustive).rows:
+        own = spin_group_at(cg, row.vertex, max_steps=max_steps, exhaustive=exhaustive)
+        match = own.match and (not exhaustive or own.order <= own.predicted.order)
+        if (row.predicted, row.computed, row.match) != (own.predicted, own.verdict, match):
+            out.append(
+                f"{gc.label()} genus {gc.genus} {row.vertex.name}: row {row.computed} match={row.match}, "
+                f"own search {own.verdict} match={match}"
+            )
+    return out
+
+
+def main(argv: list[str]) -> int:
+    lo, _, hi = (argv[0] if argv else "10..12").partition("..")
+    start = time.perf_counter()
+    classes = distinct_graph_classes(int(lo), int(hi or lo))
+    diffs = [line for gc in classes for line in row_differences(gc)]
+    for line in diffs:
+        print(line)
+    vertices = sum(2 * gc.order + 2 for gc in classes)
+    took = time.perf_counter() - start
+    print(f"{len(classes)} graphs, {vertices} vertices, {len(diffs)} differences, {took:.1f} s")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -192,6 +192,24 @@ def test_max_steps_below_two_is_a_usage_error(capsys):
         assert out == ""
 
 
+def test_bad_parameters_are_usage_errors(capsys):
+    # a cap below 1, a pool below one worker, or orders no genus of the range has
+    # would otherwise end as a cap hit, a silent serial run, or an empty "success"
+    for argv in (
+        ["atlas", "--genus", "3", "--closure-cap", "0"],
+        ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--closure-cap", "0"],
+        ["verify", "--genus", "3", "--closure-cap", "-5"],
+        ["verify", "--genus", "3", "--jobs", "0"],
+        ["verify", "--genus", "2..3", "--orders", "5"],
+        ["verify", "--genus", "2..3", "--orders", "-1"],
+        ["verify", "--genus", "2..3", "--orders", "0,3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("usage error: ") and out == "", argv
+    code, out, _ = run(capsys, "verify", "--genus", "2..3", "--orders", "2", "--closure-cap", "6")
+    assert code == 0 and out.splitlines()[-1] == "kind=summary classes=1 mismatches=0"
+
+
 def test_verify_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--genus", "2..6")
     code2, out2, _ = run(capsys, "verify", "--genus", "2..6")

@@ -32,13 +32,15 @@ from spinatlas.params import GraphClass, enumerate_classes
 
 
 def brute_closure(gens, n):
-    """Oracle: saturate by multiplying all pairs until nothing new appears."""
-    elems = {identity_perm(n)} | {tuple(g) for g in gens}
-    while True:
-        fresh = {compose(a, b) for a in elems for b in elems} - elems
-        if not fresh:
-            return frozenset(elems)
+    """Oracle: saturate by multiplying the newest elements by each generator until nothing new
+    appears.  In a finite group every element is a product of generators, so this is the group."""
+    gens = [tuple(g) for g in gens]
+    elems = {identity_perm(n), *gens}
+    fresh = set(elems)
+    while fresh:
+        fresh = {compose(a, g) for a in fresh for g in gens} - elems
         elems |= fresh
+    return frozenset(elems)
 
 
 def random_perm(rng, n):
