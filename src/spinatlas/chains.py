@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .faces import Face, FaceKind, cell_frame, cells_containing, enumerate_faces, face_images, vertex_id
+from .faces import Face, FaceKind, _canonical, cell_frame, cells_containing, enumerate_faces, face_images, vertex_id
 from .faces import _face_map_pairs  # the memoized face maps `evaluate` composes
 from .graph import ConnectionGraph, Vertex
 
@@ -175,29 +175,44 @@ class StepTable:
     For a step from vertex a to vertex b, `entry(a, b)` gives the (cell, face)
     choices, in `enumerate_faces` order and then cell order, and one slot per
     choice for its face map, which `fill` computes when the search first steps
-    through that choice.  Entries are built on first use.  A search path is a
-    tuple of (vertex id, choice index) steps, and `chain` turns one into its chain.
+    through that choice.  Entries are built on first use, each from the
+    neighbours of its two vertices, so the graph's faces are never listed.  A
+    search path is a tuple of (vertex id, choice index) steps, and `chain`
+    turns one into its chain.
     """
 
     def __init__(self, cg: ConnectionGraph) -> None:
         self.cg = cg
         self.vertices = cg.vertices()
-        self.faces = enumerate_faces(cg)
-        # per vertex, the positions in `faces` of the faces through it, ascending
-        self._faces_at: list[list[int]] = [[] for _ in self.vertices]
-        for f, face in enumerate(self.faces):
-            for w in face.cycle:
-                self._faces_at[vertex_id(w)].append(f)
+        ids = range(len(self.vertices))
+        # per vertex id, the ids of its neighbours
+        self._near = [{w for w in ids if cg.adjacent(v, self.vertices[w])} for v in self.vertices]
         self._entries: dict[tuple[int, int], tuple[tuple[Choice, ...], list]] = {}
         # per cell, its `cell_frame` for the table lookup at order >= 4
         self._frames: dict[frozenset[int], tuple] = {}
 
+    def _faces(self, a: int, b: int) -> tuple[Face, ...]:
+        """The faces through vertices a and b, in `enumerate_faces` order.
+
+        The graph is bipartite (chords join the two sides too), so on a face
+        two adjacent vertices are neighbours on the cycle, two of one side are
+        opposite corners, and two of different sides that are not adjacent
+        share no face.
+        """
+        near = self._near
+        if b in near[a]:
+            cycles = [(a, b, x, y) for x in near[b] - {a} for y in near[x] & near[a] - {b}]
+        elif self.vertices[a].side == self.vertices[b].side:
+            common = sorted(near[a] & near[b])
+            cycles = [(a, x, b, y) for k, x in enumerate(common) for y in common[k + 1:]]
+        else:
+            cycles = []
+        return tuple(Face(tuple(map(self.vertices.__getitem__, c))) for c in sorted(map(_canonical, cycles)))
+
     def entry(self, a: int, b: int) -> tuple[tuple[Choice, ...], list]:
         hit = self._entries.get((a, b))
         if hit is None:
-            through_b = set(self._faces_at[b])
-            faces = [self.faces[f] for f in self._faces_at[a] if f in through_b]
-            choices = tuple((cell, face) for face in faces for cell in cells_containing(self.cg, face))
+            choices = tuple((cell, face) for face in self._faces(a, b) for cell in cells_containing(self.cg, face))
             hit = self._entries[(a, b)] = (choices, [None] * len(choices))
         return hit
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import classify as _classify
 from . import tables as _tables
@@ -123,7 +122,9 @@ def cmd_atlas(args) -> int:
         report = None
         if not args.no_compute:
             try:
-                report = _classify.verify_class(gc, max_steps=args.max_steps, closure_cap=args.closure_cap)
+                report = _classify.verify_class(
+                    gc, max_steps=args.max_steps, closure_cap=args.closure_cap, exhaustive=args.exhaustive
+                )
             except CapExceededError:
                 report = None
         print(render_record(atlas_record(gc, report)))
@@ -166,6 +167,32 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _print_verify(targets: list[GraphClass], reports) -> int:
+    """Print each class's records as its report arrives; the number of mismatched classes."""
+    mismatches = 0
+    for gc, report in zip(targets, reports):
+        ok = report.match_all
+        mismatches += 0 if ok else 1
+        print(
+            render_record(
+                {
+                    "kind": "verify",
+                    "genus": str(gc.genus),
+                    "order": str(gc.order),
+                    "i": str(gc.i),
+                    "p": _fmt_list(gc.p),
+                    "match": "true" if ok else "false",
+                }
+            )
+        )
+        for row in report.rows:
+            if not row.match:
+                print(f"  mismatch {row.vertex.name}: predicted {row.predicted}, computed {row.computed}")
+        # each class's records leave as it finishes, so a run cut short keeps them
+        sys.stdout.flush()
+    return mismatches
+
+
 def cmd_verify(args) -> int:
     lo, hi = _parse_range(args.genus)
     if lo < 2 or hi > args.max_genus or lo > hi:
@@ -186,30 +213,14 @@ def cmd_verify(args) -> int:
             gc, max_steps=args.max_steps, closure_cap=args.closure_cap, exhaustive=args.exhaustive
         )
 
-    mismatches = 0
-    # a pool starts threads only on submit, so a serial run starts none
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        reports = pool.map(run, targets) if args.jobs > 1 else map(run, targets)
-        for gc, report in zip(targets, reports):
-            ok = report.match_all
-            mismatches += 0 if ok else 1
-            print(
-                render_record(
-                    {
-                        "kind": "verify",
-                        "genus": str(gc.genus),
-                        "order": str(gc.order),
-                        "i": str(gc.i),
-                        "p": _fmt_list(gc.p),
-                        "match": "true" if ok else "false",
-                    }
-                )
-            )
-            for row in report.rows:
-                if not row.match:
-                    print(f"  mismatch {row.vertex.name}: predicted {row.predicted}, computed {row.computed}")
-            # each class's records leave as it finishes, so a run cut short keeps them
-            sys.stdout.flush()
+    if args.jobs > 1:
+        # imported only here: the import costs every serial run several milliseconds
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            mismatches = _print_verify(targets, pool.map(run, targets))
+    else:
+        mismatches = _print_verify(targets, map(run, targets))
     print(render_record({"kind": "summary", "classes": str(len(targets)), "mismatches": str(mismatches)}))
     return 0 if mismatches == 0 else 1
 

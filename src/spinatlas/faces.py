@@ -202,8 +202,6 @@ def face_images(
     if cg.order <= 3:
         mapping = _build_face_map(cg, cell, face, u, v)
         return tuple(mapping.get(c, -1) for c in cg.classes)
-    from . import tables
-
     classes, pattern, local = frame or cell_frame(cg, cell)
     cycle = tuple(local[vertex_id(w)] for w in face.cycle)
     pairs = tables.active_tables().lookup(pattern, cycle, local[vertex_id(u)], local[vertex_id(v)])
@@ -231,3 +229,7 @@ def face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v
     mapping every class outside the cell to itself.
     """
     return {c: t for c, t in enumerate(_face_map_pairs(cg, cell, face, u, v)) if t >= 0}
+
+
+# last, since `tables` builds its entries from this module's faces and maps
+from . import tables  # noqa: E402

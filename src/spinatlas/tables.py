@@ -34,6 +34,15 @@ class TableError(ValueError):
     """Malformed or incomplete face-map table data."""
 
 
+def _entry(graph: ConnectionGraph, face: Face, u: Vertex, v: Vertex) -> MapPairs:
+    """The map of pair u -> v on a face of an order-3 graph, as sorted class pairs."""
+    return tuple(sorted(_build_face_map(graph, frozenset(graph.classes), face, u, v).items()))
+
+
+def _id_vertex(w: int) -> Vertex:
+    return Vertex(w >> 1, bool(w & 1))
+
+
 @dataclass(frozen=True)
 class FaceTables:
     entries: dict[frozenset[int], dict[Face, dict[tuple[Vertex, Vertex], MapPairs]]]
@@ -50,29 +59,37 @@ class FaceTables:
                 for (a, b), pairs in per_pair.items()
             }
         cycle = _canonical(cycle)
-        try:
-            return index[(cycle, u, v)]
-        except KeyError:
-            names = [Vertex(w >> 1, bool(w & 1)).name for w in (*cycle, u, v)]
-            where = f"face {'-'.join(names[:4])}, {names[4]}->{names[5]}"
-            raise TableError(f"no table entry for pattern {sorted(pattern)}, {where}") from None
+        pairs = index.get((cycle, u, v))
+        return self._missing(pattern, cycle, u, v) if pairs is None else pairs
+
+    def _missing(self, pattern: frozenset[int], cycle: tuple[int, ...], u: int, v: int) -> MapPairs:
+        """The entry `lookup` did not find in the index; a store of fixed entries has none to give."""
+        names = [_id_vertex(w).name for w in (*cycle, u, v)]
+        where = f"face {'-'.join(names[:4])}, {names[4]}->{names[5]}"
+        raise TableError(f"no table entry for pattern {sorted(pattern)}, {where}")
+
+
+class _ComputedTables(FaceTables):
+    """Starts empty and builds each entry from its pattern's order-3 graph on first lookup."""
+
+    def _missing(self, pattern: frozenset[int], cycle: tuple[int, ...], u: int, v: int) -> MapPairs:
+        if pattern in PATTERNS and u != v and u in cycle and v in cycle:
+            graph, face = ConnectionGraph(3, pattern), Face(tuple(map(_id_vertex, cycle)))
+            if face in enumerate_faces(graph):
+                pairs = self._index[pattern][(cycle, u, v)] = _entry(graph, face, _id_vertex(u), _id_vertex(v))
+                return pairs
+        return super()._missing(pattern, cycle, u, v)
 
 
 def compute_order3_tables() -> FaceTables:
     """Build the five-pattern atlas directly from the order-3 graphs."""
     entries: dict[frozenset[int], dict[Face, dict[tuple[Vertex, Vertex], MapPairs]]] = {}
     for pattern in PATTERNS:
-        cg = ConnectionGraph(3, pattern)
-        cell = frozenset(cg.classes)
-        per_face: dict[Face, dict[tuple[Vertex, Vertex], MapPairs]] = {}
-        for face in enumerate_faces(cg):
-            per_pair: dict[tuple[Vertex, Vertex], MapPairs] = {}
-            for u in face.cycle:
-                for v in face.cycle:
-                    if u != v:
-                        per_pair[(u, v)] = tuple(sorted(_build_face_map(cg, cell, face, u, v).items()))
-            per_face[face] = per_pair
-        entries[pattern] = per_face
+        graph = ConnectionGraph(3, pattern)
+        entries[pattern] = {
+            face: {(u, v): _entry(graph, face, u, v) for u, v in permutations(face.cycle, 2)}
+            for face in enumerate_faces(graph)
+        }
     return FaceTables(entries)
 
 
@@ -114,7 +131,8 @@ def render_tables(tables: FaceTables) -> str:
 
 def parse_tables(text: str) -> FaceTables:
     """Read the text format.  Each face must be a canonical 4-cycle of its pattern's graph, each map
-    injective from the label set at u into the one at v, and every pattern, face and pair present."""
+    injective from the label set at u into the one at v and total on the smaller of the two, and
+    every pattern, face and pair present."""
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
         raise TableError(f"missing header line {FORMAT_HEADER!r}")
@@ -157,6 +175,10 @@ def parse_tables(text: str) -> FaceTables:
                 raise TableError(f"line {lineno}: the map {u.name}->{v.name} is not injective")
             if not srcs <= set(graph.label_classes(u)) or not tgts <= set(graph.label_classes(v)):
                 raise TableError(f"line {lineno}: the map {u.name}->{v.name} leaves their label sets")
+            # a face map pairs every label at the end with fewer labels
+            total = min(len(graph.label_classes(u)), len(graph.label_classes(v)))
+            if len(sends) < total:
+                raise TableError(f"line {lineno}: the map {u.name}->{v.name} pairs {len(sends)} of {total} labels")
             entries[pattern][face][(u, v)] = tuple(sends)
         else:
             raise TableError(f"line {lineno}: unrecognized line {raw!r}")
@@ -183,8 +205,8 @@ _active: FaceTables | None = None
 
 @lru_cache(maxsize=1)
 def computed_tables() -> FaceTables:
-    """The tables computed from the order-3 graphs, built once; the default store."""
-    return compute_order3_tables()
+    """The default store: the tables computed from the order-3 graphs, each entry on first use."""
+    return _ComputedTables({})
 
 
 def active_tables() -> FaceTables:

@@ -380,6 +380,26 @@ def test_search_keeps_enumeration_order(cg, start):
     assert [(table.chain(start, path), perm) for path, perm in _admissible_evaluations(cg, start, 3)] == plain
 
 
+def test_step_entries_list_the_faces_through_both_vertices():
+    from spinatlas.chains import StepTable
+    from spinatlas.faces import cells_containing
+
+    pairs = 0
+    for order in range(8):
+        for j in range(order + 2):
+            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+            table = StepTable(cg)
+            faces = enumerate_faces(cg)
+            # per vertex, the positions in `faces` of the faces through it
+            at = [{k for k, face in enumerate(faces) if w in face.cycle} for w in table.vertices]
+            for a, b in itertools.permutations(range(len(table.vertices)), 2):
+                through = [faces[k] for k in sorted(at[a] & at[b])]
+                choices = tuple((cell, face) for face in through for cell in cells_containing(cg, face))
+                assert table.entry(a, b)[0] == choices
+                pairs += 1
+    assert pairs == 5520
+
+
 def test_close_out_repairs_one_label_and_rejects_the_rest():
     from spinatlas.chains import close_out, label_positions
 

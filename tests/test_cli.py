@@ -63,6 +63,24 @@ def test_atlas_genus4_order1(capsys):
     assert {r["k"] for r in records} == {"1,4", "2,3"}
 
 
+def test_atlas_passes_exhaustive_through(capsys, monkeypatch):
+    from spinatlas import classify
+
+    flags = set()
+    search = classify.spin_group_at
+
+    def recorded(cg, v, **kwargs):
+        flags.add(kwargs["exhaustive"])
+        return search(cg, v, **kwargs)
+
+    monkeypatch.setattr(classify, "spin_group_at", recorded)
+    _, plain, _ = run(capsys, "atlas", "--genus", "3")
+    assert flags == {False}
+    flags.clear()
+    code, out, _ = run(capsys, "atlas", "--genus", "3", "--exhaustive")
+    assert code == 0 and flags == {True} and out == plain
+
+
 def test_atlas_rejects_bad_genus(capsys):
     code, _, err = run(capsys, "atlas", "--genus", "1")
     assert code == 2 and "usage error" in err
@@ -364,6 +382,32 @@ def test_tables_flag_bad_file(tmp_path, capsys):
     path.write_text("not a table file\n", encoding="utf-8")
     code, _, err = run(capsys, "--tables", str(path), "verify", "--genus", "2")
     assert code == 2 and "error" in err
+
+
+def test_tables_flag_rejects_a_partial_map(tmp_path, capsys):
+    lines = tables.render_tables(tables.compute_order3_tables()).splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith("pair "))
+    lines[at] = lines[at].rsplit(" ", 1)[0]  # drop the last a>b token
+    path = tmp_path / "partial.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "--tables", str(path), "verify", "--genus", "5..7", "--orders", "4,5")
+    assert code == 2 and out == ""
+    assert f"line {at + 1}: the map" in err
+
+
+def test_verify_builds_only_the_table_entries_it_looks_up(capsys, monkeypatch):
+    from spinatlas import classify
+
+    def refuse():
+        raise AssertionError("the full order-3 tables were built")
+
+    monkeypatch.setattr(tables, "compute_order3_tables", refuse)
+    # a fresh computed store, and no face map left over from another test
+    tables.computed_tables.cache_clear()
+    classify.clear_caches()
+    code, out, _ = run(capsys, "verify", "--genus", "9")
+    assert code == 0 and out.splitlines()[-1] == "kind=summary classes=41 mismatches=0"
+    assert sum(map(len, tables.computed_tables()._index.values())) == 30
 
 
 def test_tables_env_var(tmp_path, monkeypatch):

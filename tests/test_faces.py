@@ -279,6 +279,39 @@ def test_shipped_tables_match_computed():
     assert tables.render_tables(tables.compute_order3_tables()) == text
 
 
+def test_computed_store_builds_each_entry_on_first_lookup():
+    store = tables._ComputedTables({})
+    assert store._index == {}
+    looked_up = 0
+    for pattern, per_face in tables.compute_order3_tables().entries.items():
+        for face, per_pair in per_face.items():
+            # reversed, so the lookup canonicalizes the cycle it builds from
+            cycle = tuple(map(vertex_id, face.cycle))[::-1]
+            for (u, v), pairs in per_pair.items():
+                assert store.lookup(pattern, cycle, vertex_id(u), vertex_id(v)) == pairs
+                looked_up += 1
+    assert looked_up == sum(map(len, store._index.values())) == 1200
+
+
+def test_computed_store_rejects_keys_off_its_faces():
+    store = tables.computed_tables()
+    chord_face = next(f for f in enumerate_faces(ConnectionGraph(3, frozenset({3}))) if f.pair_count)
+    chord = tuple(map(vertex_id, chord_face.cycle))
+    face = (0, 2, 5, 6)  # P-P1-P2~-P3
+    assert store.lookup(frozenset({3}), chord, chord[0], chord[1])
+    assert store.lookup(frozenset(), face, 0, 2)
+    for pattern, cycle, u, v in [
+        (frozenset(), chord, chord[0], chord[1]),  # the chord P3-P3~ is not in the chord-free graph
+        (frozenset(), (0, 2, 4, 6), 0, 2),  # P1 and P2 are not adjacent
+        (frozenset(), (0, 2, 5, -1), 0, 2),
+        (frozenset(), face, 0, 1),
+        (frozenset(), face, 2, 2),
+        (frozenset({1}), face, 0, 2),  # not an order-3 cell pattern
+    ]:
+        with pytest.raises(tables.TableError, match="^no table entry for pattern"):
+            store.lookup(pattern, cycle, u, v)
+
+
 def test_table_lookup_path_agrees_with_direct_construction():
     from spinatlas.faces import _build_face_map
 
@@ -375,6 +408,9 @@ def test_table_file_errors_name_the_line_or_entry():
     # class 9 labels nothing in an order-3 graph
     with pytest.raises(tables.TableError, match="^line 4: .* leaves their label sets"):
         tables.parse_tables(text.replace(pair_line, pair_line.rsplit(">", 1)[0] + ">9"))
+    # a face map pairs every label at the end with fewer labels
+    with pytest.raises(tables.TableError, match="^line 4: the map P->P1 pairs 2 of 3 labels$"):
+        tables.parse_tables(text.replace(pair_line, pair_line.rsplit(" ", 1)[0]))
     with pytest.raises(tables.TableError, match="^line 2: '5' is not an order-3 cell pattern"):
         tables.parse_tables(text.replace("pattern -", "pattern 5", 1))
 
