@@ -9,7 +9,7 @@ share one degree.  Inadmissible chains evaluate to the identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .faces import Face, FaceKind, _canonical, cell_frame, cells_containing, enumerate_faces, face_images, vertex_id
@@ -23,25 +23,17 @@ class ChainStructureError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    cell: frozenset[int]
-    face: Face
-    target: Vertex
+# one step of a chain: along `face`, inside the 3-cell `cell`, to the vertex `target`
+ChainStep = namedtuple("ChainStep", "cell face target")
 
 
-@dataclass(frozen=True)
-class SpinChain:
-    start: Vertex
-    steps: tuple[ChainStep, ...]
+class SpinChain(namedtuple("SpinChain", "start steps")):
+    """A based loop: the start vertex and a tuple of `ChainStep`s."""
+
+    __slots__ = ()
 
     def loop(self) -> tuple[Vertex, ...]:
         return (self.start, *(s.target for s in self.steps))
-
-    def reversed(self) -> "SpinChain":
-        loop = self.loop()
-        flipped = [ChainStep(step.cell, step.face, loop[idx]) for idx, step in enumerate(self.steps)]
-        return SpinChain(self.start, tuple(flipped[::-1]))
 
     def describe(self) -> str:
         parts = [self.start.name]
@@ -50,11 +42,8 @@ class SpinChain:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    admissible: bool
-    failing_step: int | None
-    reason: str  # "Composable" | "DomainMismatch"
+# reason is "Composable" or "DomainMismatch"; failing_step is the 1-based step at which the chain fails, or None
+AdmissibilityVerdict = namedtuple("AdmissibilityVerdict", "admissible failing_step reason")
 
 
 def validate_structure(cg: ConnectionGraph, chain: SpinChain) -> None:
@@ -117,7 +106,8 @@ def close_out(pos: list[int | None], carried: Carried) -> tuple[int, ...]:
     if len(srcs) < n:
         # the images 0..n-1 sum to n(n-1)/2, and the -1 still in perm stands for the missing one
         perm[perm.index(-1)] = n * (n - 1) // 2 - sum(perm) - 1
-    assert sorted(perm) == list(range(n)), f"{carried} does not close to a permutation"
+    if sorted(perm) != list(range(n)):
+        raise AssertionError(f"{carried} does not close to a permutation")
     return tuple(perm)
 
 
@@ -142,8 +132,8 @@ def _admit(cg: ConnectionGraph, chain: SpinChain) -> tuple[AdmissibilityVerdict,
                 return AdmissibilityVerdict(False, k, "DomainMismatch"), None
     carried, lost_at = _compose(cg, chain)
     if lost_at is not None:
-        # at order <= 2 the degree rule admits only loops that compose
-        assert cg.order > 2
+        if cg.order <= 2:
+            raise AssertionError("at order <= 2 the degree rule admits only loops that compose")
         return AdmissibilityVerdict(False, lost_at, "DomainMismatch"), None
     return AdmissibilityVerdict(True, None, "Composable"), carried
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import groups, tables
 from .chains import Carried, SpinChain, carry, close_out, label_positions, step_table
@@ -35,15 +35,12 @@ def predict_group(cg: ConnectionGraph, v: Vertex) -> GroupVerdict:
     return groups.symmetric(cg.epsilon_degree(v))
 
 
-@dataclass
-class SpinGroupResult:
-    vertex: Vertex
-    verdict: GroupVerdict
-    predicted: GroupVerdict
-    order: int
-    generators: tuple[groups.Perm, ...]
-    witnesses: tuple[SpinChain, ...]
-    chains_tried: int
+class SpinGroupResult(
+    namedtuple("SpinGroupResult", "vertex verdict predicted order generators witnesses chains_tried")
+):
+    """The group found at one vertex: each kept generator with the chain that gave it, and the chains tried."""
+
+    __slots__ = ()
 
     @property
     def match(self) -> bool:
@@ -155,19 +152,13 @@ def spin_group_at(
     return result
 
 
-@dataclass
-class VertexRow:
-    vertex: Vertex
-    degree: int
-    predicted: GroupVerdict
-    computed: GroupVerdict
-    match: bool
+VertexRow = namedtuple("VertexRow", "vertex degree predicted computed match")
 
 
-@dataclass
-class ClassReport:
-    graph_class: GraphClass
-    rows: list[VertexRow] = field(default_factory=list)
+class ClassReport(namedtuple("ClassReport", "graph_class rows")):
+    """One class's `VertexRow`s, a tuple in vertex order."""
+
+    __slots__ = ()
 
     @property
     def match_all(self) -> bool:
@@ -201,7 +192,7 @@ def verify_class(
     group.  Each row still gets its own prediction and comparison.
     """
     cg = build_connection_graph(gc)
-    report = ClassReport(gc)
+    rows = []
     reduce = orbit_reduction_applies(cg)
     searched: dict[bool, SpinGroupResult] = {}
     for v in cg.vertices():
@@ -217,5 +208,5 @@ def verify_class(
         if exhaustive:
             # over-generation guard: the computed group may never exceed the prediction
             ok = ok and res.order <= predicted.order
-        report.rows.append(VertexRow(v, cg.epsilon_degree(v), predicted, res.verdict, ok))
-    return report
+        rows.append(VertexRow(v, cg.epsilon_degree(v), predicted, res.verdict, ok))
+    return ClassReport(gc, tuple(rows))

@@ -304,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tables:
-        try:
-            _tables.set_active_tables(_tables.load_tables(args.tables))
-        except (OSError, _tables.TableError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        # a table file named by --tables or the environment is checked here, before any record
+        _tables.install_configured(args.tables)
+    except (OSError, _tables.TableError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         if "max_steps" in vars(args) and args.max_steps < 2:
             raise UsageError(f"--max-steps must be >= 2, got {args.max_steps}")

@@ -17,7 +17,7 @@ the label of the absent cell class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
@@ -31,9 +31,10 @@ class FaceKind(Enum):
     TWO_PAIR = "two-pair"
 
 
-@dataclass(frozen=True, order=True)
-class Face:
-    cycle: tuple[Vertex, Vertex, Vertex, Vertex]
+class Face(namedtuple("Face", "cycle")):
+    """A 4-cycle of vertices; `from_cycle` gives the canonical one."""
+
+    __slots__ = ()
 
     @staticmethod
     def from_cycle(cycle: tuple[Vertex, ...]) -> "Face":
@@ -44,10 +45,6 @@ class Face:
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.cycle
-
-    @property
-    def vertex_set(self) -> frozenset[Vertex]:
-        return frozenset(self.cycle)
 
     @property
     def classes(self) -> frozenset[int]:
@@ -66,9 +63,6 @@ class Face:
 
     def predecessor(self, v: Vertex) -> Vertex:
         return self.cycle[(self.cycle.index(v) - 1) % 4]
-
-    def opposite(self, v: Vertex) -> Vertex:
-        return self.cycle[(self.cycle.index(v) + 2) % 4]
 
     def conjugate(self) -> "Face":
         return Face.from_cycle(tuple(v.conjugate for v in self.cycle))

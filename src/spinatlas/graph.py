@@ -6,7 +6,7 @@ not conjugate; a chord joins the two vertices of every connected pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -17,10 +17,8 @@ class UnsupportedOrderError(ValueError):
     """Requested operation is only defined for small orders."""
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
-    cls: int
-    tilded: bool
+class Vertex(namedtuple("Vertex", "cls tilded")):
+    __slots__ = ()
 
     @property
     def conjugate(self) -> "Vertex":
@@ -37,27 +35,24 @@ class Vertex:
 
     @staticmethod
     def parse(text: str) -> "Vertex":
-        s = text.strip()
-        tilded = s.endswith("~")
-        if tilded:
-            s = s[:-1]
-        if not s.startswith("P"):
+        """The vertex named `text`, exactly as `name` spells it: P, P~, P<k> or P<k>~ with k >= 1."""
+        tilded = text.endswith("~")
+        digits = text[1:-1] if tilded else text[1:]
+        if not text.startswith("P") or digits and not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
             raise ValueError(f"cannot parse vertex name {text!r}")
-        digits = s[1:]
-        cls = int(digits) if digits else 0
-        return Vertex(cls, tilded)
+        return Vertex(int(digits) if digits else 0, tilded)
 
 
-@dataclass(frozen=True)
-class ConnectionGraph:
-    order: int
-    connected: frozenset[int]
+class ConnectionGraph(namedtuple("ConnectionGraph", "order connected")):
+    """An order-r connection graph; `connected` (made a frozenset) holds its chorded classes."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "connected", frozenset(self.connected))
-        bad = [c for c in self.connected if not 0 <= c <= self.order]
-        if self.order < 0 or bad:
-            raise ValueError(f"bad connection data (order={self.order}, connected={sorted(self.connected)})")
+    __slots__ = ()
+
+    def __new__(cls, order: int, connected: frozenset[int]) -> "ConnectionGraph":
+        connected = frozenset(connected)
+        if order < 0 or any(not 0 <= c <= order for c in connected):
+            raise ValueError(f"bad connection data (order={order}, connected={sorted(connected)})")
+        return super().__new__(cls, order, connected)
 
     @property
     def classes(self) -> range:
@@ -72,17 +67,6 @@ class ConnectionGraph:
         if u.cls == v.cls:
             return u.cls in self.connected
         return u.side != v.side
-
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        return tuple(w for w in self.vertices() if self.adjacent(v, w))
-
-    def neighbor_of_class(self, v: Vertex, cls: int) -> Vertex:
-        """The unique neighbor of v carrying the given class."""
-        if cls == v.cls:
-            if cls not in self.connected:
-                raise ValueError(f"{v.name} has no own-class neighbor (pair {cls} not connected)")
-            return v.conjugate
-        return Vertex(cls, bool((1 - v.side) ^ int(cls == 0)))
 
     def epsilon_degree(self, v: Vertex) -> int:
         return self.order + 1 if v.cls in self.connected else self.order

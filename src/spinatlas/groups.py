@@ -7,7 +7,7 @@ Group Algorithms*, 2003, ch. 4), on the fixed base 0..n-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 Perm = tuple[int, ...]
 
@@ -154,11 +154,10 @@ def closure(gens, n: int, cap: int = 400_000) -> tuple[Perm, ...]:
     return tuple(sorted(chain.elements()))
 
 
-@dataclass(frozen=True, order=True)
-class GroupVerdict:
-    kind: str  # "trivial" | "C2" | "C3" | "A" | "S" | "other"
-    degree: int
-    order: int
+class GroupVerdict(namedtuple("GroupVerdict", "kind degree order")):
+    """kind is "trivial", "C2", "C3", "A", "S" or "other"; degree is n for A_n and S_n, else 0."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == "trivial":
@@ -168,22 +167,6 @@ class GroupVerdict:
         if self.kind in ("A", "S"):
             return f"{self.kind}{self.degree}"
         return f"G[{self.order}]"
-
-    @staticmethod
-    def parse(text: str) -> "GroupVerdict":
-        if text == "1":
-            return TRIVIAL
-        if text == "C2":
-            return C2
-        if text == "C3":
-            return C3
-        if text.startswith("A") and text[1:].isdigit():
-            return alternating(int(text[1:]))
-        if text.startswith("S") and text[1:].isdigit():
-            return symmetric(int(text[1:]))
-        if text.startswith("G[") and text.endswith("]"):
-            return GroupVerdict("other", 0, int(text[2:-1]))
-        raise ValueError(f"cannot parse group verdict {text!r}")
 
 
 TRIVIAL = GroupVerdict("trivial", 0, 1)

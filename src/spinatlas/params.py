@@ -8,7 +8,7 @@ k_l = k_{l-1} + p_l.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class InvalidClassError(ValueError):
@@ -30,25 +30,20 @@ def genus_of(order: int, i: int, p: tuple[int, ...]) -> int:
     return (order + 1) * (i + 1) - 1 + sum((order + 1 - l) * pl for l, pl in enumerate(p, start=1))
 
 
-@dataclass(frozen=True, order=True)
-class GraphClass:
-    """One isomorphism class: genus, order r, exponent i and increments p."""
+class GraphClass(namedtuple("GraphClass", "genus order i p")):
+    """One isomorphism class: genus, order r, exponent i and increments p (made a tuple)."""
 
-    genus: int
-    order: int
-    i: int
-    p: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.genus < 2:
-            raise InvalidClassError(f"genus must be >= 2, got {self.genus}")
-        if not 0 <= self.order < self.genus:
-            raise InvalidClassError(f"order must satisfy 0 <= r < genus, got r={self.order}")
-        object.__setattr__(self, "p", tuple(self.p))
-        if genus_of(self.order, self.i, self.p) != self.genus:
-            raise InvalidClassError(
-                f"(i={self.i}, p={self.p}) does not produce genus {self.genus} at order {self.order}"
-            )
+    def __new__(cls, genus: int, order: int, i: int, p: tuple[int, ...]) -> "GraphClass":
+        if genus < 2:
+            raise InvalidClassError(f"genus must be >= 2, got {genus}")
+        if not 0 <= order < genus:
+            raise InvalidClassError(f"order must satisfy 0 <= r < genus, got r={order}")
+        p = tuple(p)
+        if genus_of(order, i, p) != genus:
+            raise InvalidClassError(f"(i={i}, p={p}) does not produce genus {genus} at order {order}")
+        return super().__new__(cls, genus, order, i, p)
 
     @property
     def k(self) -> tuple[int, ...]:

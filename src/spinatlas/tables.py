@@ -8,7 +8,6 @@ class pairs.  The text format is line-oriented and round-trips byte-exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 
@@ -43,11 +42,18 @@ def _id_vertex(w: int) -> Vertex:
     return Vertex(w >> 1, bool(w & 1))
 
 
-@dataclass(frozen=True)
 class FaceTables:
-    entries: dict[frozenset[int], dict[Face, dict[tuple[Vertex, Vertex], MapPairs]]]
-    # per pattern, the entries keyed by (canonical cycle, u, v) in vertex ids; built on first lookup
-    _index: dict[frozenset[int], dict] = field(default_factory=dict, init=False, repr=False, compare=False)
+    """Per pattern, per face, per ordered vertex pair, the map as class pairs."""
+
+    def __init__(self, entries: dict[frozenset[int], dict[Face, dict[tuple[Vertex, Vertex], MapPairs]]]) -> None:
+        self.entries = entries
+        # per pattern, the entries keyed by (canonical cycle, u, v) in vertex ids; built on first lookup
+        self._index: dict[frozenset[int], dict] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
 
     def lookup(self, pattern: frozenset[int], cycle: tuple[int, ...], u: int, v: int) -> MapPairs:
         """The map of pair u -> v on the face with this cycle, all as vertex ids of the order-3 graph."""
@@ -209,14 +215,20 @@ def computed_tables() -> FaceTables:
     return _ComputedTables({})
 
 
+def install_configured(path: str | None = None) -> None:
+    """Install the tables at `path`, else at $SPIN_ATLAS_TABLES; with neither, keep the active store.
+
+    Raises OSError or TableError when the file cannot be read or is not a valid table file.
+    """
+    path = path or os.environ.get(ENV_VAR)
+    if path:
+        set_active_tables(load_tables(path))
+
+
 def active_tables() -> FaceTables:
-    if _active is not None:
-        return _active
-    env = os.environ.get(ENV_VAR)
-    if env:
-        set_active_tables(load_tables(env))
-        return _active  # type: ignore[return-value]
-    return computed_tables()
+    if _active is None:
+        install_configured()
+    return computed_tables() if _active is None else _active
 
 
 def set_active_tables(tables: FaceTables | None) -> None:

@@ -8,6 +8,7 @@ import pytest
 from spinatlas.chains import ChainStep, SpinChain
 from spinatlas.faces import Face, cells_containing, enumerate_faces
 from spinatlas.graph import ConnectionGraph, Vertex
+from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, alternating, symmetric
 
 
 def V(cls: int, tilded: bool = False) -> Vertex:
@@ -20,6 +21,38 @@ def F(*verts: Vertex) -> Face:
 
 def mk_chain(start: Vertex, *steps) -> SpinChain:
     return SpinChain(start, tuple(ChainStep(frozenset(cell), face, target) for cell, face, target in steps))
+
+
+def reversed_chain(chain: SpinChain) -> SpinChain:
+    """The loop walked backwards: each step keeps its cell and face and goes back to the vertex it left."""
+    loop = chain.loop()
+    flipped = [ChainStep(step.cell, step.face, loop[idx]) for idx, step in enumerate(chain.steps)]
+    return SpinChain(chain.start, tuple(flipped[::-1]))
+
+
+def neighbors(cg: ConnectionGraph, v: Vertex) -> tuple[Vertex, ...]:
+    return tuple(w for w in cg.vertices() if cg.adjacent(v, w))
+
+
+def neighbor_of_class(cg: ConnectionGraph, v: Vertex, cls: int) -> Vertex:
+    """The unique neighbor of v carrying the given class."""
+    if cls == v.cls:
+        if cls not in cg.connected:
+            raise ValueError(f"{v.name} has no own-class neighbor (pair {cls} not connected)")
+        return v.conjugate
+    return Vertex(cls, bool((1 - v.side) ^ int(cls == 0)))
+
+
+def parse_verdict(text: str) -> GroupVerdict:
+    """The verdict whose `str` is `text`."""
+    named = {"1": TRIVIAL, "C2": C2, "C3": C3}
+    if text in named:
+        return named[text]
+    if text[:1] in ("A", "S") and text[1:].isdigit():
+        return (alternating if text[0] == "A" else symmetric)(int(text[1:]))
+    if text.startswith("G[") and text.endswith("]"):
+        return GroupVerdict("other", 0, int(text[2:-1]))
+    raise ValueError(f"cannot parse group verdict {text!r}")
 
 
 @lru_cache(maxsize=None)

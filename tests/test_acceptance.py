@@ -29,6 +29,7 @@ from conftest import (
     Pt,
     enumerate_chains,
     mk_chain,
+    reversed_chain,
 )
 from spinatlas.chains import evaluate, is_admissible, is_basic
 from spinatlas.classify import clear_caches, spin_group_at, verify_class
@@ -281,7 +282,7 @@ def test_criterion_7_property_suites():
     ]:
         for chain in itertools.islice(enumerate_chains(cg, start, depth), limit):
             fwd_ok = is_admissible(cg, chain).admissible
-            rev = chain.reversed()
+            rev = reversed_chain(chain)
             if fwd_ok == is_admissible(cg, rev).admissible:
                 if evaluate(cg, rev) != inverse(evaluate(cg, chain)):
                     failures.append(f"reversal mismatch at {chain.describe()}")

@@ -26,6 +26,7 @@ from conftest import (
     Pt,
     enumerate_chains,
     mk_chain,
+    reversed_chain,
 )
 from spinatlas.chains import ChainStructureError, SpinChain, evaluate, is_admissible, is_basic, validate_structure
 from spinatlas.faces import Face, enumerate_faces
@@ -89,7 +90,7 @@ def test_one_chord_hexagon_three_cycle(hexagon_one_chord):
     assert is_admissible(hexagon_one_chord, chain).admissible
     perm = evaluate(hexagon_one_chord, chain)
     assert perm == (1, 2, 0)  # (123)
-    back = evaluate(hexagon_one_chord, chain.reversed())
+    back = evaluate(hexagon_one_chord, reversed_chain(chain))
     assert back == inverse(perm)  # (132)
 
 
@@ -232,9 +233,9 @@ def test_reverse_loop_gives_inverse(cg, start, depth, limit):
     """
     for chain in sample_chains(cg, start, depth, limit):
         fwd_ok = is_admissible(cg, chain).admissible
-        back_ok = is_admissible(cg, chain.reversed()).admissible
+        back_ok = is_admissible(cg, reversed_chain(chain)).admissible
         if fwd_ok == back_ok:
-            assert evaluate(cg, chain.reversed()) == inverse(evaluate(cg, chain))
+            assert evaluate(cg, reversed_chain(chain)) == inverse(evaluate(cg, chain))
         else:
             assert cg.epsilon_degree(start) == cg.order + 1
 
@@ -245,8 +246,8 @@ def test_reverse_of_reverse_is_identity_transform(index):
     cg = ConnectionGraph(3, frozenset({2, 3}))
     chains = sample_chains(cg, P2, 3, 400)
     chain = chains[index % len(chains)]
-    assert chain.reversed().reversed() == chain
-    assert evaluate(cg, chain.reversed().reversed()) == evaluate(cg, chain)
+    assert reversed_chain(reversed_chain(chain)) == chain
+    assert evaluate(cg, reversed_chain(reversed_chain(chain))) == evaluate(cg, chain)
 
 
 def test_concatenation_of_matching_admissible_chains(order3_two_chords):

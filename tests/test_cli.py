@@ -283,6 +283,13 @@ def test_bad_numbers_and_vertices_are_usage_errors(capsys):
         assert code == 2 and err.startswith("usage error: "), argv
 
 
+@pytest.mark.parametrize("name", ["P0", "P01", "P+1", "P_1", "P1~~", "P 1"])
+def test_vertex_names_the_graph_never_prints_are_usage_errors(capsys, name):
+    code, out, err = run(capsys, "classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--vertex", name)
+    assert code == 2 and out == ""
+    assert err == f"usage error: cannot parse vertex name {name!r}\n"
+
+
 def test_internal_value_error_propagates(monkeypatch):
     from spinatlas import classify
 
@@ -420,6 +427,23 @@ def test_tables_env_var(tmp_path, monkeypatch):
     finally:
         monkeypatch.delenv(tables.ENV_VAR)
         tables.set_active_tables(None)
+
+
+@pytest.mark.parametrize("source", ["--tables", "env"])
+@pytest.mark.parametrize("genus", ["2..3", "5..6"])
+def test_unreadable_or_bad_table_files_fail_before_any_record(tmp_path, monkeypatch, capsys, source, genus):
+    # orders 2..3 never look a table up, and 5..6 print order <= 3 records before their first lookup
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not a table file\n", encoding="utf-8")
+    for path, message in ((tmp_path / "missing.txt", "No such file or directory"), (bad, "missing header line")):
+        if source == "env":
+            monkeypatch.setenv(tables.ENV_VAR, str(path))
+            argv = ["verify", "--genus", genus]
+        else:
+            argv = ["--tables", str(path), "verify", "--genus", genus]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
 
 
 def test_usage_error_on_unknown_command():

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import F, P, P1, P1t, P2, P2t, P3, P3t, Pt, V
+from conftest import F, P, P1, P1t, P2, P2t, P3, P3t, Pt, V, neighbor_of_class, neighbors
 from spinatlas.graph import ConnectionGraph, UnsupportedOrderError, Vertex, build_connection_graph, edge_multiplicities_r_le_2
 from spinatlas.params import GraphClass, enumerate_classes
 
@@ -45,7 +45,7 @@ def test_order3_skeleton_reproduced(order3_one_chord):
 def test_skeleton_bipartite_regular(order, connected):
     cg = ConnectionGraph(order, frozenset(connected))
     for v in cg.vertices():
-        nbrs = cg.neighbors(v)
+        nbrs = neighbors(cg, v)
         assert len(nbrs) == order
         assert all(w.side != v.side for w in nbrs)
 
@@ -53,7 +53,7 @@ def test_skeleton_bipartite_regular(order, connected):
 def test_chords_raise_degree_by_one():
     cg = ConnectionGraph(4, frozenset({0, 1, 2, 3, 4}))
     for v in cg.vertices():
-        assert len(cg.neighbors(v)) == 5
+        assert len(neighbors(cg, v)) == 5
         assert cg.epsilon_degree(v) == 5
 
 
@@ -94,12 +94,19 @@ def test_label_sets(hexagon_one_chord, order3_one_chord):
         for v in cg.vertices():
             labels = cg.label_classes(v)
             assert len(labels) == cg.epsilon_degree(v)
-            assert {cg.neighbor_of_class(v, c).cls for c in labels} == set(labels)
+            assert {neighbor_of_class(cg, v, c).cls for c in labels} == set(labels)
 
 
 def test_vertex_names_round_trip():
-    for v in ConnectionGraph(3, frozenset()).vertices():
-        assert Vertex.parse(v.name) == v
+    for order in range(13):
+        for v in ConnectionGraph(order, frozenset()).vertices():
+            assert Vertex.parse(v.name) == v
+
+
+@pytest.mark.parametrize("text", ["P0", "P01", "P+1", "P-1", "P 1", " P1", "P1 ", "P1~~", "P~~", "P_1", "P\u0661", "P\u00b2", "p1", "Q", "~", ""])
+def test_names_no_vertex_prints_are_rejected(text):
+    with pytest.raises(ValueError, match=r"^cannot parse vertex name "):
+        Vertex.parse(text)
 
 
 def test_edge_multiplicities_symmetric_class():

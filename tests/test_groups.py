@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V
+from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, parse_verdict
 from spinatlas.classify import predict_group, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
@@ -151,7 +151,7 @@ def test_recognize():
 
 def test_verdict_strings_round_trip():
     for verdict in (TRIVIAL, C2, C3, alternating(4), symmetric(5), GroupVerdict("other", 0, 8)):
-        assert GroupVerdict.parse(str(verdict)) == verdict
+        assert parse_verdict(str(verdict)) == verdict
 
 
 # ---------------------------------------------------------------- predictions
