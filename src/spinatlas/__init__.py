@@ -8,7 +8,7 @@ from .graph import (
     build_connection_graph,
     edge_multiplicities_r_le_2,
 )
-from .faces import Face, FaceKind, cells_containing, decorated_cell, enumerate_faces, face_map
+from .faces import Face, FaceKind, cells_containing, enumerate_faces, face_map
 from .chains import (
     AdmissibilityVerdict,
     ChainStep,
@@ -39,7 +39,6 @@ __all__ = [
     "build_connection_graph",
     "cells_containing",
     "closure",
-    "decorated_cell",
     "edge_multiplicities_r_le_2",
     "enumerate_classes",
     "enumerate_faces",

@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .faces import Face, FaceKind, _canonical, cell_frame, cells_containing, enumerate_faces, face_images, vertex_id
+from .faces import Face, FaceKind, _canonical, cell_frame, cells_containing, cells_of, enumerate_faces, face_images
+from .faces import lifted_images, neighbour_ids, vertex_id
 from .faces import _face_map_pairs  # the memoized face maps `evaluate` composes
 from .graph import ConnectionGraph, Vertex
 
@@ -156,33 +157,33 @@ def is_basic(cg: ConnectionGraph, chain: SpinChain) -> bool:
     return all(step.face.kind is FaceKind.STANDARD for step in chain.steps)
 
 
-Choice = tuple[frozenset[int], Face]
+# a step's (cell, face) choice, the face as its canonical cycle of vertex ids
+Choice = tuple[frozenset[int], tuple[int, ...]]
 
 
 class StepTable:
     """The chain steps of one connection graph, by vertex id (index into `vertices`).
 
     For a step from vertex a to vertex b, `entry(a, b)` gives the (cell, face)
-    choices, in `enumerate_faces` order and then cell order, and one slot per
-    choice for its face map, which `fill` computes when the search first steps
-    through that choice.  Entries are built on first use, each from the
-    neighbours of its two vertices, so the graph's faces are never listed.  A
-    search path is a tuple of (vertex id, choice index) steps, and `chain`
-    turns one into its chain.
+    choices, faces as canonical id cycles in `enumerate_faces` order and then
+    cells in order, and one slot per choice for its face map, which `fill`
+    computes when the search first steps through that choice.  Entries are
+    built on first use, each from the neighbours of its two vertices, so the
+    graph's faces are never listed, and a `Face` is built only for a map made
+    directly (orders up to 3) and in a chain.  A search path is a tuple of
+    (vertex id, choice index) steps, and `chain` turns one into its chain.
     """
 
     def __init__(self, cg: ConnectionGraph) -> None:
         self.cg = cg
         self.vertices = cg.vertices()
-        ids = range(len(self.vertices))
-        # per vertex id, the ids of its neighbours
-        self._near = [{w for w in ids if cg.adjacent(v, self.vertices[w])} for v in self.vertices]
+        self._near = neighbour_ids(cg)
         self._entries: dict[tuple[int, int], tuple[tuple[Choice, ...], list]] = {}
         # per cell, its `cell_frame` for the table lookup at order >= 4
         self._frames: dict[frozenset[int], tuple] = {}
 
-    def _faces(self, a: int, b: int) -> tuple[Face, ...]:
-        """The faces through vertices a and b, in `enumerate_faces` order.
+    def _cycles(self, a: int, b: int) -> list[tuple[int, ...]]:
+        """The faces through vertices a and b, as canonical id cycles in `enumerate_faces` order.
 
         The graph is bipartite (chords join the two sides too), so on a face
         two adjacent vertices are neighbours on the cycle, two of one side are
@@ -197,29 +198,38 @@ class StepTable:
             cycles = [(a, x, b, y) for k, x in enumerate(common) for y in common[k + 1:]]
         else:
             cycles = []
-        return tuple(Face(tuple(map(self.vertices.__getitem__, c))) for c in sorted(map(_canonical, cycles)))
+        return sorted(map(_canonical, cycles))
 
     def entry(self, a: int, b: int) -> tuple[tuple[Choice, ...], list]:
         hit = self._entries.get((a, b))
         if hit is None:
-            choices = tuple((cell, face) for face in self._faces(a, b) for cell in cells_containing(self.cg, face))
+            choices = tuple(
+                (cell, cycle)
+                for cycle in self._cycles(a, b)
+                for cell in cells_of(self.cg.order, frozenset({w >> 1 for w in cycle}))
+            )
             hit = self._entries[(a, b)] = (choices, [None] * len(choices))
         return hit
 
     def fill(self, a: int, b: int, k: int) -> tuple[int, ...]:
         choices, slots = self._entries[(a, b)]
-        cell, face = choices[k]
-        frame = None
-        if self.cg.order > 3:
+        cell, cycle = choices[k]
+        if self.cg.order <= 3:
+            slots[k] = face_images(self.cg, cell, self._face(cycle), self.vertices[a], self.vertices[b])
+        else:
             frame = self._frames.get(cell) or self._frames.setdefault(cell, cell_frame(self.cg, cell))
-        slots[k] = face_images(self.cg, cell, face, self.vertices[a], self.vertices[b], frame)
+            slots[k] = lifted_images(self.cg.order, frame, cycle, a, b)
         return slots[k]
+
+    def _face(self, cycle: tuple[int, ...]) -> Face:
+        return Face(tuple(map(self.vertices.__getitem__, cycle)))
 
     def chain(self, start: Vertex, path: tuple[tuple[int, int], ...]) -> SpinChain:
         """The chain at `start` whose steps take, in turn, choice k of the step to vertex b."""
         steps, a = [], vertex_id(start)
         for b, k in path:
-            steps.append(ChainStep(*self._entries[(a, b)][0][k], self.vertices[b]))
+            cell, cycle = self._entries[(a, b)][0][k]
+            steps.append(ChainStep(cell, self._face(cycle), self.vertices[b]))
             a = b
         return SpinChain(start, tuple(steps))
 

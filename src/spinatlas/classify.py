@@ -58,8 +58,7 @@ def clear_caches() -> None:
     chains.step_table.cache_clear()
     faces._face_map_pairs.cache_clear()
     faces.enumerate_faces.cache_clear()
-    faces.cells_containing.cache_clear()
-    faces.decorated_cell.cache_clear()
+    faces.cells_of.cache_clear()
     graph.edge_multiplicities_r_le_2.cache_clear()
 
 

@@ -84,12 +84,20 @@ def vertex_id(v: Vertex) -> int:
     return 2 * v.cls + v.tilded
 
 
+def neighbour_ids(cg: ConnectionGraph) -> list[set[int]]:
+    """Per vertex id, its neighbours' ids: the other side, less its conjugate unless that pair is chorded."""
+    ids = range(2 * cg.order + 2)
+    side = [(w & 1) ^ (w < 2) for w in ids]  # `Vertex.side` by id
+    across = [{w for w in ids if side[w] != s} for s in (0, 1)]
+    return [across[side[a]] - (set() if a >> 1 in cg.connected else {a ^ 1}) for a in ids]
+
+
 @lru_cache(maxsize=None)
 def enumerate_faces(cg: ConnectionGraph) -> tuple[Face, ...]:
     """All 4-cycles, found by pairing same-side vertices with two common neighbors."""
     verts = cg.vertices()
     ids = range(len(verts))
-    near = [{w for w in ids if cg.adjacent(verts[a], verts[w])} for a in ids]
+    near = neighbour_ids(cg)
     found: set[tuple[int, int, int, int]] = set()
     for a in ids:
         for b in ids[a + 1:]:
@@ -102,24 +110,17 @@ def enumerate_faces(cg: ConnectionGraph) -> tuple[Face, ...]:
 
 
 @lru_cache(maxsize=None)
+def cells_of(order: int, classes: frozenset[int]) -> tuple[frozenset[int], ...]:
+    """The standard 3-cells (4-class subsets) of an order-r graph that hold a face on these classes."""
+    if order < 3:
+        return (frozenset(range(order + 1)),)
+    rest = sorted(set(range(order + 1)) - classes)
+    return tuple(sorted((classes.union(combo) for combo in combinations(rest, 4 - len(classes))), key=sorted))
+
+
 def cells_containing(cg: ConnectionGraph, face: Face) -> tuple[frozenset[int], ...]:
     """The standard 3-cells (4-class subsets) whose decorated graph contains the face."""
-    base = face.classes
-    if cg.order < 3:
-        return (frozenset(cg.classes),)
-    rest = sorted(set(cg.classes) - base)
-    return tuple(sorted((base.union(combo) for combo in combinations(rest, 4 - len(base))), key=sorted))
-
-
-@lru_cache(maxsize=None)
-def decorated_cell(cg: ConnectionGraph, cell: frozenset[int]) -> tuple[ConnectionGraph, dict[int, int]]:
-    """Order-3 connection graph of a cell plus the class renaming used for it."""
-    if len(cell) != min(4, cg.order + 1) or not cell <= set(cg.classes):
-        raise ValueError(f"not a cell of an order-{cg.order} graph: {sorted(cell)}")
-    classes = tuple(sorted(cell))
-    renaming = {c: k for k, c in enumerate(classes)}
-    local = ConnectionGraph(len(classes) - 1, frozenset(renaming[c] for c in cg.connected & cell))
-    return local, renaming
+    return cells_of(cg.order, face.classes)
 
 
 def _absent_class(cell: frozenset[int], face: Face) -> int | None:
@@ -183,28 +184,30 @@ def cell_frame(cg: ConnectionGraph, cell: frozenset[int]) -> Frame:
     return classes, frozenset(lc for lc, c in enumerate(classes) if c in cg.connected), tuple(local)
 
 
-def face_images(
-    cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex, frame: Frame | None = None
-) -> tuple[int, ...]:
-    """The face map, uncached, as a tuple over classes 0..r: each class's image, -1 off the domain.
-
-    Orders up to 3 are built directly.  Higher orders rename the face and the
-    pair into the cell's order-3 graph through its `cell_frame` (`frame`, if
-    given), look them up in the order-3 tables, and lift the answer back,
-    mapping every class outside the cell to itself.
-    """
-    if cg.order <= 3:
-        mapping = _build_face_map(cg, cell, face, u, v)
-        return tuple(mapping.get(c, -1) for c in cg.classes)
-    classes, pattern, local = frame or cell_frame(cg, cell)
-    cycle = tuple(local[vertex_id(w)] for w in face.cycle)
-    pairs = tables.active_tables().lookup(pattern, cycle, local[vertex_id(u)], local[vertex_id(v)])
-    images = list(cg.classes)
+def lifted_images(order: int, frame: Frame, cycle: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+    """The map of pair u -> v on a face of an order >= 4 graph, all by vertex id: renamed into the cell's
+    order-3 graph through its `cell_frame`, looked up in the active tables, and lifted back."""
+    classes, pattern, local = frame
+    pairs = tables.active_tables().lookup(pattern, tuple(map(local.__getitem__, cycle)), local[u], local[v])
+    images = list(range(order + 1))
     for c in classes:
         images[c] = -1
     for a, b in pairs:
         images[classes[a]] = classes[b]
     return tuple(images)
+
+
+def face_images(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> tuple[int, ...]:
+    """The face map, uncached, as a tuple over classes 0..r: each class's image, -1 off the domain.
+
+    Orders up to 3 are built directly, higher ones through `lifted_images`,
+    which maps every class outside the cell to itself.
+    """
+    if cg.order <= 3:
+        mapping = _build_face_map(cg, cell, face, u, v)
+        return tuple(mapping.get(c, -1) for c in cg.classes)
+    cycle = tuple(map(vertex_id, face.cycle))
+    return lifted_images(cg.order, cell_frame(cg, cell), cycle, vertex_id(u), vertex_id(v))
 
 
 @lru_cache(maxsize=None)

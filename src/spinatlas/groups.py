@@ -36,27 +36,6 @@ def is_permutation(a: Perm) -> bool:
     return sorted(a) == list(range(len(a)))
 
 
-def cycle_type(a: Perm) -> tuple[int, ...]:
-    """Cycle lengths in decreasing order, fixed points included."""
-    seen = [False] * len(a)
-    out = []
-    for k in range(len(a)):
-        if seen[k]:
-            continue
-        length, j = 0, k
-        while not seen[j]:
-            seen[j] = True
-            length += 1
-            j = a[j]
-        out.append(length)
-    return tuple(sorted(out, reverse=True))
-
-
-def parity(a: Perm) -> int:
-    """0 for even, 1 for odd."""
-    return sum(length - 1 for length in cycle_type(a)) % 2
-
-
 def cycles_str(a: Perm) -> str:
     """One-based cycle notation, fixed points suppressed."""
     parts = []
@@ -81,7 +60,9 @@ class StabChain:
     transversal: for each point p in the orbit of i, an element mapping i to p.
     Every Schreier generator of a level has been sifted into the levels below
     it, so sifting decides membership exactly and the order is the product of
-    the orbit lengths.
+    the orbit lengths.  From level `_full` on every orbit is full (n - i points
+    at level i), so the transversal elements there, all members, multiply to
+    every permutation that fixes 0.._full-1: sifts and Schreier generators stop there.
     """
 
     def __init__(self, n: int) -> None:
@@ -90,10 +71,11 @@ class StabChain:
         self._gens: list[list[Perm]] = [[] for _ in range(n)]
         self._trans: list[dict[int, Perm]] = [{i: ident} for i in range(n)]
         self._trans_inv: list[dict[int, Perm]] = [{i: ident} for i in range(n)]
+        self._full = max(n - 1, 0)
 
     def _sift(self, g: Perm, level: int = 0) -> bool:
         """True when g, which fixes 0..level-1, lies in the group of that level."""
-        for i in range(level, self.n):
+        for i in range(level, self._full):
             p = g[i]
             if p != i:
                 u_inv = self._trans_inv[i].get(p)
@@ -114,20 +96,26 @@ class StabChain:
             return False
         self._gens[level].append(g)
         for u in list(self._trans[level].values()):
-            self._extend(level, compose(u, g))
+            self._extend(level, u, g)
         return True
 
-    def _extend(self, level: int, h: Perm) -> None:
-        """Enter h's coset at this level: a new orbit point, or a Schreier generator below."""
+    def _extend(self, level: int, u: Perm, g: Perm) -> None:
+        """Enter the coset of u then g at this level: a new orbit point, or a Schreier generator below."""
+        if level >= self._full:
+            return
+        h = compose(u, g)
         p = h[level]
         u_inv = self._trans_inv[level].get(p)
         if u_inv is not None:
-            self._add(level + 1, compose(h, u_inv))
+            if level + 1 < self._full:
+                self._add(level + 1, compose(h, u_inv))
             return
         self._trans[level][p] = h
         self._trans_inv[level][p] = inverse(h)
+        while self._full and len(self._trans[self._full - 1]) == self.n - self._full + 1:
+            self._full -= 1
         for t in list(self._gens[level]):
-            self._extend(level, compose(h, t))
+            self._extend(level, h, t)
 
     def order(self) -> int:
         return math.prod(len(t) for t in self._trans)

@@ -103,8 +103,12 @@ def _vertex_token(v: Vertex) -> str:
     return f"{v.cls}{'-' if v.tilded else '+'}"
 
 
+def _is_number(token: str) -> bool:
+    return token.isascii() and token.isdigit()  # `isdigit` alone takes '²', which `int` rejects, and '١'.
+
+
 def _parse_vertex(token: str) -> Vertex:
-    if len(token) != 2 or token[1] not in "+-" or not token[0].isdigit():
+    if len(token) != 2 or token[1] not in "+-" or not _is_number(token[0]):
         raise TableError(f"bad vertex token {token!r}")
     return Vertex(int(token[0]), token[1] == "-")
 
@@ -116,7 +120,7 @@ def _pattern_token(pattern: frozenset[int]) -> str:
 def _parse_pattern(token: str) -> frozenset[int]:
     if token == "-":
         return frozenset()
-    if not token.isdigit():
+    if not _is_number(token):
         raise TableError(f"bad pattern token {token!r}")
     return frozenset(int(ch) for ch in token)
 
@@ -171,7 +175,7 @@ def parse_tables(text: str) -> FaceTables:
             sends = []
             for tok in fields[3:]:
                 a, sep, b = tok.partition(">")
-                if sep != ">" or not a.isdigit() or not b.isdigit():
+                if sep != ">" or not _is_number(a) or not _is_number(b):
                     raise TableError(f"line {lineno}: bad map token {tok!r}")
                 sends.append((int(a), int(b)))
             srcs, tgts = {a for a, _ in sends}, {b for _, b in sends}

@@ -43,6 +43,38 @@ def neighbor_of_class(cg: ConnectionGraph, v: Vertex, cls: int) -> Vertex:
     return Vertex(cls, bool((1 - v.side) ^ int(cls == 0)))
 
 
+@lru_cache(maxsize=None)
+def decorated_cell(cg: ConnectionGraph, cell: frozenset[int]) -> tuple[ConnectionGraph, dict[int, int]]:
+    """Order-3 connection graph of a cell plus the class renaming used for it."""
+    if len(cell) != min(4, cg.order + 1) or not cell <= set(cg.classes):
+        raise ValueError(f"not a cell of an order-{cg.order} graph: {sorted(cell)}")
+    classes = tuple(sorted(cell))
+    renaming = {c: k for k, c in enumerate(classes)}
+    local = ConnectionGraph(len(classes) - 1, frozenset(renaming[c] for c in cg.connected & cell))
+    return local, renaming
+
+
+def cycle_type(a: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths in decreasing order, fixed points included."""
+    seen = [False] * len(a)
+    out = []
+    for k in range(len(a)):
+        if seen[k]:
+            continue
+        length, j = 0, k
+        while not seen[j]:
+            seen[j] = True
+            length += 1
+            j = a[j]
+        out.append(length)
+    return tuple(sorted(out, reverse=True))
+
+
+def parity(a: tuple[int, ...]) -> int:
+    """0 for even, 1 for odd."""
+    return sum(length - 1 for length in cycle_type(a)) % 2
+
+
 def parse_verdict(text: str) -> GroupVerdict:
     """The verdict whose `str` is `text`."""
     named = {"1": TRIVIAL, "C2": C2, "C3": C3}

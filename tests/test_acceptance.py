@@ -27,8 +27,10 @@ from conftest import (
     P4,
     P4t,
     Pt,
+    cycle_type,
     enumerate_chains,
     mk_chain,
+    parity,
     reversed_chain,
 )
 from spinatlas.chains import evaluate, is_admissible, is_basic
@@ -36,7 +38,7 @@ from spinatlas.classify import clear_caches, spin_group_at, verify_class
 from spinatlas.cli import main, parse_record
 from spinatlas.faces import enumerate_faces, cells_containing, face_map
 from spinatlas.graph import ConnectionGraph, Vertex
-from spinatlas.groups import closure, cycle_type, identity_perm, inverse, parity, recognize
+from spinatlas.groups import closure, identity_perm, inverse, recognize
 from spinatlas.params import InvalidClassError, enumerate_classes
 
 G1 = frozenset({0, 2, 3, 4})

@@ -24,14 +24,16 @@ from conftest import (
     P4,
     P4t,
     Pt,
+    cycle_type,
     enumerate_chains,
     mk_chain,
+    parity,
     reversed_chain,
 )
 from spinatlas.chains import ChainStructureError, SpinChain, evaluate, is_admissible, is_basic, validate_structure
 from spinatlas.faces import Face, enumerate_faces
 from spinatlas.graph import ConnectionGraph
-from spinatlas.groups import compose, cycle_type, cycles_str, identity_perm, inverse, parity
+from spinatlas.groups import compose, cycles_str, identity_perm, inverse
 
 G1 = frozenset({0, 2, 3, 4})
 G2 = frozenset({0, 1, 3, 4})
@@ -319,6 +321,11 @@ def test_enumeration_includes_published_loops(order3_one_chord):
     assert target in chains
 
 
+def entry_faces(table, a: int, b: int) -> tuple[tuple[frozenset[int], Face], ...]:
+    """A step-table entry's (cell, face) choices, each id cycle turned into its `Face`."""
+    return tuple((cell, Face(tuple(map(table.vertices.__getitem__, cycle)))) for cell, cycle in table.entry(a, b)[0])
+
+
 def test_enumeration_reaches_published_four_step_loop(order3_one_chord):
     # every step of the four-step witness is a (cell, face) choice of the search's
     # step table, so the depth-4 level of the search walks the whole chain
@@ -336,7 +343,7 @@ def test_enumeration_reaches_published_four_step_loop(order3_one_chord):
     table = step_table(cg)
     current = chain.start
     for step in chain.steps:
-        choices, _ = table.entry(table.vertices.index(current), table.vertices.index(step.target))
+        choices = entry_faces(table, table.vertices.index(current), table.vertices.index(step.target))
         assert (step.cell, step.face) in choices
         current = step.target
 
@@ -396,9 +403,27 @@ def test_step_entries_list_the_faces_through_both_vertices():
             for a, b in itertools.permutations(range(len(table.vertices)), 2):
                 through = [faces[k] for k in sorted(at[a] & at[b])]
                 choices = tuple((cell, face) for face in through for cell in cells_containing(cg, face))
-                assert table.entry(a, b)[0] == choices
+                assert entry_faces(table, a, b) == choices
                 pairs += 1
     assert pairs == 5520
+
+
+def test_step_table_fill_matches_the_direct_builder():
+    # orders <= 3 build the map directly from the Face; from order 4 on `fill` lifts it from ids
+    from spinatlas.chains import StepTable
+    from spinatlas.faces import _build_face_map
+
+    maps = 0
+    for order in range(2, 6):
+        for j in range(order + 2):
+            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+            table = StepTable(cg)
+            for a, b in itertools.permutations(range(len(table.vertices)), 2):
+                for k, (cell, face) in enumerate(entry_faces(table, a, b)):
+                    direct = _build_face_map(cg, cell, face, table.vertices[a], table.vertices[b])
+                    assert table.fill(a, b, k) == tuple(direct.get(c, -1) for c in cg.classes)
+                    maps += 1
+    assert maps == 33792
 
 
 def test_close_out_repairs_one_label_and_rejects_the_rest():

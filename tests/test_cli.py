@@ -402,6 +402,26 @@ def test_tables_flag_rejects_a_partial_map(tmp_path, capsys):
     assert f"line {at + 1}: the map" in err
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0661"], ids=["superscript-two", "arabic-indic-one"])
+@pytest.mark.parametrize(
+    "kind,old,new",
+    [("vertex", "pair 0+ 1+ ", "pair 0+ {}+ "), ("pattern", "pattern 3\n", "pattern {}\n"), ("map", " 1>2 ", " {}>2 ")],
+    ids=["vertex", "pattern", "map"],
+)
+def test_table_tokens_take_ascii_digits_only(tmp_path, capsys, digit, kind, old, new):
+    # `int` rejects '²' and reads '١' as 1; either way the token is not the format's
+    text = tables.render_tables(tables.compute_order3_tables())
+    assert old in text
+    path = tmp_path / "tables.txt"
+    path.write_text(text.replace(old, new.format(digit), 1), encoding="utf-8")
+    try:
+        code, out, err = run(capsys, "--tables", str(path), "verify", "--genus", "2")
+    finally:
+        tables.set_active_tables(None)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"bad {kind} token" in err
+
+
 def test_verify_builds_only_the_table_entries_it_looks_up(capsys, monkeypatch):
     from spinatlas import classify
 

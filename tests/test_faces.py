@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BASIC3_FACES, CHORD2_FACES, CHORD3_FACES, CELL3, F, P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V
+from conftest import decorated_cell
 from spinatlas import tables
 from spinatlas.faces import (
     Face,
     FaceKind,
     cells_containing,
-    decorated_cell,
     enumerate_faces,
     cell_frame,
     face_map,
@@ -123,6 +123,18 @@ def test_every_face_lies_in_a_cell():
         cg = ConnectionGraph(order, frozenset(connected))
         for face in enumerate_faces(cg):
             assert len(cells_containing(cg, face)) >= 1
+
+
+def test_neighbour_ids_match_adjacency():
+    from spinatlas.faces import neighbour_ids
+
+    for order in range(11):
+        for j in range(order + 2):
+            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+            verts = cg.vertices()
+            assert len(verts) == 2 * order + 2
+            expected = [{vertex_id(w) for w in verts if cg.adjacent(v, w)} for v in verts]
+            assert neighbour_ids(cg) == expected
 
 
 def test_decorated_cell_renaming():

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, parse_verdict
+from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, cycle_type, parity, parse_verdict
 from spinatlas.classify import predict_group, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
@@ -20,11 +20,9 @@ from spinatlas.groups import (
     alternating,
     closure,
     compose,
-    cycle_type,
     cycles_str,
     identity_perm,
     inverse,
-    parity,
     recognize,
     symmetric,
 )
@@ -111,6 +109,39 @@ def test_stab_chain_matches_sympy():
         probes += [compose(a, b) for a, b in zip(gens, reversed(gens))]
         for perm in probes:
             assert (perm in chain) == oracle.contains(combinatorics.Permutation(list(perm))), (gens, perm)
+
+
+def test_full_orbit_cut_off_matches_sympy():
+    """Add results, orders and membership while the tail levels fill up, and after S_n is reached."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    Perm, Group = combinatorics.Permutation, combinatorics.PermutationGroup
+    rng = random.Random(20261018)
+    tails_full = 0
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        k = rng.randint(0, n - 2)
+        # a transposition and a cycle on k..n-1 make every level from k on full, below it nothing moves
+        seq = [(*range(k), k + 1, k, *range(k + 2, n)), (*range(k), *range(k + 1, n), k)]
+        if k >= 2:
+            seq.append((1, 0, *range(2, n)))  # a low level grows, still short of full
+        seq += [random_perm(rng, n) for _ in range(rng.randint(1, 3))]
+        seq += [(1, 0, *range(2, n)), (*range(1, n), 0)]  # S_n by here at the latest
+        seq += [random_perm(rng, n) for _ in range(3)]
+        chain, gens = StabChain(n), [identity_perm(n)]
+        for g in seq:
+            before = Group([Perm(list(h)) for h in gens])
+            assert chain.add(g) == (not before.contains(Perm(list(g)))), (gens, g)
+            gens.append(g)
+            group = Group([Perm(list(h)) for h in gens])
+            assert chain.order() == group.order(), gens
+            tails_full += chain._full <= k
+            probes = [random_perm(rng, n) for _ in range(10)]
+            probes += [(*range(k), *(k + x for x in random_perm(rng, n - k))) for _ in range(5)]
+            probes += [compose(rng.choice(gens), rng.choice(gens)) for _ in range(5)]
+            for perm in probes:
+                assert (perm in chain) == group.contains(Perm(list(perm))), (gens, perm)
+        assert chain.order() == math.factorial(n)
+    assert tails_full > 200
 
 
 def test_closure_cap():
