@@ -16,7 +16,6 @@ from .chains import (
     SpinChain,
     evaluate,
     is_admissible,
-    is_basic,
     validate_structure,
 )
 from .groups import CapExceededError, GroupVerdict, closure, recognize
@@ -47,7 +46,6 @@ __all__ = [
     "genus_of",
     "heads",
     "is_admissible",
-    "is_basic",
     "k_tuple",
     "predict_group",
     "recognize",

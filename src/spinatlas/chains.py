@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .faces import Face, FaceKind, _canonical, cell_frame, cells_containing, cells_of, enumerate_faces, face_images
+from . import tables
+from .faces import Face, _canonical, cell_frame, cells_containing, cells_of, class_mask, direct_images, enumerate_faces
 from .faces import lifted_images, neighbour_ids, vertex_id
 from .faces import _face_map_pairs  # the memoized face maps `evaluate` composes
 from .graph import ConnectionGraph, Vertex
@@ -151,12 +152,6 @@ def evaluate(cg: ConnectionGraph, chain: SpinChain) -> tuple[int, ...]:
     return close_out(label_positions(cg, chain.start), carried)
 
 
-def is_basic(cg: ConnectionGraph, chain: SpinChain) -> bool:
-    """True when the whole chain lives in the chord-free skeleton."""
-    validate_structure(cg, chain)
-    return all(step.face.kind is FaceKind.STANDARD for step in chain.steps)
-
-
 # a step's (cell, face) choice, the face as its canonical cycle of vertex ids
 Choice = tuple[frozenset[int], tuple[int, ...]]
 
@@ -169,15 +164,17 @@ class StepTable:
     cells in order, and one slot per choice for its face map, which `fill`
     computes when the search first steps through that choice.  Entries are
     built on first use, each from the neighbours of its two vertices, so the
-    graph's faces are never listed, and a `Face` is built only for a map made
-    directly (orders up to 3) and in a chain.  A search path is a tuple of
-    (vertex id, choice index) steps, and `chain` turns one into its chain.
+    graph's faces are never listed, and a `Face` is built only in a chain.
+    From order 4 on, maps are lifted through the table store active when the
+    table was made.  A search path is a sequence of (vertex id, choice index)
+    steps, and `chain` turns one into its chain.
     """
 
     def __init__(self, cg: ConnectionGraph) -> None:
         self.cg = cg
         self.vertices = cg.vertices()
         self._near = neighbour_ids(cg)
+        self._store = tables.active_tables()
         self._entries: dict[tuple[int, int], tuple[tuple[Choice, ...], list]] = {}
         # per cell, its `cell_frame` for the table lookup at order >= 4
         self._frames: dict[frozenset[int], tuple] = {}
@@ -206,7 +203,7 @@ class StepTable:
             choices = tuple(
                 (cell, cycle)
                 for cycle in self._cycles(a, b)
-                for cell in cells_of(self.cg.order, frozenset({w >> 1 for w in cycle}))
+                for cell in cells_of(self.cg.order, class_mask(cycle))
             )
             hit = self._entries[(a, b)] = (choices, [None] * len(choices))
         return hit
@@ -215,21 +212,18 @@ class StepTable:
         choices, slots = self._entries[(a, b)]
         cell, cycle = choices[k]
         if self.cg.order <= 3:
-            slots[k] = face_images(self.cg, cell, self._face(cycle), self.vertices[a], self.vertices[b])
+            slots[k] = direct_images(self.cg.order, self.cg.connected, cell, cycle, a, b)
         else:
             frame = self._frames.get(cell) or self._frames.setdefault(cell, cell_frame(self.cg, cell))
-            slots[k] = lifted_images(self.cg.order, frame, cycle, a, b)
+            slots[k] = lifted_images(self._store, self.cg.order, frame, cycle, a, b)
         return slots[k]
-
-    def _face(self, cycle: tuple[int, ...]) -> Face:
-        return Face(tuple(map(self.vertices.__getitem__, cycle)))
 
     def chain(self, start: Vertex, path: tuple[tuple[int, int], ...]) -> SpinChain:
         """The chain at `start` whose steps take, in turn, choice k of the step to vertex b."""
         steps, a = [], vertex_id(start)
         for b, k in path:
-            cell, cycle = self._entries[(a, b)][0][k]
-            steps.append(ChainStep(cell, self._face(cycle), self.vertices[b]))
+            cell, cycle = self.entry(a, b)[0][k]
+            steps.append(ChainStep(cell, Face(tuple(map(self.vertices.__getitem__, cycle))), self.vertices[b]))
             a = b
         return SpinChain(start, tuple(steps))
 

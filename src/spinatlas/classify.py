@@ -36,15 +36,21 @@ def predict_group(cg: ConnectionGraph, v: Vertex) -> GroupVerdict:
 
 
 class SpinGroupResult(
-    namedtuple("SpinGroupResult", "vertex verdict predicted order generators witnesses chains_tried")
+    namedtuple("SpinGroupResult", "graph vertex verdict predicted order generators paths chains_tried")
 ):
-    """The group found at one vertex: each kept generator with the chain that gave it, and the chains tried."""
+    """The group found at one vertex: each kept generator with its chain's search path, and the chains tried."""
 
     __slots__ = ()
 
     @property
     def match(self) -> bool:
         return self.verdict == self.predicted
+
+    @property
+    def witnesses(self) -> tuple[SpinChain, ...]:
+        """Each kept generator's chain, built from its path when read."""
+        table = step_table(self.graph)
+        return tuple(table.chain(self.vertex, path) for path in self.paths)
 
 
 _RESULT_CACHE: dict[tuple, SpinGroupResult] = {}
@@ -65,8 +71,9 @@ def clear_caches() -> None:
 def _admissible_evaluations(cg: ConnectionGraph, start: Vertex, max_steps: int):
     """Yield (path, permutation) for every admissible chain at `start`, shortest first.
 
-    A path is a tuple of (vertex id, choice index) steps through the graph's
-    step table, whose `chain(start, path)` builds the chain.  Equivalent to
+    A path is a list of (vertex id, choice index) steps through the graph's
+    step table, whose `chain(start, path)` builds the chain; it is one list,
+    changed in place, so copy it to keep it past the next item.  Equivalent to
     evaluating the full chain stream, but a prefix whose carried label set has
     already lost an element (or, at order <= 2, mixed degrees) is dropped with
     all its extensions: those chains evaluate to the identity.
@@ -91,7 +98,7 @@ def _admissible_evaluations(cg: ConnectionGraph, start: Vertex, max_steps: int):
                     continue
                 path.append((b, k))
                 if remaining == 1:
-                    yield tuple(path), close_out(pos, moved)
+                    yield path, close_out(pos, moved)
                 else:
                     yield from extend(b, moved, remaining - 1)
                 path.pop()
@@ -109,7 +116,7 @@ def spin_group_at(
 ) -> SpinGroupResult:
     """Sift the permutations of enumerated chains at v into one stabilizer chain.
 
-    A permutation is kept as a generator, with its chain as witness, exactly
+    A permutation is kept as a generator, with its chain's path, exactly
     when it is not yet in the group.  Stops once the group is the full
     symmetric group on the label set, which no chain can exceed, and, unless
     `exhaustive`, as soon as the prediction is reached.  So `exhaustive`
@@ -129,7 +136,7 @@ def spin_group_at(
     # one of a few permutations, and a set lookup is cheaper than a sift
     seen: set[groups.Perm] = {groups.identity_perm(n)}
     gens: list[groups.Perm] = []
-    witnesses: list[SpinChain] = []
+    paths: list[tuple[tuple[int, int], ...]] = []
     tried = 0
     for path, perm in _admissible_evaluations(cg, v, max_steps):
         tried += 1
@@ -139,14 +146,12 @@ def spin_group_at(
         if not group.add(perm):
             continue
         gens.append(perm)
-        witnesses.append(step_table(cg).chain(v, path))
+        paths.append(tuple(path))
         order = group.order()
         if order == full_order or (not exhaustive and groups.recognize(order, n) == predicted):
             break
     order = group.order()
-    result = SpinGroupResult(
-        v, groups.recognize(order, n), predicted, order, tuple(gens), tuple(witnesses), tried
-    )
+    result = SpinGroupResult(cg, v, groups.recognize(order, n), predicted, order, tuple(gens), tuple(paths), tried)
     _RESULT_CACHE[key] = result
     return result
 

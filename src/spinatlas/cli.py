@@ -7,6 +7,7 @@ All output is deterministic for fixed flags.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import classify as _classify
@@ -332,5 +333,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The entry point of `spin-atlas` and `python -m spinatlas.cli`: `main`, then exit with its code."""
+    code = main()
+    # The collections at exit walk every tracked object, the start-up heap too, to free memory that
+    # exit frees anyway; they skip frozen objects. Not in `main`: in-process callers keep a collectable heap.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

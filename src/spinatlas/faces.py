@@ -58,15 +58,6 @@ class Face(namedtuple("Face", "cycle")):
     def kind(self) -> FaceKind:
         return (FaceKind.STANDARD, FaceKind.ONE_PAIR, FaceKind.TWO_PAIR)[self.pair_count]
 
-    def successor(self, v: Vertex) -> Vertex:
-        return self.cycle[(self.cycle.index(v) + 1) % 4]
-
-    def predecessor(self, v: Vertex) -> Vertex:
-        return self.cycle[(self.cycle.index(v) - 1) % 4]
-
-    def conjugate(self) -> "Face":
-        return Face.from_cycle(tuple(v.conjugate for v in self.cycle))
-
     @property
     def name(self) -> str:
         return "-".join(v.name for v in self.cycle)
@@ -110,62 +101,63 @@ def enumerate_faces(cg: ConnectionGraph) -> tuple[Face, ...]:
 
 
 @lru_cache(maxsize=None)
-def cells_of(order: int, classes: frozenset[int]) -> tuple[frozenset[int], ...]:
-    """The standard 3-cells (4-class subsets) of an order-r graph that hold a face on these classes."""
+def cells_of(order: int, mask: int) -> tuple[frozenset[int], ...]:
+    """The standard 3-cells (4-class subsets) of an order-r graph that hold a face on the classes in `mask`."""
     if order < 3:
         return (frozenset(range(order + 1)),)
+    classes = frozenset(c for c in range(order + 1) if mask >> c & 1)
     rest = sorted(set(range(order + 1)) - classes)
     return tuple(sorted((classes.union(combo) for combo in combinations(rest, 4 - len(classes))), key=sorted))
 
 
+def class_mask(cycle: tuple[int, ...]) -> int:
+    """The classes of an id cycle, as a bitmask."""
+    return sum({1 << (w >> 1) for w in cycle})
+
+
 def cells_containing(cg: ConnectionGraph, face: Face) -> tuple[frozenset[int], ...]:
     """The standard 3-cells (4-class subsets) whose decorated graph contains the face."""
-    return cells_of(cg.order, face.classes)
+    return cells_of(cg.order, class_mask(tuple(map(vertex_id, face.cycle))))
 
 
-def _absent_class(cell: frozenset[int], face: Face) -> int | None:
-    missing = cell - face.classes
-    return min(missing) if missing else None
+def direct_images(
+    order: int, chords: frozenset[int], cell: frozenset[int], cycle: tuple[int, ...], u: int, v: int
+) -> tuple[int, ...]:
+    """The map of pair u -> v on a face, built from the face itself, all by vertex id: per class
+    0..r its image, -1 off the domain.  `chords` are the graph's chorded classes and `cycle` the
+    face's id 4-cycle, in either orientation, inside the 3-cell `cell`."""
+    classes = {w >> 1 for w in cycle}
+    pairs = 4 - len(classes)  # conjugate pairs on the face
+    # a face of two conjugate pairs is cell-independent: everything off the face stays put
+    kept = classes if pairs == 2 else cell
+    images = [-1 if c in kept else c for c in range(order + 1)]
+    # per end: the classes of its successor and predecessor on the cycle, its leftover and dropped labels
+    ends = []
+    for w in (u, v):
+        k, own = cycle.index(w), w >> 1
+        after, before = cycle[k - 3] >> 1, cycle[k - 1] >> 1
+        left = dropped = None
+        if pairs < 2:
+            if own in chords:
+                # at maximal degree the face suppresses one label: the own class's, or with a pair the absent class's
+                dropped = own if pairs == 0 else min(cell - classes, default=None)
+            rest = [c for c in cell if c not in (after, before, dropped) and (c != own or own in chords)]
+            if len(rest) > 1:
+                raise AssertionError(f"ambiguous leftover at vertex {w} on face {cycle}")
+            left = rest[0] if rest else None
+        ends.append((after, before, left, dropped))
+    (au, bu, lu, du), (av, bv, lv, dv) = ends
+    images[au], images[bu] = av, bv
+    for a, b in ((lu, lv), (du, dv)):
+        if a is not None and b is not None:
+            images[a] = b
+    return tuple(images)
 
 
 def _build_face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> dict[int, int]:
-    top = cg.order + 1
-    mapping: dict[int, int] = {}
-    if face.pair_count == 2:
-        # cell-independent: everything off the face stays put
-        for c in cg.label_classes(u):
-            if c not in face.classes:
-                mapping[c] = c
-        mapping[face.successor(u).cls] = face.successor(v).cls
-        mapping[face.predecessor(u).cls] = face.predecessor(v).cls
-        return mapping
-
-    absent = _absent_class(cell, face) if face.pair_count == 1 else None
-
-    def dropped(w: Vertex) -> int | None:
-        if cg.epsilon_degree(w) != top:
-            return None
-        return w.cls if face.pair_count == 0 else absent
-
-    def leftover(w: Vertex) -> int | None:
-        used = {face.successor(w).cls, face.predecessor(w).cls, dropped(w)}
-        rest = [c for c in cg.label_classes(w) if c in cell and c not in used]
-        if len(rest) > 1:
-            raise AssertionError(f"ambiguous leftover at {w.name} on {face.name}")
-        return rest[0] if rest else None
-
-    mapping[face.successor(u).cls] = face.successor(v).cls
-    mapping[face.predecessor(u).cls] = face.predecessor(v).cls
-    lu, lv = leftover(u), leftover(v)
-    if lu is not None and lv is not None:
-        mapping[lu] = lv
-    du, dv = dropped(u), dropped(v)
-    if du is not None and dv is not None:
-        mapping[du] = dv
-    for c in cg.label_classes(u):
-        if c not in cell:
-            mapping[c] = c
-    return mapping
+    """`direct_images` for a `Face`, as a dict from each class at u to its image at v."""
+    cycle, a, b = tuple(map(vertex_id, face.cycle)), vertex_id(u), vertex_id(v)
+    return {c: t for c, t in enumerate(direct_images(cg.order, cg.connected, cell, cycle, a, b)) if t >= 0}
 
 
 Frame = tuple[tuple[int, ...], frozenset[int], tuple[int, ...]]
@@ -184,11 +176,13 @@ def cell_frame(cg: ConnectionGraph, cell: frozenset[int]) -> Frame:
     return classes, frozenset(lc for lc, c in enumerate(classes) if c in cg.connected), tuple(local)
 
 
-def lifted_images(order: int, frame: Frame, cycle: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+def lifted_images(
+    store: "tables.FaceTables", order: int, frame: Frame, cycle: tuple[int, ...], u: int, v: int
+) -> tuple[int, ...]:
     """The map of pair u -> v on a face of an order >= 4 graph, all by vertex id: renamed into the cell's
-    order-3 graph through its `cell_frame`, looked up in the active tables, and lifted back."""
+    order-3 graph through its `cell_frame`, looked up in the table store, and lifted back."""
     classes, pattern, local = frame
-    pairs = tables.active_tables().lookup(pattern, tuple(map(local.__getitem__, cycle)), local[u], local[v])
+    pairs = store.lookup(pattern, tuple(map(local.__getitem__, cycle)), local[u], local[v])
     images = list(range(order + 1))
     for c in classes:
         images[c] = -1
@@ -198,16 +192,11 @@ def lifted_images(order: int, frame: Frame, cycle: tuple[int, ...], u: int, v: i
 
 
 def face_images(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> tuple[int, ...]:
-    """The face map, uncached, as a tuple over classes 0..r: each class's image, -1 off the domain.
-
-    Orders up to 3 are built directly, higher ones through `lifted_images`,
-    which maps every class outside the cell to itself.
-    """
+    """The face map, uncached: `direct_images` up to order 3, else `lifted_images` from the active tables."""
+    cycle, a, b = tuple(map(vertex_id, face.cycle)), vertex_id(u), vertex_id(v)
     if cg.order <= 3:
-        mapping = _build_face_map(cg, cell, face, u, v)
-        return tuple(mapping.get(c, -1) for c in cg.classes)
-    cycle = tuple(map(vertex_id, face.cycle))
-    return lifted_images(cg.order, cell_frame(cg, cell), cycle, vertex_id(u), vertex_id(v))
+        return direct_images(cg.order, cg.connected, cell, cycle, a, b)
+    return lifted_images(tables.active_tables(), cg.order, cell_frame(cg, cell), cycle, a, b)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .graph import ConnectionGraph, Vertex
-from .faces import Face, _build_face_map, _canonical, enumerate_faces, vertex_id
+from .faces import Face, _canonical, direct_images, enumerate_faces, neighbour_ids, vertex_id
 
 FORMAT_HEADER = "spin-atlas-face-tables v1"
 ENV_VAR = "SPIN_ATLAS_TABLES"
@@ -33,9 +33,10 @@ class TableError(ValueError):
     """Malformed or incomplete face-map table data."""
 
 
-def _entry(graph: ConnectionGraph, face: Face, u: Vertex, v: Vertex) -> MapPairs:
-    """The map of pair u -> v on a face of an order-3 graph, as sorted class pairs."""
-    return tuple(sorted(_build_face_map(graph, frozenset(graph.classes), face, u, v).items()))
+def _entry(pattern: frozenset[int], cycle: tuple[int, ...], u: int, v: int) -> MapPairs:
+    """The map of pair u -> v on a face of the pattern's order-3 graph, all by vertex id, as sorted class pairs."""
+    images = direct_images(3, pattern, frozenset(range(4)), cycle, u, v)
+    return tuple((c, t) for c, t in enumerate(images) if t >= 0)
 
 
 def _id_vertex(w: int) -> Vertex:
@@ -79,10 +80,11 @@ class _ComputedTables(FaceTables):
     """Starts empty and builds each entry from its pattern's order-3 graph on first lookup."""
 
     def _missing(self, pattern: frozenset[int], cycle: tuple[int, ...], u: int, v: int) -> MapPairs:
-        if pattern in PATTERNS and u != v and u in cycle and v in cycle:
-            graph, face = ConnectionGraph(3, pattern), Face(tuple(map(_id_vertex, cycle)))
-            if face in enumerate_faces(graph):
-                pairs = self._index[pattern][(cycle, u, v)] = _entry(graph, face, _id_vertex(u), _id_vertex(v))
+        if pattern in PATTERNS and u != v and u in cycle and v in cycle and len(set(cycle)) == 4:
+            # `lookup` gave the cycle canonical; it is a face when each corner neighbours the one before
+            near = neighbour_ids(ConnectionGraph(3, pattern))
+            if all(0 <= w < 8 and cycle[k - 1] in near[w] for k, w in enumerate(cycle)):
+                pairs = self._index[pattern][(cycle, u, v)] = _entry(pattern, cycle, u, v)
                 return pairs
         return super()._missing(pattern, cycle, u, v)
 
@@ -91,11 +93,12 @@ def compute_order3_tables() -> FaceTables:
     """Build the five-pattern atlas directly from the order-3 graphs."""
     entries: dict[frozenset[int], dict[Face, dict[tuple[Vertex, Vertex], MapPairs]]] = {}
     for pattern in PATTERNS:
-        graph = ConnectionGraph(3, pattern)
-        entries[pattern] = {
-            face: {(u, v): _entry(graph, face, u, v) for u, v in permutations(face.cycle, 2)}
-            for face in enumerate_faces(graph)
-        }
+        per_face = entries[pattern] = {}
+        for face in enumerate_faces(ConnectionGraph(3, pattern)):
+            cycle = tuple(map(vertex_id, face.cycle))
+            per_face[face] = {
+                (u, v): _entry(pattern, cycle, vertex_id(u), vertex_id(v)) for u, v in permutations(face.cycle, 2)
+            }
     return FaceTables(entries)
 
 
@@ -107,9 +110,9 @@ def _is_number(token: str) -> bool:
     return token.isascii() and token.isdigit()  # `isdigit` alone takes '²', which `int` rejects, and '١'.
 
 
-def _parse_vertex(token: str) -> Vertex:
+def _parse_vertex(token: str, lineno: int) -> Vertex:
     if len(token) != 2 or token[1] not in "+-" or not _is_number(token[0]):
-        raise TableError(f"bad vertex token {token!r}")
+        raise TableError(f"line {lineno}: bad vertex token {token!r}")
     return Vertex(int(token[0]), token[1] == "-")
 
 
@@ -117,11 +120,11 @@ def _pattern_token(pattern: frozenset[int]) -> str:
     return "".join(str(c) for c in sorted(pattern)) or "-"
 
 
-def _parse_pattern(token: str) -> frozenset[int]:
+def _parse_pattern(token: str, lineno: int) -> frozenset[int]:
     if token == "-":
         return frozenset()
     if not _is_number(token):
-        raise TableError(f"bad pattern token {token!r}")
+        raise TableError(f"line {lineno}: bad pattern token {token!r}")
     return frozenset(int(ch) for ch in token)
 
 
@@ -155,7 +158,7 @@ def parse_tables(text: str) -> FaceTables:
             continue
         fields = line.split()
         if fields[0] == "pattern" and len(fields) == 2:
-            pattern = _parse_pattern(fields[1])
+            pattern = _parse_pattern(fields[1], lineno)
             if pattern not in PATTERNS:
                 raise TableError(f"line {lineno}: {fields[1]!r} is not an order-3 cell pattern")
             graph = ConnectionGraph(3, pattern)
@@ -164,14 +167,14 @@ def parse_tables(text: str) -> FaceTables:
         elif fields[0] == "face" and len(fields) == 5:
             if pattern is None:
                 raise TableError(f"line {lineno}: face before any pattern")
-            face = Face(tuple(_parse_vertex(t) for t in fields[1:]))
+            face = Face(tuple(_parse_vertex(t, lineno) for t in fields[1:]))
             if face not in enumerate_faces(graph):
                 raise TableError(f"line {lineno}: {face.name} is not a canonical face of its pattern")
             entries[pattern].setdefault(face, {})
         elif fields[0] == "pair" and len(fields) >= 3:
             if pattern is None or face is None:
                 raise TableError(f"line {lineno}: pair before pattern/face")
-            u, v = _parse_vertex(fields[1]), _parse_vertex(fields[2])
+            u, v = _parse_vertex(fields[1], lineno), _parse_vertex(fields[2], lineno)
             sends = []
             for tok in fields[3:]:
                 a, sep, b = tok.partition(">")

@@ -1,14 +1,30 @@
 """Shared fixture data: the small connection graphs and their named faces."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
-from spinatlas.chains import ChainStep, SpinChain
-from spinatlas.faces import Face, cells_containing, enumerate_faces
+import spinatlas
+from spinatlas.chains import ChainStep, SpinChain, validate_structure
+from spinatlas.faces import Face, FaceKind, cells_containing, enumerate_faces
 from spinatlas.graph import ConnectionGraph, Vertex
 from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, alternating, symmetric
+
+
+SRC = str(Path(spinatlas.__file__).resolve().parent.parent)
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's package first on its path."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120
+    )
 
 
 def V(cls: int, tilded: bool = False) -> Vertex:
@@ -17,6 +33,11 @@ def V(cls: int, tilded: bool = False) -> Vertex:
 
 def F(*verts: Vertex) -> Face:
     return Face.from_cycle(tuple(verts))
+
+
+def conjugate_face(face: Face) -> Face:
+    """The face through the conjugates of its vertices."""
+    return Face.from_cycle(tuple(v.conjugate for v in face.cycle))
 
 
 def mk_chain(start: Vertex, *steps) -> SpinChain:
@@ -28,6 +49,12 @@ def reversed_chain(chain: SpinChain) -> SpinChain:
     loop = chain.loop()
     flipped = [ChainStep(step.cell, step.face, loop[idx]) for idx, step in enumerate(chain.steps)]
     return SpinChain(chain.start, tuple(flipped[::-1]))
+
+
+def is_basic(cg: ConnectionGraph, chain: SpinChain) -> bool:
+    """True when the whole chain lives in the chord-free skeleton."""
+    validate_structure(cg, chain)
+    return all(step.face.kind is FaceKind.STANDARD for step in chain.steps)
 
 
 def neighbors(cg: ConnectionGraph, v: Vertex) -> tuple[Vertex, ...]:

@@ -27,13 +27,15 @@ from conftest import (
     P4,
     P4t,
     Pt,
+    conjugate_face,
     cycle_type,
     enumerate_chains,
+    is_basic,
     mk_chain,
     parity,
     reversed_chain,
 )
-from spinatlas.chains import evaluate, is_admissible, is_basic
+from spinatlas.chains import evaluate, is_admissible
 from spinatlas.classify import clear_caches, spin_group_at, verify_class
 from spinatlas.cli import main, parse_record
 from spinatlas.faces import enumerate_faces, cells_containing, face_map
@@ -148,10 +150,10 @@ def _witnesses():
 
     return [
         # (label, graph, chain, cycle type, parity)
-        ("3.2a three-cycle", r2a, mk_chain(P2, (CELL2, fa, P2t), (CELL2, fa.conjugate(), P2)), (3,), 0),
-        ("3.2a inverse", r2a, mk_chain(P2, (CELL2, fa.conjugate(), P2t), (CELL2, fa, P2)), (3,), 0),
+        ("3.2a three-cycle", r2a, mk_chain(P2, (CELL2, fa, P2t), (CELL2, conjugate_face(fa), P2)), (3,), 0),
+        ("3.2a inverse", r2a, mk_chain(P2, (CELL2, conjugate_face(fa), P2t), (CELL2, fa, P2)), (3,), 0),
         ("3.2b swap one", r2b, mk_chain(P1t, (CELL2, f1b, P1), (CELL2, f3b, P1t)), (2, 1), 1),
-        ("3.2b swap two", r2b, mk_chain(P1t, (CELL2, f1b.conjugate(), P1), (CELL2, f3b, P1t)), (2, 1), 1),
+        ("3.2b swap two", r2b, mk_chain(P1t, (CELL2, conjugate_face(f1b), P1), (CELL2, f3b, P1t)), (2, 1), 1),
         ("3.2c swap", r2c, mk_chain(P1, (CELL2, kc, P2t), (CELL2, tp12, P1)), (2, 1), 1),
         ("3.2c three-cycle", r2c, mk_chain(P, (CELL2, f1c, P2t), (CELL2, f2c, P)), (3,), 0),
         ("4.1 swap", r3a, mk_chain(P, (CELL3, CHORD3_FACES["F5"], P2), (CELL3, BASIC3_FACES["F1"], P)), (2, 1), 1),

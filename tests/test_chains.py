@@ -24,13 +24,15 @@ from conftest import (
     P4,
     P4t,
     Pt,
+    conjugate_face,
     cycle_type,
     enumerate_chains,
+    is_basic,
     mk_chain,
     parity,
     reversed_chain,
 )
-from spinatlas.chains import ChainStructureError, SpinChain, evaluate, is_admissible, is_basic, validate_structure
+from spinatlas.chains import ChainStructureError, SpinChain, evaluate, is_admissible, validate_structure
 from spinatlas.faces import Face, enumerate_faces
 from spinatlas.graph import ConnectionGraph
 from spinatlas.groups import compose, cycles_str, identity_perm, inverse
@@ -87,7 +89,7 @@ def test_diagonal_steps_are_structurally_fine(hexagon_full):
 
 def test_one_chord_hexagon_three_cycle(hexagon_one_chord):
     face = F(P, P1, P2t, P2)
-    conj = face.conjugate()
+    conj = conjugate_face(face)
     chain = mk_chain(P2, (CELL2, face, P2t), (CELL2, conj, P2))
     assert is_admissible(hexagon_one_chord, chain).admissible
     perm = evaluate(hexagon_one_chord, chain)
@@ -98,7 +100,7 @@ def test_one_chord_hexagon_three_cycle(hexagon_one_chord):
 
 def test_two_chord_hexagon_transpositions(hexagon_two_chords):
     f1 = F(P, P1, P1t, P2)
-    f1c = f1.conjugate()
+    f1c = conjugate_face(f1)
     f3 = F(P1, P1t, P2, P2t)
     first = evaluate(hexagon_two_chords, mk_chain(P1t, (CELL2, f1, P1), (CELL2, f3, P1t)))
     second = evaluate(hexagon_two_chords, mk_chain(P1t, (CELL2, f1c, P1), (CELL2, f3, P1t)))

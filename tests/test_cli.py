@@ -1,12 +1,16 @@
 """Command-line behavior: records, fixtures, exit codes, determinism, DOT output."""
 from __future__ import annotations
 
+import gc
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import run_python
 from spinatlas import tables
-from spinatlas.cli import main, parse_list, parse_map, parse_record, render_record
+from spinatlas.cli import main, parse_list, parse_map, parse_record, render_record, run as run_entry
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -419,7 +423,7 @@ def test_table_tokens_take_ascii_digits_only(tmp_path, capsys, digit, kind, old,
     finally:
         tables.set_active_tables(None)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and f"bad {kind} token" in err
+    assert err.startswith("error: line ") and f"bad {kind} token" in err
 
 
 def test_verify_builds_only_the_table_entries_it_looks_up(capsys, monkeypatch):
@@ -470,3 +474,45 @@ def test_usage_error_on_unknown_command():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# ---------------------------------------------------------------- entry point
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["verify", "--genus", "2..4"], 0),
+        (["verify", "--genus", "1"], 2),
+        (["verify", "--genus", "3", "--closure-cap", "2"], 3),
+    ],
+)
+def test_module_entry_point_exits_with_the_code_and_output_of_main(capsys, argv, code):
+    done = run_python("-m", "spinatlas.cli", *argv)
+    assert done.returncode == code
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    code, out, _ = run(capsys, "verify", "--genus", "2..4")
+    assert code == 0 and out.endswith("mismatches=0\n")
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_the_heap_and_exits_with_the_code_of_main(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["spin-atlas", "verify", "--genus", "1"])
+    try:
+        with pytest.raises(SystemExit) as exited:
+            run_entry()
+        assert exited.value.code == 2
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_console_script_is_the_exiting_entry_point():
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["spin-atlas", "=", '"spinatlas.cli:run"']

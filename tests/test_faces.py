@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BASIC3_FACES, CHORD2_FACES, CHORD3_FACES, CELL3, F, P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V
-from conftest import decorated_cell
+from conftest import conjugate_face, decorated_cell
 from spinatlas import tables
 from spinatlas.faces import (
     Face,
@@ -70,10 +70,10 @@ def test_faces_closed_under_conjugation():
     for order, connected in [(2, {2}), (2, {1, 2}), (3, {3}), (3, {2, 3}), (4, {4}), (4, {3, 4})]:
         cg = ConnectionGraph(order, frozenset(connected))
         faces = set(enumerate_faces(cg))
-        assert {f.conjugate() for f in faces} == faces
-        assert all(f.conjugate().conjugate() == f for f in faces)
+        assert {conjugate_face(f) for f in faces} == faces
+        assert all(conjugate_face(conjugate_face(f)) == f for f in faces)
     # the double-chord face is its own conjugate
-    assert CHORD2_FACES["F10"].conjugate() == CHORD2_FACES["F10"]
+    assert conjugate_face(CHORD2_FACES["F10"]) == CHORD2_FACES["F10"]
 
 
 def test_face_kinds():
@@ -240,7 +240,7 @@ def test_face_map_conjugation_symmetry(cg):
     for cell, face in all_cell_face_pairs(cg):
         for u, w in itertools.permutations(face.cycle, 2):
             m = face_map(cg, cell, face, u, w)
-            m_conj = face_map(cg, cell, face.conjugate(), u.conjugate, w.conjugate)
+            m_conj = face_map(cg, cell, conjugate_face(face), u.conjugate, w.conjugate)
             assert m == m_conj
 
 
@@ -362,6 +362,22 @@ def test_face_map_equals_the_dict_construction():
                 assert face_map(cg, cell, face, u, w) == build(cg, cell, face, u, w)
 
 
+@pytest.mark.parametrize("store", ["shipped", "computed"])
+@pytest.mark.parametrize("order", [4, 5])
+def test_direct_builder_matches_the_table_lift(order, store):
+    # the map built from the face at order r against the one lifted from the order-3
+    # tables: the shipped file, or a fresh store that builds each entry on first lookup
+    from lift_oracle import lift_differences, top_slice_graphs
+
+    lift = tables.load_tables(tables.shipped_tables_path()) if store == "shipped" else tables._ComputedTables({})
+    compared = 0
+    for cg in top_slice_graphs(order):
+        count, diffs = lift_differences(cg, lift)
+        assert diffs == []
+        compared += count
+    assert compared == {4: 6_840, 5: 24_120}[order]
+
+
 def test_loaded_tables_drive_higher_orders(tmp_path):
     path = tmp_path / "tables.txt"
     path.write_text(tables.render_tables(tables.compute_order3_tables()), encoding="utf-8")
@@ -425,6 +441,15 @@ def test_table_file_errors_name_the_line_or_entry():
         tables.parse_tables(text.replace(pair_line, pair_line.rsplit(" ", 1)[0]))
     with pytest.raises(tables.TableError, match="^line 2: '5' is not an order-3 cell pattern"):
         tables.parse_tables(text.replace("pattern -", "pattern 5", 1))
+    # a bad token names its line too, in a pattern, face or pair line
+    with pytest.raises(tables.TableError, match="^line 2: bad pattern token 'x'$"):
+        tables.parse_tables(text.replace("pattern -", "pattern x", 1))
+    with pytest.raises(tables.TableError, match="^line 3: bad vertex token 'x-'$"):
+        tables.parse_tables(text.replace(face_line, " ".join(["face", "x-", *rest])))
+    bad_pair = pair_line.split()
+    bad_pair[2] = "x+"
+    with pytest.raises(tables.TableError, match="^line 4: bad vertex token 'x\\+'$"):
+        tables.parse_tables(text.replace(pair_line, " ".join(bad_pair)))
 
 
 def test_bad_tables_rejected():

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, cycle_type, parity, parse_verdict
+from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, conjugate_face, cycle_type, parity, parse_verdict
 from spinatlas.classify import predict_group, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
@@ -267,7 +267,7 @@ def test_conjugated_chains_evaluate_identically(order3_two_chords):
     for chain in itertools.islice(enumerate_chains(cg, P2, 2), 200):
         mirrored = SpinChain(
             chain.start.conjugate,
-            tuple(ChainStep(s.cell, s.face.conjugate(), s.target.conjugate) for s in chain.steps),
+            tuple(ChainStep(s.cell, conjugate_face(s.face), s.target.conjugate) for s in chain.steps),
         )
         assert evaluate(cg, mirrored) == evaluate(cg, chain)
 

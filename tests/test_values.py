@@ -6,15 +6,9 @@ frozen dataclasses they replace hashed, which keeps the output byte-identical.
 """
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import spinatlas
-from conftest import CELL2, P, P1, P2, P2t, F, mk_chain
+from conftest import CELL2, P, P1, P2, P2t, F, conjugate_face, mk_chain, run_python
 from spinatlas import tables
 from spinatlas.chains import ChainStep, is_admissible
 from spinatlas.classify import spin_group_at, verify_class
@@ -23,22 +17,11 @@ from spinatlas.graph import ConnectionGraph, Vertex
 from spinatlas.groups import GroupVerdict, symmetric
 from spinatlas.params import GraphClass, InvalidClassError
 
-SRC = str(Path(spinatlas.__file__).resolve().parent.parent)
-
-
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter with this checkout's package first on its path."""
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120
-    )
-
-
 def sample_values() -> list[tuple]:
     """One value of every type, each from the code path that makes it."""
     cg = ConnectionGraph(2, frozenset({2}))
     face = F(P, P1, P2t, P2)
-    chain = mk_chain(P2, (CELL2, face, P2t), (CELL2, face.conjugate(), P2))
+    chain = mk_chain(P2, (CELL2, face, P2t), (CELL2, conjugate_face(face), P2))
     report = verify_class(GraphClass(5, 2, 1, (0, 0)))
     return [
         GraphClass(5, 2, 1, (0, 0)),
