@@ -35,10 +35,16 @@ def predict_group(cg: ConnectionGraph, v: Vertex) -> GroupVerdict:
     return groups.symmetric(cg.epsilon_degree(v))
 
 
-class SpinGroupResult(
-    namedtuple("SpinGroupResult", "graph vertex verdict predicted order generators paths chains_tried")
-):
-    """The group found at one vertex: each kept generator with its chain's search path, and the chains tried."""
+class SpinGroupResult(namedtuple("SpinGroupResult", "graph vertex verdict predicted order distinct searched")):
+    """The group found at one vertex, with what its search met.
+
+    `distinct` holds each distinct permutation the search met, in search
+    order, as (chains tried up to it, its chain's search path, permutation);
+    `searched` counts the chains the search tried.  The kept generators, their
+    paths and `chains_tried` are what sifting every new permutation into a
+    stabilizer chain gives, stopping at the first full order: each read sifts
+    `distinct` again.
+    """
 
     __slots__ = ()
 
@@ -46,11 +52,51 @@ class SpinGroupResult(
     def match(self) -> bool:
         return self.verdict == self.predicted
 
+    def kept(self) -> tuple[tuple[tuple[tuple[int, int], ...], groups.Perm], ...]:
+        """Each kept generator, with its chain's search path, from one sift of `distinct`."""
+        return tuple((path, perm) for _, path, perm in _sift(self.distinct, self._n())[1])
+
+    @property
+    def generators(self) -> tuple[groups.Perm, ...]:
+        """Each permutation that was not yet in the group of those before it."""
+        return tuple(perm for _, perm in self.kept())
+
+    @property
+    def paths(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per kept generator, its chain's search path through the graph's step table."""
+        return tuple(path for path, _ in self.kept())
+
+    @property
+    def chains_tried(self) -> int:
+        """The chains tried until the group was the full symmetric group, or all the search tried."""
+        return _sift(self.distinct, self._n())[2] or self.searched
+
     @property
     def witnesses(self) -> tuple[SpinChain, ...]:
         """Each kept generator's chain, built from its path when read."""
         table = step_table(self.graph)
-        return tuple(table.chain(self.vertex, path) for path in self.paths)
+        return tuple(table.chain(self.vertex, path) for path, _ in self.kept())
+
+    def _n(self) -> int:
+        return len(self.graph.label_classes(self.vertex))
+
+
+def _sift(distinct, n: int):
+    """Sift the permutations of `distinct` entries in order into a stabilizer chain, up to the first full order.
+
+    Returns the chain, the entries kept (each not yet in the group of those
+    before it), and the chains tried up to the entry that made the group
+    S_n, or None when none did.
+    """
+    chain = groups.StabChain(n)
+    full_order = math.factorial(n)
+    kept = []
+    for entry in distinct:
+        if chain.add(entry[2]):
+            kept.append(entry)
+            if chain.order() == full_order:
+                return chain, kept, entry[0]
+    return chain, kept, None
 
 
 _RESULT_CACHE: dict[tuple, SpinGroupResult] = {}
@@ -114,13 +160,16 @@ def spin_group_at(
     closure_cap: int = DEFAULT_CLOSURE_CAP,
     exhaustive: bool = False,
 ) -> SpinGroupResult:
-    """Sift the permutations of enumerated chains at v into one stabilizer chain.
+    """Search the chains at v until their permutations generate the predicted group.
 
-    A permutation is kept as a generator, with its chain's path, exactly
-    when it is not yet in the group.  Stops once the group is the full
-    symmetric group on the label set, which no chain can exceed, and, unless
-    `exhaustive`, as soon as the prediction is reached.  So `exhaustive`
-    consumes the whole chain budget only while the group is smaller than S_n.
+    When the prediction is the full symmetric group S_n on the label set, a
+    `SymmetricCertificate` decides, and the search stops once it has proved
+    S_n, which no chain can exceed.  Otherwise each new permutation is sifted
+    into one stabilizer chain, and the search stops once the group is S_n
+    and, unless `exhaustive`, as soon as the prediction is reached.  So
+    `exhaustive` consumes the whole chain budget only while the group is
+    smaller than S_n.  A search that ends without a certificate sifts what it
+    met into a stabilizer chain for the exact order.
     """
     key = (cg.order, cg.connected, v, max_steps, closure_cap, exhaustive)
     hit = _RESULT_CACHE.get(key)
@@ -131,27 +180,33 @@ def spin_group_at(
     full_order = math.factorial(n)
     if full_order > closure_cap:
         raise groups.CapExceededError(f"label set of size {n} needs cap >= {full_order}")
-    group = groups.StabChain(n)
-    # every permutation sifted so far, each a member by now: most chains repeat
-    # one of a few permutations, and a set lookup is cheaper than a sift
+    if predicted == groups.symmetric(n):
+        certificate, group = groups.SymmetricCertificate(n), None
+    else:
+        certificate, group = None, groups.StabChain(n)
+    # every permutation met so far: most chains repeat one of a few permutations,
+    # and a set lookup is cheaper than a sift
     seen: set[groups.Perm] = {groups.identity_perm(n)}
-    gens: list[groups.Perm] = []
-    paths: list[tuple[tuple[int, int], ...]] = []
+    distinct: list[tuple[int, tuple[tuple[int, int], ...], groups.Perm]] = []
     tried = 0
+    order = full_order
     for path, perm in _admissible_evaluations(cg, v, max_steps):
         tried += 1
         if perm in seen:
             continue
         seen.add(perm)
-        if not group.add(perm):
-            continue
-        gens.append(perm)
-        paths.append(tuple(path))
-        order = group.order()
-        if order == full_order or (not exhaustive and groups.recognize(order, n) == predicted):
-            break
-    order = group.order()
-    result = SpinGroupResult(cg, v, groups.recognize(order, n), predicted, order, tuple(gens), tuple(paths), tried)
+        distinct.append((tried, tuple(path), perm))
+        if certificate is not None:
+            if certificate.add(perm):
+                break
+        elif group.add(perm):
+            order = group.order()
+            if order == full_order or (not exhaustive and groups.recognize(order, n) == predicted):
+                break
+    else:
+        # the budget ran out: the exact group of every permutation met
+        order = (group or _sift(distinct, n)[0]).order()
+    result = SpinGroupResult(cg, v, groups.recognize(order, n), predicted, order, tuple(distinct), tried)
     _RESULT_CACHE[key] = result
     return result
 

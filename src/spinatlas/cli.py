@@ -1,22 +1,27 @@
 """Command-line front end: enumerate classes, classify vertices, verify, export DOT.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parameter error,
-3 closure cap exceeded (`atlas` records the class as `match=skipped` instead).
+3 closure cap exceeded (`atlas` records the class as `match=skipped` instead),
+141 stdout closed by its reader (as `| head` does), the shell's code for SIGPIPE.
 All output is deterministic for fixed flags.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
 from . import classify as _classify
 from . import tables as _tables
+from .chains import step_table
 from .groups import CapExceededError, cycles_str
 from .graph import UnsupportedOrderError, Vertex, build_connection_graph, edge_multiplicities_r_le_2
 from .params import GraphClass, InvalidClassError, enumerate_classes, heads
 
 MAX_GENUS_DEFAULT = 12
+# the exit code of `run` when stdout's reader has closed it: 128 + SIGPIPE, as a shell reports it
+BROKEN_PIPE_EXIT = 141
 
 
 class UsageError(Exception):
@@ -163,8 +168,9 @@ def cmd_classify(args) -> int:
             )
         )
         # each witness evaluates to the generator kept with it
-        for chain, perm in zip(res.witnesses, res.generators):
-            print(f"  witness {cycles_str(perm)}: {chain.describe()}")
+        table = step_table(cg)
+        for path, perm in res.kept():
+            print(f"  witness {cycles_str(perm)}: {table.chain(res.vertex, path).describe()}")
     return 0
 
 
@@ -335,7 +341,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """The entry point of `spin-atlas` and `python -m spinatlas.cli`: `main`, then exit with its code."""
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = BROKEN_PIPE_EXIT
     # The collections at exit walk every tracked object, the start-up heap too, to free memory that
     # exit frees anyway; they skip frozen objects. Not in `main`: in-process callers keep a collectable heap.
     gc.freeze()

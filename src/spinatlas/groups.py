@@ -1,8 +1,10 @@
-"""Plain tuple permutations, an incremental stabilizer chain, and recognition by order.
+"""Plain tuple permutations, an incremental stabilizer chain, a certificate for S_n, and recognition by order.
 
 The group engine is the deterministic Schreier-Sims algorithm with sifting
 (Knuth, "Efficient representation of perm groups", 1991; Seress, *Permutation
-Group Algorithms*, 2003, ch. 4), on the fixed base 0..n-1.
+Group Algorithms*, 2003, ch. 4), on the fixed base 0..n-1.  It is the one
+engine that gives exact orders; `SymmetricCertificate` only proves that a
+group is the full symmetric group.
 """
 from __future__ import annotations
 
@@ -36,21 +38,25 @@ def is_permutation(a: Perm) -> bool:
     return sorted(a) == list(range(len(a)))
 
 
-def cycles_str(a: Perm) -> str:
-    """One-based cycle notation, fixed points suppressed."""
-    parts = []
+def cycles(a: Perm) -> list[list[int]]:
+    """The cycles of a, fixed points included, each from its least point, in order of that point."""
+    out = []
     seen = [False] * len(a)
     for k in range(len(a)):
-        if seen[k] or a[k] == k:
+        if not seen[k]:
             seen[k] = True
-            continue
-        cyc, j = [], k
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j + 1)
-            j = a[j]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) or "()"
+            cyc, j = [k], a[k]
+            while j != k:
+                seen[j] = True
+                cyc.append(j)
+                j = a[j]
+            out.append(cyc)
+    return out
+
+
+def cycles_str(a: Perm) -> str:
+    """One-based cycle notation, fixed points suppressed."""
+    return "".join("(" + " ".join(str(j + 1) for j in cyc) + ")" for cyc in cycles(a) if len(cyc) > 1) or "()"
 
 
 class StabChain:
@@ -126,6 +132,70 @@ class StabChain:
         for trans in reversed(self._trans):
             elems = [compose(e, u) for e in elems for u in trans.values()]
         return elems
+
+
+def power_cycles(decomposition: list[list[int]]) -> list[list[int]]:
+    """Of a permutation g's cycles (`cycles(g)`), the 2- and 3-cycles in the group g generates.
+
+    A cycle c of length L in {2, 3} qualifies when it is g's only cycle of
+    that length and every other cycle length of g is prime to L: then g^m is
+    a generator of <c>, for m the lcm of the other lengths.
+    """
+    lengths = list(map(len, decomposition))
+    return [
+        decomposition[lengths.index(length)]
+        for length in (2, 3)
+        if lengths.count(length) == 1 and all(m % length for m in lengths if m != length)
+    ]
+
+
+class SymmetricCertificate:
+    """Decides that permutations of n points generate S_n, from the 2- and 3-cycles in their group.
+
+    Transpositions and 3-cycles whose supports connect all n points generate
+    at least A_n, and any odd element then gives S_n (Jordan's theorem;
+    Wielandt, *Finite Permutation Groups*, 1964, section 13).  The points are
+    split into parts, each connected by such cycles: the support of each
+    cycle `power_cycles` finds is joined into one part.  Each permutation g
+    taken also maps the known cycles to their conjugates, which lie in the
+    group too, so g(C) is joined for every part C, and again until g maps
+    every part into a part.  A flag records an odd permutation.  It never
+    proves a smaller group, so a search that gets no certificate decides
+    with a `StabChain`.
+    """
+
+    def __init__(self, n: int) -> None:
+        # each point's part, named by one of its points
+        self._part = list(range(n))
+        self._parts = n
+        self._odd = False
+
+    def _join(self, p: int, q: int) -> None:
+        part = self._part
+        a, b = part[p], part[q]
+        if a != b:
+            for k, c in enumerate(part):
+                if c == b:
+                    part[k] = a
+            self._parts -= 1
+
+    def add(self, g: Perm) -> bool:
+        """Take g into the group; True once the permutations taken generate S_n."""
+        decomposition = cycles(g)
+        for cyc in power_cycles(decomposition) if self._parts > 1 else ():
+            for p in cyc[1:]:
+                self._join(cyc[0], p)
+        parts = len(g)
+        while 1 < self._parts < parts:
+            # points of one part map into one part: join each image with that of the part's name
+            parts = self._parts
+            part = self._part
+            for p in range(len(g)):
+                if part[g[part[p]]] != part[g[p]]:
+                    self._join(g[part[p]], g[p])
+        # g is odd when n minus its number of cycles is
+        self._odd = self._odd or (len(g) - len(decomposition)) % 2 == 1
+        return self._parts == 1 and self._odd
 
 
 def closure(gens, n: int, cap: int = 400_000) -> tuple[Perm, ...]:

@@ -1,9 +1,11 @@
 """Shared fixture data: the small connection graphs and their named faces."""
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
 
@@ -13,18 +15,21 @@ import spinatlas
 from spinatlas.chains import ChainStep, SpinChain, validate_structure
 from spinatlas.faces import Face, FaceKind, cells_containing, enumerate_faces
 from spinatlas.graph import ConnectionGraph, Vertex
-from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, alternating, symmetric
+from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, StabChain, alternating, identity_perm, recognize, symmetric
 
 
 SRC = str(Path(spinatlas.__file__).resolve().parent.parent)
 
 
+def python_env() -> dict[str, str]:
+    """The environment of a fresh interpreter with this checkout's package first on its path."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter with this checkout's package first on its path."""
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=python_env(), timeout=120)
 
 
 def V(cls: int, tilded: bool = False) -> Vertex:
@@ -112,6 +117,45 @@ def parse_verdict(text: str) -> GroupVerdict:
     if text.startswith("G[") and text.endswith("]"):
         return GroupVerdict("other", 0, int(text[2:-1]))
     raise ValueError(f"cannot parse group verdict {text!r}")
+
+
+StabChainSearch = namedtuple("StabChainSearch", "verdict order generators paths chains_tried")
+
+
+def stab_chain_search(cg: ConnectionGraph, v: Vertex, max_steps: int = 6) -> StabChainSearch:
+    """Reference: the chain search at v with every new permutation sifted into one stabilizer chain.
+
+    A permutation is kept, with its path, when it is not yet in the group; the
+    search stops once the group is S_n or the predicted one.
+    """
+    from spinatlas.classify import _admissible_evaluations, predict_group
+
+    n = len(cg.label_classes(v))
+    predicted = predict_group(cg, v)
+    group, seen = StabChain(n), {identity_perm(n)}
+    gens, paths, tried = [], [], 0
+    for path, perm in _admissible_evaluations(cg, v, max_steps):
+        tried += 1
+        if perm in seen:
+            continue
+        seen.add(perm)
+        if not group.add(perm):
+            continue
+        gens.append(perm)
+        paths.append(tuple(path))
+        order = group.order()
+        if order == math.factorial(n) or recognize(order, n) == predicted:
+            break
+    order = group.order()
+    return StabChainSearch(recognize(order, n), order, tuple(gens), tuple(paths), tried)
+
+
+def searched_vertices(cg: ConnectionGraph) -> list[Vertex]:
+    """The vertices `verify_class` searches: the first of the chorded and of the unchorded ones."""
+    firsts = {}
+    for v in cg.vertices():
+        firsts.setdefault(v.cls in cg.connected, v)
+    return sorted(firsts.values())
 
 
 @lru_cache(maxsize=None)

@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import run_python
+from conftest import python_env, run_python
 from spinatlas import tables
 from spinatlas.cli import main, parse_list, parse_map, parse_record, render_record, run as run_entry
 
@@ -491,6 +492,27 @@ def test_module_entry_point_exits_with_the_code_and_output_of_main(capsys, argv,
     done = run_python("-m", "spinatlas.cli", *argv)
     assert done.returncode == code
     assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+
+
+def test_a_reader_that_closes_stdout_gets_exit_141_and_no_traceback():
+    # as `| head -1` does; exit 1 would read as a verification mismatch
+    child = subprocess.Popen(
+        [sys.executable, "-m", "spinatlas.cli", "verify", "--genus", "2..12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=python_env(),
+    )
+    try:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert first.startswith(b"kind=verify genus=2 ")
+    assert code == 141
+    assert err == b"", err  # no traceback, no "Exception ignored" from the flush at exit
 
 
 def test_main_leaves_the_collector_unfrozen(capsys):

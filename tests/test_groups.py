@@ -8,6 +8,7 @@ import random
 import pytest
 
 from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, conjugate_face, cycle_type, parity, parse_verdict
+from conftest import searched_vertices, stab_chain_search
 from spinatlas.classify import predict_group, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
@@ -16,13 +17,16 @@ from spinatlas.groups import (
     CapExceededError,
     GroupVerdict,
     StabChain,
+    SymmetricCertificate,
     TRIVIAL,
     alternating,
     closure,
     compose,
+    cycles,
     cycles_str,
     identity_perm,
     inverse,
+    power_cycles,
     recognize,
     symmetric,
 )
@@ -351,3 +355,157 @@ def test_pruned_search_agrees_with_plain_stream():
         pruned = {(table.chain(start, path), perm) for path, perm in _admissible_evaluations(cg, start, 3)}
         assert plain
         assert pruned == plain
+
+
+def cycle_perm(n, support):
+    """The cycle on `support`, in order, as a permutation of n points."""
+    perm = list(range(n))
+    for a, b in zip(support, [*support[1:], support[0]]):
+        perm[a] = b
+    return tuple(perm)
+
+
+def certify(perms, n):
+    """Whether a `SymmetricCertificate` fed `perms` in order certifies S_n by the last of them."""
+    certificate = SymmetricCertificate(n)
+    return any([certificate.add(g) for g in perms])
+
+
+def sympy_order(perms, n):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    perms = list(perms) or [identity_perm(n)]
+    return combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in perms]).order()
+
+
+def test_power_cycles_are_powers_of_their_permutation():
+    assert power_cycles(cycles((1, 0, 3, 4, 2))) == [[0, 1], [2, 3, 4]]  # (0 1)(2 3 4): both
+    assert power_cycles(cycles((1, 0, 3, 4, 5, 2))) == []  # (0 1)(2 3 4 5): g^4 = 1, g^2 = (2 4)(3 5)
+    assert power_cycles(cycles((1, 0, 3, 2, 5, 6, 4))) == [[4, 5, 6]]  # two 2-cycles: neither
+    assert power_cycles(cycles((1, 2, 0, 4, 5, 3, 7, 6))) == [[6, 7]]  # two 3-cycles: neither
+    assert power_cycles(cycles((1, 2, 3, 4, 5, 0, 7, 8, 6))) == []  # a 6-cycle beside a 3-cycle
+    rng = random.Random(20261018)
+    found = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        g = random_perm(rng, n)
+        powers, h = set(), g
+        while h not in powers:
+            powers.add(h)
+            h = compose(h, g)
+        for cyc in power_cycles(cycles(g)):
+            found += 1
+            assert len(cyc) in (2, 3) and cycle_perm(n, cyc) in powers, (g, cyc)
+    assert found > 100
+
+
+def test_certificate_on_transpositions_and_three_cycles_matches_sympy():
+    rng = random.Random(20261019)
+    seen = {"S_n": 0, "A_n": 0, "not connected": 0}
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        lengths = (3,) if n >= 3 and rng.random() < 0.4 else (2, 3) if n >= 3 else (2,)
+        supports = [rng.sample(range(n), rng.choice(lengths)) for _ in range(rng.randint(1, n + 1))]
+        perms = [cycle_perm(n, s) for s in supports]
+        order = sympy_order(perms, n)
+        parts = {frozenset([p]) for p in range(n)}
+        for s in supports:
+            joined = {part for part in parts if part & set(s)}
+            parts = (parts - joined) | {frozenset().union(*joined)}
+        if len(parts) > 1:
+            seen["not connected"] += 1
+        elif any(len(s) == 2 for s in supports):
+            seen["S_n"] += 1
+            assert order == math.factorial(n) and certify(perms, n), supports
+        else:
+            # 3-cycles alone are even: they give A_n, which must not certify
+            seen["A_n"] += 1
+            assert order == math.factorial(n) // 2 and not certify(perms, n), supports
+        if certify(perms, n):
+            assert order == math.factorial(n), supports
+    assert min(seen.values()) >= 20, seen
+
+
+def test_certificate_on_random_permutations_matches_sympy():
+    rng = random.Random(20261020)
+    fired = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        perms = [random_perm(rng, n) for _ in range(rng.randint(1, 4))]
+        if certify(perms, n):
+            fired += 1
+            assert sympy_order(perms, n) == math.factorial(n), perms
+    assert fired >= 50
+    # (2 3) and (0 2 3 1) give S4: the 4-cycle's powers hold no 2- or 3-cycle, but it maps
+    # the transposition's support {2, 3} to {3, 1}, then {1, 0}, and is odd
+    perms = [cycle_perm(4, [2, 3]), cycle_perm(4, [0, 2, 3, 1])]
+    assert certify(perms, 4) and sympy_order(perms, 4) == 24
+
+
+def test_certificate_needs_an_odd_element_and_a_cycle_in_the_group():
+    even = [cycle_perm(5, [0, 1, 2]), cycle_perm(5, [2, 3, 4])]
+    assert not certify(even, 5) and sympy_order(even, 5) == 60
+    # S3 on the block {0, 2, 4}, and (0 1)(2 3 4 5), which swaps it with the block {1, 3, 5}:
+    # the wreath product of order 72; joining (0 1) would connect the blocks
+    blocks = [cycle_perm(6, [0, 2, 4]), cycle_perm(6, [0, 2]), (1, 0, 3, 4, 5, 2)]
+    assert not certify(blocks, 6) and sympy_order(blocks, 6) == 72
+    assert certify([*even, cycle_perm(5, [3, 4])], 5)
+
+
+def _representatives(genera):
+    graphs = sorted({build_connection_graph(gc) for genus in genera for gc in enumerate_classes(genus)})
+    return [(cg, v) for cg in graphs for v in searched_vertices(cg)]
+
+
+def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_match_it():
+    """Every searched (graph, vertex) of genus 2..16: the certificate fires on the chain at which
+    a stabilizer chain first reaches S_n, and the fields read from the sift equal that search's."""
+    from spinatlas.chains import step_table
+
+    cap = math.factorial(16)
+    late = {}
+    reps = _representatives(range(2, 17))
+    for cg, v in reps:
+        res = spin_group_at(cg, v, closure_cap=cap)
+        ref = stab_chain_search(cg, v)
+        assert (res.verdict, res.order, res.kept(), res.chains_tried) == (
+            ref.verdict,
+            ref.order,
+            tuple(zip(ref.paths, ref.generators)),
+            ref.chains_tried,
+        ), (cg, v)
+        if cg.order <= 8:
+            # each property is one sift again, so the larger graphs check `kept()` alone
+            assert (res.generators, res.paths) == (ref.generators, ref.paths)
+            assert res.witnesses == tuple(step_table(cg).chain(v, path) for path in ref.paths)
+        if res.predicted == symmetric(len(cg.label_classes(v))):
+            assert res.verdict == res.predicted
+            # the certificate is sound, so it can never fire before the stabilizer chain is full
+            assert res.searched >= ref.chains_tried
+            if res.searched > ref.chains_tried:
+                late[(cg.order, tuple(sorted(cg.connected)), v.name)] = res.searched - ref.chains_tried
+        else:
+            assert res.searched == ref.chains_tried
+    assert len(reps) == 136
+    assert late == {}
+
+
+def test_chains_tried_comes_from_the_sift_not_from_where_the_search_stopped():
+    # order 3 with chords {2, 3} at P2: (3 4) and (1 3 4 2) give S4 at chain 3
+    cg = ConnectionGraph(3, frozenset({2, 3}))
+    res = spin_group_at(cg, P2)
+    assert (res.searched, res.chains_tried, len(res.generators)) == (3, 3, 2)
+    # a search that met one more permutation before it stopped keeps the same fields
+    extra = (res.searched + 1, ((0, 0), (5, 0)), cycle_perm(4, [0, 2, 1]))
+    later = res._replace(distinct=res.distinct + (extra,), searched=res.searched + 1)
+    assert (later.chains_tried, later.generators, later.paths) == (3, res.generators, res.paths)
+
+
+def test_kept_generator_orders_match_sympy():
+    """A seeded sample of searched vertices of genus 2..12, tilded ones at order <= 6 too: the
+    group of the kept generators, read from the sift, has the result's order."""
+    reps = _representatives(range(2, 13))
+    tilded = [(cg, v.conjugate) for cg, v in reps if cg.order <= 6]
+    sample = random.Random(20261021).sample(reps + tilded, 24)
+    for cg, v in sample:
+        res = spin_group_at(cg, v)
+        assert sympy_order(res.generators, len(cg.label_classes(v))) == res.order, (cg, v)
