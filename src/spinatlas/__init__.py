@@ -8,7 +8,7 @@ from .graph import (
     build_connection_graph,
     edge_multiplicities_r_le_2,
 )
-from .faces import Face, FaceKind, cells_containing, enumerate_faces, face_map
+from .faces import Face, cells_containing, enumerate_faces, face_map
 from .chains import (
     AdmissibilityVerdict,
     ChainStep,
@@ -28,7 +28,6 @@ __all__ = [
     "ChainStructureError",
     "ConnectionGraph",
     "Face",
-    "FaceKind",
     "GraphClass",
     "GroupVerdict",
     "InvalidClassError",

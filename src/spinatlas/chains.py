@@ -10,7 +10,6 @@ share one degree.  Inadmissible chains evaluate to the identity.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from . import tables
 from .faces import Face, _canonical, cell_frame, cells_containing, cells_of, class_mask, direct_images, enumerate_faces
@@ -165,16 +164,16 @@ class StepTable:
     computes when the search first steps through that choice.  Entries are
     built on first use, each from the neighbours of its two vertices, so the
     graph's faces are never listed, and a `Face` is built only in a chain.
-    From order 4 on, maps are lifted through the table store active when the
-    table was made.  A search path is a sequence of (vertex id, choice index)
-    steps, and `chain` turns one into its chain.
+    From order 4 on, maps are lifted through the table store `store`; the
+    choices do not depend on it.  A search path is a sequence of (vertex id,
+    choice index) steps, and `chain` turns one into its chain.
     """
 
-    def __init__(self, cg: ConnectionGraph) -> None:
+    def __init__(self, cg: ConnectionGraph, store: tables.FaceTables) -> None:
         self.cg = cg
         self.vertices = cg.vertices()
         self._near = neighbour_ids(cg)
-        self._store = tables.active_tables()
+        self._store = store
         self._entries: dict[tuple[int, int], tuple[tuple[Choice, ...], list]] = {}
         # per cell, its `cell_frame` for the table lookup at order >= 4
         self._frames: dict[frozenset[int], tuple] = {}
@@ -226,8 +225,3 @@ class StepTable:
             steps.append(ChainStep(cell, Face(tuple(map(self.vertices.__getitem__, cycle))), self.vertices[b]))
             a = b
         return SpinChain(start, tuple(steps))
-
-
-@lru_cache(maxsize=None)
-def step_table(cg: ConnectionGraph) -> StepTable:
-    return StepTable(cg)

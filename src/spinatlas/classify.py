@@ -5,7 +5,7 @@ import math
 from collections import namedtuple
 
 from . import groups, tables
-from .chains import Carried, SpinChain, carry, close_out, label_positions, step_table
+from .chains import Carried, SpinChain, StepTable, carry, close_out, label_positions
 from .faces import face_map  # noqa: F401  (perfbench/probe.py traces classify.face_map)
 from .graph import ConnectionGraph, Vertex, build_connection_graph
 from .params import GraphClass
@@ -74,7 +74,8 @@ class SpinGroupResult(namedtuple("SpinGroupResult", "graph vertex verdict predic
     @property
     def witnesses(self) -> tuple[SpinChain, ...]:
         """Each kept generator's chain, built from its path when read."""
-        table = step_table(self.graph)
+        # a path's steps are the step table's (cell, face) choices, which no table store changes
+        table = StepTable(self.graph, tables.computed_tables())
         return tuple(table.chain(self.vertex, path) for path, _ in self.kept())
 
     def _n(self) -> int:
@@ -99,32 +100,49 @@ def _sift(distinct, n: int):
     return chain, kept, None
 
 
-_RESULT_CACHE: dict[tuple, SpinGroupResult] = {}
+class Engine:
+    """What one run computes over one table store: the step table of each graph and the result of each search.
+
+    `store` is the order-3 table store that face maps are lifted from at
+    order >= 4; without one, the computed tables.  The command line builds one
+    engine per run and passes it down; a search given no engine makes its own,
+    which it drops when it returns.
+    """
+
+    def __init__(self, store: tables.FaceTables | None = None) -> None:
+        self.store = tables.computed_tables() if store is None else store
+        self.step_tables: dict[ConnectionGraph, StepTable] = {}
+        # per (graph, vertex, max_steps, closure_cap, exhaustive), the result of `spin_group_at`
+        self.results: dict[tuple, SpinGroupResult] = {}
+
+    def step_table(self, cg: ConnectionGraph) -> StepTable:
+        table = self.step_tables.get(cg)
+        if table is None:
+            table = self.step_tables[cg] = StepTable(cg, self.store)
+        return table
+
+    def orbit_reduction_applies(self, cg: ConnectionGraph) -> bool:
+        """Whether the graph's face maps are the program's own, which commute with its automorphisms.
+
+        Maps are built directly up to order 3; from order 4 on they come from
+        the engine's store, and only the computed tables are known to be
+        equivariant, so any other store, even an equal one, turns the
+        reduction off.
+        """
+        return cg.order <= 3 or self.store is tables.computed_tables()
 
 
-def clear_caches() -> None:
-    """Drop every memoized result (group runs, face maps, face lists, step tables)."""
-    from . import chains, faces, graph
-
-    _RESULT_CACHE.clear()
-    chains.step_table.cache_clear()
-    faces._face_map_pairs.cache_clear()
-    faces.enumerate_faces.cache_clear()
-    faces.cells_of.cache_clear()
-    graph.edge_multiplicities_r_le_2.cache_clear()
-
-
-def _admissible_evaluations(cg: ConnectionGraph, start: Vertex, max_steps: int):
+def _admissible_evaluations(table: StepTable, start: Vertex, max_steps: int):
     """Yield (path, permutation) for every admissible chain at `start`, shortest first.
 
     A path is a list of (vertex id, choice index) steps through the graph's
-    step table, whose `chain(start, path)` builds the chain; it is one list,
+    step table `table`, whose `chain(start, path)` builds the chain; it is one list,
     changed in place, so copy it to keep it past the next item.  Equivalent to
     evaluating the full chain stream, but a prefix whose carried label set has
     already lost an element (or, at order <= 2, mixed degrees) is dropped with
     all its extensions: those chains evaluate to the identity.
     """
-    table = step_table(cg)
+    cg = table.cg
     pos = label_positions(cg, start)
     verts = table.vertices
     base = verts.index(start)
@@ -159,6 +177,7 @@ def spin_group_at(
     max_steps: int = DEFAULT_MAX_STEPS,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
     exhaustive: bool = False,
+    engine: Engine | None = None,
 ) -> SpinGroupResult:
     """Search the chains at v until their permutations generate the predicted group.
 
@@ -169,10 +188,14 @@ def spin_group_at(
     and, unless `exhaustive`, as soon as the prediction is reached.  So
     `exhaustive` consumes the whole chain budget only while the group is
     smaller than S_n.  A search that ends without a certificate sifts what it
-    met into a stabilizer chain for the exact order.
+    met into a stabilizer chain for the exact order.  The search walks
+    `engine`'s step table of the graph, and a second call with the same
+    arguments returns the engine's result of the first.
     """
-    key = (cg.order, cg.connected, v, max_steps, closure_cap, exhaustive)
-    hit = _RESULT_CACHE.get(key)
+    if engine is None:
+        engine = Engine()
+    key = (cg, v, max_steps, closure_cap, exhaustive)
+    hit = engine.results.get(key)
     if hit is not None:
         return hit
     n = len(cg.label_classes(v))
@@ -190,7 +213,7 @@ def spin_group_at(
     distinct: list[tuple[int, tuple[tuple[int, int], ...], groups.Perm]] = []
     tried = 0
     order = full_order
-    for path, perm in _admissible_evaluations(cg, v, max_steps):
+    for path, perm in _admissible_evaluations(engine.step_table(cg), v, max_steps):
         tried += 1
         if perm in seen:
             continue
@@ -207,7 +230,7 @@ def spin_group_at(
         # the budget ran out: the exact group of every permutation met
         order = (group or _sift(distinct, n)[0]).order()
     result = SpinGroupResult(cg, v, groups.recognize(order, n), predicted, order, tuple(distinct), tried)
-    _RESULT_CACHE[key] = result
+    engine.results[key] = result
     return result
 
 
@@ -224,20 +247,12 @@ class ClassReport(namedtuple("ClassReport", "graph_class rows")):
         return all(row.match for row in self.rows)
 
 
-def orbit_reduction_applies(cg: ConnectionGraph) -> bool:
-    """Whether the graph's face maps are the program's own, which commute with its automorphisms.
-
-    Maps are built directly up to order 3; from order 4 on they come from the
-    active tables, and only the computed ones are known to be equivariant.
-    """
-    return cg.order <= 3 or tables.active_tables() is tables.computed_tables()
-
-
 def verify_class(
     gc: GraphClass,
     max_steps: int = DEFAULT_MAX_STEPS,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
     exhaustive: bool = False,
+    engine: Engine | None = None,
 ) -> ClassReport:
     """Compute and compare the group at every vertex of the class's connection graph.
 
@@ -246,13 +261,15 @@ def verify_class(
     swap, are automorphisms of its graph.  The face maps commute with them, so
     the chains at two vertices of one orbit correspond one to one and their
     groups are conjugate.  The orbits are the chorded and the unchorded
-    vertices: when `orbit_reduction_applies`, the search runs once per orbit,
-    at its first (untilded) vertex, and the rest of the orbit reuses that
-    group.  Each row still gets its own prediction and comparison.
+    vertices: when the engine's `orbit_reduction_applies`, the search runs once
+    per orbit, at its first (untilded) vertex, and the rest of the orbit
+    reuses that group.  Each row still gets its own prediction and comparison.
     """
+    if engine is None:
+        engine = Engine()
     cg = build_connection_graph(gc)
     rows = []
-    reduce = orbit_reduction_applies(cg)
+    reduce = engine.orbit_reduction_applies(cg)
     searched: dict[bool, SpinGroupResult] = {}
     for v in cg.vertices():
         orbit = v.cls in cg.connected
@@ -260,7 +277,7 @@ def verify_class(
         if res is None:
             # through the module global, so a wrapper installed on it sees every search
             res = searched[orbit] = spin_group_at(
-                cg, v, max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive
+                cg, v, max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive, engine=engine
             )
         predicted = predict_group(cg, v)
         ok = res.verdict == predicted

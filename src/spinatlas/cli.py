@@ -14,7 +14,6 @@ import sys
 
 from . import classify as _classify
 from . import tables as _tables
-from .chains import step_table
 from .groups import CapExceededError, cycles_str
 from .graph import UnsupportedOrderError, Vertex, build_connection_graph, edge_multiplicities_r_le_2
 from .params import GraphClass, InvalidClassError, enumerate_classes, heads
@@ -119,7 +118,12 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_atlas(args) -> int:
+def _search(args, engine: _classify.Engine) -> dict:
+    """The keyword arguments of `verify_class` and `spin_group_at` that the command's flags and engine give."""
+    return dict(max_steps=args.max_steps, closure_cap=args.closure_cap, exhaustive=args.exhaustive, engine=engine)
+
+
+def cmd_atlas(args, engine: _classify.Engine) -> int:
     if not 2 <= args.genus <= args.max_genus:
         raise UsageError(f"genus must be within 2..{args.max_genus}")
     if args.order is not None and not 0 <= args.order < args.genus:
@@ -128,16 +132,14 @@ def cmd_atlas(args) -> int:
         report = None
         if not args.no_compute:
             try:
-                report = _classify.verify_class(
-                    gc, max_steps=args.max_steps, closure_cap=args.closure_cap, exhaustive=args.exhaustive
-                )
+                report = _classify.verify_class(gc, **_search(args, engine))
             except CapExceededError:
                 report = None
         print(render_record(atlas_record(gc, report)))
     return 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, engine: _classify.Engine) -> int:
     gc = _class_from_args(args)
     cg = build_connection_graph(gc)
     try:
@@ -150,10 +152,7 @@ def cmd_classify(args) -> int:
     for v in cg.vertices():
         if wanted is not None and v != wanted:
             continue
-        res = _classify.spin_group_at(
-            cg, v, max_steps=args.max_steps, closure_cap=args.closure_cap, exhaustive=args.exhaustive
-        )
-        rows.append(res)
+        rows.append(_classify.spin_group_at(cg, v, **_search(args, engine)))
     for res in rows:
         print(
             render_record(
@@ -168,17 +167,17 @@ def cmd_classify(args) -> int:
             )
         )
         # each witness evaluates to the generator kept with it
-        table = step_table(cg)
+        table = engine.step_table(cg)
         for path, perm in res.kept():
             print(f"  witness {cycles_str(perm)}: {table.chain(res.vertex, path).describe()}")
     return 0
 
 
-def _print_verify(targets: list[GraphClass], reports) -> int:
+def _print_verify(reports) -> int:
     """Print each class's records as its report arrives; the number of mismatched classes."""
     mismatches = 0
-    for gc, report in zip(targets, reports):
-        ok = report.match_all
+    for report in reports:
+        gc, ok = report.graph_class, report.match_all
         mismatches += 0 if ok else 1
         print(
             render_record(
@@ -200,7 +199,7 @@ def _print_verify(targets: list[GraphClass], reports) -> int:
     return mismatches
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, engine: _classify.Engine) -> int:
     lo, hi = _parse_range(args.genus)
     if lo < 2 or hi > args.max_genus or lo > hi:
         raise UsageError(f"genus range must lie within 2..{args.max_genus}")
@@ -215,19 +214,8 @@ def cmd_verify(args) -> int:
             if orders is None or gc.order in orders:
                 targets.append(gc)
 
-    def run(gc: GraphClass) -> _classify.ClassReport:
-        return _classify.verify_class(
-            gc, max_steps=args.max_steps, closure_cap=args.closure_cap, exhaustive=args.exhaustive
-        )
-
-    if args.jobs > 1:
-        # imported only here: the import costs every serial run several milliseconds
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            mismatches = _print_verify(targets, pool.map(run, targets))
-    else:
-        mismatches = _print_verify(targets, map(run, targets))
+    search = _search(args, engine)
+    mismatches = _print_verify(_classify.verify_class(gc, **search) for gc in targets)
     print(render_record({"kind": "summary", "classes": str(len(targets)), "mismatches": str(mismatches)}))
     return 0 if mismatches == 0 else 1
 
@@ -236,7 +224,7 @@ def _dot_quote(name: str) -> str:
     return f'"{name}"'
 
 
-def cmd_export_dot(args) -> int:
+def cmd_export_dot(args, engine: _classify.Engine) -> int:
     gc = _class_from_args(args)
     cg = build_connection_graph(gc)
     lines = [f"graph spin_atlas {{", f'  label="{gc.label()} genus {gc.genus}";', "  node [shape=circle];"]
@@ -294,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="verify predictions over a genus range")
     p_ver.add_argument("--genus", required=True, help="a genus or a range like 2..6")
     p_ver.add_argument("--orders", help="comma-separated orders to include")
-    p_ver.add_argument("--jobs", type=int, default=1)
     common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -313,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # a table file named by --tables or the environment is checked here, before any record
-        _tables.install_configured(args.tables)
+        engine = _classify.Engine(_tables.load_tables(args.tables) if args.tables else _tables.active_tables())
     except (OSError, _tables.TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -322,9 +309,7 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"--max-steps must be >= 2, got {args.max_steps}")
         if "closure_cap" in vars(args) and args.closure_cap < 1:
             raise UsageError(f"--closure-cap must be >= 1, got {args.closure_cap}")
-        if "jobs" in vars(args) and args.jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-        return args.func(args)
+        return args.func(args, engine)
     except CapExceededError as exc:
         print(f"CapExceeded: {exc}", file=sys.stderr)
         return 3

@@ -18,17 +18,10 @@ the label of the absent cell class.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 
 from .graph import ConnectionGraph, Vertex
-
-
-class FaceKind(Enum):
-    STANDARD = "standard"
-    ONE_PAIR = "one-pair"
-    TWO_PAIR = "two-pair"
 
 
 class Face(namedtuple("Face", "cycle")):
@@ -45,18 +38,6 @@ class Face(namedtuple("Face", "cycle")):
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.cycle
-
-    @property
-    def classes(self) -> frozenset[int]:
-        return frozenset(v.cls for v in self.cycle)
-
-    @property
-    def pair_count(self) -> int:
-        return sum(1 for v in self.cycle if v.tilded and v.conjugate in self.cycle)
-
-    @property
-    def kind(self) -> FaceKind:
-        return (FaceKind.STANDARD, FaceKind.ONE_PAIR, FaceKind.TWO_PAIR)[self.pair_count]
 
     @property
     def name(self) -> str:
@@ -154,12 +135,6 @@ def direct_images(
     return tuple(images)
 
 
-def _build_face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> dict[int, int]:
-    """`direct_images` for a `Face`, as a dict from each class at u to its image at v."""
-    cycle, a, b = tuple(map(vertex_id, face.cycle)), vertex_id(u), vertex_id(v)
-    return {c: t for c, t in enumerate(direct_images(cg.order, cg.connected, cell, cycle, a, b)) if t >= 0}
-
-
 Frame = tuple[tuple[int, ...], frozenset[int], tuple[int, ...]]
 
 
@@ -192,11 +167,11 @@ def lifted_images(
 
 
 def face_images(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> tuple[int, ...]:
-    """The face map, uncached: `direct_images` up to order 3, else `lifted_images` from the active tables."""
+    """The face map, uncached: `direct_images` up to order 3, else `lifted_images` from the computed tables."""
     cycle, a, b = tuple(map(vertex_id, face.cycle)), vertex_id(u), vertex_id(v)
     if cg.order <= 3:
         return direct_images(cg.order, cg.connected, cell, cycle, a, b)
-    return lifted_images(tables.active_tables(), cg.order, cell_frame(cg, cell), cycle, a, b)
+    return lifted_images(tables.computed_tables(), cg.order, cell_frame(cg, cell), cycle, a, b)
 
 
 @lru_cache(maxsize=None)
@@ -211,8 +186,8 @@ def face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v
     """Partial bijection (label class at u) -> (label class at v) induced by the face.
 
     Orders up to 3 are built directly; higher orders localize the cell to its
-    order-3 pattern, consult the order-3 tables, and lift the answer back,
-    mapping every class outside the cell to itself.
+    order-3 pattern, look it up in the computed order-3 tables, and lift the
+    answer back, mapping every class outside the cell to itself.
     """
     return {c: t for c, t in enumerate(_face_map_pairs(cg, cell, face, u, v)) if t >= 0}
 

@@ -1,4 +1,4 @@
-"""Order-3 face-map tables: computation, text serialization, and the active store.
+"""Order-3 face-map tables: computation, text serialization, and the store a run starts from.
 
 Every 4-class cell of a higher-order graph reduces to one of five order-3
 decoration patterns (no chord, or chords on a top slice of the classes).  The
@@ -213,35 +213,16 @@ def shipped_tables_path() -> str:
     return os.path.join(os.path.dirname(__file__), "data", "order3_tables.txt")
 
 
-_active: FaceTables | None = None
-
-
 @lru_cache(maxsize=1)
 def computed_tables() -> FaceTables:
     """The default store: the tables computed from the order-3 graphs, each entry on first use."""
     return _ComputedTables({})
 
 
-def install_configured(path: str | None = None) -> None:
-    """Install the tables at `path`, else at $SPIN_ATLAS_TABLES; with neither, keep the active store.
-
-    Raises OSError or TableError when the file cannot be read or is not a valid table file.
-    """
-    path = path or os.environ.get(ENV_VAR)
-    if path:
-        set_active_tables(load_tables(path))
-
-
 def active_tables() -> FaceTables:
-    if _active is None:
-        install_configured()
-    return computed_tables() if _active is None else _active
+    """The store a run uses when it names no table file: the file $SPIN_ATLAS_TABLES names, else the computed tables.
 
-
-def set_active_tables(tables: FaceTables | None) -> None:
-    """Install an explicit table store (None restores the computed default)."""
-    global _active
-    _active = tables
-    from . import classify
-
-    classify.clear_caches()
+    Raises OSError or TableError when that file cannot be read or is not a valid table file.
+    """
+    path = os.environ.get(ENV_VAR)
+    return load_tables(path) if path else computed_tables()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import namedtuple
+from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 
 import spinatlas
 from spinatlas.chains import ChainStep, SpinChain, validate_structure
-from spinatlas.faces import Face, FaceKind, cells_containing, enumerate_faces
+from spinatlas.classify import Engine
+from spinatlas.faces import Face, cells_containing, direct_images, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
 from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, StabChain, alternating, identity_perm, recognize, symmetric
 
@@ -40,6 +42,31 @@ def F(*verts: Vertex) -> Face:
     return Face.from_cycle(tuple(verts))
 
 
+class FaceKind(Enum):
+    STANDARD = "standard"
+    ONE_PAIR = "one-pair"
+    TWO_PAIR = "two-pair"
+
+
+def face_classes(face: Face) -> frozenset[int]:
+    return frozenset(v.cls for v in face.cycle)
+
+
+def pair_count(face: Face) -> int:
+    """The conjugate pairs on the face."""
+    return sum(1 for v in face.cycle if v.tilded and v.conjugate in face.cycle)
+
+
+def face_kind(face: Face) -> FaceKind:
+    return (FaceKind.STANDARD, FaceKind.ONE_PAIR, FaceKind.TWO_PAIR)[pair_count(face)]
+
+
+def build_face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> dict[int, int]:
+    """`direct_images` for a `Face`, as a dict from each class at u to its image at v."""
+    cycle, a, b = tuple(map(vertex_id, face.cycle)), vertex_id(u), vertex_id(v)
+    return {c: t for c, t in enumerate(direct_images(cg.order, cg.connected, cell, cycle, a, b)) if t >= 0}
+
+
 def conjugate_face(face: Face) -> Face:
     """The face through the conjugates of its vertices."""
     return Face.from_cycle(tuple(v.conjugate for v in face.cycle))
@@ -59,7 +86,7 @@ def reversed_chain(chain: SpinChain) -> SpinChain:
 def is_basic(cg: ConnectionGraph, chain: SpinChain) -> bool:
     """True when the whole chain lives in the chord-free skeleton."""
     validate_structure(cg, chain)
-    return all(step.face.kind is FaceKind.STANDARD for step in chain.steps)
+    return all(face_kind(step.face) is FaceKind.STANDARD for step in chain.steps)
 
 
 def neighbors(cg: ConnectionGraph, v: Vertex) -> tuple[Vertex, ...]:
@@ -122,11 +149,14 @@ def parse_verdict(text: str) -> GroupVerdict:
 StabChainSearch = namedtuple("StabChainSearch", "verdict order generators paths chains_tried")
 
 
-def stab_chain_search(cg: ConnectionGraph, v: Vertex, max_steps: int = 6) -> StabChainSearch:
+def stab_chain_search(
+    cg: ConnectionGraph, v: Vertex, max_steps: int = 6, engine: Engine | None = None
+) -> StabChainSearch:
     """Reference: the chain search at v with every new permutation sifted into one stabilizer chain.
 
     A permutation is kept, with its path, when it is not yet in the group; the
-    search stops once the group is S_n or the predicted one.
+    search stops once the group is S_n or the predicted one.  It walks the step
+    table of `engine`, or of a new engine over the computed tables.
     """
     from spinatlas.classify import _admissible_evaluations, predict_group
 
@@ -134,7 +164,7 @@ def stab_chain_search(cg: ConnectionGraph, v: Vertex, max_steps: int = 6) -> Sta
     predicted = predict_group(cg, v)
     group, seen = StabChain(n), {identity_perm(n)}
     gens, paths, tried = [], [], 0
-    for path, perm in _admissible_evaluations(cg, v, max_steps):
+    for path, perm in _admissible_evaluations((engine or Engine()).step_table(cg), v, max_steps):
         tried += 1
         if perm in seen:
             continue

@@ -2,11 +2,13 @@
 
 `verify_class` searches one vertex per automorphism orbit and reuses that
 group for the rest of the orbit.  `face_map_differences` checks the premise:
-each face map commutes with the graph's automorphisms.  `row_differences`
-checks the result: it runs `spin_group_at` at every vertex and names each row
-whose prediction, verdict or match differs from that vertex's own result.
-Run as a script, it checks the rows over a genus range at the default search
-settings and exits 1 on any difference:
+each face map of an engine's step tables commutes with the graph's
+automorphisms.  `row_differences` checks the result: it runs `spin_group_at`
+at every vertex and names each row whose prediction, verdict or match differs
+from that vertex's own result.  Both take an `Engine`, by default a new one
+over the computed tables.  Run as a script, it checks the rows over a genus
+range at the default search settings, with one engine, and exits 1 on any
+difference:
 
     PYTHONPATH=src python3 tests/orbit_oracle.py 10..12
 """
@@ -16,8 +18,9 @@ import sys
 import time
 from itertools import permutations
 
-from spinatlas.classify import DEFAULT_MAX_STEPS, spin_group_at, verify_class
-from spinatlas.faces import Face, cells_containing, enumerate_faces, face_map
+from spinatlas.chains import StepTable
+from spinatlas.classify import DEFAULT_MAX_STEPS, Engine, spin_group_at, verify_class
+from spinatlas.faces import Face, cells_containing, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.params import GraphClass, enumerate_classes
 
@@ -47,19 +50,28 @@ def apply(sigma: Automorphism, v: Vertex) -> Vertex:
     return Vertex(perm[v.cls], v.tilded ^ (v.cls == 0) ^ (perm[v.cls] == 0) ^ bool(swap))
 
 
-def face_map_differences(cg: ConnectionGraph) -> tuple[int, list[str]]:
+def step_map(table: StepTable, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> dict[int, int]:
+    """The map of u -> v on (cell, face) that the step table gives the search, as a dict over the classes at u."""
+    a, b = vertex_id(u), vertex_id(v)
+    choices, slots = table.entry(a, b)
+    k = choices.index((cell, tuple(map(vertex_id, face.cycle))))
+    return {c: t for c, t in enumerate(slots[k] or table.fill(a, b, k)) if t >= 0}
+
+
+def face_map_differences(cg: ConnectionGraph, engine: Engine | None = None) -> tuple[int, list[str]]:
     """How many face maps were compared, and each one that an automorphism does not carry
     to the face map at the image cell, face and vertex pair."""
+    table = (engine or Engine()).step_table(cg)
     sigmas = generating_automorphisms(cg)
     compared, out = 0, []
     for face in enumerate_faces(cg):
         for cell in cells_containing(cg, face):
             for u, v in permutations(face.cycle, 2):
-                mapping = face_map(cg, cell, face, u, v)
+                mapping = step_map(table, cell, face, u, v)
                 for sigma in sigmas:
                     perm = sigma[0]
-                    image = face_map(
-                        cg,
+                    image = step_map(
+                        table,
                         frozenset(perm[c] for c in cell),
                         Face.from_cycle(tuple(apply(sigma, w) for w in face.cycle)),
                         apply(sigma, u),
@@ -81,12 +93,15 @@ def distinct_graph_classes(lo: int, hi: int) -> list[GraphClass]:
     return list(found.values())
 
 
-def row_differences(gc: GraphClass, max_steps: int = DEFAULT_MAX_STEPS, exhaustive: bool = False) -> list[str]:
+def row_differences(
+    gc: GraphClass, max_steps: int = DEFAULT_MAX_STEPS, exhaustive: bool = False, engine: Engine | None = None
+) -> list[str]:
     """Each `verify_class` row whose prediction, verdict or match differs from its own vertex's search."""
+    engine = engine or Engine()
     cg = build_connection_graph(gc)
     out = []
-    for row in verify_class(gc, max_steps=max_steps, exhaustive=exhaustive).rows:
-        own = spin_group_at(cg, row.vertex, max_steps=max_steps, exhaustive=exhaustive)
+    for row in verify_class(gc, max_steps=max_steps, exhaustive=exhaustive, engine=engine).rows:
+        own = spin_group_at(cg, row.vertex, max_steps=max_steps, exhaustive=exhaustive, engine=engine)
         match = own.match and (not exhaustive or own.order <= own.predicted.order)
         if (row.predicted, row.computed, row.match) != (own.predicted, own.verdict, match):
             out.append(
@@ -100,7 +115,8 @@ def main(argv: list[str]) -> int:
     lo, _, hi = (argv[0] if argv else "10..12").partition("..")
     start = time.perf_counter()
     classes = distinct_graph_classes(int(lo), int(hi or lo))
-    diffs = [line for gc in classes for line in row_differences(gc)]
+    engine = Engine()
+    diffs = [line for gc in classes for line in row_differences(gc, engine=engine)]
     for line in diffs:
         print(line)
     vertices = sum(2 * gc.order + 2 for gc in classes)

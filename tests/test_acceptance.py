@@ -36,7 +36,7 @@ from conftest import (
     reversed_chain,
 )
 from spinatlas.chains import evaluate, is_admissible
-from spinatlas.classify import clear_caches, spin_group_at, verify_class
+from spinatlas.classify import Engine, spin_group_at, verify_class
 from spinatlas.cli import main, parse_record
 from spinatlas.faces import enumerate_faces, cells_containing, face_map
 from spinatlas.graph import ConnectionGraph, Vertex
@@ -58,12 +58,12 @@ def report(number: int, ok: bool, detail: str, elapsed: float | None = None) -> 
 
 
 def test_criterion_1_order2_classification():
-    clear_caches()
+    engine = Engine()
     t0 = time.perf_counter()
     failures = []
     for genus in range(3, 9):
         for gc in enumerate_classes(genus, 2):
-            rep = verify_class(gc)
+            rep = verify_class(gc, engine=engine)
             k = gc.k
             for row in rep.rows:
                 want = str(row.predicted)
@@ -80,12 +80,12 @@ def test_criterion_1_order2_classification():
 
 
 def test_criterion_2_order3_classification():
-    clear_caches()
+    engine = Engine()
     t0 = time.perf_counter()
     failures = []
     for genus in range(4, 9):
         for gc in enumerate_classes(genus, 3):
-            rep = verify_class(gc)
+            rep = verify_class(gc, engine=engine)
             for row in rep.rows:
                 want = "S3" if row.degree == 3 else "S4"
                 if str(row.computed) != want or not row.match:
@@ -95,7 +95,7 @@ def test_criterion_2_order3_classification():
 
 
 def test_criterion_3_order4_and_5_classification():
-    clear_caches()
+    engine = Engine()
     t0 = time.perf_counter()
     failures = []
     for genus in range(5, 10):
@@ -103,7 +103,7 @@ def test_criterion_3_order4_and_5_classification():
             if order >= genus:
                 continue
             for gc in enumerate_classes(genus, order):
-                rep = verify_class(gc)
+                rep = verify_class(gc, engine=engine)
                 for row in rep.rows:
                     want = f"S{row.degree}"
                     if str(row.computed) != want or not row.match:
@@ -113,7 +113,7 @@ def test_criterion_3_order4_and_5_classification():
 
 
 def test_criterion_4_low_order_triviality():
-    clear_caches()
+    engine = Engine()
     t0 = time.perf_counter()
     failures = []
     for genus in range(2, 9):
@@ -121,7 +121,7 @@ def test_criterion_4_low_order_triviality():
             if order >= genus:
                 continue
             for gc in enumerate_classes(genus, order):
-                rep = verify_class(gc)
+                rep = verify_class(gc, engine=engine)
                 for row in rep.rows:
                     if str(row.computed) != "1" or not row.match:
                         failures.append((gc, row.vertex.name))

@@ -24,6 +24,7 @@ from conftest import (
     P4,
     P4t,
     Pt,
+    build_face_map,
     conjugate_face,
     cycle_type,
     enumerate_chains,
@@ -32,7 +33,9 @@ from conftest import (
     parity,
     reversed_chain,
 )
+from spinatlas import tables
 from spinatlas.chains import ChainStructureError, SpinChain, evaluate, is_admissible, validate_structure
+from spinatlas.classify import Engine
 from spinatlas.faces import Face, enumerate_faces
 from spinatlas.graph import ConnectionGraph
 from spinatlas.groups import compose, cycles_str, identity_perm, inverse
@@ -331,8 +334,6 @@ def entry_faces(table, a: int, b: int) -> tuple[tuple[frozenset[int], Face], ...
 def test_enumeration_reaches_published_four_step_loop(order3_one_chord):
     # every step of the four-step witness is a (cell, face) choice of the search's
     # step table, so the depth-4 level of the search walks the whole chain
-    from spinatlas.chains import step_table
-
     cg = order3_one_chord
     chain = mk_chain(
         P3,
@@ -342,7 +343,7 @@ def test_enumeration_reaches_published_four_step_loop(order3_one_chord):
         (CELL3, CHORD3_FACES["F5"], P3),
     )
     validate_structure(cg, chain)
-    table = step_table(cg)
+    table = Engine().step_table(cg)
     current = chain.start
     for step in chain.steps:
         choices = entry_faces(table, table.vertices.index(current), table.vertices.index(step.target))
@@ -379,15 +380,14 @@ SEARCH_ORDER_CASES = [
 @pytest.mark.parametrize("cg,start", SEARCH_ORDER_CASES, ids=["r2a", "r2b", "r3a", "r3b", "r4"])
 def test_search_keeps_enumeration_order(cg, start):
     """The step-table search yields the admissible chains of the plain stream, in its order."""
-    from spinatlas.chains import step_table
     from spinatlas.classify import _admissible_evaluations
 
     plain = [
         (chain, evaluate(cg, chain)) for chain in enumerate_chains(cg, start, 3) if is_admissible(cg, chain).admissible
     ]
     assert plain
-    table = step_table(cg)
-    assert [(table.chain(start, path), perm) for path, perm in _admissible_evaluations(cg, start, 3)] == plain
+    table = Engine().step_table(cg)
+    assert [(table.chain(start, path), perm) for path, perm in _admissible_evaluations(table, start, 3)] == plain
 
 
 def test_step_entries_list_the_faces_through_both_vertices():
@@ -398,7 +398,7 @@ def test_step_entries_list_the_faces_through_both_vertices():
     for order in range(8):
         for j in range(order + 2):
             cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
-            table = StepTable(cg)
+            table = StepTable(cg, tables.computed_tables())
             faces = enumerate_faces(cg)
             # per vertex, the positions in `faces` of the faces through it
             at = [{k for k, face in enumerate(faces) if w in face.cycle} for w in table.vertices]
@@ -413,16 +413,15 @@ def test_step_entries_list_the_faces_through_both_vertices():
 def test_step_table_fill_matches_the_direct_builder():
     # orders <= 3 build the map directly from the Face; from order 4 on `fill` lifts it from ids
     from spinatlas.chains import StepTable
-    from spinatlas.faces import _build_face_map
 
     maps = 0
     for order in range(2, 6):
         for j in range(order + 2):
             cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
-            table = StepTable(cg)
+            table = StepTable(cg, tables.computed_tables())
             for a, b in itertools.permutations(range(len(table.vertices)), 2):
                 for k, (cell, face) in enumerate(entry_faces(table, a, b)):
-                    direct = _build_face_map(cg, cell, face, table.vertices[a], table.vertices[b])
+                    direct = build_face_map(cg, cell, face, table.vertices[a], table.vertices[b])
                     assert table.fill(a, b, k) == tuple(direct.get(c, -1) for c in cg.classes)
                     maps += 1
     assert maps == 33792

@@ -216,13 +216,12 @@ def test_max_steps_below_two_is_a_usage_error(capsys):
 
 
 def test_bad_parameters_are_usage_errors(capsys):
-    # a cap below 1, a pool below one worker, or orders no genus of the range has
-    # would otherwise end as a cap hit, a silent serial run, or an empty "success"
+    # a cap below 1, or orders no genus of the range has, would otherwise end
+    # as a cap hit or an empty "success"
     for argv in (
         ["atlas", "--genus", "3", "--closure-cap", "0"],
         ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--closure-cap", "0"],
         ["verify", "--genus", "3", "--closure-cap", "-5"],
-        ["verify", "--genus", "3", "--jobs", "0"],
         ["verify", "--genus", "2..3", "--orders", "5"],
         ["verify", "--genus", "2..3", "--orders", "-1"],
         ["verify", "--genus", "2..3", "--orders", "0,3"],
@@ -248,12 +247,6 @@ def test_verify_with_orders_filter(capsys):
     assert records[-1]["mismatches"] == "0"
 
 
-def test_verify_jobs_flag_keeps_output(capsys):
-    _, serial, _ = run(capsys, "verify", "--genus", "2..5")
-    _, parallel, _ = run(capsys, "verify", "--genus", "2..5", "--jobs", "4")
-    assert serial == parallel
-
-
 def test_verify_rejects_bad_range(capsys):
     code, _, err = run(capsys, "verify", "--genus", "6..2")
     assert code == 2 and "usage error" in err
@@ -262,18 +255,17 @@ def test_verify_rejects_bad_range(capsys):
 def test_verify_streams_records_before_a_cap_hit(capsys):
     # label sets of orders 0 and 1 have at most 2 points, so their classes fit a
     # cap of 2; the first order-2 class (genus 3) needs 3! and stops the run
-    for jobs in ("1", "2"):
-        code, out, err = run(capsys, "verify", "--genus", "2..3", "--closure-cap", "2", "--jobs", jobs)
-        records = [parse_record(line) for line in out.splitlines()]
-        assert code == 3 and err.startswith("CapExceeded: ")
-        assert all(r["kind"] == "verify" and r["match"] == "true" for r in records)
-        assert [(r["genus"], r["order"], r["i"], r["p"]) for r in records] == [
-            ("2", "0", "2", "-"),
-            ("2", "1", "0", "1"),
-            ("3", "0", "3", "-"),
-            ("3", "1", "0", "2"),
-            ("3", "1", "1", "0"),
-        ]
+    code, out, err = run(capsys, "verify", "--genus", "2..3", "--closure-cap", "2")
+    records = [parse_record(line) for line in out.splitlines()]
+    assert code == 3 and err.startswith("CapExceeded: ")
+    assert all(r["kind"] == "verify" and r["match"] == "true" for r in records)
+    assert [(r["genus"], r["order"], r["i"], r["p"]) for r in records] == [
+        ("2", "0", "2", "-"),
+        ("2", "1", "0", "1"),
+        ("3", "0", "3", "-"),
+        ("3", "1", "0", "2"),
+        ("3", "1", "1", "0"),
+    ]
 
 
 def test_bad_numbers_and_vertices_are_usage_errors(capsys):
@@ -381,12 +373,9 @@ def test_export_dot_deterministic(capsys):
 def test_tables_flag(tmp_path, capsys):
     path = tmp_path / "tables.txt"
     path.write_text(tables.render_tables(tables.compute_order3_tables()), encoding="utf-8")
-    try:
-        code, out, _ = run(capsys, "--tables", str(path), "verify", "--genus", "6", "--orders", "4")
-        assert code == 0
-        assert parse_record(out.splitlines()[-1])["mismatches"] == "0"
-    finally:
-        tables.set_active_tables(None)
+    code, out, _ = run(capsys, "--tables", str(path), "verify", "--genus", "6", "--orders", "4")
+    assert code == 0
+    assert parse_record(out.splitlines()[-1])["mismatches"] == "0"
 
 
 def test_tables_flag_bad_file(tmp_path, capsys):
@@ -419,39 +408,33 @@ def test_table_tokens_take_ascii_digits_only(tmp_path, capsys, digit, kind, old,
     assert old in text
     path = tmp_path / "tables.txt"
     path.write_text(text.replace(old, new.format(digit), 1), encoding="utf-8")
-    try:
-        code, out, err = run(capsys, "--tables", str(path), "verify", "--genus", "2")
-    finally:
-        tables.set_active_tables(None)
+    code, out, err = run(capsys, "--tables", str(path), "verify", "--genus", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: line ") and f"bad {kind} token" in err
 
 
 def test_verify_builds_only_the_table_entries_it_looks_up(capsys, monkeypatch):
-    from spinatlas import classify
-
     def refuse():
         raise AssertionError("the full order-3 tables were built")
 
     monkeypatch.setattr(tables, "compute_order3_tables", refuse)
-    # a fresh computed store, and no face map left over from another test
-    tables.computed_tables.cache_clear()
-    classify.clear_caches()
+    # a computed store no other test has looked anything up in; the run's engine starts with no step table
+    store = tables._ComputedTables({})
+    monkeypatch.setattr(tables, "computed_tables", lambda: store)
     code, out, _ = run(capsys, "verify", "--genus", "9")
     assert code == 0 and out.splitlines()[-1] == "kind=summary classes=41 mismatches=0"
-    assert sum(map(len, tables.computed_tables()._index.values())) == 30
+    assert sum(map(len, store._index.values())) == 30
 
 
 def test_tables_env_var(tmp_path, monkeypatch):
     path = tmp_path / "tables.txt"
     path.write_text(tables.render_tables(tables.compute_order3_tables()), encoding="utf-8")
     monkeypatch.setenv(tables.ENV_VAR, str(path))
-    try:
-        tables.set_active_tables(None)
-        assert tables.active_tables() == tables.compute_order3_tables()
-    finally:
-        monkeypatch.delenv(tables.ENV_VAR)
-        tables.set_active_tables(None)
+    assert tables.active_tables() == tables.compute_order3_tables()
+    # a loaded store, not the computed one, so a run over it searches every vertex from order 4 on
+    assert tables.active_tables() is not tables.computed_tables()
+    monkeypatch.delenv(tables.ENV_VAR)
+    assert tables.active_tables() is tables.computed_tables()
 
 
 @pytest.mark.parametrize("source", ["--tables", "env"])

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BASIC3_FACES, CHORD2_FACES, CHORD3_FACES, CELL3, F, P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V
-from conftest import conjugate_face, decorated_cell
+from conftest import FaceKind, build_face_map, conjugate_face, decorated_cell, face_classes, face_kind, pair_count
+from orbit_oracle import step_map
 from spinatlas import tables
+from spinatlas.chains import StepTable
 from spinatlas.faces import (
     Face,
-    FaceKind,
     cells_containing,
     enumerate_faces,
     cell_frame,
@@ -77,19 +78,19 @@ def test_faces_closed_under_conjugation():
 
 
 def test_face_kinds():
-    assert BASIC3_FACES["F1"].kind is FaceKind.STANDARD
-    assert CHORD3_FACES["F4"].kind is FaceKind.ONE_PAIR
-    assert CHORD2_FACES["F10"].kind is FaceKind.TWO_PAIR
+    assert face_kind(BASIC3_FACES["F1"]) is FaceKind.STANDARD
+    assert face_kind(CHORD3_FACES["F4"]) is FaceKind.ONE_PAIR
+    assert face_kind(CHORD2_FACES["F10"]) is FaceKind.TWO_PAIR
 
 
 def test_two_pair_faces_have_maximal_degrees(order3_two_chords):
     for face in enumerate_faces(order3_two_chords):
-        if face.kind is FaceKind.TWO_PAIR:
+        if face_kind(face) is FaceKind.TWO_PAIR:
             assert all(order3_two_chords.epsilon_degree(v) == 4 for v in face.cycle)
 
 
 def brute_cell_count(order: int, face: Face) -> int:
-    base = face.classes
+    base = face_classes(face)
     return sum(1 for combo in itertools.combinations(range(order + 1), 4) if base <= set(combo))
 
 
@@ -104,10 +105,10 @@ def test_cell_counts(order, connected):
     seen = set()
     for face in enumerate_faces(cg):
         cells = cells_containing(cg, face)
-        assert len(cells) == kinds[face.kind]
+        assert len(cells) == kinds[face_kind(face)]
         assert len(cells) == brute_cell_count(order, face)
-        assert all(face.classes <= cell for cell in cells)
-        seen.add(face.kind)
+        assert all(face_classes(face) <= cell for cell in cells)
+        seen.add(face_kind(face))
     assert seen == {FaceKind.STANDARD, FaceKind.ONE_PAIR, FaceKind.TWO_PAIR}
 
 
@@ -213,7 +214,7 @@ def test_face_maps_are_partial_bijections(cg):
                 if c not in cell:
                     assert m[c] == c
             # two-pair faces induce total maps on the full label sets
-            if face.kind is FaceKind.TWO_PAIR:
+            if face_kind(face) is FaceKind.TWO_PAIR:
                 assert len(m) == len(cg.label_classes(u)) == len(cg.label_classes(w))
 
 
@@ -307,7 +308,7 @@ def test_computed_store_builds_each_entry_on_first_lookup():
 
 def test_computed_store_rejects_keys_off_its_faces():
     store = tables.computed_tables()
-    chord_face = next(f for f in enumerate_faces(ConnectionGraph(3, frozenset({3}))) if f.pair_count)
+    chord_face = next(f for f in enumerate_faces(ConnectionGraph(3, frozenset({3}))) if pair_count(f))
     chord = tuple(map(vertex_id, chord_face.cycle))
     face = (0, 2, 5, 6)  # P-P1-P2~-P3
     assert store.lookup(frozenset({3}), chord, chord[0], chord[1])
@@ -325,13 +326,11 @@ def test_computed_store_rejects_keys_off_its_faces():
 
 
 def test_table_lookup_path_agrees_with_direct_construction():
-    from spinatlas.faces import _build_face_map
-
     for order, connected in [(4, {4}), (4, {3, 4}), (5, {5}), (5, {0, 1, 2, 3, 4, 5})]:
         cg = ConnectionGraph(order, frozenset(connected))
         for cell, face in itertools.islice(all_cell_face_pairs(cg), 120):
             for u, w in itertools.permutations(face.cycle, 2):
-                assert face_map(cg, cell, face, u, w) == _build_face_map(cg, cell, face, u, w)
+                assert face_map(cg, cell, face, u, w) == build_face_map(cg, cell, face, u, w)
 
 
 def _table_lift(cg, cell, face, u, w):
@@ -339,7 +338,7 @@ def _table_lift(cg, cell, face, u, w):
     classes = tuple(sorted(cell))
     local_cg, _ = decorated_cell(cg, cell)
     local_face = Face.from_cycle(tuple(localize_vertex(classes, x) for x in face.cycle))
-    local = tables.active_tables().lookup(
+    local = tables.computed_tables().lookup(
         local_cg.connected,
         tuple(map(vertex_id, local_face.cycle)),
         vertex_id(localize_vertex(classes, u)),
@@ -351,10 +350,8 @@ def _table_lift(cg, cell, face, u, w):
 
 
 def test_face_map_equals_the_dict_construction():
-    from spinatlas.faces import _build_face_map
-
     for cg, build in (
-        (ConnectionGraph(3, frozenset({3})), _build_face_map),
+        (ConnectionGraph(3, frozenset({3})), build_face_map),
         (ConnectionGraph(4, frozenset({3, 4})), _table_lift),
     ):
         for cell, face in all_cell_face_pairs(cg):
@@ -385,11 +382,10 @@ def test_loaded_tables_drive_higher_orders(tmp_path):
     cell = frozenset({0, 2, 3, 4})
     face = F(P, P2, P4t, P4)
     before = face_map(cg, cell, face, P, P4)
-    try:
-        tables.set_active_tables(tables.load_tables(str(path)))
-        assert face_map(cg, cell, face, P, P4) == before
-    finally:
-        tables.set_active_tables(None)
+    loaded = tables.load_tables(str(path))
+    assert step_map(StepTable(cg, loaded), cell, face, P, P4) == before
+    # the step table lifted the map from the loaded store, whose index is built on its first lookup
+    assert loaded._index
 
 
 TABLE_LINES = tables.render_tables(tables.compute_order3_tables()).splitlines()

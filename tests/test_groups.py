@@ -292,14 +292,14 @@ def test_fully_chorded_classes_get_full_symmetric():
 
 
 def test_exhaustive_mode_never_overshoots(hexagon_one_chord, hexagon_two_chords):
-    from spinatlas.classify import _admissible_evaluations
+    from spinatlas.classify import Engine, _admissible_evaluations
 
     for cg, v in [(hexagon_one_chord, P2), (hexagon_one_chord, P), (hexagon_two_chords, P)]:
         res = spin_group_at(cg, v, max_steps=4, exhaustive=True)
         n = len(cg.label_classes(v))
         group = set(closure(res.generators, n))
         assert len(group) == res.order <= res.predicted.order
-        evaluations = list(_admissible_evaluations(cg, v, 4))
+        evaluations = list(_admissible_evaluations(Engine().step_table(cg), v, 4))
         assert all(perm in group for _, perm in evaluations)
         # every group here (C3 at P2, trivial elsewhere) stays below S_n, so nothing
         # stops the exhaustive search: it consumes the whole budget
@@ -341,8 +341,8 @@ def test_label_relabeling_conjugates_the_group(order3_one_chord):
 def test_pruned_search_agrees_with_plain_stream():
     """The group engine's pruned generator must yield exactly the admissible chains."""
     from conftest import enumerate_chains
-    from spinatlas.chains import evaluate, is_admissible, step_table
-    from spinatlas.classify import _admissible_evaluations
+    from spinatlas.chains import evaluate, is_admissible
+    from spinatlas.classify import Engine, _admissible_evaluations
 
     for order, connected, start in [(2, {2}, P2), (2, {1, 2}, P1t), (3, {3}, P3), (3, {2, 3}, P1)]:
         cg = ConnectionGraph(order, frozenset(connected))
@@ -351,8 +351,8 @@ def test_pruned_search_agrees_with_plain_stream():
             for chain in enumerate_chains(cg, start, 3)
             if is_admissible(cg, chain).admissible
         }
-        table = step_table(cg)
-        pruned = {(table.chain(start, path), perm) for path, perm in _admissible_evaluations(cg, start, 3)}
+        table = Engine().step_table(cg)
+        pruned = {(table.chain(start, path), perm) for path, perm in _admissible_evaluations(table, start, 3)}
         assert plain
         assert pruned == plain
 
@@ -459,14 +459,15 @@ def _representatives(genera):
 def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_match_it():
     """Every searched (graph, vertex) of genus 2..16: the certificate fires on the chain at which
     a stabilizer chain first reaches S_n, and the fields read from the sift equal that search's."""
-    from spinatlas.chains import step_table
+    from spinatlas.classify import Engine
 
     cap = math.factorial(16)
     late = {}
     reps = _representatives(range(2, 17))
+    engine = Engine()
     for cg, v in reps:
-        res = spin_group_at(cg, v, closure_cap=cap)
-        ref = stab_chain_search(cg, v)
+        res = spin_group_at(cg, v, closure_cap=cap, engine=engine)
+        ref = stab_chain_search(cg, v, engine=engine)
         assert (res.verdict, res.order, res.kept(), res.chains_tried) == (
             ref.verdict,
             ref.order,
@@ -476,7 +477,7 @@ def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_m
         if cg.order <= 8:
             # each property is one sift again, so the larger graphs check `kept()` alone
             assert (res.generators, res.paths) == (ref.generators, ref.paths)
-            assert res.witnesses == tuple(step_table(cg).chain(v, path) for path in ref.paths)
+            assert res.witnesses == tuple(engine.step_table(cg).chain(v, path) for path in ref.paths)
         if res.predicted == symmetric(len(cg.label_classes(v))):
             assert res.verdict == res.predicted
             # the certificate is sound, so it can never fire before the stabilizer chain is full
