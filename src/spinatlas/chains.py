@@ -10,6 +10,7 @@ share one degree.  Inadmissible chains evaluate to the identity.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from . import tables
 from .faces import Face, _canonical, cell_frame, cells_containing, cells_of, class_mask, direct_images, enumerate_faces
@@ -155,18 +156,35 @@ def evaluate(cg: ConnectionGraph, chain: SpinChain) -> tuple[int, ...]:
 Choice = tuple[frozenset[int], tuple[int, ...]]
 
 
+class _Entry:
+    """One step's choices listed so far, a face-map slot per choice, and the face cycles not yet listed.
+
+    `pending` iterates the rest of the step's sorted face cycles, and is None
+    once every choice is listed.
+    """
+
+    __slots__ = ("choices", "maps", "pending")
+
+    def __init__(self, cycles: list[tuple[int, ...]]) -> None:
+        self.choices: list[Choice] = []
+        self.maps: list[tuple[int, ...] | None] = []
+        self.pending = iter(cycles)
+
+
 class StepTable:
     """The chain steps of one connection graph, by vertex id (index into `vertices`).
 
-    For a step from vertex a to vertex b, `entry(a, b)` gives the (cell, face)
-    choices, faces as canonical id cycles in `enumerate_faces` order and then
-    cells in order, and one slot per choice for its face map, which `fill`
-    computes when the search first steps through that choice.  Entries are
-    built on first use, each from the neighbours of its two vertices, so the
-    graph's faces are never listed, and a `Face` is built only in a chain.
-    From order 4 on, maps are lifted through the table store `store`; the
-    choices do not depend on it.  A search path is a sequence of (vertex id,
-    choice index) steps, and `chain` turns one into its chain.
+    The (cell, face) choices of a step from vertex a to vertex b are its faces
+    as canonical id cycles in `enumerate_faces` order, each followed by its
+    cells in order; choice k is the step's k-th.  An entry lists the faces
+    through a and b, from the neighbours of the two vertices, when the step is
+    first read, and the choices of each face only when a reader gets that far:
+    `choices` for the readers of a path, `maps` for the search, which also
+    computes each face map when it first steps through it.  So the graph's
+    faces are never listed, and a `Face` is built only in a chain.  From order
+    4 on, maps are lifted through the table store `store`; the choices do not
+    depend on it.  A search path is a sequence of (vertex id, choice index)
+    steps, and `chain` turns one into its chain.
     """
 
     def __init__(self, cg: ConnectionGraph, store: tables.FaceTables) -> None:
@@ -174,7 +192,7 @@ class StepTable:
         self.vertices = cg.vertices()
         self._near = neighbour_ids(cg)
         self._store = store
-        self._entries: dict[tuple[int, int], tuple[tuple[Choice, ...], list]] = {}
+        self._entries: dict[tuple[int, int], _Entry] = {}
         # per cell, its `cell_frame` for the table lookup at order >= 4
         self._frames: dict[frozenset[int], tuple] = {}
 
@@ -196,32 +214,63 @@ class StepTable:
             cycles = []
         return sorted(map(_canonical, cycles))
 
-    def entry(self, a: int, b: int) -> tuple[tuple[Choice, ...], list]:
+    def entry(self, a: int, b: int) -> _Entry:
         hit = self._entries.get((a, b))
         if hit is None:
-            choices = tuple(
-                (cell, cycle)
-                for cycle in self._cycles(a, b)
-                for cell in cells_of(self.cg.order, class_mask(cycle))
-            )
-            hit = self._entries[(a, b)] = (choices, [None] * len(choices))
+            hit = self._entries[(a, b)] = _Entry(self._cycles(a, b))
         return hit
 
+    def _list_next(self, entry: _Entry) -> bool:
+        """List the choices of the entry's next face; False when every choice is listed."""
+        if entry.pending is None:
+            return False
+        cycle = next(entry.pending, None)
+        if cycle is None:
+            entry.pending = None
+            return False
+        cells = cells_of(self.cg.order, class_mask(cycle))
+        entry.choices.extend((cell, cycle) for cell in cells)
+        entry.maps.extend([None] * len(cells))
+        return True
+
+    def choices(self, a: int, b: int, k: int | None = None) -> list[Choice]:
+        """The step's choices, listed at least through choice k, or all of them when k is None."""
+        entry = self.entry(a, b)
+        while (k is None or k >= len(entry.choices)) and self._list_next(entry):
+            pass
+        return entry.choices
+
+    def maps(self, a: int, b: int) -> Iterable[tuple[int, ...] | None]:
+        """The step's face-map slots in choice order, listing choices as they are read.
+
+        A slot is None until `fill` computes its map.
+        """
+        entry = self.entry(a, b)
+        return entry.maps if entry.pending is None else self._listing(entry)
+
+    def _listing(self, entry: _Entry) -> Iterator[tuple[int, ...] | None]:
+        maps, k = entry.maps, 0
+        while k < len(maps) or self._list_next(entry):
+            yield maps[k]
+            k += 1
+
     def fill(self, a: int, b: int, k: int) -> tuple[int, ...]:
-        choices, slots = self._entries[(a, b)]
-        cell, cycle = choices[k]
-        if self.cg.order <= 3:
-            slots[k] = direct_images(self.cg.order, self.cg.connected, cell, cycle, a, b)
-        else:
-            frame = self._frames.get(cell) or self._frames.setdefault(cell, cell_frame(self.cg, cell))
-            slots[k] = lifted_images(self._store, self.cg.order, frame, cycle, a, b)
-        return slots[k]
+        """The face map of the step's choice k, computed on first read."""
+        entry = self.entry(a, b)
+        if entry.maps[k] is None:
+            cell, cycle = entry.choices[k]
+            if self.cg.order <= 3:
+                entry.maps[k] = direct_images(self.cg.order, self.cg.connected, cell, cycle, a, b)
+            else:
+                frame = self._frames.get(cell) or self._frames.setdefault(cell, cell_frame(self.cg, cell))
+                entry.maps[k] = lifted_images(self._store, self.cg.order, frame, cycle, a, b)
+        return entry.maps[k]
 
     def chain(self, start: Vertex, path: tuple[tuple[int, int], ...]) -> SpinChain:
         """The chain at `start` whose steps take, in turn, choice k of the step to vertex b."""
         steps, a = [], vertex_id(start)
         for b, k in path:
-            cell, cycle = self.entry(a, b)[0][k]
+            cell, cycle = self.choices(a, b, k)[k]
             steps.append(ChainStep(cell, Face(tuple(map(self.vertices.__getitem__, cycle))), self.vertices[b]))
             a = b
         return SpinChain(start, tuple(steps))

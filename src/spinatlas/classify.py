@@ -6,6 +6,7 @@ from collections import namedtuple
 
 from . import groups, tables
 from .chains import Carried, SpinChain, StepTable, carry, close_out, label_positions
+from .faces import vertex_id
 from .faces import face_map  # noqa: F401  (perfbench/probe.py traces classify.face_map)
 from .graph import ConnectionGraph, Vertex, build_connection_graph
 from .params import GraphClass
@@ -101,7 +102,8 @@ def _sift(distinct, n: int):
 
 
 class Engine:
-    """What one run computes over one table store: the step table of each graph and the result of each search.
+    """What one run computes over one table store: the step table of each graph, the result of each
+    search, and the rows of each graph.
 
     `store` is the order-3 table store that face maps are lifted from at
     order >= 4; without one, the computed tables.  The command line builds one
@@ -114,6 +116,8 @@ class Engine:
         self.step_tables: dict[ConnectionGraph, StepTable] = {}
         # per (graph, vertex, max_steps, closure_cap, exhaustive), the result of `spin_group_at`
         self.results: dict[tuple, SpinGroupResult] = {}
+        # per (graph, max_steps, closure_cap, exhaustive), the `VertexRow`s of `verify_class`
+        self.rows: dict[tuple, tuple[VertexRow, ...]] = {}
 
     def step_table(self, cg: ConnectionGraph) -> StepTable:
         table = self.step_tables.get(cg)
@@ -130,45 +134,6 @@ class Engine:
         reduction off.
         """
         return cg.order <= 3 or self.store is tables.computed_tables()
-
-
-def _admissible_evaluations(table: StepTable, start: Vertex, max_steps: int):
-    """Yield (path, permutation) for every admissible chain at `start`, shortest first.
-
-    A path is a list of (vertex id, choice index) steps through the graph's
-    step table `table`, whose `chain(start, path)` builds the chain; it is one list,
-    changed in place, so copy it to keep it past the next item.  Equivalent to
-    evaluating the full chain stream, but a prefix whose carried label set has
-    already lost an element (or, at order <= 2, mixed degrees) is dropped with
-    all its extensions: those chains evaluate to the identity.
-    """
-    cg = table.cg
-    pos = label_positions(cg, start)
-    verts = table.vertices
-    base = verts.index(start)
-    walk = range(len(verts))
-    if cg.order <= 2:
-        walk = [k for k in walk if cg.epsilon_degree(verts[k]) == cg.epsilon_degree(start)]
-    path: list[tuple[int, int]] = []
-
-    def extend(a: int, carried: Carried | None, remaining: int):
-        for b in (base,) if remaining == 1 else walk:
-            if b == a:
-                continue
-            slots = table.entry(a, b)[1]
-            for k, mapping in enumerate(slots):
-                moved = carry(table.fill(a, b, k) if mapping is None else mapping, carried)
-                if moved is None:
-                    continue
-                path.append((b, k))
-                if remaining == 1:
-                    yield path, close_out(pos, moved)
-                else:
-                    yield from extend(b, moved, remaining - 1)
-                path.pop()
-
-    for length in range(2, max_steps + 1):
-        yield from extend(base, None, length)
 
 
 def spin_group_at(
@@ -189,8 +154,10 @@ def spin_group_at(
     `exhaustive` consumes the whole chain budget only while the group is
     smaller than S_n.  A search that ends without a certificate sifts what it
     met into a stabilizer chain for the exact order.  The search walks
-    `engine`'s step table of the graph, and a second call with the same
-    arguments returns the engine's result of the first.
+    `engine`'s step table of the graph once, and skips each repeat of a walk
+    state whose chains it has already walked, counting them as tried.  A
+    second call with the same arguments returns the engine's result of the
+    first, until `verify_class` has made the graph's rows.
     """
     if engine is None:
         engine = Engine()
@@ -212,22 +179,70 @@ def spin_group_at(
     seen: set[groups.Perm] = {groups.identity_perm(n)}
     distinct: list[tuple[int, tuple[tuple[int, int], ...], groups.Perm]] = []
     tried = 0
-    order = full_order
-    for path, perm in _admissible_evaluations(engine.step_table(cg), v, max_steps):
+
+    # The walk, shortest chains first: a path is the list of (vertex id, choice index)
+    # steps taken so far through the graph's step table, and the step table's `chain`
+    # builds its chain.  A prefix whose carried label set has already lost an element
+    # (or, at order <= 2, mixed degrees) is dropped with all its extensions: those
+    # chains evaluate to the identity.
+    table = engine.step_table(cg)
+    pos = label_positions(cg, v)
+    base = vertex_id(v)
+    targets = range(len(table.vertices))
+    if cg.order <= 2:
+        targets = [b for b in targets if cg.epsilon_degree(table.vertices[b]) == cg.epsilon_degree(v)]
+    path: list[tuple[int, int]] = []
+    # The chains below a walk state (vertex, carried labels, steps left) depend only on
+    # that state, so once its subtree is walked every permutation below it is in `seen`:
+    # per finished state, the chains it held, which a repeat of the state adds to `tried`.
+    walked: dict[tuple, int] = {}
+
+    def met(perm: groups.Perm) -> bool:
+        """Take a closed chain's permutation; True once the search is decided."""
+        nonlocal tried
         tried += 1
         if perm in seen:
-            continue
+            return False
         seen.add(perm)
         distinct.append((tried, tuple(path), perm))
         if certificate is not None:
-            if certificate.add(perm):
-                break
-        elif group.add(perm):
-            order = group.order()
-            if order == full_order or (not exhaustive and groups.recognize(order, n) == predicted):
-                break
+            return certificate.add(perm)
+        if not group.add(perm):
+            return False
+        order = group.order()
+        return order == full_order or (not exhaustive and groups.recognize(order, n) == predicted)
+
+    def extend(a: int, carried: Carried | None, remaining: int) -> bool:
+        """Walk every chain from vertex a with `remaining` steps left; True once the search is decided."""
+        nonlocal tried
+        for b in (base,) if remaining == 1 else targets:
+            if b == a:
+                continue
+            for k, mapping in enumerate(table.maps(a, b)):
+                moved = carry(table.fill(a, b, k) if mapping is None else mapping, carried)
+                if moved is None:
+                    continue
+                path.append((b, k))
+                if remaining == 1:
+                    if met(close_out(pos, moved)):
+                        return True
+                else:
+                    state = (b, moved, remaining - 1)
+                    below = walked.get(state)
+                    if below is not None:
+                        tried += below
+                    else:
+                        before = tried
+                        if extend(b, moved, remaining - 1):
+                            return True
+                        walked[state] = tried - before
+                path.pop()
+        return False
+
+    if any(extend(base, None, length) for length in range(2, max_steps + 1)) and group is None:
+        order = full_order
     else:
-        # the budget ran out: the exact group of every permutation met
+        # a stop on the stabilizer chain, or the budget ran out: the exact group of every permutation met
         order = (group or _sift(distinct, n)[0]).order()
     result = SpinGroupResult(cg, v, groups.recognize(order, n), predicted, order, tuple(distinct), tried)
     engine.results[key] = result
@@ -264,10 +279,28 @@ def verify_class(
     vertices: when the engine's `orbit_reduction_applies`, the search runs once
     per orbit, at its first (untilded) vertex, and the rest of the orbit
     reuses that group.  Each row still gets its own prediction and comparison.
+
+    The rows depend only on the graph and the search flags, so the engine
+    keeps them per graph, and every later class of that graph reuses them
+    without a search.  Once a graph's rows are made, the engine drops its step
+    table and the results of its searches under these flags.
     """
     if engine is None:
         engine = Engine()
     cg = build_connection_graph(gc)
+    key = (cg, max_steps, closure_cap, exhaustive)
+    rows = engine.rows.get(key)
+    if rows is None:
+        rows = engine.rows[key] = _rows(cg, max_steps, closure_cap, exhaustive, engine)
+        # nothing reads the graph's searches again: keep its rows only
+        engine.step_tables.pop(cg, None)
+        for v in cg.vertices():
+            engine.results.pop((cg, v, max_steps, closure_cap, exhaustive), None)
+    return ClassReport(gc, rows)
+
+
+def _rows(cg: ConnectionGraph, max_steps: int, closure_cap: int, exhaustive: bool, engine: Engine):
+    """The `VertexRow` of every vertex of the graph, in vertex order."""
     rows = []
     reduce = engine.orbit_reduction_applies(cg)
     searched: dict[bool, SpinGroupResult] = {}
@@ -285,4 +318,4 @@ def verify_class(
             # over-generation guard: the computed group may never exceed the prediction
             ok = ok and res.order <= predicted.order
         rows.append(VertexRow(v, cg.epsilon_degree(v), predicted, res.verdict, ok))
-    return ClassReport(gc, tuple(rows))
+    return tuple(rows)

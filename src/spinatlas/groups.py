@@ -54,6 +54,21 @@ def cycles(a: Perm) -> list[list[int]]:
     return out
 
 
+def is_odd(a: Perm) -> bool:
+    """Whether a is an odd permutation: each cycle of length L is L - 1 transpositions."""
+    # each cycle is walked from its least point, which no later k reaches again
+    seen = [False] * len(a)
+    odd = False
+    for k in range(len(a)):
+        if not seen[k]:
+            j = a[k]
+            while j != k:
+                seen[j] = True
+                odd = not odd
+                j = a[j]
+    return odd
+
+
 def cycles_str(a: Perm) -> str:
     """One-based cycle notation, fixed points suppressed."""
     return "".join("(" + " ".join(str(j + 1) for j in cyc) + ")" for cyc in cycles(a) if len(cyc) > 1) or "()"
@@ -181,20 +196,19 @@ class SymmetricCertificate:
 
     def add(self, g: Perm) -> bool:
         """Take g into the group; True once the permutations taken generate S_n."""
-        decomposition = cycles(g)
-        for cyc in power_cycles(decomposition) if self._parts > 1 else ():
-            for p in cyc[1:]:
-                self._join(cyc[0], p)
-        parts = len(g)
-        while 1 < self._parts < parts:
-            # points of one part map into one part: join each image with that of the part's name
-            parts = self._parts
-            part = self._part
-            for p in range(len(g)):
-                if part[g[part[p]]] != part[g[p]]:
-                    self._join(g[part[p]], g[p])
-        # g is odd when n minus its number of cycles is
-        self._odd = self._odd or (len(g) - len(decomposition)) % 2 == 1
+        self._odd = self._odd or is_odd(g)
+        if self._parts > 1:
+            for cyc in power_cycles(cycles(g)):
+                for p in cyc[1:]:
+                    self._join(cyc[0], p)
+            parts = len(g)
+            while 1 < self._parts < parts:
+                # points of one part map into one part: join each image with that of the part's name
+                parts = self._parts
+                part = self._part
+                for p in range(len(g)):
+                    if part[g[part[p]]] != part[g[p]]:
+                        self._join(g[part[p]], g[p])
         return self._parts == 1 and self._odd
 
 

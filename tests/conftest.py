@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 import spinatlas
-from spinatlas.chains import ChainStep, SpinChain, validate_structure
-from spinatlas.classify import Engine
+from spinatlas.chains import ChainStep, SpinChain, StepTable, carry, close_out, label_positions, validate_structure
+from spinatlas.classify import Engine, SpinGroupResult, predict_group
 from spinatlas.faces import Face, cells_containing, direct_images, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
-from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, StabChain, alternating, identity_perm, recognize, symmetric
+from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, StabChain, SymmetricCertificate, alternating, identity_perm
+from spinatlas.groups import recognize, symmetric
 
 
 SRC = str(Path(spinatlas.__file__).resolve().parent.parent)
@@ -146,6 +147,74 @@ def parse_verdict(text: str) -> GroupVerdict:
     raise ValueError(f"cannot parse group verdict {text!r}")
 
 
+def admissible_evaluations(table: StepTable, start: Vertex, max_steps: int):
+    """Reference walk: yield (path, permutation) for every admissible chain at `start`, shortest first.
+
+    A path is a list of (vertex id, choice index) steps through the graph's
+    step table `table`, whose `chain(start, path)` builds the chain; it is one list,
+    changed in place, so copy it to keep it past the next item.  Equivalent to
+    evaluating the full chain stream, but a prefix whose carried label set has
+    already lost an element (or, at order <= 2, mixed degrees) is dropped with
+    all its extensions: those chains evaluate to the identity.  Unlike the
+    search, it walks every repeated state again.
+    """
+    cg = table.cg
+    pos = label_positions(cg, start)
+    verts = table.vertices
+    base = verts.index(start)
+    walk = range(len(verts))
+    if cg.order <= 2:
+        walk = [k for k in walk if cg.epsilon_degree(verts[k]) == cg.epsilon_degree(start)]
+    path: list[tuple[int, int]] = []
+
+    def extend(a: int, carried, remaining: int):
+        for b in (base,) if remaining == 1 else walk:
+            if b == a:
+                continue
+            for k in range(len(table.choices(a, b))):
+                moved = carry(table.fill(a, b, k), carried)
+                if moved is None:
+                    continue
+                path.append((b, k))
+                if remaining == 1:
+                    yield path, close_out(pos, moved)
+                else:
+                    yield from extend(b, moved, remaining - 1)
+                path.pop()
+
+    for length in range(2, max_steps + 1):
+        yield from extend(base, None, length)
+
+
+def reference_search(
+    cg: ConnectionGraph, v: Vertex, max_steps: int = 6, exhaustive: bool = False, engine: Engine | None = None
+) -> SpinGroupResult:
+    """`spin_group_at` over the reference walk: every chain walked, none skipped, with the same stopping rules."""
+    n = len(cg.label_classes(v))
+    predicted = predict_group(cg, v)
+    full_order = math.factorial(n)
+    symmetric_predicted = predicted == symmetric(n)
+    certificate, group = SymmetricCertificate(n), StabChain(n)
+    seen, distinct, tried = {identity_perm(n)}, [], 0
+    for path, perm in admissible_evaluations((engine or Engine()).step_table(cg), v, max_steps):
+        tried += 1
+        if perm in seen:
+            continue
+        seen.add(perm)
+        distinct.append((tried, tuple(path), perm))
+        if symmetric_predicted:
+            if certificate.add(perm):
+                break
+        elif group.add(perm):
+            order = group.order()
+            if order == full_order or (not exhaustive and recognize(order, n) == predicted):
+                break
+    for _, _, perm in distinct:
+        group.add(perm)
+    order = group.order()
+    return SpinGroupResult(cg, v, recognize(order, n), predicted, order, tuple(distinct), tried)
+
+
 StabChainSearch = namedtuple("StabChainSearch", "verdict order generators paths chains_tried")
 
 
@@ -158,13 +227,11 @@ def stab_chain_search(
     search stops once the group is S_n or the predicted one.  It walks the step
     table of `engine`, or of a new engine over the computed tables.
     """
-    from spinatlas.classify import _admissible_evaluations, predict_group
-
     n = len(cg.label_classes(v))
     predicted = predict_group(cg, v)
     group, seen = StabChain(n), {identity_perm(n)}
     gens, paths, tried = [], [], 0
-    for path, perm in _admissible_evaluations((engine or Engine()).step_table(cg), v, max_steps):
+    for path, perm in admissible_evaluations((engine or Engine()).step_table(cg), v, max_steps):
         tried += 1
         if perm in seen:
             continue

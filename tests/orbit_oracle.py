@@ -5,10 +5,12 @@ group for the rest of the orbit.  `face_map_differences` checks the premise:
 each face map of an engine's step tables commutes with the graph's
 automorphisms.  `row_differences` checks the result: it runs `spin_group_at`
 at every vertex and names each row whose prediction, verdict or match differs
-from that vertex's own result.  Both take an `Engine`, by default a new one
-over the computed tables.  Run as a script, it checks the rows over a genus
-range at the default search settings, with one engine, and exits 1 on any
-difference:
+from that vertex's own result.  `walk_differences` checks each of those
+searches, which skip the walk states they have already walked, against the
+reference walk of every chain (`conftest.reference_search`).  All take an
+`Engine`, by default a new one over the computed tables.  Run as a script, it
+checks the rows and the searches of every vertex over a genus range at the
+default search settings, with one engine, and exits 1 on any difference:
 
     PYTHONPATH=src python3 tests/orbit_oracle.py 10..12
 """
@@ -18,6 +20,7 @@ import sys
 import time
 from itertools import permutations
 
+from conftest import reference_search
 from spinatlas.chains import StepTable
 from spinatlas.classify import DEFAULT_MAX_STEPS, Engine, spin_group_at, verify_class
 from spinatlas.faces import Face, cells_containing, enumerate_faces, vertex_id
@@ -53,9 +56,8 @@ def apply(sigma: Automorphism, v: Vertex) -> Vertex:
 def step_map(table: StepTable, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> dict[int, int]:
     """The map of u -> v on (cell, face) that the step table gives the search, as a dict over the classes at u."""
     a, b = vertex_id(u), vertex_id(v)
-    choices, slots = table.entry(a, b)
-    k = choices.index((cell, tuple(map(vertex_id, face.cycle))))
-    return {c: t for c, t in enumerate(slots[k] or table.fill(a, b, k)) if t >= 0}
+    k = table.choices(a, b).index((cell, tuple(map(vertex_id, face.cycle))))
+    return {c: t for c, t in enumerate(table.fill(a, b, k)) if t >= 0}
 
 
 def face_map_differences(cg: ConnectionGraph, engine: Engine | None = None) -> tuple[int, list[str]]:
@@ -111,12 +113,32 @@ def row_differences(
     return out
 
 
+def walk_differences(
+    gc: GraphClass, max_steps: int = DEFAULT_MAX_STEPS, exhaustive: bool = False, engine: Engine | None = None
+) -> list[str]:
+    """Each vertex whose search's (searched, chains_tried, distinct, order) differs from the reference walk's."""
+    engine = engine or Engine()
+    cg = build_connection_graph(gc)
+    out = []
+    for v in cg.vertices():
+        own = spin_group_at(cg, v, max_steps=max_steps, exhaustive=exhaustive, engine=engine)
+        ref = reference_search(cg, v, max_steps=max_steps, exhaustive=exhaustive, engine=engine)
+        fields = (own.searched, own.chains_tried, own.distinct, own.order)
+        if fields != (ref.searched, ref.chains_tried, ref.distinct, ref.order):
+            out.append(
+                f"{gc.label()} genus {gc.genus} {v.name}: search tried {own.searched} ({own.chains_tried} to the "
+                f"group), {len(own.distinct)} distinct, order {own.order}; reference walk {ref.searched} "
+                f"({ref.chains_tried}), {len(ref.distinct)}, {ref.order}"
+            )
+    return out
+
+
 def main(argv: list[str]) -> int:
     lo, _, hi = (argv[0] if argv else "10..12").partition("..")
     start = time.perf_counter()
     classes = distinct_graph_classes(int(lo), int(hi or lo))
     engine = Engine()
-    diffs = [line for gc in classes for line in row_differences(gc, engine=engine)]
+    diffs = [line for gc in classes for check in (row_differences, walk_differences) for line in check(gc, engine=engine)]
     for line in diffs:
         print(line)
     vertices = sum(2 * gc.order + 2 for gc in classes)

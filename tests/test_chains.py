@@ -24,6 +24,7 @@ from conftest import (
     P4,
     P4t,
     Pt,
+    admissible_evaluations,
     build_face_map,
     conjugate_face,
     cycle_type,
@@ -32,6 +33,7 @@ from conftest import (
     mk_chain,
     parity,
     reversed_chain,
+    searched_vertices,
 )
 from spinatlas import tables
 from spinatlas.chains import ChainStructureError, SpinChain, evaluate, is_admissible, validate_structure
@@ -328,7 +330,7 @@ def test_enumeration_includes_published_loops(order3_one_chord):
 
 def entry_faces(table, a: int, b: int) -> tuple[tuple[frozenset[int], Face], ...]:
     """A step-table entry's (cell, face) choices, each id cycle turned into its `Face`."""
-    return tuple((cell, Face(tuple(map(table.vertices.__getitem__, cycle)))) for cell, cycle in table.entry(a, b)[0])
+    return tuple((cell, Face(tuple(map(table.vertices.__getitem__, cycle)))) for cell, cycle in table.choices(a, b))
 
 
 def test_enumeration_reaches_published_four_step_loop(order3_one_chord):
@@ -380,14 +382,12 @@ SEARCH_ORDER_CASES = [
 @pytest.mark.parametrize("cg,start", SEARCH_ORDER_CASES, ids=["r2a", "r2b", "r3a", "r3b", "r4"])
 def test_search_keeps_enumeration_order(cg, start):
     """The step-table search yields the admissible chains of the plain stream, in its order."""
-    from spinatlas.classify import _admissible_evaluations
-
     plain = [
         (chain, evaluate(cg, chain)) for chain in enumerate_chains(cg, start, 3) if is_admissible(cg, chain).admissible
     ]
     assert plain
     table = Engine().step_table(cg)
-    assert [(table.chain(start, path), perm) for path, perm in _admissible_evaluations(table, start, 3)] == plain
+    assert [(table.chain(start, path), perm) for path, perm in admissible_evaluations(table, start, 3)] == plain
 
 
 def test_step_entries_list_the_faces_through_both_vertices():
@@ -408,6 +408,35 @@ def test_step_entries_list_the_faces_through_both_vertices():
                 assert entry_faces(table, a, b) == choices
                 pairs += 1
     assert pairs == 5520
+
+
+def test_lazily_listed_entries_end_equal_to_the_eager_listing():
+    """Every step of each top-slice graph up to order 6, after the searched vertices' searches have
+    listed part of it: read one choice further at a time, and in full, it is every face's cells at once."""
+    from spinatlas.classify import spin_group_at
+    from spinatlas.faces import cells_of, class_mask
+
+    part_listed = steps = 0
+    for order in range(7):
+        for j in range(order + 2):
+            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+            engine = Engine()
+            # no class has a chordless graph, where the group at P stays A_n and the search walks its budget
+            for v in searched_vertices(cg) if cg.connected else ():
+                spin_group_at(cg, v, engine=engine)
+            table = engine.step_table(cg)
+            for a, b in itertools.permutations(range(len(table.vertices)), 2):
+                eager = [(cell, cycle) for cycle in table._cycles(a, b) for cell in cells_of(order, class_mask(cycle))]
+                listed = len(table.entry(a, b).choices)
+                part_listed += 0 < listed < len(eager)
+                for k in range(len(eager)):
+                    assert table.choices(a, b, k)[k] == eager[k]
+                assert table.choices(a, b) == eager
+                assert len(table.entry(a, b).maps) == len(eager)
+                steps += 1
+    assert steps == 3360
+    # the searches stop part of the way through some entries, which stay part listed
+    assert part_listed > 0
 
 
 def test_step_table_fill_matches_the_direct_builder():

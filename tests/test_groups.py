@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, conjugate_face, cycle_type, parity, parse_verdict
-from conftest import searched_vertices, stab_chain_search
+from conftest import reference_search, searched_vertices, stab_chain_search
 from spinatlas.classify import predict_group, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
@@ -26,6 +26,7 @@ from spinatlas.groups import (
     cycles_str,
     identity_perm,
     inverse,
+    is_odd,
     power_cycles,
     recognize,
     symmetric,
@@ -292,14 +293,15 @@ def test_fully_chorded_classes_get_full_symmetric():
 
 
 def test_exhaustive_mode_never_overshoots(hexagon_one_chord, hexagon_two_chords):
-    from spinatlas.classify import Engine, _admissible_evaluations
+    from conftest import admissible_evaluations
+    from spinatlas.classify import Engine
 
     for cg, v in [(hexagon_one_chord, P2), (hexagon_one_chord, P), (hexagon_two_chords, P)]:
         res = spin_group_at(cg, v, max_steps=4, exhaustive=True)
         n = len(cg.label_classes(v))
         group = set(closure(res.generators, n))
         assert len(group) == res.order <= res.predicted.order
-        evaluations = list(_admissible_evaluations(Engine().step_table(cg), v, 4))
+        evaluations = list(admissible_evaluations(Engine().step_table(cg), v, 4))
         assert all(perm in group for _, perm in evaluations)
         # every group here (C3 at P2, trivial elsewhere) stays below S_n, so nothing
         # stops the exhaustive search: it consumes the whole budget
@@ -340,9 +342,9 @@ def test_label_relabeling_conjugates_the_group(order3_one_chord):
 
 def test_pruned_search_agrees_with_plain_stream():
     """The group engine's pruned generator must yield exactly the admissible chains."""
-    from conftest import enumerate_chains
+    from conftest import admissible_evaluations, enumerate_chains
     from spinatlas.chains import evaluate, is_admissible
-    from spinatlas.classify import Engine, _admissible_evaluations
+    from spinatlas.classify import Engine
 
     for order, connected, start in [(2, {2}, P2), (2, {1, 2}, P1t), (3, {3}, P3), (3, {2, 3}, P1)]:
         cg = ConnectionGraph(order, frozenset(connected))
@@ -352,7 +354,7 @@ def test_pruned_search_agrees_with_plain_stream():
             if is_admissible(cg, chain).admissible
         }
         table = Engine().step_table(cg)
-        pruned = {(table.chain(start, path), perm) for path, perm in _admissible_evaluations(table, start, 3)}
+        pruned = {(table.chain(start, path), perm) for path, perm in admissible_evaluations(table, start, 3)}
         assert plain
         assert pruned == plain
 
@@ -441,6 +443,23 @@ def test_certificate_on_random_permutations_matches_sympy():
     assert certify(perms, 4) and sympy_order(perms, 4) == 24
 
 
+def test_parity_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(20261022)
+    odd = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        perm = random_perm(rng, n)
+        assert is_odd(perm) == combinatorics.Permutation(list(perm)).is_odd, perm
+        odd += is_odd(perm)
+    assert 150 < odd < 250
+    # once its parts are joined, the certificate waits on parity alone
+    certificate = SymmetricCertificate(5)
+    assert not certificate.add(cycle_perm(5, [0, 1, 2])) and not certificate.add(cycle_perm(5, [2, 3, 4]))
+    assert not certificate.add(cycle_perm(5, [0, 1, 2, 3, 4])) and not certificate.add((1, 0, 3, 2, 4))
+    assert certificate.add(cycle_perm(5, [0, 3, 1, 4]))
+
+
 def test_certificate_needs_an_odd_element_and_a_cycle_in_the_group():
     even = [cycle_perm(5, [0, 1, 2]), cycle_perm(5, [2, 3, 4])]
     assert not certify(even, 5) and sympy_order(even, 5) == 60
@@ -488,6 +507,30 @@ def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_m
             assert res.searched == ref.chains_tried
     assert len(reps) == 136
     assert late == {}
+
+
+def test_a_repeated_walk_state_is_counted_not_walked(monkeypatch):
+    # order 1 with chords {0, 1} at P: every one of the 273 chains is the identity, so the
+    # search walks its whole budget, and most of its states are reached more than once
+    import conftest
+    from spinatlas import classify
+
+    cg = ConnectionGraph(1, frozenset({0, 1}))
+    steps = {classify: 0, conftest: 0}
+    carry = classify.carry
+
+    for walker in steps:
+
+        def counted(mapping, carried, walker=walker):
+            steps[walker] += 1
+            return carry(mapping, carried)
+
+        monkeypatch.setattr(walker, "carry", counted)
+    res, ref = spin_group_at(cg, P), reference_search(cg, P)
+    assert (res.searched, res.chains_tried, res.distinct, res.verdict) == (273, 273, (), TRIVIAL)
+    assert (ref.searched, ref.distinct) == (273, ())
+    # the reference walk takes a step per chain prefix; the search, only the steps below each new state
+    assert (steps[classify], steps[conftest]) == (63, 810)
 
 
 def test_chains_tried_comes_from_the_sift_not_from_where_the_search_stopped():

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from orbit_oracle import distinct_graph_classes, face_map_differences, row_differences
+from orbit_oracle import distinct_graph_classes, face_map_differences, row_differences, walk_differences
 from spinatlas import classify, tables
 from spinatlas.graph import ConnectionGraph
 from spinatlas.params import GraphClass, enumerate_classes
@@ -28,6 +28,16 @@ def test_representatives_match_every_vertex(max_steps, exhaustive):
         assert row_differences(gc, max_steps=max_steps, exhaustive=exhaustive, engine=engine) == []
 
 
+@pytest.mark.parametrize("max_steps,exhaustive,orders", [(6, False, range(9)), (4, True, range(4))])
+def test_searches_match_the_reference_walk(max_steps, exhaustive, orders):
+    # every vertex, tilded ones too: skipping the walk states already walked keeps what the full walk counts and meets
+    engine = classify.Engine()
+    classes = [gc for gc in distinct_graph_classes(2, 9) if gc.order in orders]
+    for gc in classes:
+        assert walk_differences(gc, max_steps=max_steps, exhaustive=exhaustive, engine=engine) == []
+    assert sum(2 * gc.order + 2 for gc in classes) == (250 if max_steps == 6 else 60)
+
+
 def _count_searches(monkeypatch) -> list:
     calls = []
     search = classify.spin_group_at
@@ -43,11 +53,18 @@ def _count_searches(monkeypatch) -> list:
 def test_one_search_per_orbit_with_the_computed_tables(monkeypatch):
     calls = _count_searches(monkeypatch)
     engine = classify.Engine()
+    graphs = set()
     for gc in enumerate_classes(9):
         calls.clear()
         classify.verify_class(gc, engine=engine)
+        if (gc.order, gc.connected_pairs) in graphs:
+            # a later class of a graph reuses its rows
+            assert calls == [], gc
+            continue
+        graphs.add((gc.order, gc.connected_pairs))
         # the first vertex of each kind, which is untilded
         assert 1 <= len(calls) <= 2 and not any(v.tilded for v in calls), gc
+    assert len(graphs) == 25
 
 
 def _perturbed_tables() -> tables.FaceTables:
@@ -82,8 +99,8 @@ def test_loaded_tables_search_every_vertex_from_order_4(monkeypatch):
 
 
 def test_two_engines_in_one_process(monkeypatch):
-    # each engine keeps its own step tables and results, so calls on the two interleave freely
-    order4 = GraphClass(5, 4, 0, (0, 0, 0, 1))
+    # each engine keeps its own step tables, results and rows, so calls on the two interleave freely
+    order4, same_graph = GraphClass(5, 4, 0, (0, 0, 0, 1)), GraphClass(7, 4, 0, (0, 0, 0, 3))
     results = []
     search = classify.spin_group_at
 
@@ -99,13 +116,26 @@ def test_two_engines_in_one_process(monkeypatch):
     computed, perturbed = classify.Engine(), classify.Engine(_perturbed_tables())
     first = classify.verify_class(order4, engine=computed)
     assert searches() <= 2
+    # the engine keeps the graph's rows, and drops its step table and search results
+    cg = ConnectionGraph(4, order4.connected_pairs)
+    assert cg not in computed.step_tables and not any(key[0] == cg for key in computed.results)
     made = searches()
     classify.verify_class(order4, engine=perturbed)
     assert searches() - made == 10
     # and each engine's step tables lift their face maps from its own store
-    cg = ConnectionGraph(4, order4.connected_pairs)
     assert face_map_differences(cg, perturbed)[1] and not face_map_differences(cg, computed)[1]
     made = searches()
     again = classify.verify_class(order4, engine=computed)
     assert searches() == made
     assert again.rows == first.rows
+    # a class of the same graph gets the same rows without a search, under its own class
+    shared = classify.verify_class(same_graph, engine=computed)
+    assert searches() == made and len(results) == made
+    assert shared.rows is first.rows and shared.graph_class == same_graph
+    # other search flags, and a second engine over the same store, share nothing
+    classify.verify_class(same_graph, max_steps=5, engine=computed)
+    assert searches() - made == 2
+    made = searches()
+    fresh = classify.verify_class(same_graph, engine=classify.Engine())
+    assert searches() - made == 2
+    assert fresh.rows == first.rows and fresh.rows is not first.rows
