@@ -102,28 +102,18 @@ def _sift(distinct, n: int):
 
 
 class Engine:
-    """What one run computes over one table store: the step table of each graph, the result of each
-    search, and the rows of each graph.
+    """What one run computes over one table store: the rows of each graph.
 
     `store` is the order-3 table store that face maps are lifted from at
     order >= 4; without one, the computed tables.  The command line builds one
-    engine per run and passes it down; a search given no engine makes its own,
-    which it drops when it returns.
+    engine per run and passes it down; `verify_class` given no engine makes
+    its own, which it drops when it returns.
     """
 
     def __init__(self, store: tables.FaceTables | None = None) -> None:
         self.store = tables.computed_tables() if store is None else store
-        self.step_tables: dict[ConnectionGraph, StepTable] = {}
-        # per (graph, vertex, max_steps, closure_cap, exhaustive), the result of `spin_group_at`
-        self.results: dict[tuple, SpinGroupResult] = {}
         # per (graph, max_steps, closure_cap, exhaustive), the `VertexRow`s of `verify_class`
         self.rows: dict[tuple, tuple[VertexRow, ...]] = {}
-
-    def step_table(self, cg: ConnectionGraph) -> StepTable:
-        table = self.step_tables.get(cg)
-        if table is None:
-            table = self.step_tables[cg] = StepTable(cg, self.store)
-        return table
 
     def orbit_reduction_applies(self, cg: ConnectionGraph) -> bool:
         """Whether the graph's face maps are the program's own, which commute with its automorphisms.
@@ -142,7 +132,7 @@ def spin_group_at(
     max_steps: int = DEFAULT_MAX_STEPS,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
     exhaustive: bool = False,
-    engine: Engine | None = None,
+    table: StepTable | None = None,
 ) -> SpinGroupResult:
     """Search the chains at v until their permutations generate the predicted group.
 
@@ -154,17 +144,15 @@ def spin_group_at(
     `exhaustive` consumes the whole chain budget only while the group is
     smaller than S_n.  A search that ends without a certificate sifts what it
     met into a stabilizer chain for the exact order.  The search walks
-    `engine`'s step table of the graph once, and skips each repeat of a walk
-    state whose chains it has already walked, counting them as tried.  A
-    second call with the same arguments returns the engine's result of the
-    first, until `verify_class` has made the graph's rows.
+    `table`, the graph's step table, once (by default a new one over the
+    computed tables), and skips each repeat of a walk state whose chains it
+    has already walked, counting them as tried.  A step table of another
+    graph raises ValueError.
     """
-    if engine is None:
-        engine = Engine()
-    key = (cg, v, max_steps, closure_cap, exhaustive)
-    hit = engine.results.get(key)
-    if hit is not None:
-        return hit
+    if table is None:
+        table = StepTable(cg, tables.computed_tables())
+    elif table.cg != cg:
+        raise ValueError(f"a step table of {table.cg} cannot search {cg}")
     n = len(cg.label_classes(v))
     predicted = predict_group(cg, v)
     full_order = math.factorial(n)
@@ -185,7 +173,6 @@ def spin_group_at(
     # builds its chain.  A prefix whose carried label set has already lost an element
     # (or, at order <= 2, mixed degrees) is dropped with all its extensions: those
     # chains evaluate to the identity.
-    table = engine.step_table(cg)
     pos = label_positions(cg, v)
     base = vertex_id(v)
     targets = range(len(table.vertices))
@@ -239,14 +226,16 @@ def spin_group_at(
                 path.pop()
         return False
 
-    if any(extend(base, None, length) for length in range(2, max_steps + 1)) and group is None:
+    decided = any(extend(base, None, length) for length in range(2, max_steps + 1))
+    # `extend` reaches itself through its closure, a reference cycle that would keep the walk's
+    # memo, `seen` and the step table until the cyclic collector runs: break it now
+    del extend
+    if decided and group is None:
         order = full_order
     else:
         # a stop on the stabilizer chain, or the budget ran out: the exact group of every permutation met
         order = (group or _sift(distinct, n)[0]).order()
-    result = SpinGroupResult(cg, v, groups.recognize(order, n), predicted, order, tuple(distinct), tried)
-    engine.results[key] = result
-    return result
+    return SpinGroupResult(cg, v, groups.recognize(order, n), predicted, order, tuple(distinct), tried)
 
 
 VertexRow = namedtuple("VertexRow", "vertex degree predicted computed match")
@@ -282,8 +271,7 @@ def verify_class(
 
     The rows depend only on the graph and the search flags, so the engine
     keeps them per graph, and every later class of that graph reuses them
-    without a search.  Once a graph's rows are made, the engine drops its step
-    table and the results of its searches under these flags.
+    without a search.  The graph's step table lives only while its rows are made.
     """
     if engine is None:
         engine = Engine()
@@ -292,10 +280,6 @@ def verify_class(
     rows = engine.rows.get(key)
     if rows is None:
         rows = engine.rows[key] = _rows(cg, max_steps, closure_cap, exhaustive, engine)
-        # nothing reads the graph's searches again: keep its rows only
-        engine.step_tables.pop(cg, None)
-        for v in cg.vertices():
-            engine.results.pop((cg, v, max_steps, closure_cap, exhaustive), None)
     return ClassReport(gc, rows)
 
 
@@ -304,13 +288,14 @@ def _rows(cg: ConnectionGraph, max_steps: int, closure_cap: int, exhaustive: boo
     rows = []
     reduce = engine.orbit_reduction_applies(cg)
     searched: dict[bool, SpinGroupResult] = {}
+    table = StepTable(cg, engine.store)
     for v in cg.vertices():
         orbit = v.cls in cg.connected
         res = searched.get(orbit) if reduce else None
         if res is None:
             # through the module global, so a wrapper installed on it sees every search
             res = searched[orbit] = spin_group_at(
-                cg, v, max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive, engine=engine
+                cg, v, max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive, table=table
             )
         predicted = predict_group(cg, v)
         ok = res.verdict == predicted

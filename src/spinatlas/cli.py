@@ -14,6 +14,7 @@ import sys
 
 from . import classify as _classify
 from . import tables as _tables
+from .chains import StepTable
 from .groups import CapExceededError, cycles_str
 from .graph import UnsupportedOrderError, Vertex, build_connection_graph, edge_multiplicities_r_le_2
 from .params import GraphClass, InvalidClassError, enumerate_classes, heads
@@ -118,9 +119,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 # ---------------------------------------------------------------- commands
 
-def _search(args, engine: _classify.Engine) -> dict:
-    """The keyword arguments of `verify_class` and `spin_group_at` that the command's flags and engine give."""
-    return dict(max_steps=args.max_steps, closure_cap=args.closure_cap, exhaustive=args.exhaustive, engine=engine)
+def _search(args) -> dict:
+    """The keyword arguments of `verify_class` and `spin_group_at` that the command's flags give."""
+    return dict(max_steps=args.max_steps, closure_cap=args.closure_cap, exhaustive=args.exhaustive)
 
 
 def cmd_atlas(args, engine: _classify.Engine) -> int:
@@ -132,7 +133,7 @@ def cmd_atlas(args, engine: _classify.Engine) -> int:
         report = None
         if not args.no_compute:
             try:
-                report = _classify.verify_class(gc, **_search(args, engine))
+                report = _classify.verify_class(gc, engine=engine, **_search(args))
             except CapExceededError:
                 report = None
         print(render_record(atlas_record(gc, report)))
@@ -148,11 +149,12 @@ def cmd_classify(args, engine: _classify.Engine) -> int:
         raise UsageError(str(exc)) from None
     if wanted is not None and not 0 <= wanted.cls <= gc.order:
         raise UsageError(f"vertex {args.vertex} is not in an order-{gc.order} graph")
+    table = StepTable(cg, engine.store)
     rows = []
     for v in cg.vertices():
         if wanted is not None and v != wanted:
             continue
-        rows.append(_classify.spin_group_at(cg, v, **_search(args, engine)))
+        rows.append(_classify.spin_group_at(cg, v, table=table, **_search(args)))
     for res in rows:
         print(
             render_record(
@@ -167,7 +169,6 @@ def cmd_classify(args, engine: _classify.Engine) -> int:
             )
         )
         # each witness evaluates to the generator kept with it
-        table = engine.step_table(cg)
         for path, perm in res.kept():
             print(f"  witness {cycles_str(perm)}: {table.chain(res.vertex, path).describe()}")
     return 0
@@ -214,8 +215,8 @@ def cmd_verify(args, engine: _classify.Engine) -> int:
             if orders is None or gc.order in orders:
                 targets.append(gc)
 
-    search = _search(args, engine)
-    mismatches = _print_verify(_classify.verify_class(gc, **search) for gc in targets)
+    search = _search(args)
+    mismatches = _print_verify(_classify.verify_class(gc, engine=engine, **search) for gc in targets)
     print(render_record({"kind": "summary", "classes": str(len(targets)), "mismatches": str(mismatches)}))
     return 0 if mismatches == 0 else 1
 

@@ -82,7 +82,8 @@ def _increment_tuples(order: int, total: int):
 
 
 def enumerate_classes(genus: int, order: int | None = None) -> list[GraphClass]:
-    """Every class of the given genus (optionally one order), sorted by (order, i, p)."""
+    """Every class of the given genus (optionally one order), in (order, i, p) order: the loops run
+    over r, then i, then p, each ascending (`_increment_tuples` is lexicographic)."""
     if genus < 2:
         raise InvalidClassError(f"genus must be >= 2, got {genus}")
     orders = range(genus) if order is None else [order]
@@ -96,5 +97,4 @@ def enumerate_classes(genus: int, order: int | None = None) -> list[GraphClass]:
                 break
             for p in _increment_tuples(r, genus - base):
                 out.append(GraphClass(genus, r, i, p))
-    out.sort(key=lambda gc: (gc.order, gc.i, gc.p))
     return out

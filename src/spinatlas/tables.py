@@ -3,16 +3,18 @@
 Every 4-class cell of a higher-order graph reduces to one of five order-3
 decoration patterns (no chord, or chords on a top slice of the classes).  The
 tables hold, per pattern, per face, per ordered vertex pair, the label map as
-class pairs.  The text format is line-oriented and round-trips byte-exactly.
+class pairs, in one dict keyed by vertex ids; the text format, which names
+vertices and faces, is line-oriented and round-trips byte-exactly.
 """
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import permutations
 
 from .graph import ConnectionGraph, Vertex
-from .faces import Face, _canonical, direct_images, enumerate_faces, neighbour_ids, vertex_id
+from .faces import Face, _canonical, direct_images, enumerate_faces, vertex_id
 
 FORMAT_HEADER = "spin-atlas-face-tables v1"
 ENV_VAR = "SPIN_ATLAS_TABLES"
@@ -33,10 +35,29 @@ class TableError(ValueError):
     """Malformed or incomplete face-map table data."""
 
 
+# a store's key: the chord pattern, a face's canonical cycle and an ordered pair of its corners, all by vertex id
+# of the pattern's order-3 graph
+Key = tuple[frozenset[int], tuple[int, ...], int, int]
+
+
 def _entry(pattern: frozenset[int], cycle: tuple[int, ...], u: int, v: int) -> MapPairs:
     """The map of pair u -> v on a face of the pattern's order-3 graph, all by vertex id, as sorted class pairs."""
     images = direct_images(3, pattern, frozenset(range(4)), cycle, u, v)
     return tuple((c, t) for c, t in enumerate(images) if t >= 0)
+
+
+@lru_cache(maxsize=None)
+def _face_cycles(pattern: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    """The faces of the pattern's order-3 graph as canonical id cycles, in `enumerate_faces` order."""
+    return tuple(tuple(map(vertex_id, face.cycle)) for face in enumerate_faces(ConnectionGraph(3, pattern)))
+
+
+def _keys() -> Iterator[Key]:
+    """Every key a complete store holds: each pattern, face and ordered pair of its corners."""
+    for pattern in PATTERNS:
+        for cycle in _face_cycles(pattern):
+            for u, v in permutations(cycle, 2):
+                yield pattern, cycle, u, v
 
 
 def _id_vertex(w: int) -> Vertex:
@@ -44,12 +65,10 @@ def _id_vertex(w: int) -> Vertex:
 
 
 class FaceTables:
-    """Per pattern, per face, per ordered vertex pair, the map as class pairs."""
+    """Per (pattern, canonical id cycle, u, v) key, the map of pair u -> v on that face as class pairs."""
 
-    def __init__(self, entries: dict[frozenset[int], dict[Face, dict[tuple[Vertex, Vertex], MapPairs]]]) -> None:
+    def __init__(self, entries: dict[Key, MapPairs]) -> None:
         self.entries = entries
-        # per pattern, the entries keyed by (canonical cycle, u, v) in vertex ids; built on first lookup
-        self._index: dict[frozenset[int], dict] = {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -58,19 +77,13 @@ class FaceTables:
 
     def lookup(self, pattern: frozenset[int], cycle: tuple[int, ...], u: int, v: int) -> MapPairs:
         """The map of pair u -> v on the face with this cycle, all as vertex ids of the order-3 graph."""
-        index = self._index.get(pattern)
-        if index is None:
-            index = self._index[pattern] = {
-                (_canonical(tuple(map(vertex_id, face.cycle))), vertex_id(a), vertex_id(b)): pairs
-                for face, per_pair in self.entries.get(pattern, {}).items()
-                for (a, b), pairs in per_pair.items()
-            }
-        cycle = _canonical(cycle)
-        pairs = index.get((cycle, u, v))
-        return self._missing(pattern, cycle, u, v) if pairs is None else pairs
+        key = (pattern, _canonical(cycle), u, v)
+        pairs = self.entries.get(key)
+        return self._missing(key) if pairs is None else pairs
 
-    def _missing(self, pattern: frozenset[int], cycle: tuple[int, ...], u: int, v: int) -> MapPairs:
-        """The entry `lookup` did not find in the index; a store of fixed entries has none to give."""
+    def _missing(self, key: Key) -> MapPairs:
+        """The entry `lookup` did not find; a store of fixed entries has none to give."""
+        pattern, cycle, u, v = key
         names = [_id_vertex(w).name for w in (*cycle, u, v)]
         where = f"face {'-'.join(names[:4])}, {names[4]}->{names[5]}"
         raise TableError(f"no table entry for pattern {sorted(pattern)}, {where}")
@@ -79,27 +92,18 @@ class FaceTables:
 class _ComputedTables(FaceTables):
     """Starts empty and builds each entry from its pattern's order-3 graph on first lookup."""
 
-    def _missing(self, pattern: frozenset[int], cycle: tuple[int, ...], u: int, v: int) -> MapPairs:
-        if pattern in PATTERNS and u != v and u in cycle and v in cycle and len(set(cycle)) == 4:
-            # `lookup` gave the cycle canonical; it is a face when each corner neighbours the one before
-            near = neighbour_ids(ConnectionGraph(3, pattern))
-            if all(0 <= w < 8 and cycle[k - 1] in near[w] for k, w in enumerate(cycle)):
-                pairs = self._index[pattern][(cycle, u, v)] = _entry(pattern, cycle, u, v)
-                return pairs
-        return super()._missing(pattern, cycle, u, v)
+    def _missing(self, key: Key) -> MapPairs:
+        pattern, cycle, u, v = key
+        # `lookup` gave the cycle canonical, as `_face_cycles` lists the faces
+        if pattern in PATTERNS and cycle in _face_cycles(pattern) and u != v and u in cycle and v in cycle:
+            pairs = self.entries[key] = _entry(pattern, cycle, u, v)
+            return pairs
+        return super()._missing(key)
 
 
 def compute_order3_tables() -> FaceTables:
     """Build the five-pattern atlas directly from the order-3 graphs."""
-    entries: dict[frozenset[int], dict[Face, dict[tuple[Vertex, Vertex], MapPairs]]] = {}
-    for pattern in PATTERNS:
-        per_face = entries[pattern] = {}
-        for face in enumerate_faces(ConnectionGraph(3, pattern)):
-            cycle = tuple(map(vertex_id, face.cycle))
-            per_face[face] = {
-                (u, v): _entry(pattern, cycle, vertex_id(u), vertex_id(v)) for u, v in permutations(face.cycle, 2)
-            }
-    return FaceTables(entries)
+    return FaceTables({key: _entry(*key) for key in _keys()})
 
 
 def _vertex_token(v: Vertex) -> str:
@@ -130,15 +134,16 @@ def _parse_pattern(token: str, lineno: int) -> frozenset[int]:
 
 def render_tables(tables: FaceTables) -> str:
     lines = [FORMAT_HEADER]
-    for pattern in sorted(tables.entries, key=sorted):
-        lines.append(f"pattern {_pattern_token(pattern)}")
-        per_face = tables.entries[pattern]
-        for face in sorted(per_face):
-            lines.append("face " + " ".join(_vertex_token(w) for w in face.cycle))
-            per_pair = per_face[face]
-            for (u, v) in sorted(per_pair):
-                sends = " ".join(f"{a}>{b}" for a, b in per_pair[(u, v)])
-                lines.append(f"pair {_vertex_token(u)} {_vertex_token(v)} {sends}")
+    last = None
+    for key in sorted(tables.entries, key=lambda k: (sorted(k[0]), k[1:])):
+        pattern, cycle, u, v = key
+        if last is None or pattern != last[0]:
+            lines.append(f"pattern {_pattern_token(pattern)}")
+        if (pattern, cycle) != last:
+            lines.append("face " + " ".join(_vertex_token(_id_vertex(w)) for w in cycle))
+        last = (pattern, cycle)
+        sends = " ".join(f"{a}>{b}" for a, b in tables.entries[key])
+        lines.append(f"pair {_vertex_token(_id_vertex(u))} {_vertex_token(_id_vertex(v))} {sends}")
     return "\n".join(lines) + "\n"
 
 
@@ -149,7 +154,7 @@ def parse_tables(text: str) -> FaceTables:
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
         raise TableError(f"missing header line {FORMAT_HEADER!r}")
-    entries: dict[frozenset[int], dict[Face, dict[tuple[Vertex, Vertex], MapPairs]]] = {}
+    entries: dict[Key, MapPairs] = {}
     pattern: frozenset[int] | None = None
     face: Face | None = None
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -162,7 +167,6 @@ def parse_tables(text: str) -> FaceTables:
             if pattern not in PATTERNS:
                 raise TableError(f"line {lineno}: {fields[1]!r} is not an order-3 cell pattern")
             graph = ConnectionGraph(3, pattern)
-            entries.setdefault(pattern, {})
             face = None
         elif fields[0] == "face" and len(fields) == 5:
             if pattern is None:
@@ -170,7 +174,6 @@ def parse_tables(text: str) -> FaceTables:
             face = Face(tuple(_parse_vertex(t, lineno) for t in fields[1:]))
             if face not in enumerate_faces(graph):
                 raise TableError(f"line {lineno}: {face.name} is not a canonical face of its pattern")
-            entries[pattern].setdefault(face, {})
         elif fields[0] == "pair" and len(fields) >= 3:
             if pattern is None or face is None:
                 raise TableError(f"line {lineno}: pair before pattern/face")
@@ -182,7 +185,8 @@ def parse_tables(text: str) -> FaceTables:
                     raise TableError(f"line {lineno}: bad map token {tok!r}")
                 sends.append((int(a), int(b)))
             srcs, tgts = {a for a, _ in sends}, {b for _, b in sends}
-            if u == v or u not in face or v not in face or (u, v) in entries[pattern][face]:
+            key = (pattern, tuple(map(vertex_id, face.cycle)), vertex_id(u), vertex_id(v))
+            if u == v or u not in face or v not in face or key in entries:
                 raise TableError(f"line {lineno}: {u.name}->{v.name} is not a new vertex pair of face {face.name}")
             if not len(srcs) == len(tgts) == len(sends):
                 raise TableError(f"line {lineno}: the map {u.name}->{v.name} is not injective")
@@ -192,15 +196,15 @@ def parse_tables(text: str) -> FaceTables:
             total = min(len(graph.label_classes(u)), len(graph.label_classes(v)))
             if len(sends) < total:
                 raise TableError(f"line {lineno}: the map {u.name}->{v.name} pairs {len(sends)} of {total} labels")
-            entries[pattern][face][(u, v)] = tuple(sends)
+            entries[key] = tuple(sends)
         else:
             raise TableError(f"line {lineno}: unrecognized line {raw!r}")
-    for pattern in PATTERNS:
-        for face in enumerate_faces(ConnectionGraph(3, pattern)):
-            for u, v in permutations(face.cycle, 2):
-                if (u, v) not in entries.get(pattern, {}).get(face, {}):
-                    where = f"pattern {_pattern_token(pattern)}, face {face.name}, pair {u.name}->{v.name}"
-                    raise TableError(f"missing table entry: {where}")
+    for key in _keys():
+        if key not in entries:
+            pattern, cycle, u, v = key
+            names = [_id_vertex(w).name for w in (*cycle, u, v)]
+            where = f"pattern {_pattern_token(pattern)}, face {'-'.join(names[:4])}, pair {names[4]}->{names[5]}"
+            raise TableError(f"missing table entry: {where}")
     return FaceTables(entries)
 
 

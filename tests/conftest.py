@@ -14,7 +14,8 @@ import pytest
 
 import spinatlas
 from spinatlas.chains import ChainStep, SpinChain, StepTable, carry, close_out, label_positions, validate_structure
-from spinatlas.classify import Engine, SpinGroupResult, predict_group
+from spinatlas import tables
+from spinatlas.classify import SpinGroupResult, predict_group
 from spinatlas.faces import Face, cells_containing, direct_images, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
 from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, StabChain, SymmetricCertificate, alternating, identity_perm
@@ -187,16 +188,19 @@ def admissible_evaluations(table: StepTable, start: Vertex, max_steps: int):
 
 
 def reference_search(
-    cg: ConnectionGraph, v: Vertex, max_steps: int = 6, exhaustive: bool = False, engine: Engine | None = None
+    cg: ConnectionGraph, v: Vertex, max_steps: int = 6, exhaustive: bool = False, table: StepTable | None = None
 ) -> SpinGroupResult:
-    """`spin_group_at` over the reference walk: every chain walked, none skipped, with the same stopping rules."""
+    """`spin_group_at` over the reference walk: every chain walked, none skipped, with the same stopping rules.
+
+    It walks `table`, or a new step table of the graph over the computed tables.
+    """
     n = len(cg.label_classes(v))
     predicted = predict_group(cg, v)
     full_order = math.factorial(n)
     symmetric_predicted = predicted == symmetric(n)
     certificate, group = SymmetricCertificate(n), StabChain(n)
     seen, distinct, tried = {identity_perm(n)}, [], 0
-    for path, perm in admissible_evaluations((engine or Engine()).step_table(cg), v, max_steps):
+    for path, perm in admissible_evaluations(table or StepTable(cg, tables.computed_tables()), v, max_steps):
         tried += 1
         if perm in seen:
             continue
@@ -219,19 +223,19 @@ StabChainSearch = namedtuple("StabChainSearch", "verdict order generators paths 
 
 
 def stab_chain_search(
-    cg: ConnectionGraph, v: Vertex, max_steps: int = 6, engine: Engine | None = None
+    cg: ConnectionGraph, v: Vertex, max_steps: int = 6, table: StepTable | None = None
 ) -> StabChainSearch:
     """Reference: the chain search at v with every new permutation sifted into one stabilizer chain.
 
     A permutation is kept, with its path, when it is not yet in the group; the
-    search stops once the group is S_n or the predicted one.  It walks the step
-    table of `engine`, or of a new engine over the computed tables.
+    search stops once the group is S_n or the predicted one.  It walks `table`,
+    or a new step table of the graph over the computed tables.
     """
     n = len(cg.label_classes(v))
     predicted = predict_group(cg, v)
     group, seen = StabChain(n), {identity_perm(n)}
     gens, paths, tried = [], [], 0
-    for path, perm in admissible_evaluations((engine or Engine()).step_table(cg), v, max_steps):
+    for path, perm in admissible_evaluations(table or StepTable(cg, tables.computed_tables()), v, max_steps):
         tried += 1
         if perm in seen:
             continue

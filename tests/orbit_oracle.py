@@ -8,21 +8,25 @@ at every vertex and names each row whose prediction, verdict or match differs
 from that vertex's own result.  `walk_differences` checks each of those
 searches, which skip the walk states they have already walked, against the
 reference walk of every chain (`conftest.reference_search`).  All take an
-`Engine`, by default a new one over the computed tables.  Run as a script, it
-checks the rows and the searches of every vertex over a genus range at the
-default search settings, with one engine, and exits 1 on any difference:
+`Engine`, by default a new one over the computed tables, and walk one step
+table of the graph over its store.  Run as a script, it checks the rows and
+the searches of every vertex over a genus range at the default search
+settings, with one engine and the closure cap that the range's largest label
+set needs, and exits 1 on any difference:
 
     PYTHONPATH=src python3 tests/orbit_oracle.py 10..12
 """
 from __future__ import annotations
 
+import math
+import resource
 import sys
 import time
 from itertools import permutations
 
 from conftest import reference_search
 from spinatlas.chains import StepTable
-from spinatlas.classify import DEFAULT_MAX_STEPS, Engine, spin_group_at, verify_class
+from spinatlas.classify import DEFAULT_CLOSURE_CAP, DEFAULT_MAX_STEPS, Engine, spin_group_at, verify_class
 from spinatlas.faces import Face, cells_containing, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.params import GraphClass, enumerate_classes
@@ -63,7 +67,7 @@ def step_map(table: StepTable, cell: frozenset[int], face: Face, u: Vertex, v: V
 def face_map_differences(cg: ConnectionGraph, engine: Engine | None = None) -> tuple[int, list[str]]:
     """How many face maps were compared, and each one that an automorphism does not carry
     to the face map at the image cell, face and vertex pair."""
-    table = (engine or Engine()).step_table(cg)
+    table = StepTable(cg, (engine or Engine()).store)
     sigmas = generating_automorphisms(cg)
     compared, out = 0, []
     for face in enumerate_faces(cg):
@@ -96,14 +100,20 @@ def distinct_graph_classes(lo: int, hi: int) -> list[GraphClass]:
 
 
 def row_differences(
-    gc: GraphClass, max_steps: int = DEFAULT_MAX_STEPS, exhaustive: bool = False, engine: Engine | None = None
+    gc: GraphClass,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    exhaustive: bool = False,
+    engine: Engine | None = None,
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> list[str]:
     """Each `verify_class` row whose prediction, verdict or match differs from its own vertex's search."""
     engine = engine or Engine()
     cg = build_connection_graph(gc)
+    search = dict(max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive)
+    table = StepTable(cg, engine.store)
     out = []
-    for row in verify_class(gc, max_steps=max_steps, exhaustive=exhaustive, engine=engine).rows:
-        own = spin_group_at(cg, row.vertex, max_steps=max_steps, exhaustive=exhaustive, engine=engine)
+    for row in verify_class(gc, engine=engine, **search).rows:
+        own = spin_group_at(cg, row.vertex, table=table, **search)
         match = own.match and (not exhaustive or own.order <= own.predicted.order)
         if (row.predicted, row.computed, row.match) != (own.predicted, own.verdict, match):
             out.append(
@@ -114,15 +124,19 @@ def row_differences(
 
 
 def walk_differences(
-    gc: GraphClass, max_steps: int = DEFAULT_MAX_STEPS, exhaustive: bool = False, engine: Engine | None = None
+    gc: GraphClass,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    exhaustive: bool = False,
+    engine: Engine | None = None,
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> list[str]:
     """Each vertex whose search's (searched, chains_tried, distinct, order) differs from the reference walk's."""
-    engine = engine or Engine()
     cg = build_connection_graph(gc)
+    table = StepTable(cg, (engine or Engine()).store)
     out = []
     for v in cg.vertices():
-        own = spin_group_at(cg, v, max_steps=max_steps, exhaustive=exhaustive, engine=engine)
-        ref = reference_search(cg, v, max_steps=max_steps, exhaustive=exhaustive, engine=engine)
+        own = spin_group_at(cg, v, max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive, table=table)
+        ref = reference_search(cg, v, max_steps=max_steps, exhaustive=exhaustive, table=table)
         fields = (own.searched, own.chains_tried, own.distinct, own.order)
         if fields != (ref.searched, ref.chains_tried, ref.distinct, ref.order):
             out.append(
@@ -135,15 +149,24 @@ def walk_differences(
 
 def main(argv: list[str]) -> int:
     lo, _, hi = (argv[0] if argv else "10..12").partition("..")
+    lo, hi = int(lo), int(hi or lo)
     start = time.perf_counter()
-    classes = distinct_graph_classes(int(lo), int(hi or lo))
+    classes = distinct_graph_classes(lo, hi)
     engine = Engine()
-    diffs = [line for gc in classes for check in (row_differences, walk_differences) for line in check(gc, engine=engine)]
+    # a label set has at most genus points
+    cap = math.factorial(hi)
+    diffs = [
+        line
+        for gc in classes
+        for check in (row_differences, walk_differences)
+        for line in check(gc, engine=engine, closure_cap=cap)
+    ]
     for line in diffs:
         print(line)
     vertices = sum(2 * gc.order + 2 for gc in classes)
     took = time.perf_counter() - start
-    print(f"{len(classes)} graphs, {vertices} vertices, {len(diffs)} differences, {took:.1f} s")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{len(classes)} graphs, {vertices} vertices, {len(diffs)} differences, {took:.1f} s, {peak:.0f} MB peak")
     return 1 if diffs else 0
 
 

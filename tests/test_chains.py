@@ -36,8 +36,7 @@ from conftest import (
     searched_vertices,
 )
 from spinatlas import tables
-from spinatlas.chains import ChainStructureError, SpinChain, evaluate, is_admissible, validate_structure
-from spinatlas.classify import Engine
+from spinatlas.chains import ChainStructureError, SpinChain, StepTable, evaluate, is_admissible, validate_structure
 from spinatlas.faces import Face, enumerate_faces
 from spinatlas.graph import ConnectionGraph
 from spinatlas.groups import compose, cycles_str, identity_perm, inverse
@@ -345,7 +344,7 @@ def test_enumeration_reaches_published_four_step_loop(order3_one_chord):
         (CELL3, CHORD3_FACES["F5"], P3),
     )
     validate_structure(cg, chain)
-    table = Engine().step_table(cg)
+    table = StepTable(cg, tables.computed_tables())
     current = chain.start
     for step in chain.steps:
         choices = entry_faces(table, table.vertices.index(current), table.vertices.index(step.target))
@@ -386,12 +385,11 @@ def test_search_keeps_enumeration_order(cg, start):
         (chain, evaluate(cg, chain)) for chain in enumerate_chains(cg, start, 3) if is_admissible(cg, chain).admissible
     ]
     assert plain
-    table = Engine().step_table(cg)
+    table = StepTable(cg, tables.computed_tables())
     assert [(table.chain(start, path), perm) for path, perm in admissible_evaluations(table, start, 3)] == plain
 
 
 def test_step_entries_list_the_faces_through_both_vertices():
-    from spinatlas.chains import StepTable
     from spinatlas.faces import cells_containing
 
     pairs = 0
@@ -420,11 +418,10 @@ def test_lazily_listed_entries_end_equal_to_the_eager_listing():
     for order in range(7):
         for j in range(order + 2):
             cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
-            engine = Engine()
+            table = StepTable(cg, tables.computed_tables())
             # no class has a chordless graph, where the group at P stays A_n and the search walks its budget
             for v in searched_vertices(cg) if cg.connected else ():
-                spin_group_at(cg, v, engine=engine)
-            table = engine.step_table(cg)
+                spin_group_at(cg, v, table=table)
             for a, b in itertools.permutations(range(len(table.vertices)), 2):
                 eager = [(cell, cycle) for cycle in table._cycles(a, b) for cell in cells_of(order, class_mask(cycle))]
                 listed = len(table.entry(a, b).choices)
@@ -441,8 +438,6 @@ def test_lazily_listed_entries_end_equal_to_the_eager_listing():
 
 def test_step_table_fill_matches_the_direct_builder():
     # orders <= 3 build the map directly from the Face; from order 4 on `fill` lifts it from ids
-    from spinatlas.chains import StepTable
-
     maps = 0
     for order in range(2, 6):
         for j in range(order + 2):

@@ -294,16 +294,13 @@ def test_shipped_tables_match_computed():
 
 def test_computed_store_builds_each_entry_on_first_lookup():
     store = tables._ComputedTables({})
-    assert store._index == {}
+    assert store.entries == {}
     looked_up = 0
-    for pattern, per_face in tables.compute_order3_tables().entries.items():
-        for face, per_pair in per_face.items():
-            # reversed, so the lookup canonicalizes the cycle it builds from
-            cycle = tuple(map(vertex_id, face.cycle))[::-1]
-            for (u, v), pairs in per_pair.items():
-                assert store.lookup(pattern, cycle, vertex_id(u), vertex_id(v)) == pairs
-                looked_up += 1
-    assert looked_up == sum(map(len, store._index.values())) == 1200
+    for (pattern, cycle, u, v), pairs in tables.compute_order3_tables().entries.items():
+        # reversed, so the lookup canonicalizes the cycle it builds from
+        assert store.lookup(pattern, cycle[::-1], u, v) == pairs
+        looked_up += 1
+    assert looked_up == len(store.entries) == 1200
 
 
 def test_computed_store_rejects_keys_off_its_faces():
@@ -384,8 +381,9 @@ def test_loaded_tables_drive_higher_orders(tmp_path):
     before = face_map(cg, cell, face, P, P4)
     loaded = tables.load_tables(str(path))
     assert step_map(StepTable(cg, loaded), cell, face, P, P4) == before
-    # the step table lifted the map from the loaded store, whose index is built on its first lookup
-    assert loaded._index
+    # the step table lifts the map from the store it is given: one without entries has none to give
+    with pytest.raises(tables.TableError):
+        step_map(StepTable(cg, tables.FaceTables({})), cell, face, P, P4)
 
 
 TABLE_LINES = tables.render_tables(tables.compute_order3_tables()).splitlines()

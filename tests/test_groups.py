@@ -9,6 +9,7 @@ import pytest
 
 from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, conjugate_face, cycle_type, parity, parse_verdict
 from conftest import reference_search, searched_vertices, stab_chain_search
+from spinatlas import tables
 from spinatlas.classify import predict_group, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
@@ -294,14 +295,14 @@ def test_fully_chorded_classes_get_full_symmetric():
 
 def test_exhaustive_mode_never_overshoots(hexagon_one_chord, hexagon_two_chords):
     from conftest import admissible_evaluations
-    from spinatlas.classify import Engine
+    from spinatlas.chains import StepTable
 
     for cg, v in [(hexagon_one_chord, P2), (hexagon_one_chord, P), (hexagon_two_chords, P)]:
         res = spin_group_at(cg, v, max_steps=4, exhaustive=True)
         n = len(cg.label_classes(v))
         group = set(closure(res.generators, n))
         assert len(group) == res.order <= res.predicted.order
-        evaluations = list(admissible_evaluations(Engine().step_table(cg), v, 4))
+        evaluations = list(admissible_evaluations(StepTable(cg, tables.computed_tables()), v, 4))
         assert all(perm in group for _, perm in evaluations)
         # every group here (C3 at P2, trivial elsewhere) stays below S_n, so nothing
         # stops the exhaustive search: it consumes the whole budget
@@ -328,6 +329,38 @@ def test_cap_guard():
         spin_group_at(cg, P, closure_cap=10)
 
 
+def test_a_step_table_of_another_graph_is_rejected():
+    from spinatlas.chains import StepTable
+
+    order4 = ConnectionGraph(4, frozenset({4}))
+    other = StepTable(ConnectionGraph(4, frozenset({3, 4})), tables.computed_tables())
+    with pytest.raises(ValueError, match="cannot search"):
+        spin_group_at(order4, P, table=other)
+    own = StepTable(order4, tables.computed_tables())
+    assert spin_group_at(order4, P, table=own) == spin_group_at(order4, P)
+
+
+def test_a_search_frees_its_walk_state_when_it_returns():
+    # the walk's recursive closure is a reference cycle; with the cyclic collector off, only
+    # breaking it on return lets the step table (and the walk's memo) go with its last reader
+    import gc
+    import weakref
+
+    from spinatlas.chains import StepTable
+
+    cg = ConnectionGraph(4, frozenset({4}))
+    gc.disable()
+    try:
+        table = StepTable(cg, tables.computed_tables())
+        alive = weakref.ref(table)
+        res = spin_group_at(cg, P, table=table)
+        del table
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert res.verdict == res.predicted
+
+
 def test_label_relabeling_conjugates_the_group(order3_one_chord):
     # relabeling the start's label positions conjugates every element; verdicts are unchanged
     res = spin_group_at(order3_one_chord, P3)
@@ -343,8 +376,7 @@ def test_label_relabeling_conjugates_the_group(order3_one_chord):
 def test_pruned_search_agrees_with_plain_stream():
     """The group engine's pruned generator must yield exactly the admissible chains."""
     from conftest import admissible_evaluations, enumerate_chains
-    from spinatlas.chains import evaluate, is_admissible
-    from spinatlas.classify import Engine
+    from spinatlas.chains import StepTable, evaluate, is_admissible
 
     for order, connected, start in [(2, {2}, P2), (2, {1, 2}, P1t), (3, {3}, P3), (3, {2, 3}, P1)]:
         cg = ConnectionGraph(order, frozenset(connected))
@@ -353,7 +385,7 @@ def test_pruned_search_agrees_with_plain_stream():
             for chain in enumerate_chains(cg, start, 3)
             if is_admissible(cg, chain).admissible
         }
-        table = Engine().step_table(cg)
+        table = StepTable(cg, tables.computed_tables())
         pruned = {(table.chain(start, path), perm) for path, perm in admissible_evaluations(table, start, 3)}
         assert plain
         assert pruned == plain
@@ -478,15 +510,18 @@ def _representatives(genera):
 def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_match_it():
     """Every searched (graph, vertex) of genus 2..16: the certificate fires on the chain at which
     a stabilizer chain first reaches S_n, and the fields read from the sift equal that search's."""
-    from spinatlas.classify import Engine
+    from spinatlas.chains import StepTable
 
     cap = math.factorial(16)
     late = {}
     reps = _representatives(range(2, 17))
-    engine = Engine()
+    table = None
     for cg, v in reps:
-        res = spin_group_at(cg, v, closure_cap=cap, engine=engine)
-        ref = stab_chain_search(cg, v, engine=engine)
+        if table is None or table.cg != cg:
+            # the graph's one step table, which both searches walk
+            table = StepTable(cg, tables.computed_tables())
+        res = spin_group_at(cg, v, closure_cap=cap, table=table)
+        ref = stab_chain_search(cg, v, table=table)
         assert (res.verdict, res.order, res.kept(), res.chains_tried) == (
             ref.verdict,
             ref.order,
@@ -496,7 +531,7 @@ def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_m
         if cg.order <= 8:
             # each property is one sift again, so the larger graphs check `kept()` alone
             assert (res.generators, res.paths) == (ref.generators, ref.paths)
-            assert res.witnesses == tuple(engine.step_table(cg).chain(v, path) for path in ref.paths)
+            assert res.witnesses == tuple(table.chain(v, path) for path in ref.paths)
         if res.predicted == symmetric(len(cg.label_classes(v))):
             assert res.verdict == res.predicted
             # the certificate is sound, so it can never fire before the stabilizer chain is full

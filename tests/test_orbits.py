@@ -69,12 +69,10 @@ def test_one_search_per_orbit_with_the_computed_tables(monkeypatch):
 
 def _perturbed_tables() -> tables.FaceTables:
     """The computed tables with the targets of the first two labels swapped in one pair map."""
-    computed = tables.compute_order3_tables().entries
-    entries = {p: {f: dict(per_pair) for f, per_pair in per_face.items()} for p, per_face in computed.items()}
-    per_pair = next(iter(entries[frozenset({3})].values()))
-    (u, v), pairs = next((key, pairs) for key, pairs in per_pair.items() if len(pairs) >= 2)
+    entries = dict(tables.compute_order3_tables().entries)
+    key, pairs = next((key, pairs) for key, pairs in entries.items() if key[0] == {3} and len(pairs) >= 2)
     (a, b), (c, d) = pairs[:2]
-    per_pair[(u, v)] = ((a, d), (c, b), *pairs[2:])
+    entries[key] = ((a, d), (c, b), *pairs[2:])
     return tables.FaceTables(entries)
 
 
@@ -99,43 +97,33 @@ def test_loaded_tables_search_every_vertex_from_order_4(monkeypatch):
 
 
 def test_two_engines_in_one_process(monkeypatch):
-    # each engine keeps its own step tables, results and rows, so calls on the two interleave freely
+    # each engine keeps its own store and rows, so calls on the two interleave freely
     order4, same_graph = GraphClass(5, 4, 0, (0, 0, 0, 1)), GraphClass(7, 4, 0, (0, 0, 0, 3))
-    results = []
-    search = classify.spin_group_at
-
-    def recorded(cg, v, **kwargs):
-        results.append(search(cg, v, **kwargs))
-        return results[-1]
-
-    def searches() -> int:
-        # an engine returns its earlier result, the same object, for a search it has made
-        return len({id(res) for res in results})
-
-    monkeypatch.setattr(classify, "spin_group_at", recorded)
+    calls = _count_searches(monkeypatch)
     computed, perturbed = classify.Engine(), classify.Engine(_perturbed_tables())
     first = classify.verify_class(order4, engine=computed)
-    assert searches() <= 2
-    # the engine keeps the graph's rows, and drops its step table and search results
+    assert 1 <= len(calls) <= 2
+    # the engine keeps the graph's rows under the search flags, and nothing else of the run
     cg = ConnectionGraph(4, order4.connected_pairs)
-    assert cg not in computed.step_tables and not any(key[0] == cg for key in computed.results)
-    made = searches()
+    flags = (classify.DEFAULT_MAX_STEPS, classify.DEFAULT_CLOSURE_CAP, False)
+    assert computed.rows == {(cg, *flags): first.rows}
+    assert set(vars(computed)) == {"store", "rows"}
+    calls.clear()
     classify.verify_class(order4, engine=perturbed)
-    assert searches() - made == 10
+    assert len(calls) == 10
     # and each engine's step tables lift their face maps from its own store
     assert face_map_differences(cg, perturbed)[1] and not face_map_differences(cg, computed)[1]
-    made = searches()
+    calls.clear()
     again = classify.verify_class(order4, engine=computed)
-    assert searches() == made
-    assert again.rows == first.rows
+    assert calls == [] and again.rows is first.rows
     # a class of the same graph gets the same rows without a search, under its own class
     shared = classify.verify_class(same_graph, engine=computed)
-    assert searches() == made and len(results) == made
+    assert calls == []
     assert shared.rows is first.rows and shared.graph_class == same_graph
     # other search flags, and a second engine over the same store, share nothing
     classify.verify_class(same_graph, max_steps=5, engine=computed)
-    assert searches() - made == 2
-    made = searches()
+    assert len(calls) == 2 and len(computed.rows) == 2
+    calls.clear()
     fresh = classify.verify_class(same_graph, engine=classify.Engine())
-    assert searches() - made == 2
+    assert len(calls) == 2
     assert fresh.rows == first.rows and fresh.rows is not first.rows

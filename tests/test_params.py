@@ -79,7 +79,7 @@ def test_enumeration_fixtures():
 
 
 def test_enumeration_sorted_and_order_bounded():
-    for genus in range(2, 9):
+    for genus in range(2, 25):
         classes = enumerate_classes(genus)
         keys = [(gc.order, gc.i, gc.p) for gc in classes]
         assert keys == sorted(keys)

@@ -129,10 +129,10 @@ def test_face_tables_equal_on_entries_within_one_class():
     # the computed store starts with no entries, but is not a plain table set
     assert tables.FaceTables({}) != tables._ComputedTables({})
     assert tables.FaceTables({}) != {}
-    # a lookup fills the index, which equality ignores
+    # a lookup reads a loaded store's entries and changes none
     loaded = tables.parse_tables(tables.render_tables(computed))
-    loaded.lookup(frozenset(), (0, 2, 5, 6), 0, 2)
-    assert loaded._index and computed == loaded
+    assert loaded.lookup(frozenset(), (0, 6, 5, 2), 0, 2) == computed.entries[(frozenset(), (0, 2, 5, 6), 0, 2)]
+    assert computed == loaded
 
 
 def test_importing_the_cli_loads_no_heavy_modules():
