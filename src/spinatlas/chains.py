@@ -181,19 +181,20 @@ class StepTable:
     first read, and the choices of each face only when a reader gets that far:
     `choices` for the readers of a path, `maps` for the search, which also
     computes each face map when it first steps through it.  So the graph's
-    faces are never listed, and a `Face` is built only in a chain.  From order
-    4 on, maps are lifted through the table store `store`; the choices do not
-    depend on it.  A search path is a sequence of (vertex id, choice index)
-    steps, and `chain` turns one into its chain.
+    faces are never listed, and a `Face` is built only in a chain.  Maps are
+    built from their faces, unless `store` is a loaded table file: from order 4
+    on, they are then lifted through it.  The choices do not depend on it.
+    A search path is a sequence of (vertex id, choice index) steps, and
+    `chain` turns one into its chain.
     """
 
-    def __init__(self, cg: ConnectionGraph, store: tables.FaceTables) -> None:
+    def __init__(self, cg: ConnectionGraph, store: tables.FaceTables | None = None) -> None:
         self.cg = cg
         self.vertices = cg.vertices()
         self._near = neighbour_ids(cg)
         self._store = store
         self._entries: dict[tuple[int, int], _Entry] = {}
-        # per cell, its `cell_frame` for the table lookup at order >= 4
+        # per cell, its `cell_frame` for the lookup in a loaded store at order >= 4
         self._frames: dict[frozenset[int], tuple] = {}
 
     def _cycles(self, a: int, b: int) -> list[tuple[int, ...]]:
@@ -259,7 +260,7 @@ class StepTable:
         entry = self.entry(a, b)
         if entry.maps[k] is None:
             cell, cycle = entry.choices[k]
-            if self.cg.order <= 3:
+            if self._store is None or self.cg.order <= 3:
                 entry.maps[k] = direct_images(self.cg.order, self.cg.connected, cell, cycle, a, b)
             else:
                 frame = self._frames.get(cell) or self._frames.setdefault(cell, cell_frame(self.cg, cell))

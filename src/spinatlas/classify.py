@@ -76,7 +76,7 @@ class SpinGroupResult(namedtuple("SpinGroupResult", "graph vertex verdict predic
     def witnesses(self) -> tuple[SpinChain, ...]:
         """Each kept generator's chain, built from its path when read."""
         # a path's steps are the step table's (cell, face) choices, which no table store changes
-        table = StepTable(self.graph, tables.computed_tables())
+        table = StepTable(self.graph)
         return tuple(table.chain(self.vertex, path) for path, _ in self.kept())
 
     def _n(self) -> int:
@@ -104,26 +104,25 @@ def _sift(distinct, n: int):
 class Engine:
     """What one run computes over one table store: the rows of each graph.
 
-    `store` is the order-3 table store that face maps are lifted from at
-    order >= 4; without one, the computed tables.  The command line builds one
-    engine per run and passes it down; `verify_class` given no engine makes
-    its own, which it drops when it returns.
+    `store` is a loaded order-3 table file that face maps are lifted from at
+    order >= 4, or None, and every map is built from its face.  The command
+    line builds one engine per run and passes it down; `verify_class` given no
+    engine makes its own, which it drops when it returns.
     """
 
     def __init__(self, store: tables.FaceTables | None = None) -> None:
-        self.store = tables.computed_tables() if store is None else store
+        self.store = store
         # per (graph, max_steps, closure_cap, exhaustive), the `VertexRow`s of `verify_class`
         self.rows: dict[tuple, tuple[VertexRow, ...]] = {}
 
     def orbit_reduction_applies(self, cg: ConnectionGraph) -> bool:
         """Whether the graph's face maps are the program's own, which commute with its automorphisms.
 
-        Maps are built directly up to order 3; from order 4 on they come from
-        the engine's store, and only the computed tables are known to be
-        equivariant, so any other store, even an equal one, turns the
-        reduction off.
+        Maps built from their faces are; from order 4 on, a loaded store's maps
+        are lifted from a file that nothing vouches for, so any loaded store,
+        even one equal to `tables.compute_order3_tables()`, turns the reduction off.
         """
-        return cg.order <= 3 or self.store is tables.computed_tables()
+        return self.store is None or cg.order <= 3
 
 
 def spin_group_at(
@@ -144,13 +143,13 @@ def spin_group_at(
     `exhaustive` consumes the whole chain budget only while the group is
     smaller than S_n.  A search that ends without a certificate sifts what it
     met into a stabilizer chain for the exact order.  The search walks
-    `table`, the graph's step table, once (by default a new one over the
-    computed tables), and skips each repeat of a walk state whose chains it
-    has already walked, counting them as tried.  A step table of another
-    graph raises ValueError.
+    `table`, the graph's step table, once (by default a new one that builds
+    every map from its face), and skips each repeat of a walk state whose
+    chains it has already walked, counting them as tried.  A step table of
+    another graph raises ValueError.
     """
     if table is None:
-        table = StepTable(cg, tables.computed_tables())
+        table = StepTable(cg)
     elif table.cg != cg:
         raise ValueError(f"a step table of {table.cg} cannot search {cg}")
     n = len(cg.label_classes(v))

@@ -255,7 +255,7 @@ def cmd_export_dot(args, engine: _classify.Engine) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spin-atlas", description=__doc__)
-    parser.add_argument("--tables", help="path to a face-map table file (overrides the computed tables)")
+    parser.add_argument("--tables", help="path to an order-3 face-map table file to lift maps through from order 4 on")
     parser.add_argument("--max-genus", type=int, default=MAX_GENUS_DEFAULT)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -151,11 +151,9 @@ def cell_frame(cg: ConnectionGraph, cell: frozenset[int]) -> Frame:
     return classes, frozenset(lc for lc, c in enumerate(classes) if c in cg.connected), tuple(local)
 
 
-def lifted_images(
-    store: "tables.FaceTables", order: int, frame: Frame, cycle: tuple[int, ...], u: int, v: int
-) -> tuple[int, ...]:
+def lifted_images(store, order: int, frame: Frame, cycle: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
     """The map of pair u -> v on a face of an order >= 4 graph, all by vertex id: renamed into the cell's
-    order-3 graph through its `cell_frame`, looked up in the table store, and lifted back."""
+    order-3 graph through its `cell_frame`, looked up in the loaded `tables.FaceTables` `store`, and lifted back."""
     classes, pattern, local = frame
     pairs = store.lookup(pattern, tuple(map(local.__getitem__, cycle)), local[u], local[v])
     images = list(range(order + 1))
@@ -166,31 +164,17 @@ def lifted_images(
     return tuple(images)
 
 
-def face_images(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> tuple[int, ...]:
-    """The face map, uncached: `direct_images` up to order 3, else `lifted_images` from the computed tables."""
-    cycle, a, b = tuple(map(vertex_id, face.cycle)), vertex_id(u), vertex_id(v)
-    if cg.order <= 3:
-        return direct_images(cg.order, cg.connected, cell, cycle, a, b)
-    return lifted_images(tables.computed_tables(), cg.order, cell_frame(cg, cell), cycle, a, b)
-
-
 @lru_cache(maxsize=None)
 def _face_map_pairs(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> tuple[int, ...]:
-    """`face_images`, memoized, for a vertex pair of the face."""
+    """`direct_images`, memoized, for a vertex pair of the face."""
     if u == v or u not in face or v not in face:
         raise ValueError(f"{u.name}->{v.name} is not a vertex pair of face {face.name}")
-    return face_images(cg, cell, face, u, v)
+    return direct_images(cg.order, cg.connected, cell, tuple(map(vertex_id, face.cycle)), vertex_id(u), vertex_id(v))
 
 
 def face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> dict[int, int]:
     """Partial bijection (label class at u) -> (label class at v) induced by the face.
 
-    Orders up to 3 are built directly; higher orders localize the cell to its
-    order-3 pattern, look it up in the computed order-3 tables, and lift the
-    answer back, mapping every class outside the cell to itself.
+    Built from the face itself at every order, mapping every class outside the cell to itself.
     """
     return {c: t for c, t in enumerate(_face_map_pairs(cg, cell, face, u, v)) if t >= 0}
-
-
-# last, since `tables` builds its entries from this module's faces and maps
-from . import tables  # noqa: E402

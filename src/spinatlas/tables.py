@@ -1,10 +1,12 @@
-"""Order-3 face-map tables: computation, text serialization, and the store a run starts from.
+"""Order-3 face-map tables: computation, text serialization, and the table file a run may load.
 
 Every 4-class cell of a higher-order graph reduces to one of five order-3
 decoration patterns (no chord, or chords on a top slice of the classes).  The
 tables hold, per pattern, per face, per ordered vertex pair, the label map as
 class pairs, in one dict keyed by vertex ids; the text format, which names
-vertices and faces, is line-oriented and round-trips byte-exactly.
+vertices and faces, is line-oriented and round-trips byte-exactly.  A run
+that loads a table file lifts its face maps from order 4 on through it
+(`faces.lifted_images`); without one, every map is built from its face.
 """
 from __future__ import annotations
 
@@ -79,26 +81,11 @@ class FaceTables:
         """The map of pair u -> v on the face with this cycle, all as vertex ids of the order-3 graph."""
         key = (pattern, _canonical(cycle), u, v)
         pairs = self.entries.get(key)
-        return self._missing(key) if pairs is None else pairs
-
-    def _missing(self, key: Key) -> MapPairs:
-        """The entry `lookup` did not find; a store of fixed entries has none to give."""
-        pattern, cycle, u, v = key
-        names = [_id_vertex(w).name for w in (*cycle, u, v)]
-        where = f"face {'-'.join(names[:4])}, {names[4]}->{names[5]}"
-        raise TableError(f"no table entry for pattern {sorted(pattern)}, {where}")
-
-
-class _ComputedTables(FaceTables):
-    """Starts empty and builds each entry from its pattern's order-3 graph on first lookup."""
-
-    def _missing(self, key: Key) -> MapPairs:
-        pattern, cycle, u, v = key
-        # `lookup` gave the cycle canonical, as `_face_cycles` lists the faces
-        if pattern in PATTERNS and cycle in _face_cycles(pattern) and u != v and u in cycle and v in cycle:
-            pairs = self.entries[key] = _entry(pattern, cycle, u, v)
-            return pairs
-        return super()._missing(key)
+        if pairs is None:
+            names = [_id_vertex(w).name for w in (*key[1], u, v)]
+            where = f"face {'-'.join(names[:4])}, {names[4]}->{names[5]}"
+            raise TableError(f"no table entry for pattern {sorted(pattern)}, {where}")
+        return pairs
 
 
 def compute_order3_tables() -> FaceTables:
@@ -217,16 +204,11 @@ def shipped_tables_path() -> str:
     return os.path.join(os.path.dirname(__file__), "data", "order3_tables.txt")
 
 
-@lru_cache(maxsize=1)
-def computed_tables() -> FaceTables:
-    """The default store: the tables computed from the order-3 graphs, each entry on first use."""
-    return _ComputedTables({})
-
-
-def active_tables() -> FaceTables:
-    """The store a run uses when it names no table file: the file $SPIN_ATLAS_TABLES names, else the computed tables.
+def active_tables() -> FaceTables | None:
+    """The table file a run loads when its command line names none: the one $SPIN_ATLAS_TABLES names,
+    else None, and the run builds every face map from its face.
 
     Raises OSError or TableError when that file cannot be read or is not a valid table file.
     """
     path = os.environ.get(ENV_VAR)
-    return load_tables(path) if path else computed_tables()
+    return load_tables(path) if path else None

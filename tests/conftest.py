@@ -14,7 +14,6 @@ import pytest
 
 import spinatlas
 from spinatlas.chains import ChainStep, SpinChain, StepTable, carry, close_out, label_positions, validate_structure
-from spinatlas import tables
 from spinatlas.classify import SpinGroupResult, predict_group
 from spinatlas.faces import Face, cells_containing, direct_images, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
@@ -192,7 +191,7 @@ def reference_search(
 ) -> SpinGroupResult:
     """`spin_group_at` over the reference walk: every chain walked, none skipped, with the same stopping rules.
 
-    It walks `table`, or a new step table of the graph over the computed tables.
+    It walks `table`, or a new step table of the graph that builds every map from its face.
     """
     n = len(cg.label_classes(v))
     predicted = predict_group(cg, v)
@@ -200,7 +199,7 @@ def reference_search(
     symmetric_predicted = predicted == symmetric(n)
     certificate, group = SymmetricCertificate(n), StabChain(n)
     seen, distinct, tried = {identity_perm(n)}, [], 0
-    for path, perm in admissible_evaluations(table or StepTable(cg, tables.computed_tables()), v, max_steps):
+    for path, perm in admissible_evaluations(table or StepTable(cg), v, max_steps):
         tried += 1
         if perm in seen:
             continue
@@ -229,13 +228,13 @@ def stab_chain_search(
 
     A permutation is kept, with its path, when it is not yet in the group; the
     search stops once the group is S_n or the predicted one.  It walks `table`,
-    or a new step table of the graph over the computed tables.
+    or a new step table of the graph that builds every map from its face.
     """
     n = len(cg.label_classes(v))
     predicted = predict_group(cg, v)
     group, seen = StabChain(n), {identity_perm(n)}
     gens, paths, tried = [], [], 0
-    for path, perm in admissible_evaluations(table or StepTable(cg, tables.computed_tables()), v, max_steps):
+    for path, perm in admissible_evaluations(table or StepTable(cg), v, max_steps):
         tried += 1
         if perm in seen:
             continue

@@ -1,15 +1,16 @@
 """Differential oracle for the order-3 table lift.
 
-From order 4 on, the search lifts each face map from the order-3 tables
-(`faces.lifted_images`) instead of building it from the face itself
-(`faces.direct_images`).  `lift_differences` builds every map of a graph both
-ways, over every (cell, face, u, v), and names each map where the two differ.
-The lift reads the shipped table file, so the direct builder at order r is
-checked against data that no run of it at order 3 in this process produced.
-Run as a script over a range of orders, for every top-slice chord set, it
-exits 1 on any difference:
+A run that loads a table file (`--tables` or $SPIN_ATLAS_TABLES) lifts each
+face map from order 4 on through it (`faces.lifted_images`); every other run
+builds each map from the face itself (`faces.direct_images`).
+`lift_differences` builds every map of a graph both ways, over every (cell,
+face, u, v), and names each map where the two differ.  The lift reads the
+shipped table file, so the direct builder at order r is checked against data
+that no run of it at order 3 in this process produced.  Run as a script over
+a range of orders, for every top-slice chord set, it exits 1 on any
+difference:
 
-    PYTHONPATH=src python3 tests/lift_oracle.py 6..7
+    PYTHONPATH=src python3 tests/lift_oracle.py 6..9
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ def lift_differences(cg: ConnectionGraph, store: tables.FaceTables) -> tuple[int
 
 
 def main(argv: list[str]) -> int:
-    lo, _, hi = (argv[0] if argv else "6..7").partition("..")
+    lo, _, hi = (argv[0] if argv else "6..9").partition("..")
     start = time.perf_counter()
     store = tables.load_tables(tables.shipped_tables_path())
     compared, diffs = 0, []

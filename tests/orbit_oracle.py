@@ -3,16 +3,18 @@
 `verify_class` searches one vertex per automorphism orbit and reuses that
 group for the rest of the orbit.  `face_map_differences` checks the premise:
 each face map of an engine's step tables commutes with the graph's
-automorphisms.  `row_differences` checks the result: it runs `spin_group_at`
-at every vertex and names each row whose prediction, verdict or match differs
-from that vertex's own result.  `walk_differences` checks each of those
-searches, which skip the walk states they have already walked, against the
-reference walk of every chain (`conftest.reference_search`).  All take an
-`Engine`, by default a new one over the computed tables, and walk one step
-table of the graph over its store.  Run as a script, it checks the rows and
-the searches of every vertex over a genus range at the default search
-settings, with one engine and the closure cap that the range's largest label
-set needs, and exits 1 on any difference:
+automorphisms.  `own_searches` runs `spin_group_at` at every vertex, over one
+step table of the graph.  `row_differences` checks the result: it names each
+row whose prediction, verdict or match differs from that vertex's own search.
+`walk_differences` checks each of those searches, which skip the walk states
+they have already walked, against the reference walk of every chain
+(`conftest.reference_search`).  All take an `Engine`, by default a new one
+that loads no table file, so every face map is built from its face; the two
+checks search every vertex themselves unless given `own_searches`' result.
+Run as a script, it checks the rows and the searches of every vertex over a
+genus range at the default search settings, with one engine, one search per
+vertex and the closure cap that the range's largest label set needs, and
+exits 1 on any difference:
 
     PYTHONPATH=src python3 tests/orbit_oracle.py 10..12
 """
@@ -26,13 +28,16 @@ from itertools import permutations
 
 from conftest import reference_search
 from spinatlas.chains import StepTable
-from spinatlas.classify import DEFAULT_CLOSURE_CAP, DEFAULT_MAX_STEPS, Engine, spin_group_at, verify_class
+from spinatlas.classify import DEFAULT_CLOSURE_CAP, DEFAULT_MAX_STEPS, Engine, SpinGroupResult, spin_group_at
+from spinatlas.classify import verify_class
 from spinatlas.faces import Face, cells_containing, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.params import GraphClass, enumerate_classes
 
 # an automorphism as a class permutation and a conjugation bit
 Automorphism = tuple[tuple[int, ...], int]
+# one step table of a graph, and each vertex's own search over it
+Searched = tuple[StepTable, dict[Vertex, SpinGroupResult]]
 
 
 def generating_automorphisms(cg: ConnectionGraph) -> list[Automorphism]:
@@ -99,21 +104,31 @@ def distinct_graph_classes(lo: int, hi: int) -> list[GraphClass]:
     return list(found.values())
 
 
+def own_searches(gc: GraphClass, engine: Engine, **search) -> Searched:
+    """One step table of the class's graph over the engine's store, and each vertex's own search over it."""
+    cg = build_connection_graph(gc)
+    table = StepTable(cg, engine.store)
+    return table, {v: spin_group_at(cg, v, table=table, **search) for v in cg.vertices()}
+
+
 def row_differences(
     gc: GraphClass,
     max_steps: int = DEFAULT_MAX_STEPS,
     exhaustive: bool = False,
     engine: Engine | None = None,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
+    searched: Searched | None = None,
 ) -> list[str]:
-    """Each `verify_class` row whose prediction, verdict or match differs from its own vertex's search."""
+    """Each `verify_class` row whose prediction, verdict or match differs from its own vertex's search.
+
+    `searched` is what `own_searches` gave for the same engine and search settings, or None to search here.
+    """
     engine = engine or Engine()
-    cg = build_connection_graph(gc)
     search = dict(max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive)
-    table = StepTable(cg, engine.store)
+    _, searches = searched or own_searches(gc, engine, **search)
     out = []
     for row in verify_class(gc, engine=engine, **search).rows:
-        own = spin_group_at(cg, row.vertex, table=table, **search)
+        own = searches[row.vertex]
         match = own.match and (not exhaustive or own.order <= own.predicted.order)
         if (row.predicted, row.computed, row.match) != (own.predicted, own.verdict, match):
             out.append(
@@ -129,14 +144,17 @@ def walk_differences(
     exhaustive: bool = False,
     engine: Engine | None = None,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
+    searched: Searched | None = None,
 ) -> list[str]:
-    """Each vertex whose search's (searched, chains_tried, distinct, order) differs from the reference walk's."""
-    cg = build_connection_graph(gc)
-    table = StepTable(cg, (engine or Engine()).store)
+    """Each vertex whose search's (searched, chains_tried, distinct, order) differs from the reference walk's.
+
+    `searched` is what `own_searches` gave for the same engine and search settings, or None to search here.
+    """
+    search = dict(max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive)
+    table, searches = searched or own_searches(gc, engine or Engine(), **search)
     out = []
-    for v in cg.vertices():
-        own = spin_group_at(cg, v, max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive, table=table)
-        ref = reference_search(cg, v, max_steps=max_steps, exhaustive=exhaustive, table=table)
+    for v, own in searches.items():
+        ref = reference_search(table.cg, v, max_steps=max_steps, exhaustive=exhaustive, table=table)
         fields = (own.searched, own.chains_tried, own.distinct, own.order)
         if fields != (ref.searched, ref.chains_tried, ref.distinct, ref.order):
             out.append(
@@ -155,12 +173,12 @@ def main(argv: list[str]) -> int:
     engine = Engine()
     # a label set has at most genus points
     cap = math.factorial(hi)
-    diffs = [
-        line
-        for gc in classes
-        for check in (row_differences, walk_differences)
-        for line in check(gc, engine=engine, closure_cap=cap)
-    ]
+    diffs = []
+    for gc in classes:
+        # one search per vertex feeds both comparisons
+        searched = own_searches(gc, engine, closure_cap=cap)
+        for check in (row_differences, walk_differences):
+            diffs += check(gc, engine=engine, closure_cap=cap, searched=searched)
     for line in diffs:
         print(line)
     vertices = sum(2 * gc.order + 2 for gc in classes)

@@ -35,7 +35,6 @@ from conftest import (
     reversed_chain,
     searched_vertices,
 )
-from spinatlas import tables
 from spinatlas.chains import ChainStructureError, SpinChain, StepTable, evaluate, is_admissible, validate_structure
 from spinatlas.faces import Face, enumerate_faces
 from spinatlas.graph import ConnectionGraph
@@ -344,7 +343,7 @@ def test_enumeration_reaches_published_four_step_loop(order3_one_chord):
         (CELL3, CHORD3_FACES["F5"], P3),
     )
     validate_structure(cg, chain)
-    table = StepTable(cg, tables.computed_tables())
+    table = StepTable(cg)
     current = chain.start
     for step in chain.steps:
         choices = entry_faces(table, table.vertices.index(current), table.vertices.index(step.target))
@@ -385,7 +384,7 @@ def test_search_keeps_enumeration_order(cg, start):
         (chain, evaluate(cg, chain)) for chain in enumerate_chains(cg, start, 3) if is_admissible(cg, chain).admissible
     ]
     assert plain
-    table = StepTable(cg, tables.computed_tables())
+    table = StepTable(cg)
     assert [(table.chain(start, path), perm) for path, perm in admissible_evaluations(table, start, 3)] == plain
 
 
@@ -396,7 +395,7 @@ def test_step_entries_list_the_faces_through_both_vertices():
     for order in range(8):
         for j in range(order + 2):
             cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
-            table = StepTable(cg, tables.computed_tables())
+            table = StepTable(cg)
             faces = enumerate_faces(cg)
             # per vertex, the positions in `faces` of the faces through it
             at = [{k for k, face in enumerate(faces) if w in face.cycle} for w in table.vertices]
@@ -418,7 +417,7 @@ def test_lazily_listed_entries_end_equal_to_the_eager_listing():
     for order in range(7):
         for j in range(order + 2):
             cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
-            table = StepTable(cg, tables.computed_tables())
+            table = StepTable(cg)
             # no class has a chordless graph, where the group at P stays A_n and the search walks its budget
             for v in searched_vertices(cg) if cg.connected else ():
                 spin_group_at(cg, v, table=table)
@@ -442,7 +441,7 @@ def test_step_table_fill_matches_the_direct_builder():
     for order in range(2, 6):
         for j in range(order + 2):
             cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
-            table = StepTable(cg, tables.computed_tables())
+            table = StepTable(cg)
             for a, b in itertools.permutations(range(len(table.vertices)), 2):
                 for k, (cell, face) in enumerate(entry_faces(table, a, b)):
                     direct = build_face_map(cg, cell, face, table.vertices[a], table.vertices[b])

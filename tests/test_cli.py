@@ -413,17 +413,16 @@ def test_table_tokens_take_ascii_digits_only(tmp_path, capsys, digit, kind, old,
     assert err.startswith("error: line ") and f"bad {kind} token" in err
 
 
-def test_verify_builds_only_the_table_entries_it_looks_up(capsys, monkeypatch):
-    def refuse():
-        raise AssertionError("the full order-3 tables were built")
+def test_verify_without_a_table_file_looks_up_no_table_entry(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a run without a table file used the order-3 tables")
 
+    monkeypatch.delenv(tables.ENV_VAR, raising=False)
     monkeypatch.setattr(tables, "compute_order3_tables", refuse)
-    # a computed store no other test has looked anything up in
-    store = tables._ComputedTables({})
-    monkeypatch.setattr(tables, "computed_tables", lambda: store)
+    monkeypatch.setattr(tables.FaceTables, "lookup", refuse)
+    # genus 9 has graphs up to order 8; from order 4 on, a run over a table file lifts their maps through it
     code, out, _ = run(capsys, "verify", "--genus", "9")
     assert code == 0 and out.splitlines()[-1] == "kind=summary classes=41 mismatches=0"
-    assert len(store.entries) == 30
 
 
 def test_tables_env_var(tmp_path, monkeypatch):
@@ -431,10 +430,9 @@ def test_tables_env_var(tmp_path, monkeypatch):
     path.write_text(tables.render_tables(tables.compute_order3_tables()), encoding="utf-8")
     monkeypatch.setenv(tables.ENV_VAR, str(path))
     assert tables.active_tables() == tables.compute_order3_tables()
-    # a loaded store, not the computed one, so a run over it searches every vertex from order 4 on
-    assert tables.active_tables() is not tables.computed_tables()
+    # without the variable a run loads no store, and builds every face map from its face
     monkeypatch.delenv(tables.ENV_VAR)
-    assert tables.active_tables() is tables.computed_tables()
+    assert tables.active_tables() is None
 
 
 @pytest.mark.parametrize("source", ["--tables", "env"])

@@ -292,19 +292,18 @@ def test_shipped_tables_match_computed():
     assert tables.render_tables(tables.compute_order3_tables()) == text
 
 
-def test_computed_store_builds_each_entry_on_first_lookup():
-    store = tables._ComputedTables({})
-    assert store.entries == {}
+def test_lookup_finds_each_entry_through_a_reversed_cycle():
+    store = tables.compute_order3_tables()
     looked_up = 0
-    for (pattern, cycle, u, v), pairs in tables.compute_order3_tables().entries.items():
-        # reversed, so the lookup canonicalizes the cycle it builds from
+    for (pattern, cycle, u, v), pairs in store.entries.items():
+        # reversed, so the lookup canonicalizes the cycle before it reads the entry
         assert store.lookup(pattern, cycle[::-1], u, v) == pairs
         looked_up += 1
     assert looked_up == len(store.entries) == 1200
 
 
 def test_computed_store_rejects_keys_off_its_faces():
-    store = tables.computed_tables()
+    store = tables.compute_order3_tables()
     chord_face = next(f for f in enumerate_faces(ConnectionGraph(3, frozenset({3}))) if pair_count(f))
     chord = tuple(map(vertex_id, chord_face.cycle))
     face = (0, 2, 5, 6)  # P-P1-P2~-P3
@@ -330,12 +329,15 @@ def test_table_lookup_path_agrees_with_direct_construction():
                 assert face_map(cg, cell, face, u, w) == build_face_map(cg, cell, face, u, w)
 
 
+ORDER3_TABLES = tables.compute_order3_tables()
+
+
 def _table_lift(cg, cell, face, u, w):
-    """A face map at order >= 4 as a dict: localize the cell, look it up, lift it back."""
+    """A face map at order >= 4 as a dict: localize the cell, look it up in the computed tables, lift it back."""
     classes = tuple(sorted(cell))
     local_cg, _ = decorated_cell(cg, cell)
     local_face = Face.from_cycle(tuple(localize_vertex(classes, x) for x in face.cycle))
-    local = tables.computed_tables().lookup(
+    local = ORDER3_TABLES.lookup(
         local_cg.connected,
         tuple(map(vertex_id, local_face.cycle)),
         vertex_id(localize_vertex(classes, u)),
@@ -360,10 +362,10 @@ def test_face_map_equals_the_dict_construction():
 @pytest.mark.parametrize("order", [4, 5])
 def test_direct_builder_matches_the_table_lift(order, store):
     # the map built from the face at order r against the one lifted from the order-3
-    # tables: the shipped file, or a fresh store that builds each entry on first lookup
+    # tables: the shipped file, or tables freshly computed from the order-3 graphs
     from lift_oracle import lift_differences, top_slice_graphs
 
-    lift = tables.load_tables(tables.shipped_tables_path()) if store == "shipped" else tables._ComputedTables({})
+    lift = tables.load_tables(tables.shipped_tables_path()) if store == "shipped" else tables.compute_order3_tables()
     compared = 0
     for cg in top_slice_graphs(order):
         count, diffs = lift_differences(cg, lift)
@@ -386,7 +388,7 @@ def test_loaded_tables_drive_higher_orders(tmp_path):
         step_map(StepTable(cg, tables.FaceTables({})), cell, face, P, P4)
 
 
-TABLE_LINES = tables.render_tables(tables.compute_order3_tables()).splitlines()
+TABLE_LINES = tables.render_tables(ORDER3_TABLES).splitlines()
 
 
 def _mutate(kind: str, pick: int) -> str:

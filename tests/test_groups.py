@@ -9,7 +9,6 @@ import pytest
 
 from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, conjugate_face, cycle_type, parity, parse_verdict
 from conftest import reference_search, searched_vertices, stab_chain_search
-from spinatlas import tables
 from spinatlas.classify import predict_group, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
@@ -302,7 +301,7 @@ def test_exhaustive_mode_never_overshoots(hexagon_one_chord, hexagon_two_chords)
         n = len(cg.label_classes(v))
         group = set(closure(res.generators, n))
         assert len(group) == res.order <= res.predicted.order
-        evaluations = list(admissible_evaluations(StepTable(cg, tables.computed_tables()), v, 4))
+        evaluations = list(admissible_evaluations(StepTable(cg), v, 4))
         assert all(perm in group for _, perm in evaluations)
         # every group here (C3 at P2, trivial elsewhere) stays below S_n, so nothing
         # stops the exhaustive search: it consumes the whole budget
@@ -333,10 +332,10 @@ def test_a_step_table_of_another_graph_is_rejected():
     from spinatlas.chains import StepTable
 
     order4 = ConnectionGraph(4, frozenset({4}))
-    other = StepTable(ConnectionGraph(4, frozenset({3, 4})), tables.computed_tables())
+    other = StepTable(ConnectionGraph(4, frozenset({3, 4})))
     with pytest.raises(ValueError, match="cannot search"):
         spin_group_at(order4, P, table=other)
-    own = StepTable(order4, tables.computed_tables())
+    own = StepTable(order4)
     assert spin_group_at(order4, P, table=own) == spin_group_at(order4, P)
 
 
@@ -351,7 +350,7 @@ def test_a_search_frees_its_walk_state_when_it_returns():
     cg = ConnectionGraph(4, frozenset({4}))
     gc.disable()
     try:
-        table = StepTable(cg, tables.computed_tables())
+        table = StepTable(cg)
         alive = weakref.ref(table)
         res = spin_group_at(cg, P, table=table)
         del table
@@ -385,7 +384,7 @@ def test_pruned_search_agrees_with_plain_stream():
             for chain in enumerate_chains(cg, start, 3)
             if is_admissible(cg, chain).admissible
         }
-        table = StepTable(cg, tables.computed_tables())
+        table = StepTable(cg)
         pruned = {(table.chain(start, path), perm) for path, perm in admissible_evaluations(table, start, 3)}
         assert plain
         assert pruned == plain
@@ -519,7 +518,7 @@ def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_m
     for cg, v in reps:
         if table is None or table.cg != cg:
             # the graph's one step table, which both searches walk
-            table = StepTable(cg, tables.computed_tables())
+            table = StepTable(cg)
         res = spin_group_at(cg, v, closure_cap=cap, table=table)
         ref = stab_chain_search(cg, v, table=table)
         assert (res.verdict, res.order, res.kept(), res.chains_tried) == (
