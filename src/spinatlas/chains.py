@@ -113,30 +113,26 @@ def close_out(pos: list[int | None], carried: Carried) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _compose(cg: ConnectionGraph, chain: SpinChain) -> tuple[Carried | None, int | None]:
-    """Carry the first face's domain through every step: (labels, None), or (None, 1-based step of first loss)."""
-    carried, current = None, chain.start
-    for k, step in enumerate(chain.steps, start=1):
-        carried = carry(_face_map_pairs(cg, step.cell, step.face, current, step.target), carried)
-        if carried is None:
-            return None, k
-        current = step.target
-    return carried, None
-
-
 def _admit(cg: ConnectionGraph, chain: SpinChain) -> tuple[AdmissibilityVerdict, Carried | None]:
-    """The verdict, and for an admissible chain its carried labels, from one composition."""
+    """The verdict, and for an admissible chain its carried labels, from one composition.
+
+    The first face's domain is carried through every step; the chain fails
+    at the 1-based step where a label is first lost.
+    """
     validate_structure(cg, chain)
     if cg.order <= 2:
         degrees = [cg.epsilon_degree(v) for v in chain.loop()]
         for k, d in enumerate(degrees):
             if d != degrees[0]:
                 return AdmissibilityVerdict(False, k, "DomainMismatch"), None
-    carried, lost_at = _compose(cg, chain)
-    if lost_at is not None:
-        if cg.order <= 2:
-            raise AssertionError("at order <= 2 the degree rule admits only loops that compose")
-        return AdmissibilityVerdict(False, lost_at, "DomainMismatch"), None
+    carried, current = None, chain.start
+    for k, step in enumerate(chain.steps, start=1):
+        carried = carry(_face_map_pairs(cg, step.cell, step.face, current, step.target), carried)
+        if carried is None:
+            if cg.order <= 2:
+                raise AssertionError("at order <= 2 the degree rule admits only loops that compose")
+            return AdmissibilityVerdict(False, k, "DomainMismatch"), None
+        current = step.target
     return AdmissibilityVerdict(True, None, "Composable"), carried
 
 

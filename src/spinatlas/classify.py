@@ -41,10 +41,10 @@ class SpinGroupResult(namedtuple("SpinGroupResult", "graph vertex verdict predic
 
     `distinct` holds each distinct permutation the search met, in search
     order, as (chains tried up to it, its chain's search path, permutation);
-    `searched` counts the chains the search tried.  The kept generators, their
-    paths and `chains_tried` are what sifting every new permutation into a
-    stabilizer chain gives, stopping at the first full order: each read sifts
-    `distinct` again.
+    `searched` counts the chains the search tried.  The kept generators with
+    their paths (`kept()`) and `chains_tried` are what sifting every new
+    permutation into a stabilizer chain gives, stopping at the first full
+    order: each read sifts `distinct` again.
     """
 
     __slots__ = ()
@@ -56,16 +56,6 @@ class SpinGroupResult(namedtuple("SpinGroupResult", "graph vertex verdict predic
     def kept(self) -> tuple[tuple[tuple[tuple[int, int], ...], groups.Perm], ...]:
         """Each kept generator, with its chain's search path, from one sift of `distinct`."""
         return tuple((path, perm) for _, path, perm in _sift(self.distinct, self._n())[1])
-
-    @property
-    def generators(self) -> tuple[groups.Perm, ...]:
-        """Each permutation that was not yet in the group of those before it."""
-        return tuple(perm for _, perm in self.kept())
-
-    @property
-    def paths(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per kept generator, its chain's search path through the graph's step table."""
-        return tuple(path for path, _ in self.kept())
 
     @property
     def chains_tried(self) -> int:
@@ -297,9 +287,6 @@ def _rows(cg: ConnectionGraph, max_steps: int, closure_cap: int, exhaustive: boo
                 cg, v, max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive, table=table
             )
         predicted = predict_group(cg, v)
-        ok = res.verdict == predicted
-        if exhaustive:
-            # over-generation guard: the computed group may never exceed the prediction
-            ok = ok and res.order <= predicted.order
-        rows.append(VertexRow(v, cg.epsilon_degree(v), predicted, res.verdict, ok))
+        # a verdict carries its group's order, so an equal verdict also rules out over-generation
+        rows.append(VertexRow(v, cg.epsilon_degree(v), predicted, res.verdict, res.verdict == predicted))
     return tuple(rows)

@@ -232,11 +232,9 @@ def cmd_export_dot(args, engine: _classify.Engine) -> int:
     for v in cg.vertices():
         lines.append(f"  {_dot_quote(v.name)};")
     if args.kind == "connection":
-        seen = set()
         for u in cg.vertices():
             for w in cg.vertices():
-                if u < w and cg.adjacent(u, w) and (u, w) not in seen:
-                    seen.add((u, w))
+                if u < w and cg.adjacent(u, w):
                     lines.append(f"  {_dot_quote(u.name)} -- {_dot_quote(w.name)} [style=dashed];")
     else:
         try:

@@ -7,8 +7,6 @@ not conjugate; a chord joins the two vertices of every connected pair.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
-from types import MappingProxyType
 
 from .params import GraphClass
 
@@ -83,13 +81,12 @@ def build_connection_graph(gc: GraphClass) -> ConnectionGraph:
     return ConnectionGraph(gc.order, gc.connected_pairs)
 
 
-@lru_cache(maxsize=None)
-def edge_multiplicities_r_le_2(gc: GraphClass) -> MappingProxyType[tuple[Vertex, Vertex], int]:
+def edge_multiplicities_r_le_2(gc: GraphClass) -> dict[tuple[Vertex, Vertex], int]:
     """Multiplicity labels of the straight edges of the full graph, orders 0..2 only.
 
     Chord edges carry k_l - 1 (the own-pair exponent); skeleton edges carry k_0
     on the four short sides and k_1 on the two long sides.  Zero-multiplicity
-    chords are omitted.  The result is cached per class, so it is read-only.
+    chords are omitted.  Each call builds a new dict.
     """
     if gc.order > 2:
         raise UnsupportedOrderError(f"full-graph multiplicities are only tabulated for order <= 2, got {gc.order}")
@@ -112,4 +109,4 @@ def edge_multiplicities_r_le_2(gc: GraphClass) -> MappingProxyType[tuple[Vertex,
         out[edge(Vertex(2, False), Vertex(1, True))] = k[1]
     if gc.i >= 1:
         out[edge(P, Pt)] = gc.i
-    return MappingProxyType(out)
+    return out

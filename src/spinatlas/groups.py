@@ -34,10 +34,6 @@ def inverse(a: Perm) -> Perm:
     return tuple(out)
 
 
-def is_permutation(a: Perm) -> bool:
-    return sorted(a) == list(range(len(a)))
-
-
 def cycles(a: Perm) -> list[list[int]]:
     """The cycles of a, fixed points included, each from its least point, in order of that point."""
     out = []
@@ -216,7 +212,7 @@ def closure(gens, n: int, cap: int = 400_000) -> tuple[Perm, ...]:
     """Subgroup generated by `gens`, enumerated from its stabilizer chain, in sorted order."""
     gen_list = sorted({tuple(g) for g in gens})
     for g in gen_list:
-        if len(g) != n or not is_permutation(g):
+        if sorted(g) != list(range(n)):
             raise ValueError(f"not a permutation of {n} points: {g}")
     chain = StabChain(n)
     for g in gen_list:

@@ -50,10 +50,6 @@ class GraphClass(namedtuple("GraphClass", "genus order i p")):
         return k_tuple(self.i, self.p)
 
     @property
-    def i_max(self) -> int:
-        return (self.genus - self.order) // (self.order + 1)
-
-    @property
     def connected_pairs(self) -> frozenset[int]:
         """Conjugate pairs joined by an edge: exactly the classes with k_l >= 2."""
         return frozenset(l for l, kl in enumerate(self.k) if kl >= 2)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from functools import lru_cache
 from itertools import permutations
 
 from .graph import ConnectionGraph, Vertex
@@ -48,16 +47,11 @@ def _entry(pattern: frozenset[int], cycle: tuple[int, ...], u: int, v: int) -> M
     return tuple((c, t) for c, t in enumerate(images) if t >= 0)
 
 
-@lru_cache(maxsize=None)
-def _face_cycles(pattern: frozenset[int]) -> tuple[tuple[int, ...], ...]:
-    """The faces of the pattern's order-3 graph as canonical id cycles, in `enumerate_faces` order."""
-    return tuple(tuple(map(vertex_id, face.cycle)) for face in enumerate_faces(ConnectionGraph(3, pattern)))
-
-
 def _keys() -> Iterator[Key]:
-    """Every key a complete store holds: each pattern, face and ordered pair of its corners."""
+    """Every key a complete store holds: each pattern, face (in `enumerate_faces` order) and ordered corner pair."""
     for pattern in PATTERNS:
-        for cycle in _face_cycles(pattern):
+        for face in enumerate_faces(ConnectionGraph(3, pattern)):
+            cycle = tuple(map(vertex_id, face.cycle))
             for u, v in permutations(cycle, 2):
                 yield pattern, cycle, u, v
 
@@ -71,11 +65,6 @@ class FaceTables:
 
     def __init__(self, entries: dict[Key, MapPairs]) -> None:
         self.entries = entries
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
 
     def lookup(self, pattern: frozenset[int], cycle: tuple[int, ...], u: int, v: int) -> MapPairs:
         """The map of pair u -> v on the face with this cycle, all as vertex ids of the order-3 graph."""

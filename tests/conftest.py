@@ -250,6 +250,11 @@ def stab_chain_search(
     return StabChainSearch(recognize(order, n), order, tuple(gens), tuple(paths), tried)
 
 
+def kept_perms(res: SpinGroupResult) -> tuple[tuple[int, ...], ...]:
+    """A search result's kept generators, without their paths, from one read of `kept()`."""
+    return tuple(perm for _, perm in res.kept())
+
+
 def searched_vertices(cg: ConnectionGraph) -> list[Vertex]:
     """The vertices `verify_class` searches: the first of the chorded and of the unchorded ones."""
     firsts = {}

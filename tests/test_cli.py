@@ -164,6 +164,36 @@ def test_classify_sweep_output_is_pinned(capsys, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_SWEEP_SHA256
 
 
+# stdout of `atlas --genus G` for G = 2..9, concatenated
+ATLAS_SWEEP_SHA256 = "1f4d2160bddd0672deb858ea07c6dac58b3aca5114fd119ea09aad4e83e0f37d"
+# stdout of `export-dot` over every class of genus 2..6, `--kind connection` for each and
+# `--kind full` after it at order <= 2: 62 runs, concatenated
+EXPORT_DOT_SWEEP_SHA256 = "eab5bddb300443e434b6a3d4d58470fb88b8d5e3ea09844062091169197c81ae"
+
+
+def test_atlas_and_export_dot_sweeps_are_pinned(capsys):
+    from spinatlas.params import enumerate_classes
+
+    def sweep(runs) -> str:
+        out = []
+        for argv in runs:
+            code, text, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            out.append(text)
+        return "".join(out)
+
+    atlas = sweep(["atlas", "--genus", str(genus)] for genus in range(2, 10))
+    assert hashlib.sha256(atlas.encode()).hexdigest() == ATLAS_SWEEP_SHA256
+    dots = [
+        ["export-dot", *_classify_argv(gc)[1:], "--kind", kind]
+        for genus in range(2, 7)
+        for gc in enumerate_classes(genus)
+        for kind in ("connection", "full")[: 2 if gc.order <= 2 else 1]
+    ]
+    assert len(dots) == 62
+    assert hashlib.sha256(sweep(dots).encode()).hexdigest() == EXPORT_DOT_SWEEP_SHA256
+
+
 def test_classify_invalid_class(capsys):
     code, _, err = run(capsys, "classify", "-g", "5", "-r", "2", "-i", "0", "-p", "0,0")
     assert code == 2 and "InvalidClass" in err
@@ -429,7 +459,7 @@ def test_tables_env_var(tmp_path, monkeypatch):
     path = tmp_path / "tables.txt"
     path.write_text(tables.render_tables(tables.compute_order3_tables()), encoding="utf-8")
     monkeypatch.setenv(tables.ENV_VAR, str(path))
-    assert tables.active_tables() == tables.compute_order3_tables()
+    assert tables.active_tables().entries == tables.compute_order3_tables().entries
     # without the variable a run loads no store, and builds every face map from its face
     monkeypatch.delenv(tables.ENV_VAR)
     assert tables.active_tables() is None

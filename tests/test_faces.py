@@ -278,17 +278,17 @@ def test_table_round_trip(tmp_path):
     computed = tables.compute_order3_tables()
     text = tables.render_tables(computed)
     parsed = tables.parse_tables(text)
-    assert parsed == computed
+    assert parsed.entries == computed.entries
     assert tables.render_tables(parsed) == text
     path = tmp_path / "t.txt"
     path.write_text(text, encoding="utf-8")
-    assert tables.load_tables(str(path)) == computed
+    assert tables.load_tables(str(path)).entries == computed.entries
 
 
 def test_shipped_tables_match_computed():
     with open(tables.shipped_tables_path(), "r", encoding="utf-8") as fh:
         text = fh.read()
-    assert tables.parse_tables(text) == tables.compute_order3_tables()
+    assert tables.parse_tables(text).entries == tables.compute_order3_tables().entries
     assert tables.render_tables(tables.compute_order3_tables()) == text
 
 

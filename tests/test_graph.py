@@ -132,13 +132,15 @@ def test_edge_multiplicities_order_one_and_zero():
     assert mult0 == {(P, Pt): 2}  # the single pair carries the whole genus
 
 
-def test_edge_multiplicities_are_read_only():
-    # the mapping is cached per class: a caller's write would leak into every later call
+def test_edge_multiplicities_are_new_per_call():
+    # a caller's change to one result does not reach the next call
     gc = GraphClass(5, 2, 1, (0, 0))
     mult = edge_multiplicities_r_le_2(gc)
-    with pytest.raises(TypeError):
-        mult[(P, Pt)] = 99
-    assert edge_multiplicities_r_le_2(gc)[(P, Pt)] == 1
+    mult[(P, Pt)] = 99
+    del mult[(P, P1)]
+    again = edge_multiplicities_r_le_2(gc)
+    assert again is not mult
+    assert (again[(P, Pt)], again[(P, P1)]) == (1, 2)
 
 
 def test_edge_multiplicities_reject_high_order():

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, conjugate_face, cycle_type, parity, parse_verdict
-from conftest import reference_search, searched_vertices, stab_chain_search
+from conftest import kept_perms, reference_search, searched_vertices, stab_chain_search
 from spinatlas.classify import predict_group, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
@@ -251,7 +251,7 @@ def test_witnesses_are_enumerable_chains(order3_one_chord):
         assert chain.start == P3
         assert is_admissible(order3_one_chord, chain).admissible
     perms = [evaluate(order3_one_chord, chain) for chain in res.witnesses]
-    group = set(closure(res.generators, 4))
+    group = set(closure(kept_perms(res), 4))
     assert len(group) == res.order
     assert set(closure(perms, 4)) == group
 
@@ -299,7 +299,7 @@ def test_exhaustive_mode_never_overshoots(hexagon_one_chord, hexagon_two_chords)
     for cg, v in [(hexagon_one_chord, P2), (hexagon_one_chord, P), (hexagon_two_chords, P)]:
         res = spin_group_at(cg, v, max_steps=4, exhaustive=True)
         n = len(cg.label_classes(v))
-        group = set(closure(res.generators, n))
+        group = set(closure(kept_perms(res), n))
         assert len(group) == res.order <= res.predicted.order
         evaluations = list(admissible_evaluations(StepTable(cg), v, 4))
         assert all(perm in group for _, perm in evaluations)
@@ -317,7 +317,7 @@ def test_exhaustive_stops_at_the_full_symmetric_group(order3_one_chord):
         early = spin_group_at(cg, v)
         full = spin_group_at(cg, v, exhaustive=True)
         assert full.order == math.factorial(len(cg.label_classes(v)))
-        assert full.generators == early.generators
+        assert full.kept() == early.kept()
         assert full.witnesses == early.witnesses
         assert full.chains_tried == early.chains_tried
 
@@ -364,10 +364,11 @@ def test_label_relabeling_conjugates_the_group(order3_one_chord):
     # relabeling the start's label positions conjugates every element; verdicts are unchanged
     res = spin_group_at(order3_one_chord, P3)
     relabel = (1, 2, 3, 0)
-    group = closure(res.generators, 4)
+    gens = kept_perms(res)
+    group = closure(gens, 4)
     assert len(group) == res.order
     conjugated = {compose(compose(inverse(relabel), g), relabel) for g in group}
-    conjugated_gens = [compose(compose(inverse(relabel), g), relabel) for g in res.generators]
+    conjugated_gens = [compose(compose(inverse(relabel), g), relabel) for g in gens]
     assert set(closure(conjugated_gens, 4)) == conjugated
     assert recognize(len(conjugated), 4) == res.verdict
 
@@ -528,8 +529,8 @@ def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_m
             ref.chains_tried,
         ), (cg, v)
         if cg.order <= 8:
-            # each property is one sift again, so the larger graphs check `kept()` alone
-            assert (res.generators, res.paths) == (ref.generators, ref.paths)
+            # each read of `kept()` or `witnesses` is one sift again, so the larger graphs check one read alone
+            assert (kept_perms(res), tuple(path for path, _ in res.kept())) == (ref.generators, ref.paths)
             assert res.witnesses == tuple(table.chain(v, path) for path in ref.paths)
         if res.predicted == symmetric(len(cg.label_classes(v))):
             assert res.verdict == res.predicted
@@ -571,11 +572,11 @@ def test_chains_tried_comes_from_the_sift_not_from_where_the_search_stopped():
     # order 3 with chords {2, 3} at P2: (3 4) and (1 3 4 2) give S4 at chain 3
     cg = ConnectionGraph(3, frozenset({2, 3}))
     res = spin_group_at(cg, P2)
-    assert (res.searched, res.chains_tried, len(res.generators)) == (3, 3, 2)
+    assert (res.searched, res.chains_tried, len(res.kept())) == (3, 3, 2)
     # a search that met one more permutation before it stopped keeps the same fields
     extra = (res.searched + 1, ((0, 0), (5, 0)), cycle_perm(4, [0, 2, 1]))
     later = res._replace(distinct=res.distinct + (extra,), searched=res.searched + 1)
-    assert (later.chains_tried, later.generators, later.paths) == (3, res.generators, res.paths)
+    assert (later.chains_tried, later.kept()) == (3, res.kept())
 
 
 def test_kept_generator_orders_match_sympy():
@@ -586,4 +587,4 @@ def test_kept_generator_orders_match_sympy():
     sample = random.Random(20261021).sample(reps + tilded, 24)
     for cg, v in sample:
         res = spin_group_at(cg, v)
-        assert sympy_order(res.generators, len(cg.label_classes(v))) == res.order, (cg, v)
+        assert sympy_order(kept_perms(res), len(cg.label_classes(v))) == res.order, (cg, v)

@@ -87,7 +87,7 @@ def test_enumeration_sorted_and_order_bounded():
         for gc in classes:
             ks = gc.k
             assert all(ks[l] <= ks[l + 1] for l in range(len(ks) - 1))
-            assert gc.i <= gc.i_max
+            assert gc.i <= (gc.genus - gc.order) // (gc.order + 1)
             assert gc.connected_pairs == {l for l, kl in enumerate(ks) if kl >= 2}
 
 
