@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 
-from . import groups, tables
+from . import groups
 from .chains import Carried, SpinChain, StepTable, carry, close_out, label_positions
 from .faces import vertex_id
 from .faces import face_map  # noqa: F401  (perfbench/probe.py traces classify.face_map)
@@ -91,35 +92,43 @@ def _sift(distinct, n: int):
     return chain, kept, None
 
 
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"--{flag} must be >= {least}, got {value}")
+
+
 class Engine:
-    """What one run computes over one table store: the rows of each graph.
+    """One run's table store and search settings, and the rows of each graph it computes.
 
     `store` is a loaded order-3 table file that face maps are lifted from at
-    order >= 4, or None, and every map is built from its face.  The command
-    line builds one engine per run and passes it down; `verify_class` given no
-    engine makes its own, which it drops when it returns.
+    order >= 4, or None, and every map is built from its face.  A bad setting
+    raises ValueError here, and every search goes through `search`.  The
+    command line builds one engine per run; `verify_class` given no engine
+    makes its own, which it drops when it returns.
     """
 
-    def __init__(self, store: tables.FaceTables | None = None) -> None:
-        self.store = store
-        # per (graph, max_steps, closure_cap, exhaustive), the `VertexRow`s of `verify_class`
-        self.rows: dict[tuple, tuple[VertexRow, ...]] = {}
+    def __init__(self, store=None, max_steps=DEFAULT_MAX_STEPS, closure_cap=DEFAULT_CLOSURE_CAP, exhaustive=False):
+        _at_least("max-steps", max_steps, 2)
+        _at_least("closure-cap", closure_cap, 1)
+        self.store, self.max_steps, self.closure_cap, self.exhaustive = store, max_steps, closure_cap, exhaustive
+        # per graph, the `VertexRow`s of `verify_class`
+        self.rows: dict[ConnectionGraph, tuple[VertexRow, ...]] = {}
 
-    def orbit_reduction_applies(self, cg: ConnectionGraph) -> bool:
-        """Whether the graph's face maps are the program's own, which commute with its automorphisms.
-
-        Maps built from their faces are; from order 4 on, a loaded store's maps
-        are lifted from a file that nothing vouches for, so any loaded store,
-        even one equal to `tables.compute_order3_tables()`, turns the reduction off.
-        """
-        return self.store is None or cg.order <= 3
+    def search(self, cg: ConnectionGraph, vertices, table: StepTable) -> Iterator[SpinGroupResult]:
+        """Yield each vertex's search over the graph's step table, in order, once every label set's n! fits the cap."""
+        for v in vertices:
+            n = len(cg.label_classes(v))
+            if math.factorial(n) > self.closure_cap:
+                raise groups.CapExceededError(f"label set of size {n} needs cap >= {math.factorial(n)}")
+        search = dict(max_steps=self.max_steps, exhaustive=self.exhaustive, table=table)
+        # through the module global, so a wrapper installed on it sees every search
+        yield from (spin_group_at(cg, v, **search) for v in vertices)
 
 
 def spin_group_at(
     cg: ConnectionGraph,
     v: Vertex,
     max_steps: int = DEFAULT_MAX_STEPS,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
     exhaustive: bool = False,
     table: StepTable | None = None,
 ) -> SpinGroupResult:
@@ -136,8 +145,10 @@ def spin_group_at(
     `table`, the graph's step table, once (by default a new one that builds
     every map from its face), and skips each repeat of a walk state whose
     chains it has already walked, counting them as tried.  A step table of
-    another graph raises ValueError.
+    another graph, or `max_steps` below 2, raises ValueError.  No closure cap
+    applies: a run's `Engine` checks it before its first search.
     """
+    _at_least("max-steps", max_steps, 2)
     if table is None:
         table = StepTable(cg)
     elif table.cg != cg:
@@ -145,8 +156,6 @@ def spin_group_at(
     n = len(cg.label_classes(v))
     predicted = predict_group(cg, v)
     full_order = math.factorial(n)
-    if full_order > closure_cap:
-        raise groups.CapExceededError(f"label set of size {n} needs cap >= {full_order}")
     if predicted == groups.symmetric(n):
         certificate, group = groups.SymmetricCertificate(n), None
     else:
@@ -240,13 +249,7 @@ class ClassReport(namedtuple("ClassReport", "graph_class rows")):
         return all(row.match for row in self.rows)
 
 
-def verify_class(
-    gc: GraphClass,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
-    exhaustive: bool = False,
-    engine: Engine | None = None,
-) -> ClassReport:
+def verify_class(gc: GraphClass, engine: Engine | None = None) -> ClassReport:
     """Compute and compare the group at every vertex of the class's connection graph.
 
     A valid class's chords are a top slice of the classes, so every class
@@ -254,39 +257,36 @@ def verify_class(
     swap, are automorphisms of its graph.  The face maps commute with them, so
     the chains at two vertices of one orbit correspond one to one and their
     groups are conjugate.  The orbits are the chorded and the unchorded
-    vertices: when the engine's `orbit_reduction_applies`, the search runs once
+    vertices: unless `_rows` turns the reduction off, the search runs once
     per orbit, at its first (untilded) vertex, and the rest of the orbit
     reuses that group.  Each row still gets its own prediction and comparison.
 
-    The rows depend only on the graph and the search flags, so the engine
-    keeps them per graph, and every later class of that graph reuses them
-    without a search.  The graph's step table lives only while its rows are made.
+    The rows depend only on the graph and the engine's search settings, so the
+    engine keeps them per graph, and every later class of that graph reuses
+    them without a search.  The graph's step table lives only while its rows are made.
     """
-    if engine is None:
-        engine = Engine()
+    engine = engine or Engine()
     cg = build_connection_graph(gc)
-    key = (cg, max_steps, closure_cap, exhaustive)
-    rows = engine.rows.get(key)
+    rows = engine.rows.get(cg)
     if rows is None:
-        rows = engine.rows[key] = _rows(cg, max_steps, closure_cap, exhaustive, engine)
+        rows = engine.rows[cg] = _rows(cg, engine)
     return ClassReport(gc, rows)
 
 
-def _rows(cg: ConnectionGraph, max_steps: int, closure_cap: int, exhaustive: bool, engine: Engine):
+def _rows(cg: ConnectionGraph, engine: Engine):
     """The `VertexRow` of every vertex of the graph, in vertex order."""
-    rows = []
-    reduce = engine.orbit_reduction_applies(cg)
-    searched: dict[bool, SpinGroupResult] = {}
+    # Maps built from their faces commute with the automorphisms; from order 4 on, a loaded store's maps are
+    # lifted from a file that nothing vouches for, so any loaded store, even one equal to
+    # `tables.compute_order3_tables()`, turns the reduction off.
+    reduce = engine.store is None or cg.order <= 3
+    firsts: dict[bool, Vertex] = {}
+    # per vertex, the vertex whose search gives its group
+    source = {v: firsts.setdefault(v.cls in cg.connected, v) if reduce else v for v in cg.vertices()}
     table = StepTable(cg, engine.store)
-    for v in cg.vertices():
-        orbit = v.cls in cg.connected
-        res = searched.get(orbit) if reduce else None
-        if res is None:
-            # through the module global, so a wrapper installed on it sees every search
-            res = searched[orbit] = spin_group_at(
-                cg, v, max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive, table=table
-            )
+    verdicts = {res.vertex: res.verdict for res in engine.search(cg, dict.fromkeys(source.values()), table)}
+    rows = []
+    for v, s in source.items():
         predicted = predict_group(cg, v)
         # a verdict carries its group's order, so an equal verdict also rules out over-generation
-        rows.append(VertexRow(v, cg.epsilon_degree(v), predicted, res.verdict, res.verdict == predicted))
+        rows.append(VertexRow(v, cg.epsilon_degree(v), predicted, verdicts[s], verdicts[s] == predicted))
     return tuple(rows)

@@ -119,11 +119,6 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 # ---------------------------------------------------------------- commands
 
-def _search(args) -> dict:
-    """The keyword arguments of `verify_class` and `spin_group_at` that the command's flags give."""
-    return dict(max_steps=args.max_steps, closure_cap=args.closure_cap, exhaustive=args.exhaustive)
-
-
 def cmd_atlas(args, engine: _classify.Engine) -> int:
     if not 2 <= args.genus <= args.max_genus:
         raise UsageError(f"genus must be within 2..{args.max_genus}")
@@ -133,7 +128,7 @@ def cmd_atlas(args, engine: _classify.Engine) -> int:
         report = None
         if not args.no_compute:
             try:
-                report = _classify.verify_class(gc, engine=engine, **_search(args))
+                report = _classify.verify_class(gc, engine=engine)
             except CapExceededError:
                 report = None
         print(render_record(atlas_record(gc, report)))
@@ -150,12 +145,7 @@ def cmd_classify(args, engine: _classify.Engine) -> int:
     if wanted is not None and not 0 <= wanted.cls <= gc.order:
         raise UsageError(f"vertex {args.vertex} is not in an order-{gc.order} graph")
     table = StepTable(cg, engine.store)
-    rows = []
-    for v in cg.vertices():
-        if wanted is not None and v != wanted:
-            continue
-        rows.append(_classify.spin_group_at(cg, v, table=table, **_search(args)))
-    for res in rows:
+    for res in engine.search(cg, [v for v in cg.vertices() if wanted in (None, v)], table):
         print(
             render_record(
                 {
@@ -215,8 +205,7 @@ def cmd_verify(args, engine: _classify.Engine) -> int:
             if orders is None or gc.order in orders:
                 targets.append(gc)
 
-    search = _search(args)
-    mismatches = _print_verify(_classify.verify_class(gc, engine=engine, **search) for gc in targets)
+    mismatches = _print_verify(_classify.verify_class(gc, engine=engine) for gc in targets)
     print(render_record({"kind": "summary", "classes": str(len(targets)), "mismatches": str(mismatches)}))
     return 0 if mismatches == 0 else 1
 
@@ -297,17 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    flags = {k: v for k, v in vars(args).items() if k in ("max_steps", "closure_cap", "exhaustive")}
     try:
-        # a table file named by --tables or the environment is checked here, before any record
-        engine = _classify.Engine(_tables.load_tables(args.tables) if args.tables else _tables.active_tables())
+        # the table file named by --tables or the environment, then the search flags, are checked before any record
+        engine = _classify.Engine(_tables.load_tables(args.tables) if args.tables else _tables.active_tables(), **flags)
     except (OSError, _tables.TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a search setting; after TableError, which is a ValueError too
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     try:
-        if "max_steps" in vars(args) and args.max_steps < 2:
-            raise UsageError(f"--max-steps must be >= 2, got {args.max_steps}")
-        if "closure_cap" in vars(args) and args.closure_cap < 1:
-            raise UsageError(f"--closure-cap must be >= 1, got {args.closure_cap}")
         return args.func(args, engine)
     except CapExceededError as exc:
         print(f"CapExceeded: {exc}", file=sys.stderr)

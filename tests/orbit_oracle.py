@@ -8,12 +8,13 @@ step table of the graph.  `row_differences` checks the result: it names each
 row whose prediction, verdict or match differs from that vertex's own search.
 `walk_differences` checks each of those searches, which skip the walk states
 they have already walked, against the reference walk of every chain
-(`conftest.reference_search`).  All take an `Engine`, by default a new one
-that loads no table file, so every face map is built from its face; the two
-checks search every vertex themselves unless given `own_searches`' result.
-Run as a script, it checks the rows and the searches of every vertex over a
-genus range at the default search settings, with one engine, one search per
-vertex and the closure cap that the range's largest label set needs, and
+(`conftest.reference_search`).  All take an `Engine`, whose store and search
+settings they use, by default a new one that loads no table file, so every
+face map is built from its face, at the default settings; the two checks
+search every vertex themselves unless given `own_searches`' result.  Run as
+a script, it checks the rows and the searches of every vertex over a genus
+range at the default search settings, with one search per vertex and one
+engine whose closure cap is what the range's largest label set needs, and
 exits 1 on any difference:
 
     PYTHONPATH=src python3 tests/orbit_oracle.py 10..12
@@ -28,8 +29,7 @@ from itertools import permutations
 
 from conftest import reference_search
 from spinatlas.chains import StepTable
-from spinatlas.classify import DEFAULT_CLOSURE_CAP, DEFAULT_MAX_STEPS, Engine, SpinGroupResult, spin_group_at
-from spinatlas.classify import verify_class
+from spinatlas.classify import Engine, SpinGroupResult, spin_group_at, verify_class
 from spinatlas.faces import Face, cells_containing, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.params import GraphClass, enumerate_classes
@@ -104,32 +104,25 @@ def distinct_graph_classes(lo: int, hi: int) -> list[GraphClass]:
     return list(found.values())
 
 
-def own_searches(gc: GraphClass, engine: Engine, **search) -> Searched:
+def own_searches(gc: GraphClass, engine: Engine) -> Searched:
     """One step table of the class's graph over the engine's store, and each vertex's own search over it."""
     cg = build_connection_graph(gc)
     table = StepTable(cg, engine.store)
-    return table, {v: spin_group_at(cg, v, table=table, **search) for v in cg.vertices()}
+    search = dict(max_steps=engine.max_steps, exhaustive=engine.exhaustive, table=table)
+    return table, {v: spin_group_at(cg, v, **search) for v in cg.vertices()}
 
 
-def row_differences(
-    gc: GraphClass,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    exhaustive: bool = False,
-    engine: Engine | None = None,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
-    searched: Searched | None = None,
-) -> list[str]:
+def row_differences(gc: GraphClass, engine: Engine | None = None, searched: Searched | None = None) -> list[str]:
     """Each `verify_class` row whose prediction, verdict or match differs from its own vertex's search.
 
-    `searched` is what `own_searches` gave for the same engine and search settings, or None to search here.
+    `searched` is what `own_searches` gave for the same engine, or None to search here.
     """
     engine = engine or Engine()
-    search = dict(max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive)
-    _, searches = searched or own_searches(gc, engine, **search)
+    _, searches = searched or own_searches(gc, engine)
     out = []
-    for row in verify_class(gc, engine=engine, **search).rows:
+    for row in verify_class(gc, engine=engine).rows:
         own = searches[row.vertex]
-        match = own.match and (not exhaustive or own.order <= own.predicted.order)
+        match = own.match and (not engine.exhaustive or own.order <= own.predicted.order)
         if (row.predicted, row.computed, row.match) != (own.predicted, own.verdict, match):
             out.append(
                 f"{gc.label()} genus {gc.genus} {row.vertex.name}: row {row.computed} match={row.match}, "
@@ -138,23 +131,16 @@ def row_differences(
     return out
 
 
-def walk_differences(
-    gc: GraphClass,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    exhaustive: bool = False,
-    engine: Engine | None = None,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
-    searched: Searched | None = None,
-) -> list[str]:
+def walk_differences(gc: GraphClass, engine: Engine | None = None, searched: Searched | None = None) -> list[str]:
     """Each vertex whose search's (searched, chains_tried, distinct, order) differs from the reference walk's.
 
-    `searched` is what `own_searches` gave for the same engine and search settings, or None to search here.
+    `searched` is what `own_searches` gave for the same engine, or None to search here.
     """
-    search = dict(max_steps=max_steps, closure_cap=closure_cap, exhaustive=exhaustive)
-    table, searches = searched or own_searches(gc, engine or Engine(), **search)
+    engine = engine or Engine()
+    table, searches = searched or own_searches(gc, engine)
     out = []
     for v, own in searches.items():
-        ref = reference_search(table.cg, v, max_steps=max_steps, exhaustive=exhaustive, table=table)
+        ref = reference_search(table.cg, v, max_steps=engine.max_steps, exhaustive=engine.exhaustive, table=table)
         fields = (own.searched, own.chains_tried, own.distinct, own.order)
         if fields != (ref.searched, ref.chains_tried, ref.distinct, ref.order):
             out.append(
@@ -170,15 +156,14 @@ def main(argv: list[str]) -> int:
     lo, hi = int(lo), int(hi or lo)
     start = time.perf_counter()
     classes = distinct_graph_classes(lo, hi)
-    engine = Engine()
     # a label set has at most genus points
-    cap = math.factorial(hi)
+    engine = Engine(closure_cap=math.factorial(hi))
     diffs = []
     for gc in classes:
         # one search per vertex feeds both comparisons
-        searched = own_searches(gc, engine, closure_cap=cap)
+        searched = own_searches(gc, engine)
         for check in (row_differences, walk_differences):
-            diffs += check(gc, engine=engine, closure_cap=cap, searched=searched)
+            diffs += check(gc, engine=engine, searched=searched)
     for line in diffs:
         print(line)
     vertices = sum(2 * gc.order + 2 for gc in classes)

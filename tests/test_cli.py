@@ -86,6 +86,24 @@ def test_atlas_passes_exhaustive_through(capsys, monkeypatch):
     assert code == 0 and flags == {True} and out == plain
 
 
+def test_atlas_checks_the_cap_before_any_search(capsys, monkeypatch):
+    # the default cap is 12!, so the genus-20 graphs with a larger label set are skipped without a search;
+    # each such graph cost every class of it a full search of its smaller orbit and a call that raised
+    from spinatlas import classify
+
+    calls = []
+    search = classify.spin_group_at
+
+    def counted(cg, v, **kwargs):
+        calls.append(v)
+        return search(cg, v, **kwargs)
+
+    monkeypatch.setattr(classify, "spin_group_at", counted)
+    code, out, _ = run(capsys, "--max-genus", "20", "atlas", "--genus", "20")
+    assert code == 0 and len(calls) == 138
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("3736a25a")
+
+
 def test_atlas_rejects_bad_genus(capsys):
     code, _, err = run(capsys, "atlas", "--genus", "1")
     assert code == 2 and "usage error" in err

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, conjugate_face, cycle_type, parity, parse_verdict
 from conftest import kept_perms, reference_search, searched_vertices, stab_chain_search
-from spinatlas.classify import predict_group, spin_group_at, verify_class
+from spinatlas.classify import Engine, predict_group, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
     C2,
@@ -322,10 +322,32 @@ def test_exhaustive_stops_at_the_full_symmetric_group(order3_one_chord):
         assert full.chains_tried == early.chains_tried
 
 
-def test_cap_guard():
+def test_cap_guard(monkeypatch):
+    # the cap is the engine's run policy: it stops the class before any search, and the search itself has no cap
+    from spinatlas import classify
+
     cg = ConnectionGraph(5, frozenset({5}))
-    with pytest.raises(CapExceededError):
-        spin_group_at(cg, P, closure_cap=10)
+    gc = next(gc for gc in enumerate_classes(6, 5) if build_connection_graph(gc) == cg)
+    calls = []
+    monkeypatch.setattr(classify, "spin_group_at", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(CapExceededError, match=r"^label set of size 5 needs cap >= 120$"):
+        verify_class(gc, engine=Engine(closure_cap=10))
+    assert calls == []
+    assert spin_group_at(cg, P).verdict == symmetric(5)
+
+
+def test_search_settings_below_their_bounds_raise_value_errors():
+    # a search of no chains would report the trivial group, against a predicted S4
+    cg = build_connection_graph(GraphClass(8, 3, 1, (0, 0, 1)))
+    with pytest.raises(ValueError, match="^--max-steps must be >= 2, got 1$"):
+        spin_group_at(cg, P, max_steps=1)
+    with pytest.raises(ValueError, match="^--max-steps must be >= 2, got 1$"):
+        Engine(max_steps=1)
+    with pytest.raises(ValueError, match="^--closure-cap must be >= 1, got 0$"):
+        Engine(closure_cap=0)
+    # the steps are checked first, as the command line reports them
+    with pytest.raises(ValueError, match="^--max-steps"):
+        Engine(max_steps=0, closure_cap=0)
 
 
 def test_a_step_table_of_another_graph_is_rejected():
@@ -512,7 +534,6 @@ def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_m
     a stabilizer chain first reaches S_n, and the fields read from the sift equal that search's."""
     from spinatlas.chains import StepTable
 
-    cap = math.factorial(16)
     late = {}
     reps = _representatives(range(2, 17))
     table = None
@@ -520,7 +541,7 @@ def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_m
         if table is None or table.cg != cg:
             # the graph's one step table, which both searches walk
             table = StepTable(cg)
-        res = spin_group_at(cg, v, closure_cap=cap, table=table)
+        res = spin_group_at(cg, v, table=table)
         ref = stab_chain_search(cg, v, table=table)
         assert (res.verdict, res.order, res.kept(), res.chains_tried) == (
             ref.verdict,
@@ -542,6 +563,15 @@ def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_m
             assert res.searched == ref.chains_tried
     assert len(reps) == 136
     assert late == {}
+
+
+def test_witness_oracle_over_orders_3_to_8(capsys):
+    # at both searched vertices of every top-slice graph, each kept generator's chain, evaluated from its
+    # faces alone, gives the generator, and sympy's order of the kept generators is the search's and S_n's
+    from witness_oracle import main as witness_oracle
+
+    assert witness_oracle(["3..8"]) == 0
+    assert capsys.readouterr().out.startswith("39 graphs, 72 vertices, 0 differences, ")
 
 
 def test_a_repeated_walk_state_is_counted_not_walked(monkeypatch):

@@ -23,18 +23,18 @@ def test_face_maps_commute_with_the_automorphisms():
 @pytest.mark.parametrize("exhaustive", [False, True])
 @pytest.mark.parametrize("max_steps", [3, 4, 6])
 def test_representatives_match_every_vertex(max_steps, exhaustive):
-    engine = classify.Engine()
+    engine = classify.Engine(max_steps=max_steps, exhaustive=exhaustive)
     for gc in distinct_graph_classes(2, 9):
-        assert row_differences(gc, max_steps=max_steps, exhaustive=exhaustive, engine=engine) == []
+        assert row_differences(gc, engine=engine) == []
 
 
 @pytest.mark.parametrize("max_steps,exhaustive,orders", [(6, False, range(9)), (4, True, range(4))])
 def test_searches_match_the_reference_walk(max_steps, exhaustive, orders):
     # every vertex, tilded ones too: skipping the walk states already walked keeps what the full walk counts and meets
-    engine = classify.Engine()
+    engine = classify.Engine(max_steps=max_steps, exhaustive=exhaustive)
     classes = [gc for gc in distinct_graph_classes(2, 9) if gc.order in orders]
     for gc in classes:
-        assert walk_differences(gc, max_steps=max_steps, exhaustive=exhaustive, engine=engine) == []
+        assert walk_differences(gc, engine=engine) == []
     assert sum(2 * gc.order + 2 for gc in classes) == (250 if max_steps == 6 else 60)
 
 
@@ -103,11 +103,11 @@ def test_two_engines_in_one_process(monkeypatch):
     computed, perturbed = classify.Engine(), classify.Engine(_perturbed_tables())
     first = classify.verify_class(order4, engine=computed)
     assert 1 <= len(calls) <= 2
-    # the engine keeps the graph's rows under the search flags, and nothing else of the run
+    # the engine keeps the graph's rows under the graph alone, beside its store and search settings, and nothing
+    # else of the run
     cg = ConnectionGraph(4, order4.connected_pairs)
-    flags = (classify.DEFAULT_MAX_STEPS, classify.DEFAULT_CLOSURE_CAP, False)
-    assert computed.rows == {(cg, *flags): first.rows}
-    assert set(vars(computed)) == {"store", "rows"}
+    assert computed.rows == {cg: first.rows}
+    assert set(vars(computed)) == {"store", "max_steps", "closure_cap", "exhaustive", "rows"}
     calls.clear()
     classify.verify_class(order4, engine=perturbed)
     assert len(calls) == 10
@@ -120,9 +120,10 @@ def test_two_engines_in_one_process(monkeypatch):
     shared = classify.verify_class(same_graph, engine=computed)
     assert calls == []
     assert shared.rows is first.rows and shared.graph_class == same_graph
-    # other search flags, and a second engine over the same store, share nothing
-    classify.verify_class(same_graph, max_steps=5, engine=computed)
-    assert len(calls) == 2 and len(computed.rows) == 2
+    # other search settings need a second engine, which shares nothing with the first
+    five = classify.Engine(computed.store, max_steps=5)
+    classify.verify_class(same_graph, engine=five)
+    assert len(calls) == 2 and len(five.rows) == 1 and len(computed.rows) == 1
     calls.clear()
     fresh = classify.verify_class(same_graph, engine=classify.Engine())
     assert len(calls) == 2

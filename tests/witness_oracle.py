@@ -1,0 +1,78 @@
+"""Witness oracle for the group found at each searched vertex.
+
+`witness_differences` searches a graph at the vertices that `verify` searches
+(the first chorded and the first unchorded one) and checks the verdict along
+a path that shares none of the search's fast parts.  Each kept generator's
+chain is rebuilt from its search path (`StepTable.chain`) and evaluated by
+`chains.evaluate`, which composes the maps that `faces.direct_images` builds
+from each face: no table lift, no step-table map slot and no walk-state memo.
+The result must be the generator kept with it.  Then sympy's
+`PermutationGroup` of the kept generators, a group engine the program does
+not use, must have the search's order, and that order must be the predicted
+group's.  Run as a script over a range of orders, it
+checks every graph whose chords are a top slice {j..r}, 0 <= j <= r (never
+the chordless graph, which no class has), at the default search settings, and
+exits 1 on any difference:
+
+    PYTHONPATH=src python3 tests/witness_oracle.py 3..17
+"""
+from __future__ import annotations
+
+import resource
+import sys
+import time
+
+from sympy.combinatorics import Permutation, PermutationGroup
+
+from conftest import searched_vertices
+from lift_oracle import top_slice_graphs
+from spinatlas.chains import StepTable, evaluate
+from spinatlas.classify import spin_group_at
+from spinatlas.faces import enumerate_faces
+from spinatlas.graph import ConnectionGraph
+
+
+def witness_differences(cg: ConnectionGraph) -> tuple[int, list[str]]:
+    """How many vertices were checked, and each difference between a search and its evaluated witnesses."""
+    table = StepTable(cg)
+    out = []
+    vertices = searched_vertices(cg)
+    for v in vertices:
+        res = spin_group_at(cg, v, table=table)
+        where = f"order {cg.order} chords {sorted(cg.connected)} {v.name}"
+        kept = res.kept()
+        for path, perm in kept:
+            evaluated = evaluate(cg, table.chain(v, path))
+            if evaluated != perm:
+                out.append(f"{where}: witness {path} evaluates to {evaluated}, kept {perm}")
+        n = len(cg.label_classes(v))
+        # no generators at all is the trivial group
+        order = PermutationGroup([Permutation(list(perm)) for _, perm in kept] or [Permutation(n - 1)]).order()
+        if not order == res.order == res.predicted.order:
+            out.append(f"{where}: sympy order {order}, search order {res.order}, predicted {res.predicted}")
+    return len(vertices), out
+
+
+def main(argv: list[str]) -> int:
+    lo, _, hi = (argv[0] if argv else "3..8").partition("..")
+    start = time.perf_counter()
+    graphs = vertices = 0
+    diffs = []
+    for order in range(int(lo), int(hi or lo) + 1):
+        for cg in top_slice_graphs(order):
+            count, found = witness_differences(cg)
+            graphs += 1
+            vertices += count
+            diffs += found
+            # `evaluate` checks each step's face against `enumerate_faces`, whose memo would keep every graph's faces
+            enumerate_faces.cache_clear()
+    for line in diffs:
+        print(line)
+    took = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{graphs} graphs, {vertices} vertices, {len(diffs)} differences, {took:.1f} s, {peak:.0f} MB peak")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
