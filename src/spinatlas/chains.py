@@ -13,8 +13,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 from . import tables
-from .faces import Face, _canonical, cell_frame, cells_containing, cells_of, class_mask, direct_images, enumerate_faces
-from .faces import lifted_images, neighbour_ids, vertex_id
+from .faces import Face, _canonical, cell_frame, cells_containing, cells_of, class_mask, direct_images
+from .faces import is_face, lifted_images, neighbour_ids, vertex_id
 from .faces import _face_map_pairs  # the memoized face maps `evaluate` composes
 from .graph import ConnectionGraph, Vertex
 
@@ -52,10 +52,9 @@ def validate_structure(cg: ConnectionGraph, chain: SpinChain) -> None:
     """Raise ChainStructureError unless every step sits on its face inside its cell."""
     if not chain.steps or chain.steps[-1].target != chain.start:
         raise ChainStructureError("LoopNotClosed", f"loop does not return to {chain.start.name}")
-    faces = set(enumerate_faces(cg))
     current = chain.start
     for k, step in enumerate(chain.steps):
-        if step.face not in faces:
+        if not is_face(cg, step.face):
             raise ChainStructureError("StepNotOnFace", f"step {k}: {step.face.name} is not a face of the graph")
         if current == step.target or current not in step.face or step.target not in step.face:
             raise ChainStructureError(

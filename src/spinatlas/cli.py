@@ -7,10 +7,10 @@ All output is deterministic for fixed flags.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from . import classify as _classify
 from . import tables as _tables
@@ -240,52 +240,149 @@ def cmd_export_dot(args, engine: _classify.Engine) -> int:
 
 # ---------------------------------------------------------------- entry
 
+# Every option of the program, declared once: per option its strings and the keywords of its `add_argument`.
+# `build_parser` makes argparse's parser of them; `_read_args` reads the plain command lines without argparse.
+_GLOBAL_OPTIONS = (
+    (("--tables",), {"help": "path to an order-3 face-map table file to lift maps through from order 4 on"}),
+    (("--max-genus",), {"type": int, "default": MAX_GENUS_DEFAULT}),
+)
+_SEARCH_OPTIONS = (
+    (("--max-steps",), {"type": int, "default": _classify.DEFAULT_MAX_STEPS}),
+    (("--closure-cap",), {"type": int, "default": _classify.DEFAULT_CLOSURE_CAP}),
+    (("--exhaustive",), {"action": "store_true", "help": "consume the whole chain budget until the group is S_n"}),
+)
+# per command: its help, its `func` default and its options, in the order `--help` lists them
+_COMMANDS = {
+    "atlas": (
+        "one row per class of a genus",
+        cmd_atlas,
+        (
+            (("--genus",), {"type": int, "required": True}),
+            (("--order",), {"type": int}),
+            (("--no-compute",), {"action": "store_true", "help": "skip group computation"}),
+            *_SEARCH_OPTIONS,
+        ),
+    ),
+    "classify": (
+        "group verdicts for one class",
+        cmd_classify,
+        (
+            (("--genus", "-g"), {"type": int, "required": True}),
+            (("--order", "-r"), {"type": int, "required": True}),
+            (("--i", "-i"), {"type": int}),
+            (("--p", "-p"), {"default": "-", "help": "comma-separated increments, '-' for none"}),
+            (("--vertex",), {"help": "restrict to one vertex, e.g. P2 or P2~"}),
+            *_SEARCH_OPTIONS,
+        ),
+    ),
+    "verify": (
+        "verify predictions over a genus range",
+        cmd_verify,
+        (
+            (("--genus",), {"required": True, "help": "a genus or a range like 2..6"}),
+            (("--orders",), {"help": "comma-separated orders to include"}),
+            *_SEARCH_OPTIONS,
+        ),
+    ),
+    "export-dot": (
+        "emit a DOT rendering of one class",
+        cmd_export_dot,
+        (
+            (("--genus", "-g"), {"type": int, "required": True}),
+            (("--order", "-r"), {"type": int, "required": True}),
+            (("--i", "-i"), {"type": int}),
+            (("--p", "-p"), {"default": "-"}),
+            (("--kind",), {"choices": ["connection", "full"], "default": "connection"}),
+        ),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """argparse's parser of the declared options: the reader of help requests, errors and unusual spellings."""
+    import argparse  # only here: a plain command line never loads it, nor the gettext and locale it imports
+
     parser = argparse.ArgumentParser(prog="spin-atlas", description=__doc__)
-    parser.add_argument("--tables", help="path to an order-3 face-map table file to lift maps through from order 4 on")
-    parser.add_argument("--max-genus", type=int, default=MAX_GENUS_DEFAULT)
+    for strings, keywords in _GLOBAL_OPTIONS:
+        parser.add_argument(*strings, **keywords)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--max-steps", type=int, default=_classify.DEFAULT_MAX_STEPS)
-        p.add_argument("--closure-cap", type=int, default=_classify.DEFAULT_CLOSURE_CAP)
-        p.add_argument("--exhaustive", action="store_true", help="consume the whole chain budget until the group is S_n")
-
-    p_atlas = sub.add_parser("atlas", help="one row per class of a genus")
-    p_atlas.add_argument("--genus", type=int, required=True)
-    p_atlas.add_argument("--order", type=int)
-    p_atlas.add_argument("--no-compute", action="store_true", help="skip group computation")
-    common(p_atlas)
-    p_atlas.set_defaults(func=cmd_atlas)
-
-    p_cls = sub.add_parser("classify", help="group verdicts for one class")
-    p_cls.add_argument("--genus", "-g", type=int, required=True)
-    p_cls.add_argument("--order", "-r", type=int, required=True)
-    p_cls.add_argument("--i", "-i", type=int)
-    p_cls.add_argument("--p", "-p", default="-", help="comma-separated increments, '-' for none")
-    p_cls.add_argument("--vertex", help="restrict to one vertex, e.g. P2 or P2~")
-    common(p_cls)
-    p_cls.set_defaults(func=cmd_classify)
-
-    p_ver = sub.add_parser("verify", help="verify predictions over a genus range")
-    p_ver.add_argument("--genus", required=True, help="a genus or a range like 2..6")
-    p_ver.add_argument("--orders", help="comma-separated orders to include")
-    common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_dot = sub.add_parser("export-dot", help="emit a DOT rendering of one class")
-    p_dot.add_argument("--genus", "-g", type=int, required=True)
-    p_dot.add_argument("--order", "-r", type=int, required=True)
-    p_dot.add_argument("--i", "-i", type=int)
-    p_dot.add_argument("--p", "-p", default="-")
-    p_dot.add_argument("--kind", choices=["connection", "full"], default="connection")
-    p_dot.set_defaults(func=cmd_export_dot)
+    for name, (help_text, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for strings, keywords in options:
+            command.add_argument(*strings, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
+def _dest(strings: tuple[str, ...]) -> str:
+    """argparse's attribute name for an option: its first long string without the dashes, '-' made '_'."""
+    return next(s for s in strings if s.startswith("--"))[2:].replace("-", "_")
+
+
+def _read_options(options, argv: list[str], k: int, values: dict) -> int | None:
+    """Read the option tokens of argv from index k into values, defaults first; the index of the first
+    token that starts no option, or None where argparse must read the line."""
+    by_string = {}
+    for strings, keywords in options:
+        dest, flag = _dest(strings), keywords.get("action") == "store_true"
+        values[dest] = keywords.get("default", False if flag else None)
+        by_string.update(dict.fromkeys(strings, (dest, keywords, flag)))
+    seen = set()
+    while k < len(argv) and argv[k].startswith("-"):
+        # only a long option takes its value after "="; "-g=3" and "-g3" are argparse's
+        name, eq, value = argv[k].partition("=") if argv[k].startswith("--") else (argv[k], "", "")
+        if name not in by_string:
+            return None
+        dest, keywords, flag = by_string[name]
+        if flag:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                k += 1
+                if k == len(argv):
+                    return None
+                value = argv[k]
+            if value.startswith("-"):
+                return None
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        values[dest] = value
+        seen.add(dest)
+        k += 1
+    if any(keywords.get("required") and _dest(strings) not in seen for strings, keywords in options):
+        return None
+    return k
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes `build_parser().parse_args(argv)` gives, read without argparse; None unless argv is
+    global options, then a command and its options, each option spelled in full and each value valid.
+
+    Help, an unknown command or token, an abbreviation, joined short options, "--", a value that starts
+    with "-", a missing required option and a bad int or choice all give None: argparse reads those lines,
+    and prints their help or usage error.
+    """
+    values: dict = {}
+    k = _read_options(_GLOBAL_OPTIONS, argv, 0, values)
+    if k is None or k == len(argv) or argv[k] not in _COMMANDS:
+        return None
+    values["command"] = argv[k]
+    _, values["func"], options = _COMMANDS[argv[k]]
+    if _read_options(options, argv, k + 1, values) != len(argv):
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_args(argv) or build_parser().parse_args(argv)
     flags = {k: v for k, v in vars(args).items() if k in ("max_steps", "closure_cap", "exhaustive")}
     try:
         # the table file named by --tables or the environment, then the search flags, are checked before any record

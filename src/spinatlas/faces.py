@@ -81,6 +81,20 @@ def enumerate_faces(cg: ConnectionGraph) -> tuple[Face, ...]:
     return tuple(Face(tuple(map(verts.__getitem__, cycle))) for cycle in sorted(found))
 
 
+def is_face(cg: ConnectionGraph, face: Face) -> bool:
+    """Whether `face` is one of `enumerate_faces(cg)`, read off its own cycle: four distinct vertices of
+    the graph, each adjacent to the next, in canonical order.  Every edge joins the two sides, so such a
+    cycle pairs two same-side vertices through two common neighbors, as the enumerated faces do."""
+    cycle = face.cycle
+    return (
+        len(cycle) == 4
+        and len(set(cycle)) == 4
+        and all(v.cls in cg.classes and v.tilded in (False, True) for v in cycle)
+        and all(cg.adjacent(cycle[k - 1], cycle[k]) for k in range(4))
+        and cycle == _canonical(cycle)
+    )
+
+
 @lru_cache(maxsize=None)
 def cells_of(order: int, mask: int) -> tuple[frozenset[int], ...]:
     """The standard 3-cells (4-class subsets) of an order-r graph that hold a face on the classes in `mask`."""

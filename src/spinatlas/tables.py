@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from itertools import permutations
 
 from .graph import ConnectionGraph, Vertex
-from .faces import Face, _canonical, direct_images, enumerate_faces, vertex_id
+from .faces import Face, _canonical, direct_images, enumerate_faces, is_face, vertex_id
 
 FORMAT_HEADER = "spin-atlas-face-tables v1"
 ENV_VAR = "SPIN_ATLAS_TABLES"
@@ -148,7 +148,7 @@ def parse_tables(text: str) -> FaceTables:
             if pattern is None:
                 raise TableError(f"line {lineno}: face before any pattern")
             face = Face(tuple(_parse_vertex(t, lineno) for t in fields[1:]))
-            if face not in enumerate_faces(graph):
+            if not is_face(graph, face):
                 raise TableError(f"line {lineno}: {face.name} is not a canonical face of its pattern")
         elif fields[0] == "pair" and len(fields) >= 3:
             if pattern is None or face is None:

@@ -73,6 +73,30 @@ def test_face_must_exist_in_graph(hexagon_one_chord):
     assert err.value.code == "StepNotOnFace"
 
 
+@pytest.mark.parametrize(
+    "cycle",
+    [(P1, P2t, P2, P), (P, P2, P2t, P1), (P, P1, P1t, P2), (P, P1, P2t, P3), (P, P1, P, P1)],
+    ids=["rotated", "reflected", "missing-chord", "missing-vertex", "repeated"],
+)
+def test_a_step_on_no_canonical_face_of_the_graph_raises(hexagon_one_chord, cycle):
+    fake = Face(cycle)
+    chain = mk_chain(P2, (CELL2, fake, P2t), (CELL2, conjugate_face(F(P, P1, P2t, P2)), P2))
+    with pytest.raises(ChainStructureError) as err:
+        validate_structure(hexagon_one_chord, chain)
+    assert err.value.code == "StepNotOnFace"
+    assert str(err.value) == f"step 0: {fake.name} is not a face of the graph"
+
+
+def test_evaluate_lists_no_faces(hexagon_one_chord):
+    # the face check reads each step's own cycle, so checking a chain memoizes no graph's faces
+    face = F(P, P1, P2t, P2)
+    chain = mk_chain(P2, (CELL2, face, P2t), (CELL2, conjugate_face(face), P2))
+    enumerate_faces.cache_clear()
+    evaluate(hexagon_one_chord, chain)
+    is_admissible(hexagon_one_chord, chain)
+    assert enumerate_faces.cache_info().currsize == 0
+
+
 def test_face_must_sit_inside_cell():
     cg = ConnectionGraph(4, frozenset({4}))
     face = F(P, P2, P4t, P4)  # classes {0, 2, 4}

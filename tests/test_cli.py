@@ -1,17 +1,22 @@
 """Command-line behavior: records, fixtures, exit codes, determinism, DOT output."""
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import python_env, run_python
 from spinatlas import tables
-from spinatlas.cli import main, parse_list, parse_map, parse_record, render_record, run as run_entry
+from spinatlas.cli import _COMMANDS, _GLOBAL_OPTIONS, _read_args, build_parser, main
+from spinatlas.cli import parse_list, parse_map, parse_record, render_record, run as run_entry
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -506,6 +511,120 @@ def test_usage_error_on_unknown_command():
     assert err.value.code == 2
 
 
+# ---------------------------------------------------------------- command-line reader
+
+
+def _argparse_reads(argv: list[str]) -> dict | None:
+    """argparse's attributes for argv, or None where it exits (help or a usage error), its output dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--genus", "2..8"],
+        ["verify", "--genus", "2..5", "--orders", "0,1,2,3", "--exhaustive", "--max-steps", "4"],
+        ["--max-genus", "20", "--tables", "t.txt", "verify", "--genus=13..20", "--closure-cap", "51090942171709440000"],
+        ["--max-genus=9", "atlas", "--genus", "9", "--no-compute", "--order", "3", "--order", "4"],
+        ["classify", "-g", "12", "-r", "10", "-i", "0", "-p", "0,0,0,0,0,0,0,0,1,0", "--vertex", "P2~"],
+        ["classify", "--genus", "3", "--order=2", "--i", "0", "--p=0,1", "--exhaustive", "--exhaustive"],
+        ["export-dot", "-r", "2", "-g", "5", "-i", "1", "--kind", "full", "-p", "0,0"],
+        ["export-dot", "--genus", " 6", "--order", "+3", "--kind=connection"],
+    ],
+)
+def test_reader_reads_plain_command_lines_as_argparse_does(argv):
+    read = _read_args(argv)
+    assert read is not None
+    assert vars(read) == _argparse_reads(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["verify", "-h"],
+        ["frobnicate"],
+        ["verify", "--genus", "2", "x"],
+        ["verify", "--genus", "3", "--tables", "t.txt"],
+        ["verify", "--gen", "2..4"],
+        ["--max", "9", "verify", "--genus", "9"],
+        ["classify", "-g3", "-r", "2", "-i", "0", "-p", "0,1"],
+        ["classify", "-g=3", "-r", "2", "-i", "0", "-p", "0,1"],
+        ["verify", "--genus", "2", "--", "--orders", "1"],
+        ["verify", "--genus", "2", "--closure-cap", "-5"],
+        ["classify", "-g", "2", "-r", "0", "-p", "-"],
+        ["verify", "--orders", "1"],
+        ["verify", "--genus"],
+        ["atlas", "--genus", "x"],
+        ["export-dot", "-g", "3", "-r", "2", "--kind", "dot"],
+        ["atlas", "--genus", "3", "--exhaustive=1"],
+        [],
+    ],
+)
+def test_reader_leaves_help_errors_and_unusual_spellings_to_argparse(argv):
+    assert _read_args(argv) is None
+
+
+def _option_tokens(draw, options, plain: bool) -> list[str]:
+    """One option of `options`: if `plain`, spelled in full with a valid value; else with a value of the
+    wrong kind, or bare, abbreviated or joined to its value."""
+    strings, keywords = draw(st.sampled_from(options))
+    string = draw(st.sampled_from(strings))
+    if "choices" in keywords:
+        valid, invalid = keywords["choices"], ["dot", "Full"]
+    elif "type" in keywords:
+        valid, invalid = ["3", "12", "0", "+4", " 5", "1_0", "\u0663"], ["x", "3.0", "", "-2"]
+    else:
+        valid, invalid = ["2..4", "0,1", "P2~", "a=b", "", "verify"], ["-", "-x", "--"]
+    form = "spaced" if plain else draw(st.sampled_from(["bad value", "bad value", "bare", "abbreviated", "joined"]))
+    value = draw(st.sampled_from(invalid if form == "bad value" else valid))
+    if form in ("spaced", "bad value") and string.startswith("--") and draw(st.booleans()):
+        return [f"{string}={value}"]
+    if form == "bare":
+        return [string]
+    if form == "abbreviated" and len(string) > 3:
+        string = string[: draw(st.integers(3, len(string) - 1))]
+    elif form == "joined":
+        return [string + value]
+    return [string] if keywords.get("action") == "store_true" else [string, value]
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A valid line (global options, a command, its required options, more of its options, repeats
+    included) or one near miss of it: a stray token, one option spelled as `_option_tokens` may spell
+    it, an unknown command or a required option left out."""
+    near_miss = draw(st.sampled_from([None] * 4 + ["stray"] * 2 + ["option"] * 4 + ["command", "required"]))
+    pieces = [_option_tokens(draw, _GLOBAL_OPTIONS, plain=True) for _ in range(draw(st.integers(0, 2)))]
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    at_command = len(pieces)
+    pieces.append(["frobnicate" if near_miss == "command" else command])
+    options = _COMMANDS[command][2]
+    required = [strings for strings, keywords in options if keywords.get("required")]
+    dropped = draw(st.sampled_from(required)) if near_miss == "required" else None
+    pieces += [[draw(st.sampled_from(strings)), "3"] for strings in required if strings is not dropped]
+    pieces += [_option_tokens(draw, options, plain=True) for _ in range(draw(st.integers(0, 3)))]
+    at = draw(st.integers(0, len(pieces)))
+    if near_miss == "stray":
+        pieces.insert(at, [draw(st.sampled_from(["-h", "--help", "--", "-", "x", "-g3", "--genus3", "-rx", "--tables"]))])
+    elif near_miss == "option":
+        pieces.insert(at, _option_tokens(draw, _GLOBAL_OPTIONS if at <= at_command else options, plain=False))
+    return [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argv=_argvs())
+def test_reader_agrees_with_argparse(argv):
+    # the reader may leave a line argparse reads well to argparse, never read one argparse rejects
+    read = _read_args(argv)
+    if read is not None:
+        assert vars(read) == _argparse_reads(argv)
+
+
 # ---------------------------------------------------------------- entry point
 
 
@@ -521,6 +640,54 @@ def test_module_entry_point_exits_with_the_code_and_output_of_main(capsys, argv,
     done = run_python("-m", "spinatlas.cli", *argv)
     assert done.returncode == code
     assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+
+
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+# stdout of `verify --genus 2..4`, as argparse read its command line
+VERIFY_2_4_SHA256 = "0160007ded54f222a9de8743a00d73648ff7a7be4f285e7750e7234ab07a2f9b"
+
+
+def _imported(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """A fresh interpreter's run of args under `-X importtime`, and every module its log names."""
+    done = run_python("-X", "importtime", *args)
+    names = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    return done, names
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--genus", "2..4"],
+        ["atlas", "--genus", "3"],
+        ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1"],
+        ["export-dot", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1"],
+    ],
+)
+def test_a_plain_command_line_loads_no_argparse(argv):
+    # a diff against a bare start, as the interpreter's site hooks may load some of these themselves
+    _, at_start = _imported("-c", "pass")
+    done, names = _imported("-m", "spinatlas.cli", *argv)
+    assert done.returncode == 0
+    assert not (names - at_start) & ARGPARSE_MODULES, sorted((names - at_start) & ARGPARSE_MODULES)
+    if argv[0] == "verify":
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == VERIFY_2_4_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv,code,stream,start",
+    [
+        (["--help"], 0, "stdout", "usage: spin-atlas [-h]"),
+        (["verify", "--help"], 0, "stdout", "usage: spin-atlas verify [-h]"),
+        (["frobnicate"], 2, "stderr", "usage: spin-atlas [-h]"),
+    ],
+)
+def test_help_and_usage_errors_still_reach_argparse(argv, code, stream, start):
+    done, names = _imported("-m", "spinatlas.cli", *argv)
+    text = done.stdout if stream == "stdout" else "".join(
+        line + "\n" for line in done.stderr.splitlines() if not line.startswith("import time:")
+    )
+    assert done.returncode == code and "argparse" in names
+    assert text.startswith(start), text
 
 
 def test_a_reader_that_closes_stdout_gets_exit_141_and_no_traceback():

@@ -18,6 +18,7 @@ from spinatlas.faces import (
     enumerate_faces,
     cell_frame,
     face_map,
+    is_face,
     vertex_id,
 )
 from spinatlas.graph import ConnectionGraph, Vertex
@@ -34,6 +35,18 @@ def test_face_counts(hexagon_one_chord, hexagon_two_chords, order3_one_chord, or
     assert len(enumerate_faces(ConnectionGraph(2, frozenset()))) == 0
     assert len(enumerate_faces(ConnectionGraph(1, frozenset({1})))) == 0
     assert len(enumerate_faces(ConnectionGraph(1, frozenset({0, 1})))) == 1
+
+
+def test_is_face_accepts_exactly_the_enumerated_faces():
+    # every 4-tuple of vertices, repeats and non-canonical orders included, on every graph of order <= 3;
+    # class 4 stands for a vertex the graph lacks
+    for order in range(4):
+        verts = [Vertex(c, t) for c in range(order + 2) for t in (False, True)]
+        for chords in itertools.chain.from_iterable(itertools.combinations(range(order + 1), n) for n in range(order + 2)):
+            cg = ConnectionGraph(order, frozenset(chords))
+            faces = set(enumerate_faces(cg))
+            for cycle in itertools.product(verts, repeat=4):
+                assert is_face(cg, Face(cycle)) == (Face(cycle) in faces), (cg, cycle)
 
 
 def test_listed_faces_of_order3_graphs(order3_one_chord, order3_two_chords):

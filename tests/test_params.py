@@ -112,3 +112,11 @@ def test_invalid_classes_rejected():
         genus_of(2, 0, (0,))  # wrong increment count
     with pytest.raises(InvalidClassError):
         enumerate_classes(1)
+
+
+def test_enumeration_oracle_over_genus_2_to_30(capsys):
+    # every (genus, order) lists as many distinct classes as the generating function counts
+    from enumeration_oracle import main as enumeration_oracle
+
+    assert enumeration_oracle(["2..30"]) == 0
+    assert capsys.readouterr().out.startswith("35438 classes, 0 differences, ")

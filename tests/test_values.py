@@ -136,7 +136,7 @@ def test_importing_the_cli_loads_no_heavy_modules():
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert "spinatlas.cli" in loaded
-    heavy = {"dataclasses", "inspect", "typing", "concurrent.futures"}
+    heavy = {"dataclasses", "inspect", "typing", "concurrent.futures", "argparse", "gettext", "locale"}
     assert not loaded & heavy, sorted(loaded & heavy)
 
 

@@ -28,7 +28,6 @@ from conftest import searched_vertices
 from lift_oracle import top_slice_graphs
 from spinatlas.chains import StepTable, evaluate
 from spinatlas.classify import spin_group_at
-from spinatlas.faces import enumerate_faces
 from spinatlas.graph import ConnectionGraph
 
 
@@ -64,8 +63,6 @@ def main(argv: list[str]) -> int:
             graphs += 1
             vertices += count
             diffs += found
-            # `evaluate` checks each step's face against `enumerate_faces`, whose memo would keep every graph's faces
-            enumerate_faces.cache_clear()
     for line in diffs:
         print(line)
     took = time.perf_counter() - start
