@@ -9,6 +9,7 @@ share one degree.  Inadmissible chains evaluate to the identity.
 """
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
@@ -151,45 +152,33 @@ def evaluate(cg: ConnectionGraph, chain: SpinChain) -> tuple[int, ...]:
 Choice = tuple[frozenset[int], tuple[int, ...]]
 
 
-class _Entry:
-    """One step's choices listed so far, a face-map slot per choice, and the face cycles not yet listed.
-
-    `pending` iterates the rest of the step's sorted face cycles, and is None
-    once every choice is listed.
-    """
-
-    __slots__ = ("choices", "maps", "pending")
-
-    def __init__(self, cycles: list[tuple[int, ...]]) -> None:
-        self.choices: list[Choice] = []
-        self.maps: list[tuple[int, ...] | None] = []
-        self.pending = iter(cycles)
+def _face_choices(order: int, cycle: tuple[int, ...]) -> Iterator[Choice]:
+    return zip(cells_of(order, class_mask(cycle)), itertools.repeat(cycle))
 
 
 class StepTable:
     """The chain steps of one connection graph, by vertex id (index into `vertices`).
 
-    The (cell, face) choices of a step from vertex a to vertex b are its faces
-    as canonical id cycles in `enumerate_faces` order, each followed by its
-    cells in order; choice k is the step's k-th.  An entry lists the faces
-    through a and b, from the neighbours of the two vertices, when the step is
-    first read, and the choices of each face only when a reader gets that far:
-    `choices` for the readers of a path, `maps` for the search, which also
-    computes each face map when it first steps through it.  So the graph's
-    faces are never listed, and a `Face` is built only in a chain.  Maps are
-    built from their faces, unless `store` is a loaded table file: from order 4
-    on, they are then lifted through it.  The choices do not depend on it.
-    A search path is a sequence of (vertex id, choice index) steps, and
-    `chain` turns one into its chain.
+    The (cell, face) choices of a step from vertex a to vertex b are its faces as canonical id
+    cycles in `enumerate_faces` order, each followed by its cells in order; choice k is the step's
+    k-th, and `steps(a, b)` gives each with its face map.  The step's faces are found from the
+    neighbours of its two vertices when it is first read, and each choice is listed, and its map
+    built, the first time any reader reaches it, so a `Face` is built only in a chain.  Maps are
+    built from their faces, unless `store` is a loaded table file and the order is at least 4: then
+    they are lifted through it, and `store` keeps it (else None).  A search path is a sequence of
+    (vertex id, choice index) steps, and `chain` turns one into its chain.
     """
 
     def __init__(self, cg: ConnectionGraph, store: tables.FaceTables | None = None) -> None:
         self.cg = cg
         self.vertices = cg.vertices()
+        self.store = store if cg.order > 3 else None
         self._near = neighbour_ids(cg)
-        self._store = store
-        self._entries: dict[tuple[int, int], _Entry] = {}
-        # per cell, its `cell_frame` for the lookup in a loaded store at order >= 4
+        # per step read so far, its (choice, face map) pairs listed so far
+        self._listed: dict[tuple[int, int], list[tuple[Choice, tuple[int, ...]]]] = {}
+        # per step not yet listed in full, its choices not yet listed
+        self._pending: dict[tuple[int, int], Iterator[Choice]] = {}
+        # per cell, its `cell_frame` for the lookup in `store`
         self._frames: dict[frozenset[int], tuple] = {}
 
     def _cycles(self, a: int, b: int) -> list[tuple[int, ...]]:
@@ -210,63 +199,45 @@ class StepTable:
             cycles = []
         return sorted(map(_canonical, cycles))
 
-    def entry(self, a: int, b: int) -> _Entry:
-        hit = self._entries.get((a, b))
-        if hit is None:
-            hit = self._entries[(a, b)] = _Entry(self._cycles(a, b))
-        return hit
+    def steps(self, a: int, b: int) -> Iterable[tuple[Choice, tuple[int, ...]]]:
+        """The step's (choice, face map) pairs in choice order: a list once every choice is listed."""
+        listed = self._listed.get((a, b))
+        if listed is None:
+            listed = self._listed[a, b] = []
+            # per face, its choices, listed when a reader reaches the face (and no reference back to the table)
+            faces = map(_face_choices, itertools.repeat(self.cg.order), self._cycles(a, b))
+            self._pending[a, b] = itertools.chain.from_iterable(faces)
+        return self._listing(a, b, listed) if (a, b) in self._pending else listed
 
-    def _list_next(self, entry: _Entry) -> bool:
-        """List the choices of the entry's next face; False when every choice is listed."""
-        if entry.pending is None:
-            return False
-        cycle = next(entry.pending, None)
-        if cycle is None:
-            entry.pending = None
-            return False
-        cells = cells_of(self.cg.order, class_mask(cycle))
-        entry.choices.extend((cell, cycle) for cell in cells)
-        entry.maps.extend([None] * len(cells))
-        return True
-
-    def choices(self, a: int, b: int, k: int | None = None) -> list[Choice]:
-        """The step's choices, listed at least through choice k, or all of them when k is None."""
-        entry = self.entry(a, b)
-        while (k is None or k >= len(entry.choices)) and self._list_next(entry):
-            pass
-        return entry.choices
-
-    def maps(self, a: int, b: int) -> Iterable[tuple[int, ...] | None]:
-        """The step's face-map slots in choice order, listing choices as they are read.
-
-        A slot is None until `fill` computes its map.
-        """
-        entry = self.entry(a, b)
-        return entry.maps if entry.pending is None else self._listing(entry)
-
-    def _listing(self, entry: _Entry) -> Iterator[tuple[int, ...] | None]:
-        maps, k = entry.maps, 0
-        while k < len(maps) or self._list_next(entry):
-            yield maps[k]
+    def _listing(self, a: int, b: int, listed: list) -> Iterator[tuple[Choice, tuple[int, ...]]]:
+        k = 0
+        while k < len(listed) or (a, b) in self._pending:
+            if k == len(listed):
+                pending = self._pending[a, b]
+                choice = next(pending, None)
+                if choice is None:
+                    del self._pending[a, b]
+                    return
+                cell, cycle = choice
+                try:
+                    if self.store is None:
+                        mapping = direct_images(self.cg.order, self.cg.connected, cell, cycle, a, b)
+                    else:
+                        frame = self._frames.get(cell) or self._frames.setdefault(cell, cell_frame(self.cg, cell))
+                        mapping = lifted_images(self.store, self.cg.order, frame, cycle, a, b)
+                except BaseException:
+                    # a map that fails to build leaves the step as it was: the next read raises at this choice again
+                    self._pending[a, b] = itertools.chain((choice,), pending)
+                    raise
+                listed.append((choice, mapping))
+            yield listed[k]
             k += 1
-
-    def fill(self, a: int, b: int, k: int) -> tuple[int, ...]:
-        """The face map of the step's choice k, computed on first read."""
-        entry = self.entry(a, b)
-        if entry.maps[k] is None:
-            cell, cycle = entry.choices[k]
-            if self._store is None or self.cg.order <= 3:
-                entry.maps[k] = direct_images(self.cg.order, self.cg.connected, cell, cycle, a, b)
-            else:
-                frame = self._frames.get(cell) or self._frames.setdefault(cell, cell_frame(self.cg, cell))
-                entry.maps[k] = lifted_images(self._store, self.cg.order, frame, cycle, a, b)
-        return entry.maps[k]
 
     def chain(self, start: Vertex, path: tuple[tuple[int, int], ...]) -> SpinChain:
         """The chain at `start` whose steps take, in turn, choice k of the step to vertex b."""
         steps, a = [], vertex_id(start)
         for b, k in path:
-            cell, cycle = self.choices(a, b, k)[k]
+            (cell, cycle), _ = next(itertools.islice(self.steps(a, b), k, None))
             steps.append(ChainStep(cell, Face(tuple(map(self.vertices.__getitem__, cycle))), self.vertices[b]))
             a = b
         return SpinChain(start, tuple(steps))

@@ -203,8 +203,8 @@ def spin_group_at(
         for b in (base,) if remaining == 1 else targets:
             if b == a:
                 continue
-            for k, mapping in enumerate(table.maps(a, b)):
-                moved = carry(table.fill(a, b, k) if mapping is None else mapping, carried)
+            for k, (_, mapping) in enumerate(table.steps(a, b)):
+                moved = carry(mapping, carried)
                 if moved is None:
                     continue
                 path.append((b, k))
@@ -275,14 +275,13 @@ def verify_class(gc: GraphClass, engine: Engine | None = None) -> ClassReport:
 
 def _rows(cg: ConnectionGraph, engine: Engine):
     """The `VertexRow` of every vertex of the graph, in vertex order."""
-    # Maps built from their faces commute with the automorphisms; from order 4 on, a loaded store's maps are
-    # lifted from a file that nothing vouches for, so any loaded store, even one equal to
-    # `tables.compute_order3_tables()`, turns the reduction off.
-    reduce = engine.store is None or cg.order <= 3
+    table = StepTable(cg, engine.store)
+    # Maps built from their faces commute with the automorphisms; a table that lifts maps through a loaded file,
+    # which nothing vouches for (even one equal to `tables.compute_order3_tables()`), turns the reduction off.
+    reduce = table.store is None
     firsts: dict[bool, Vertex] = {}
     # per vertex, the vertex whose search gives its group
     source = {v: firsts.setdefault(v.cls in cg.connected, v) if reduce else v for v in cg.vertices()}
-    table = StepTable(cg, engine.store)
     verdicts = {res.vertex: res.verdict for res in engine.search(cg, dict.fromkeys(source.values()), table)}
     rows = []
     for v, s in source.items():

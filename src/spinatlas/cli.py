@@ -344,7 +344,7 @@ def _read_options(options, argv: list[str], k: int, values: dict) -> int | None:
                 if k == len(argv):
                     return None
                 value = argv[k]
-            if value.startswith("-"):
+            if value.startswith("-") and value != "-":  # argparse reads a lone "-" as a value, always
                 return None
             if "type" in keywords:
                 try:
@@ -365,9 +365,9 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     """The attributes `build_parser().parse_args(argv)` gives, read without argparse; None unless argv is
     global options, then a command and its options, each option spelled in full and each value valid.
 
-    Help, an unknown command or token, an abbreviation, joined short options, "--", a value that starts
-    with "-", a missing required option and a bad int or choice all give None: argparse reads those lines,
-    and prints their help or usage error.
+    Help, an unknown command or token, an abbreviation, joined short options, "--", a value other than "-"
+    that starts with "-", a missing required option and a bad int or choice all give None: argparse reads
+    those lines, and prints their help or usage error.
     """
     values: dict = {}
     k = _read_options(_GLOBAL_OPTIONS, argv, 0, values)

@@ -171,8 +171,8 @@ def admissible_evaluations(table: StepTable, start: Vertex, max_steps: int):
         for b in (base,) if remaining == 1 else walk:
             if b == a:
                 continue
-            for k in range(len(table.choices(a, b))):
-                moved = carry(table.fill(a, b, k), carried)
+            for k, (_, mapping) in enumerate(table.steps(a, b)):
+                moved = carry(mapping, carried)
                 if moved is None:
                     continue
                 path.append((b, k))

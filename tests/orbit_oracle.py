@@ -64,9 +64,8 @@ def apply(sigma: Automorphism, v: Vertex) -> Vertex:
 
 def step_map(table: StepTable, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> dict[int, int]:
     """The map of u -> v on (cell, face) that the step table gives the search, as a dict over the classes at u."""
-    a, b = vertex_id(u), vertex_id(v)
-    k = table.choices(a, b).index((cell, tuple(map(vertex_id, face.cycle))))
-    return {c: t for c, t in enumerate(table.fill(a, b, k)) if t >= 0}
+    mapping = dict(table.steps(vertex_id(u), vertex_id(v)))[cell, tuple(map(vertex_id, face.cycle))]
+    return {c: t for c, t in enumerate(mapping) if t >= 0}
 
 
 def face_map_differences(cg: ConnectionGraph, engine: Engine | None = None) -> tuple[int, list[str]]:

@@ -350,9 +350,9 @@ def test_enumeration_includes_published_loops(order3_one_chord):
     assert target in chains
 
 
-def entry_faces(table, a: int, b: int) -> tuple[tuple[frozenset[int], Face], ...]:
-    """A step-table entry's (cell, face) choices, each id cycle turned into its `Face`."""
-    return tuple((cell, Face(tuple(map(table.vertices.__getitem__, cycle)))) for cell, cycle in table.choices(a, b))
+def step_faces(table, a: int, b: int) -> tuple[tuple[frozenset[int], Face], ...]:
+    """A step's (cell, face) choices, each id cycle turned into its `Face`."""
+    return tuple((cell, Face(tuple(map(table.vertices.__getitem__, cycle)))) for (cell, cycle), _ in table.steps(a, b))
 
 
 def test_enumeration_reaches_published_four_step_loop(order3_one_chord):
@@ -370,7 +370,7 @@ def test_enumeration_reaches_published_four_step_loop(order3_one_chord):
     table = StepTable(cg)
     current = chain.start
     for step in chain.steps:
-        choices = entry_faces(table, table.vertices.index(current), table.vertices.index(step.target))
+        choices = step_faces(table, table.vertices.index(current), table.vertices.index(step.target))
         assert (step.cell, step.face) in choices
         current = step.target
 
@@ -426,52 +426,97 @@ def test_step_entries_list_the_faces_through_both_vertices():
             for a, b in itertools.permutations(range(len(table.vertices)), 2):
                 through = [faces[k] for k in sorted(at[a] & at[b])]
                 choices = tuple((cell, face) for face in through for cell in cells_containing(cg, face))
-                assert entry_faces(table, a, b) == choices
+                assert step_faces(table, a, b) == choices
                 pairs += 1
     assert pairs == 5520
 
 
-def test_lazily_listed_entries_end_equal_to_the_eager_listing():
+def test_lazily_listed_steps_end_equal_to_the_eager_listing(monkeypatch):
     """Every step of each top-slice graph up to order 6, after the searched vertices' searches have
-    listed part of it: read one choice further at a time, and in full, it is every face's cells at once."""
+    listed part of it: read one choice at a time, and in full, it is every face's cells at once,
+    and each choice's map is built once."""
+    from spinatlas import chains
     from spinatlas.classify import spin_group_at
-    from spinatlas.faces import cells_of, class_mask
+    from spinatlas.faces import cells_of, class_mask, direct_images
 
+    # per step, the maps built for it
+    built: dict[tuple[int, int], int] = {}
+
+    def counted(order, connected, cell, cycle, a, b):
+        built[a, b] = built.get((a, b), 0) + 1
+        return direct_images(order, connected, cell, cycle, a, b)
+
+    monkeypatch.setattr(chains, "direct_images", counted)
     part_listed = steps = 0
     for order in range(7):
         for j in range(order + 2):
             cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
             table = StepTable(cg)
+            built.clear()
             # no class has a chordless graph, where the group at P stays A_n and the search walks its budget
             for v in searched_vertices(cg) if cg.connected else ():
                 spin_group_at(cg, v, table=table)
             for a, b in itertools.permutations(range(len(table.vertices)), 2):
                 eager = [(cell, cycle) for cycle in table._cycles(a, b) for cell in cells_of(order, class_mask(cycle))]
-                listed = len(table.entry(a, b).choices)
-                part_listed += 0 < listed < len(eager)
-                for k in range(len(eager)):
-                    assert table.choices(a, b, k)[k] == eager[k]
-                assert table.choices(a, b) == eager
-                assert len(table.entry(a, b).maps) == len(eager)
+                part_listed += 0 < built.get((a, b), 0) < len(eager)
+                for k, (choice, _) in enumerate(table.steps(a, b)):
+                    assert choice == eager[k]
+                listed = table.steps(a, b)
+                assert isinstance(listed, list) and [choice for choice, _ in listed] == eager
+                assert built.get((a, b), 0) == len(eager)
                 steps += 1
     assert steps == 3360
-    # the searches stop part of the way through some entries, which stay part listed
+    # the searches stop part of the way through some steps, which stay part listed
     assert part_listed > 0
 
 
-def test_step_table_fill_matches_the_direct_builder():
-    # orders <= 3 build the map directly from the Face; from order 4 on `fill` lifts it from ids
+def test_step_table_maps_match_the_direct_builder():
     maps = 0
     for order in range(2, 6):
         for j in range(order + 2):
             cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
             table = StepTable(cg)
             for a, b in itertools.permutations(range(len(table.vertices)), 2):
-                for k, (cell, face) in enumerate(entry_faces(table, a, b)):
+                for (cell, face), (_, mapping) in zip(step_faces(table, a, b), table.steps(a, b)):
                     direct = build_face_map(cg, cell, face, table.vertices[a], table.vertices[b])
-                    assert table.fill(a, b, k) == tuple(direct.get(c, -1) for c in cg.classes)
+                    assert mapping == tuple(direct.get(c, -1) for c in cg.classes)
                     maps += 1
     assert maps == 33792
+
+
+def test_a_map_that_fails_to_build_leaves_the_step_as_it_was():
+    # a store that lacks the entry of one choice's map: every read raises at that choice, and once the
+    # entry is back, the step lists every choice, none skipped, with the maps of a complete store
+    from spinatlas import tables
+    from spinatlas.faces import _canonical
+
+    keys = []
+
+    class Recording(tables.FaceTables):
+        def lookup(self, pattern, cycle, u, v):
+            # the store's key, as `lookup` makes it
+            keys.append((pattern, _canonical(cycle), u, v))
+            return super().lookup(pattern, cycle, u, v)
+
+    complete = tables.compute_order3_tables()
+    cg = ConnectionGraph(4, frozenset({4}))
+    a, b = cg.vertices().index(P), cg.vertices().index(P4)
+    pairs = list(StepTable(cg, Recording(complete.entries)).steps(a, b))
+    assert len(keys) == len(pairs) > 2
+    lost = keys[len(keys) // 2]
+    # the first choice whose map needs the lost entry
+    k = keys.index(lost)
+    assert k > 0
+    store = tables.FaceTables({key: entry for key, entry in complete.entries.items() if key != lost})
+    table = StepTable(cg, store)
+    for _ in range(2):
+        read = []
+        with pytest.raises(tables.TableError, match="^no table entry"):
+            for pair in table.steps(a, b):
+                read.append(pair)
+        assert read == pairs[:k]
+    store.entries[lost] = complete.entries[lost]
+    assert list(table.steps(a, b)) == pairs
 
 
 def test_close_out_repairs_one_label_and_rejects_the_rest():

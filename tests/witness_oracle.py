@@ -5,19 +5,25 @@
 a path that shares none of the search's fast parts.  Each kept generator's
 chain is rebuilt from its search path (`StepTable.chain`) and evaluated by
 `chains.evaluate`, which composes the maps that `faces.direct_images` builds
-from each face: no table lift, no step-table map slot and no walk-state memo.
+from each face: no table lift, no step-table map and no walk-state memo.
 The result must be the generator kept with it.  Then sympy's
 `PermutationGroup` of the kept generators, a group engine the program does
 not use, must have the search's order, and that order must be the predicted
-group's.  Run as a script over a range of orders, it
-checks every graph whose chords are a top slice {j..r}, 0 <= j <= r (never
-the chordless graph, which no class has), at the default search settings, and
-exits 1 on any difference:
+group's.  Where the prediction is S_n, sympy's `is_symmetric` decides: it
+answers True only with a proof (the group is transitive and has an element
+with a p-cycle, p prime, n/2 < p < n - 2, so by Jordan's theorem it holds
+A_n, and a generator is odd), and otherwise falls back to the exact order;
+the order is then n!, or `order()`'s when it is not S_n.  Every other
+prediction is checked with `order()`.  Run as a script over a range of
+orders, it checks every graph whose chords are a top slice {j..r},
+0 <= j <= r (never the chordless graph, which no class has), at the default
+search settings, and exits 1 on any difference:
 
-    PYTHONPATH=src python3 tests/witness_oracle.py 3..17
+    PYTHONPATH=src python3 tests/witness_oracle.py 3..24
 """
 from __future__ import annotations
 
+import math
 import resource
 import sys
 import time
@@ -29,6 +35,7 @@ from lift_oracle import top_slice_graphs
 from spinatlas.chains import StepTable, evaluate
 from spinatlas.classify import spin_group_at
 from spinatlas.graph import ConnectionGraph
+from spinatlas.groups import symmetric
 
 
 def witness_differences(cg: ConnectionGraph) -> tuple[int, list[str]]:
@@ -46,7 +53,11 @@ def witness_differences(cg: ConnectionGraph) -> tuple[int, list[str]]:
                 out.append(f"{where}: witness {path} evaluates to {evaluated}, kept {perm}")
         n = len(cg.label_classes(v))
         # no generators at all is the trivial group
-        order = PermutationGroup([Permutation(list(perm)) for _, perm in kept] or [Permutation(n - 1)]).order()
+        group = PermutationGroup([Permutation(list(perm)) for _, perm in kept] or [Permutation(n - 1)])
+        if res.predicted == symmetric(n) and group.is_symmetric:
+            order = math.factorial(n)
+        else:
+            order = group.order()
         if not order == res.order == res.predicted.order:
             out.append(f"{where}: sympy order {order}, search order {res.order}, predicted {res.predicted}")
     return len(vertices), out
