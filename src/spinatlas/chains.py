@@ -14,8 +14,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 from . import tables
-from .faces import Face, _canonical, cell_frame, cells_containing, cells_of, class_mask, direct_images
-from .faces import is_face, lifted_images, neighbour_ids, vertex_id
+from .faces import Face, cell_frame, cells_containing, cells_of, class_mask, direct_images
+from .faces import face_cycles, is_face, lifted_images, neighbour_ids, vertex_id
 from .faces import _face_map_pairs  # the memoized face maps `evaluate` composes
 from .graph import ConnectionGraph, Vertex
 
@@ -161,12 +161,12 @@ class StepTable:
 
     The (cell, face) choices of a step from vertex a to vertex b are its faces as canonical id
     cycles in `enumerate_faces` order, each followed by its cells in order; choice k is the step's
-    k-th, and `steps(a, b)` gives each with its face map.  The step's faces are found from the
-    neighbours of its two vertices when it is first read, and each choice is listed, and its map
-    built, the first time any reader reaches it, so a `Face` is built only in a chain.  Maps are
-    built from their faces, unless `store` is a loaded table file and the order is at least 4: then
-    they are lifted through it, and `store` keeps it (else None).  A search path is a sequence of
-    (vertex id, choice index) steps, and `chain` turns one into its chain.
+    k-th, and `steps(a, b)` gives each with its face map.  The step's faces are its `face_cycles`,
+    found when it is first read, and each choice is listed, and its map built, the first time any
+    reader reaches it, so a `Face` is built only in a chain.  Maps are built from their faces,
+    unless `store` is a loaded table file and the order is at least 4: then they are lifted through
+    it, and `store` keeps it (else None).  A search path is a sequence of (vertex id, choice index)
+    steps, and `chain` turns one into its chain.
     """
 
     def __init__(self, cg: ConnectionGraph, store: tables.FaceTables | None = None) -> None:
@@ -181,31 +181,13 @@ class StepTable:
         # per cell, its `cell_frame` for the lookup in `store`
         self._frames: dict[frozenset[int], tuple] = {}
 
-    def _cycles(self, a: int, b: int) -> list[tuple[int, ...]]:
-        """The faces through vertices a and b, as canonical id cycles in `enumerate_faces` order.
-
-        The graph is bipartite (chords join the two sides too), so on a face
-        two adjacent vertices are neighbours on the cycle, two of one side are
-        opposite corners, and two of different sides that are not adjacent
-        share no face.
-        """
-        near = self._near
-        if b in near[a]:
-            cycles = [(a, b, x, y) for x in near[b] - {a} for y in near[x] & near[a] - {b}]
-        elif self.vertices[a].side == self.vertices[b].side:
-            common = sorted(near[a] & near[b])
-            cycles = [(a, x, b, y) for k, x in enumerate(common) for y in common[k + 1:]]
-        else:
-            cycles = []
-        return sorted(map(_canonical, cycles))
-
     def steps(self, a: int, b: int) -> Iterable[tuple[Choice, tuple[int, ...]]]:
         """The step's (choice, face map) pairs in choice order: a list once every choice is listed."""
         listed = self._listed.get((a, b))
         if listed is None:
             listed = self._listed[a, b] = []
             # per face, its choices, listed when a reader reaches the face (and no reference back to the table)
-            faces = map(_face_choices, itertools.repeat(self.cg.order), self._cycles(a, b))
+            faces = map(_face_choices, itertools.repeat(self.cg.order), face_cycles(self._near, a, b))
             self._pending[a, b] = itertools.chain.from_iterable(faces)
         return self._listing(a, b, listed) if (a, b) in self._pending else listed
 

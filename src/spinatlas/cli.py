@@ -385,8 +385,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _read_args(argv) or build_parser().parse_args(argv)
     flags = {k: v for k, v in vars(args).items() if k in ("max_steps", "closure_cap", "exhaustive")}
     try:
-        # the table file named by --tables or the environment, then the search flags, are checked before any record
-        engine = _classify.Engine(_tables.load_tables(args.tables) if args.tables else _tables.active_tables(), **flags)
+        # the table file named by --tables (an empty name too) or else the environment, then the search flags,
+        # are checked before any record
+        store = _tables.active_tables() if args.tables is None else _tables.load_tables(args.tables)
+        engine = _classify.Engine(store, **flags)
     except (OSError, _tables.TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,20 +64,29 @@ def neighbour_ids(cg: ConnectionGraph) -> list[set[int]]:
     return [across[side[a]] - (set() if a >> 1 in cg.connected else {a ^ 1}) for a in ids]
 
 
+def face_cycles(near: list[set[int]], a: int, b: int) -> list[tuple[int, ...]]:
+    """The faces through vertices a and b, as canonical id cycles, sorted; `near` is `neighbour_ids(cg)`.
+
+    The graph is bipartite (chords join the two sides too), so on a face two
+    adjacent vertices are neighbours on the cycle, and two that are not are
+    opposite corners of one side: only those share neighbours.
+    """
+    if b in near[a]:
+        cycles = [(a, b, x, y) for x in near[b] - {a} for y in near[x] & near[a] - {b}]
+    else:
+        common = sorted(near[a] & near[b])
+        cycles = [(a, x, b, y) for k, x in enumerate(common) for y in common[k + 1:]]
+    return sorted(map(_canonical, cycles))
+
+
 @lru_cache(maxsize=None)
 def enumerate_faces(cg: ConnectionGraph) -> tuple[Face, ...]:
-    """All 4-cycles, found by pairing same-side vertices with two common neighbors."""
+    """All 4-cycles: the faces through each pair of non-adjacent vertices, a face's opposite corners."""
     verts = cg.vertices()
-    ids = range(len(verts))
     near = neighbour_ids(cg)
-    found: set[tuple[int, int, int, int]] = set()
-    for a in ids:
-        for b in ids[a + 1:]:
-            if verts[a].side == verts[b].side:
-                common = sorted(near[a] & near[b])
-                for x, w in enumerate(common):
-                    for y in common[x + 1:]:
-                        found.add(_canonical((a, w, b, y)))
+    found = {
+        cycle for a, b in combinations(range(len(verts)), 2) if b not in near[a] for cycle in face_cycles(near, a, b)
+    }
     return tuple(Face(tuple(map(verts.__getitem__, cycle))) for cycle in sorted(found))
 
 

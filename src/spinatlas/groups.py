@@ -50,21 +50,6 @@ def cycles(a: Perm) -> list[list[int]]:
     return out
 
 
-def is_odd(a: Perm) -> bool:
-    """Whether a is an odd permutation: each cycle of length L is L - 1 transpositions."""
-    # each cycle is walked from its least point, which no later k reaches again
-    seen = [False] * len(a)
-    odd = False
-    for k in range(len(a)):
-        if not seen[k]:
-            j = a[k]
-            while j != k:
-                seen[j] = True
-                odd = not odd
-                j = a[j]
-    return odd
-
-
 def cycles_str(a: Perm) -> str:
     """One-based cycle notation, fixed points suppressed."""
     return "".join("(" + " ".join(str(j + 1) for j in cyc) + ")" for cyc in cycles(a) if len(cyc) > 1) or "()"
@@ -170,9 +155,10 @@ class SymmetricCertificate:
     cycle `power_cycles` finds is joined into one part.  Each permutation g
     taken also maps the known cycles to their conjugates, which lie in the
     group too, so g(C) is joined for every part C, and again until g maps
-    every part into a part.  A flag records an odd permutation.  It never
-    proves a smaller group, so a search that gets no certificate decides
-    with a `StabChain`.
+    every part into a part.  A flag records an odd permutation, its parity
+    read off the same cycles; g's cycles are listed only while the parts are
+    unjoined or no odd g has been taken.  It never proves a smaller group,
+    so a search that gets no certificate decides with a `StabChain`.
     """
 
     def __init__(self, n: int) -> None:
@@ -192,19 +178,22 @@ class SymmetricCertificate:
 
     def add(self, g: Perm) -> bool:
         """Take g into the group; True once the permutations taken generate S_n."""
-        self._odd = self._odd or is_odd(g)
-        if self._parts > 1:
-            for cyc in power_cycles(cycles(g)):
-                for p in cyc[1:]:
-                    self._join(cyc[0], p)
-            parts = len(g)
-            while 1 < self._parts < parts:
-                # points of one part map into one part: join each image with that of the part's name
-                parts = self._parts
-                part = self._part
-                for p in range(len(g)):
-                    if part[g[part[p]]] != part[g[p]]:
-                        self._join(g[part[p]], g[p])
+        if self._parts > 1 or not self._odd:
+            decomposition = cycles(g)
+            # each cycle of length L is L - 1 transpositions
+            self._odd = self._odd or (len(g) - len(decomposition)) % 2 == 1
+            if self._parts > 1:
+                for cyc in power_cycles(decomposition):
+                    for p in cyc[1:]:
+                        self._join(cyc[0], p)
+                parts = len(g)
+                while 1 < self._parts < parts:
+                    # points of one part map into one part: join each image with that of the part's name
+                    parts = self._parts
+                    part = self._part
+                    for p in range(len(g)):
+                        if part[g[part[p]]] != part[g[p]]:
+                            self._join(g[part[p]], g[p])
         return self._parts == 1 and self._odd
 
 

@@ -186,7 +186,11 @@ def parse_tables(text: str) -> FaceTables:
 
 def load_tables(path: str) -> FaceTables:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_tables(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # a ValueError, which a run reads as a bad search setting
+            raise TableError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_tables(text)
 
 
 def shipped_tables_path() -> str:

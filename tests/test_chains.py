@@ -434,10 +434,11 @@ def test_step_entries_list_the_faces_through_both_vertices():
 def test_lazily_listed_steps_end_equal_to_the_eager_listing(monkeypatch):
     """Every step of each top-slice graph up to order 6, after the searched vertices' searches have
     listed part of it: read one choice at a time, and in full, it is every face's cells at once,
-    and each choice's map is built once."""
-    from spinatlas import chains
+    and each choice's map is built once.  A step back lists the same choices, each map the inverse
+    of the step's, with maps built from the faces and lifted through the shipped table file."""
+    from spinatlas import chains, tables
     from spinatlas.classify import spin_group_at
-    from spinatlas.faces import cells_of, class_mask, direct_images
+    from spinatlas.faces import cells_of, class_mask, direct_images, face_cycles, neighbour_ids
 
     # per step, the maps built for it
     built: dict[tuple[int, int], int] = {}
@@ -446,8 +447,12 @@ def test_lazily_listed_steps_end_equal_to_the_eager_listing(monkeypatch):
         built[a, b] = built.get((a, b), 0) + 1
         return direct_images(order, connected, cell, cycle, a, b)
 
+    def sends(mapping):
+        return [(c, t) for c, t in enumerate(mapping) if t >= 0]
+
     monkeypatch.setattr(chains, "direct_images", counted)
-    part_listed = steps = 0
+    store = tables.load_tables(tables.shipped_tables_path())
+    part_listed = steps = pairs = inverses = 0
     for order in range(7):
         for j in range(order + 2):
             cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
@@ -456,8 +461,10 @@ def test_lazily_listed_steps_end_equal_to_the_eager_listing(monkeypatch):
             # no class has a chordless graph, where the group at P stays A_n and the search walks its budget
             for v in searched_vertices(cg) if cg.connected else ():
                 spin_group_at(cg, v, table=table)
+            near = neighbour_ids(cg)
             for a, b in itertools.permutations(range(len(table.vertices)), 2):
-                eager = [(cell, cycle) for cycle in table._cycles(a, b) for cell in cells_of(order, class_mask(cycle))]
+                cycles = face_cycles(near, a, b)
+                eager = [(cell, cycle) for cycle in cycles for cell in cells_of(order, class_mask(cycle))]
                 part_listed += 0 < built.get((a, b), 0) < len(eager)
                 for k, (choice, _) in enumerate(table.steps(a, b)):
                     assert choice == eager[k]
@@ -465,7 +472,18 @@ def test_lazily_listed_steps_end_equal_to_the_eager_listing(monkeypatch):
                 assert isinstance(listed, list) and [choice for choice, _ in listed] == eager
                 assert built.get((a, b), 0) == len(eager)
                 steps += 1
-    assert steps == 3360
+            lifted = StepTable(cg, store)
+            for a, b in itertools.combinations(range(len(table.vertices)), 2):
+                assert face_cycles(near, a, b) == face_cycles(near, b, a)
+                for both in (table, lifted):
+                    forth, back = list(both.steps(a, b)), list(both.steps(b, a))
+                    assert [choice for choice, _ in back] == [choice for choice, _ in forth]
+                    for (_, there), (_, home) in zip(forth, back):
+                        assert {t: c for c, t in sends(there)} == dict(sends(home))
+                        inverses += 1
+                pairs += 1
+    # 50,502 maps and their inverses, each built from its face and lifted (from order 4 on) through the file
+    assert steps == 3360 and pairs == 1680 and inverses == 2 * 50502
     # the searches stop part of the way through some steps, which stay part listed
     assert part_listed > 0
 

@@ -494,7 +494,14 @@ def test_unreadable_or_bad_table_files_fail_before_any_record(tmp_path, monkeypa
     # orders 2..3 never look a table up, and 5..6 print order <= 3 records before their first lookup
     bad = tmp_path / "bad.txt"
     bad.write_text("not a table file\n", encoding="utf-8")
-    for path, message in ((tmp_path / "missing.txt", "No such file or directory"), (bad, "missing header line")):
+    # a decode error is a ValueError, like a bad search setting, but must still read as the file's error
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(tables.render_tables(tables.compute_order3_tables()).encode() + b"caf\xe9\n")
+    for path, message in (
+        (tmp_path / "missing.txt", "No such file or directory"),
+        (bad, "missing header line"),
+        (latin1, "latin1.txt: not UTF-8 text"),
+    ):
         if source == "env":
             monkeypatch.setenv(tables.ENV_VAR, str(path))
             argv = ["verify", "--genus", genus]
@@ -503,6 +510,20 @@ def test_unreadable_or_bad_table_files_fail_before_any_record(tmp_path, monkeypa
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
+
+
+def test_an_empty_tables_path_fails_as_a_file(tmp_path, monkeypatch, capsys):
+    # an empty --tables names no file; it must not fall back to no table file or to the environment's
+    path = tmp_path / "tables.txt"
+    path.write_text(tables.render_tables(tables.compute_order3_tables()), encoding="utf-8")
+    for env in (None, str(path)):
+        if env is None:
+            monkeypatch.delenv(tables.ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(tables.ENV_VAR, env)
+        code, out, err = run(capsys, "--tables", "", "verify", "--genus", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "No such file or directory" in err
 
 
 def test_usage_error_on_unknown_command():

@@ -26,7 +26,6 @@ from spinatlas.groups import (
     cycles_str,
     identity_perm,
     inverse,
-    is_odd,
     power_cycles,
     recognize,
     symmetric,
@@ -502,10 +501,14 @@ def test_parity_matches_sympy():
     rng = random.Random(20261022)
     odd = 0
     for _ in range(400):
-        n = rng.randint(1, 12)
+        n = rng.randint(3, 12)
         perm = random_perm(rng, n)
-        assert is_odd(perm) == combinatorics.Permutation(list(perm)).is_odd, perm
-        odd += is_odd(perm)
+        # even 3-cycles join every point into one part, so the certificate then waits on perm's parity alone
+        certificate = SymmetricCertificate(n)
+        assert not any([certificate.add(cycle_perm(n, [k, k + 1, k + 2])) for k in range(n - 2)])
+        expected = combinatorics.Permutation(list(perm)).is_odd
+        assert certificate.add(perm) == expected, perm
+        odd += expected
     assert 150 < odd < 250
     # once its parts are joined, the certificate waits on parity alone
     certificate = SymmetricCertificate(5)

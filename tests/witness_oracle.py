@@ -19,7 +19,7 @@ orders, it checks every graph whose chords are a top slice {j..r},
 0 <= j <= r (never the chordless graph, which no class has), at the default
 search settings, and exits 1 on any difference:
 
-    PYTHONPATH=src python3 tests/witness_oracle.py 3..24
+    PYTHONPATH=src python3 tests/witness_oracle.py 3..28
 """
 from __future__ import annotations
 
