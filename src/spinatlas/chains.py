@@ -93,22 +93,24 @@ def label_positions(cg: ConnectionGraph, v: Vertex) -> list[int | None]:
     return [labels.index(c) if c in labels else None for c in cg.classes]
 
 
-def close_out(pos: list[int | None], carried: Carried) -> tuple[int, ...]:
+def close_out(pos: list[int | None], carried: Carried, n: int | None = None) -> tuple[int, ...]:
     """Permutation of label positions from a closed loop's carried labels.
 
-    `pos` is the base vertex's `label_positions`.  At most one label may be
-    missing, on return to a base vertex of maximal degree; it is repaired
-    onto the one missing image.
+    `pos` is the base vertex's `label_positions` and `n` its number of labels, counted from `pos` if not
+    given.  At most one label may be missing, on return to a base vertex of maximal degree; it is
+    repaired onto the one missing image.
     """
     srcs, curs = carried
-    n = len(pos) - pos.count(None)
+    n = len(pos) - pos.count(None) if n is None else n
     perm = [-1] * n
     for src, cur in zip(srcs, curs):
         perm[pos[src]] = pos[cur]
-    if len(srcs) < n:
+    if len(srcs) == n - 1:
         # the images 0..n-1 sum to n(n-1)/2, and the -1 still in perm stands for the missing one
         perm[perm.index(-1)] = n * (n - 1) // 2 - sum(perm) - 1
-    if sorted(perm) != list(range(n)):
+    # two labels or more missing leave two -1; else each entry is a position below n or None, the repaired one
+    # the missing position unless two others coincide: so n distinct entries, none None, are each position once
+    if len(set(perm)) != n or None in perm:
         raise AssertionError(f"{carried} does not close to a permutation")
     return tuple(perm)
 
@@ -152,21 +154,17 @@ def evaluate(cg: ConnectionGraph, chain: SpinChain) -> tuple[int, ...]:
 Choice = tuple[frozenset[int], tuple[int, ...]]
 
 
-def _face_choices(order: int, cycle: tuple[int, ...]) -> Iterator[Choice]:
-    return zip(cells_of(order, class_mask(cycle)), itertools.repeat(cycle))
-
-
 class StepTable:
     """The chain steps of one connection graph, by vertex id (index into `vertices`).
 
-    The (cell, face) choices of a step from vertex a to vertex b are its faces as canonical id
-    cycles in `enumerate_faces` order, each followed by its cells in order; choice k is the step's
-    k-th, and `steps(a, b)` gives each with its face map.  The step's faces are its `face_cycles`,
-    found when it is first read, and each choice is listed, and its map built, the first time any
-    reader reaches it, so a `Face` is built only in a chain.  Maps are built from their faces,
-    unless `store` is a loaded table file and the order is at least 4: then they are lifted through
-    it, and `store` keeps it (else None).  A search path is a sequence of (vertex id, choice index)
-    steps, and `chain` turns one into its chain.
+    The (cell, face) choices of a step from vertex a to vertex b are its faces as canonical id cycles
+    in `enumerate_faces` order, each followed by its cells in order; choice k is the step's k-th.  The
+    faces through a and b are their `face_cycles`, found once for the pair when either step is first
+    read.  `steps(a, b)` gives each choice with its face map from one list per step: the first reader
+    to reach a choice derives it from its face and appends it with its map, and the list is the step
+    once the choices run out.  Maps are built from their faces, unless `store` is a loaded table file
+    and the order is at least 4: then they are lifted through it, and `store` keeps it (else None).
+    A search path is a sequence of (vertex id, choice index) steps; `chain` builds its chain, no map.
     """
 
     def __init__(self, cg: ConnectionGraph, store: tables.FaceTables | None = None) -> None:
@@ -174,52 +172,44 @@ class StepTable:
         self.vertices = cg.vertices()
         self.store = store if cg.order > 3 else None
         self._near = neighbour_ids(cg)
-        # per step read so far, its (choice, face map) pairs listed so far
+        # per vertex pair (a < b) read so far, the faces through both
+        self._faces: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        # per step read so far, its (choice, face map) pairs listed so far, and the steps listed in full
         self._listed: dict[tuple[int, int], list[tuple[Choice, tuple[int, ...]]]] = {}
-        # per step not yet listed in full, its choices not yet listed
-        self._pending: dict[tuple[int, int], Iterator[Choice]] = {}
+        self._whole: set[tuple[int, int]] = set()
         # per cell, its `cell_frame` for the lookup in `store`
         self._frames: dict[frozenset[int], tuple] = {}
 
+    def _choices(self, a: int, b: int) -> Iterator[Choice]:
+        pair = (a, b) if a < b else (b, a)
+        faces = self._faces.get(pair)
+        if faces is None:
+            faces = self._faces[pair] = face_cycles(self._near, a, b)
+        return ((cell, cycle) for cycle in faces for cell in cells_of(self.cg.order, class_mask(cycle)))
+
     def steps(self, a: int, b: int) -> Iterable[tuple[Choice, tuple[int, ...]]]:
         """The step's (choice, face map) pairs in choice order: a list once every choice is listed."""
-        listed = self._listed.get((a, b))
-        if listed is None:
-            listed = self._listed[a, b] = []
-            # per face, its choices, listed when a reader reaches the face (and no reference back to the table)
-            faces = map(_face_choices, itertools.repeat(self.cg.order), face_cycles(self._near, a, b))
-            self._pending[a, b] = itertools.chain.from_iterable(faces)
-        return self._listing(a, b, listed) if (a, b) in self._pending else listed
+        listed = self._listed.setdefault((a, b), [])
+        return listed if (a, b) in self._whole else self._listing(a, b, listed)
 
     def _listing(self, a: int, b: int, listed: list) -> Iterator[tuple[Choice, tuple[int, ...]]]:
-        k = 0
-        while k < len(listed) or (a, b) in self._pending:
+        # a map that fails to build appends nothing, so the next read raises at the same choice
+        for k, (cell, cycle) in enumerate(self._choices(a, b)):
             if k == len(listed):
-                pending = self._pending[a, b]
-                choice = next(pending, None)
-                if choice is None:
-                    del self._pending[a, b]
-                    return
-                cell, cycle = choice
-                try:
-                    if self.store is None:
-                        mapping = direct_images(self.cg.order, self.cg.connected, cell, cycle, a, b)
-                    else:
-                        frame = self._frames.get(cell) or self._frames.setdefault(cell, cell_frame(self.cg, cell))
-                        mapping = lifted_images(self.store, self.cg.order, frame, cycle, a, b)
-                except BaseException:
-                    # a map that fails to build leaves the step as it was: the next read raises at this choice again
-                    self._pending[a, b] = itertools.chain((choice,), pending)
-                    raise
-                listed.append((choice, mapping))
+                if self.store is None:
+                    mapping = direct_images(self.cg.order, self.cg.connected, cell, cycle, a, b)
+                else:
+                    frame = self._frames.get(cell) or self._frames.setdefault(cell, cell_frame(self.cg, cell))
+                    mapping = lifted_images(self.store, self.cg.order, frame, cycle, a, b)
+                listed.append(((cell, cycle), mapping))
             yield listed[k]
-            k += 1
+        self._whole.add((a, b))
 
     def chain(self, start: Vertex, path: tuple[tuple[int, int], ...]) -> SpinChain:
         """The chain at `start` whose steps take, in turn, choice k of the step to vertex b."""
         steps, a = [], vertex_id(start)
         for b, k in path:
-            (cell, cycle), _ = next(itertools.islice(self.steps(a, b), k, None))
+            cell, cycle = next(itertools.islice(self._choices(a, b), k, None))
             steps.append(ChainStep(cell, Face(tuple(map(self.vertices.__getitem__, cycle))), self.vertices[b]))
             a = b
         return SpinChain(start, tuple(steps))

@@ -209,7 +209,7 @@ def spin_group_at(
                     continue
                 path.append((b, k))
                 if remaining == 1:
-                    if met(close_out(pos, moved)):
+                    if met(close_out(pos, moved, n)):
                         return True
                 else:
                     state = (b, moved, remaining - 1)

@@ -537,6 +537,86 @@ def test_a_map_that_fails_to_build_leaves_the_step_as_it_was():
     assert list(table.steps(a, b)) == pairs
 
 
+def test_faces_are_found_once_per_vertex_pair(monkeypatch):
+    """Over the searches of every top-slice graph up to order 6, and a read of every step after them,
+    the faces through two vertices are found once for the pair, whichever of its two steps is read."""
+    from spinatlas import chains
+    from spinatlas.classify import spin_group_at
+
+    found, read = [], set()
+    face_cycles, steps = chains.face_cycles, StepTable.steps
+
+    def counted(near, a, b):
+        found.append(frozenset((a, b)))
+        return face_cycles(near, a, b)
+
+    def reading(table, a, b):
+        read.add(frozenset((a, b)))
+        return steps(table, a, b)
+
+    monkeypatch.setattr(chains, "face_cycles", counted)
+    monkeypatch.setattr(StepTable, "steps", reading)
+    searched = pairs = 0
+    for order in range(7):
+        for j in range(order + 2):
+            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+            table = StepTable(cg)
+            found.clear()
+            read.clear()
+            # no class has a chordless graph, where the group at P stays A_n and the search walks its budget
+            for v in searched_vertices(cg) if cg.connected else ():
+                spin_group_at(cg, v, table=table)
+                searched += 1
+            assert sorted(found, key=sorted) == sorted(read, key=sorted)
+            for a, b in itertools.permutations(range(len(table.vertices)), 2):
+                list(table.steps(a, b))
+            assert len(found) == len(set(found)) == len(table.vertices) * (len(table.vertices) - 1) // 2
+            pairs += len(found)
+    assert searched == 49 and pairs == 1680
+
+
+def test_chains_rebuilt_from_paths_build_no_face_map(monkeypatch):
+    """`StepTable.chain` and `SpinGroupResult.witnesses`, on a table no search has read, build no face
+    map, and give the chains whose steps the search took: each evaluates to its kept generator."""
+    from spinatlas import chains
+    from spinatlas.chains import ChainStep
+    from spinatlas.classify import spin_group_at
+
+    built = []
+    direct_images = chains.direct_images
+
+    def counted(*args):
+        built.append(args)
+        return direct_images(*args)
+
+    monkeypatch.setattr(chains, "direct_images", counted)
+    witnesses = 0
+    for order in range(2, 7):
+        for j in range(order + 1):
+            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+            searched = StepTable(cg)
+            verts = searched.vertices
+            for v in searched_vertices(cg):
+                res = spin_group_at(cg, v, table=searched)
+                # each path's chain, read off the choices the search listed
+                taken = []
+                for path, _ in res.kept():
+                    steps, a = [], verts.index(v)
+                    for b, k in path:
+                        (cell, cycle), _ = list(searched.steps(a, b))[k]
+                        steps.append(ChainStep(cell, Face(tuple(map(verts.__getitem__, cycle))), verts[b]))
+                        a = b
+                    taken.append(SpinChain(v, tuple(steps)))
+                built.clear()
+                fresh = StepTable(cg)
+                assert tuple(fresh.chain(v, path) for path, _ in res.kept()) == tuple(taken)
+                assert res.witnesses == tuple(taken)
+                assert built == []
+                assert [evaluate(cg, chain) for chain in taken] == [perm for _, perm in res.kept()]
+                witnesses += len(taken)
+    assert witnesses > 100
+
+
 def test_close_out_repairs_one_label_and_rejects_the_rest():
     from spinatlas.chains import close_out, label_positions
 

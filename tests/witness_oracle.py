@@ -17,9 +17,11 @@ the order is then n!, or `order()`'s when it is not S_n.  Every other
 prediction is checked with `order()`.  Run as a script over a range of
 orders, it checks every graph whose chords are a top slice {j..r},
 0 <= j <= r (never the chordless graph, which no class has), at the default
-search settings, and exits 1 on any difference:
+search settings, and exits 1 on any difference.  Orders 3..32 are checked,
+3..28 and 29..32 in two runs:
 
     PYTHONPATH=src python3 tests/witness_oracle.py 3..28
+    PYTHONPATH=src python3 tests/witness_oracle.py 29..32
 """
 from __future__ import annotations
 
