@@ -37,15 +37,14 @@ def predict_group(cg: ConnectionGraph, v: Vertex) -> GroupVerdict:
     return groups.symmetric(cg.epsilon_degree(v))
 
 
-class SpinGroupResult(namedtuple("SpinGroupResult", "graph vertex verdict predicted order distinct searched")):
+class SpinGroupResult(namedtuple("SpinGroupResult", "graph vertex verdict predicted order distinct chains_tried")):
     """The group found at one vertex, with what its search met.
 
     `distinct` holds each distinct permutation the search met, in search
-    order, as (chains tried up to it, its chain's search path, permutation);
-    `searched` counts the chains the search tried.  The kept generators with
-    their paths (`kept()`) and `chains_tried` are what sifting every new
-    permutation into a stabilizer chain gives, stopping at the first full
-    order: each read sifts `distinct` again.
+    order, as (its chain's search path, permutation); `chains_tried` counts
+    the chains the search tried.  The kept generators with their paths
+    (`kept()`) are what sifting every new permutation into a stabilizer chain
+    gives, stopping at the first full order: each read sifts `distinct` again.
     """
 
     __slots__ = ()
@@ -56,12 +55,7 @@ class SpinGroupResult(namedtuple("SpinGroupResult", "graph vertex verdict predic
 
     def kept(self) -> tuple[tuple[tuple[tuple[int, int], ...], groups.Perm], ...]:
         """Each kept generator, with its chain's search path, from one sift of `distinct`."""
-        return tuple((path, perm) for _, path, perm in _sift(self.distinct, self._n())[1])
-
-    @property
-    def chains_tried(self) -> int:
-        """The chains tried until the group was the full symmetric group, or all the search tried."""
-        return _sift(self.distinct, self._n())[2] or self.searched
+        return tuple(_sift(self.distinct, len(self.graph.label_classes(self.vertex)))[1])
 
     @property
     def witnesses(self) -> tuple[SpinChain, ...]:
@@ -70,26 +64,19 @@ class SpinGroupResult(namedtuple("SpinGroupResult", "graph vertex verdict predic
         table = StepTable(self.graph)
         return tuple(table.chain(self.vertex, path) for path, _ in self.kept())
 
-    def _n(self) -> int:
-        return len(self.graph.label_classes(self.vertex))
-
 
 def _sift(distinct, n: int):
-    """Sift the permutations of `distinct` entries in order into a stabilizer chain, up to the first full order.
-
-    Returns the chain, the entries kept (each not yet in the group of those
-    before it), and the chains tried up to the entry that made the group
-    S_n, or None when none did.
-    """
+    """The stabilizer chain of the permutations of `distinct` entries, sifted in order up to the first full
+    order, and the entries kept, each not yet in the group of those before it."""
     chain = groups.StabChain(n)
     full_order = math.factorial(n)
     kept = []
     for entry in distinct:
-        if chain.add(entry[2]):
+        if chain.add(entry[1]):
             kept.append(entry)
             if chain.order() == full_order:
-                return chain, kept, entry[0]
-    return chain, kept, None
+                break
+    return chain, kept
 
 
 def _at_least(flag: str, value: int, least: int) -> None:
@@ -144,11 +131,13 @@ def spin_group_at(
     met into a stabilizer chain for the exact order.  The search walks
     `table`, the graph's step table, once (by default a new one that builds
     every map from its face), and skips each repeat of a walk state whose
-    chains it has already walked, counting them as tried.  A step table of
-    another graph, or `max_steps` below 2, raises ValueError.  No closure cap
-    applies: a run's `Engine` checks it before its first search.
+    chains it has already walked, counting them as tried.  A vertex not in the graph, a step
+    table of another graph, or `max_steps` below 2 raises ValueError.  No closure cap applies:
+    a run's `Engine` checks it before its first search.
     """
     _at_least("max-steps", max_steps, 2)
+    if v not in cg.vertices():
+        raise ValueError(f"{v} is not a vertex of {cg}")
     if table is None:
         table = StepTable(cg)
     elif table.cg != cg:
@@ -163,7 +152,7 @@ def spin_group_at(
     # every permutation met so far: most chains repeat one of a few permutations,
     # and a set lookup is cheaper than a sift
     seen: set[groups.Perm] = {groups.identity_perm(n)}
-    distinct: list[tuple[int, tuple[tuple[int, int], ...], groups.Perm]] = []
+    distinct: list[tuple[tuple[tuple[int, int], ...], groups.Perm]] = []
     tried = 0
 
     # The walk, shortest chains first: a path is the list of (vertex id, choice index)
@@ -189,7 +178,7 @@ def spin_group_at(
         if perm in seen:
             return False
         seen.add(perm)
-        distinct.append((tried, tuple(path), perm))
+        distinct.append((tuple(path), perm))
         if certificate is not None:
             return certificate.add(perm)
         if not group.add(perm):

@@ -101,11 +101,10 @@ def _pattern_token(pattern: frozenset[int]) -> str:
 
 
 def _parse_pattern(token: str, lineno: int) -> frozenset[int]:
-    if token == "-":
-        return frozenset()
-    if not _is_number(token):
+    pattern = frozenset(int(ch) for ch in token) if _is_number(token) else frozenset()
+    if _pattern_token(pattern) != token:
         raise TableError(f"line {lineno}: bad pattern token {token!r}")
-    return frozenset(int(ch) for ch in token)
+    return pattern
 
 
 def render_tables(tables: FaceTables) -> str:
@@ -124,9 +123,10 @@ def render_tables(tables: FaceTables) -> str:
 
 
 def parse_tables(text: str) -> FaceTables:
-    """Read the text format.  Each face must be a canonical 4-cycle of its pattern's graph, each map
-    injective from the label set at u into the one at v and total on the smaller of the two, and
-    every pattern, face and pair present."""
+    """Read the text format.  Each pattern must be written as its canonical token (its classes
+    ascending, or '-'), each face as a canonical 4-cycle of its pattern's graph, each map injective
+    from the label set at u into the one at v and total on the smaller of the two, and every
+    pattern, face and pair present."""
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
         raise TableError(f"missing header line {FORMAT_HEADER!r}")

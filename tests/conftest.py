@@ -204,7 +204,7 @@ def reference_search(
         if perm in seen:
             continue
         seen.add(perm)
-        distinct.append((tried, tuple(path), perm))
+        distinct.append((tuple(path), perm))
         if symmetric_predicted:
             if certificate.add(perm):
                 break
@@ -212,7 +212,7 @@ def reference_search(
             order = group.order()
             if order == full_order or (not exhaustive and recognize(order, n) == predicted):
                 break
-    for _, _, perm in distinct:
+    for _, perm in distinct:
         group.add(perm)
     order = group.order()
     return SpinGroupResult(cg, v, recognize(order, n), predicted, order, tuple(distinct), tried)

@@ -131,7 +131,7 @@ def row_differences(gc: GraphClass, engine: Engine | None = None, searched: Sear
 
 
 def walk_differences(gc: GraphClass, engine: Engine | None = None, searched: Searched | None = None) -> list[str]:
-    """Each vertex whose search's (searched, chains_tried, distinct, order) differs from the reference walk's.
+    """Each vertex whose search's (chains_tried, distinct, order) differs from the reference walk's.
 
     `searched` is what `own_searches` gave for the same engine, or None to search here.
     """
@@ -140,12 +140,10 @@ def walk_differences(gc: GraphClass, engine: Engine | None = None, searched: Sea
     out = []
     for v, own in searches.items():
         ref = reference_search(table.cg, v, max_steps=engine.max_steps, exhaustive=engine.exhaustive, table=table)
-        fields = (own.searched, own.chains_tried, own.distinct, own.order)
-        if fields != (ref.searched, ref.chains_tried, ref.distinct, ref.order):
+        if (own.chains_tried, own.distinct, own.order) != (ref.chains_tried, ref.distinct, ref.order):
             out.append(
-                f"{gc.label()} genus {gc.genus} {v.name}: search tried {own.searched} ({own.chains_tried} to the "
-                f"group), {len(own.distinct)} distinct, order {own.order}; reference walk {ref.searched} "
-                f"({ref.chains_tried}), {len(ref.distinct)}, {ref.order}"
+                f"{gc.label()} genus {gc.genus} {v.name}: search tried {own.chains_tried}, {len(own.distinct)} "
+                f"distinct, order {own.order}; reference walk {ref.chains_tried}, {len(ref.distinct)}, {ref.order}"
             )
     return out
 

@@ -453,6 +453,11 @@ def test_table_file_errors_name_the_line_or_entry():
     # a bad token names its line too, in a pattern, face or pair line
     with pytest.raises(tables.TableError, match="^line 2: bad pattern token 'x'$"):
         tables.parse_tables(text.replace("pattern -", "pattern x", 1))
+    # a pattern is written one way only, its classes ascending and each once, as faces are
+    for canonical, token in (("3", "33"), ("23", "32"), ("0123", "1230")):
+        line = TABLE_LINES.index(f"pattern {canonical}") + 1
+        with pytest.raises(tables.TableError, match=f"^line {line}: bad pattern token '{token}'$"):
+            tables.parse_tables(text.replace(f"\npattern {canonical}\n", f"\npattern {token}\n"))
     with pytest.raises(tables.TableError, match="^line 3: bad vertex token 'x-'$"):
         tables.parse_tables(text.replace(face_line, " ".join(["face", "x-", *rest])))
     bad_pair = pair_line.split()

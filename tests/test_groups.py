@@ -360,6 +360,12 @@ def test_a_step_table_of_another_graph_is_rejected():
     assert spin_group_at(order4, P, table=own) == spin_group_at(order4, P)
 
 
+@pytest.mark.parametrize("v", [Vertex(4, False), Vertex(-1, False), Vertex(2, 2)])
+def test_a_vertex_not_in_the_graph_is_rejected(v):
+    with pytest.raises(ValueError, match="is not a vertex of"):
+        spin_group_at(ConnectionGraph(3, frozenset({3})), v)
+
+
 def test_a_search_frees_its_walk_state_when_it_returns():
     # the walk's recursive closure is a reference cycle; with the cyclic collector off, only
     # breaking it on return lets the step table (and the walk's memo) go with its last reader
@@ -534,10 +540,9 @@ def _representatives(genera):
 
 def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_match_it():
     """Every searched (graph, vertex) of genus 2..16: the certificate fires on the chain at which
-    a stabilizer chain first reaches S_n, and the fields read from the sift equal that search's."""
+    a stabilizer chain first reaches S_n, and the kept generators read from the sift equal that search's."""
     from spinatlas.chains import StepTable
 
-    late = {}
     reps = _representatives(range(2, 17))
     table = None
     for cg, v in reps:
@@ -558,14 +563,33 @@ def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_m
             assert res.witnesses == tuple(table.chain(v, path) for path in ref.paths)
         if res.predicted == symmetric(len(cg.label_classes(v))):
             assert res.verdict == res.predicted
-            # the certificate is sound, so it can never fire before the stabilizer chain is full
-            assert res.searched >= ref.chains_tried
-            if res.searched > ref.chains_tried:
-                late[(cg.order, tuple(sorted(cg.connected)), v.name)] = res.searched - ref.chains_tried
-        else:
-            assert res.searched == ref.chains_tried
     assert len(reps) == 136
-    assert late == {}
+
+
+def test_every_vertex_to_order_6_matches_the_stabilizer_chain_search():
+    """Every vertex, tilded ones too, of every top-slice graph of orders 0..6 (280 vertices): the
+    verdict, order and kept generators (which `classify` prints) equal the stabilizer-chain search's,
+    and so do the chains tried, but for the two vertices where the certificate proves S_n one chain
+    after the stabilizer chain is full."""
+    from spinatlas.chains import StepTable
+
+    late, vertices = {}, 0
+    for order in range(7):
+        for j in range(order + 1):
+            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+            table = StepTable(cg)
+            for v in cg.vertices():
+                res = spin_group_at(cg, v, table=table)
+                ref = stab_chain_search(cg, v, table=table)
+                kept = tuple(zip(ref.paths, ref.generators))
+                assert (res.verdict, res.order, res.kept()) == (ref.verdict, ref.order, kept), (cg, v)
+                # the certificate is sound, so it can never fire before the stabilizer chain is full
+                assert res.chains_tried >= ref.chains_tried
+                if res.chains_tried > ref.chains_tried:
+                    late[order, tuple(sorted(cg.connected)), v.name] = (res.chains_tried, ref.chains_tried)
+                vertices += 1
+    assert vertices == 280
+    assert late == {(3, (1, 2, 3), "P2~"): (13, 12), (3, (1, 2, 3), "P3~"): (13, 12)}
 
 
 def test_witness_oracle_over_orders_3_to_8(capsys):
@@ -595,21 +619,21 @@ def test_a_repeated_walk_state_is_counted_not_walked(monkeypatch):
 
         monkeypatch.setattr(walker, "carry", counted)
     res, ref = spin_group_at(cg, P), reference_search(cg, P)
-    assert (res.searched, res.chains_tried, res.distinct, res.verdict) == (273, 273, (), TRIVIAL)
-    assert (ref.searched, ref.distinct) == (273, ())
+    assert (res.chains_tried, res.distinct, res.verdict) == (273, (), TRIVIAL)
+    assert (ref.chains_tried, ref.distinct) == (273, ())
     # the reference walk takes a step per chain prefix; the search, only the steps below each new state
     assert (steps[classify], steps[conftest]) == (63, 810)
 
 
-def test_chains_tried_comes_from_the_sift_not_from_where_the_search_stopped():
+def test_kept_stops_at_the_first_full_order():
     # order 3 with chords {2, 3} at P2: (3 4) and (1 3 4 2) give S4 at chain 3
     cg = ConnectionGraph(3, frozenset({2, 3}))
     res = spin_group_at(cg, P2)
-    assert (res.searched, res.chains_tried, len(res.kept())) == (3, 3, 2)
-    # a search that met one more permutation before it stopped keeps the same fields
-    extra = (res.searched + 1, ((0, 0), (5, 0)), cycle_perm(4, [0, 2, 1]))
-    later = res._replace(distinct=res.distinct + (extra,), searched=res.searched + 1)
-    assert (later.chains_tried, later.kept()) == (3, res.kept())
+    assert (res.chains_tried, len(res.kept())) == (3, 2)
+    # a permutation met after the group is full is never kept
+    extra = (((0, 0), (5, 0)), cycle_perm(4, [0, 2, 1]))
+    later = res._replace(distinct=res.distinct + (extra,), chains_tried=res.chains_tried + 1)
+    assert later.kept() == res.kept()
 
 
 def test_kept_generator_orders_match_sympy():
