@@ -1,13 +1,13 @@
 """Command-line front end: enumerate classes, classify vertices, verify, export DOT.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parameter error,
-3 closure cap exceeded (`atlas` records the class as `match=skipped` instead),
+3 resource limit: the closure cap (`atlas` records the class as `match=skipped` instead) or memory,
+4 internal error (its traceback on stderr),
 141 stdout closed by its reader (as `| head` does), the shell's code for SIGPIPE.
 All output is deterministic for fixed flags.
 """
 from __future__ import annotations
 
-import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -20,8 +20,8 @@ from .graph import UnsupportedOrderError, Vertex, build_connection_graph, edge_m
 from .params import GraphClass, InvalidClassError, enumerate_classes, heads
 
 MAX_GENUS_DEFAULT = 12
-# the exit code of `run` when stdout's reader has closed it: 128 + SIGPIPE, as a shell reports it
-BROKEN_PIPE_EXIT = 141
+INTERNAL_ERROR_EXIT = 4  # the exit code of `run` for an uncaught exception
+BROKEN_PIPE_EXIT = 141  # the exit code of `run` when stdout's reader has gone: 128 + SIGPIPE, as a shell reports it
 
 
 class UsageError(Exception):
@@ -132,6 +132,7 @@ def cmd_atlas(args, engine: _classify.Engine) -> int:
             except CapExceededError:
                 report = None
         print(render_record(atlas_record(gc, report)))
+        sys.stdout.flush()  # each class's record leaves as it finishes, so a run cut short keeps it
     return 0
 
 
@@ -210,21 +211,17 @@ def cmd_verify(args, engine: _classify.Engine) -> int:
     return 0 if mismatches == 0 else 1
 
 
-def _dot_quote(name: str) -> str:
-    return f'"{name}"'
-
-
 def cmd_export_dot(args, engine: _classify.Engine) -> int:
     gc = _class_from_args(args)
     cg = build_connection_graph(gc)
     lines = [f"graph spin_atlas {{", f'  label="{gc.label()} genus {gc.genus}";', "  node [shape=circle];"]
     for v in cg.vertices():
-        lines.append(f"  {_dot_quote(v.name)};")
+        lines.append(f'  "{v.name}";')
     if args.kind == "connection":
         for u in cg.vertices():
             for w in cg.vertices():
                 if u < w and cg.adjacent(u, w):
-                    lines.append(f"  {_dot_quote(u.name)} -- {_dot_quote(w.name)} [style=dashed];")
+                    lines.append(f'  "{u.name}" -- "{w.name}" [style=dashed];')
     else:
         try:
             mults = edge_multiplicities_r_le_2(gc)
@@ -232,7 +229,7 @@ def cmd_export_dot(args, engine: _classify.Engine) -> int:
             print(f"FullExportUnsupported: {exc}", file=sys.stderr)
             return 2
         for (u, w), mult in sorted(mults.items()):
-            lines.append(f'  {_dot_quote(u.name)} -- {_dot_quote(w.name)} [label="{mult}"];')
+            lines.append(f'  "{u.name}" -- "{w.name}" [label="{mult}"];')
     lines.append("}")
     print("\n".join(lines))
     return 0
@@ -412,18 +409,21 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The entry point of `spin-atlas` and `python -m spinatlas.cli`: `main`, then exit with its code."""
+    """The entry point of `spin-atlas` and `python -m spinatlas.cli`: `main`, the flushes, then `os._exit`."""
     try:
-        code = main()
-        sys.stdout.flush()
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()  # the records printed leave before any traceback
+    except SystemExit as exc:  # argparse's help (0) and usage errors (2)
+        code = exc.code
     except BrokenPipeError:
-        # the reader is gone; what is still buffered goes to devnull, so the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = BROKEN_PIPE_EXIT
-    # The collections at exit walk every tracked object, the start-up heap too, to free memory that
-    # exit frees anyway; they skip frozen objects. Not in `main`: in-process callers keep a collectable heap.
-    gc.freeze()
-    sys.exit(code)
+    except Exception as exc:  # out of memory is a resource limit, as the closure cap is; the rest are faults
+        code = 3 if isinstance(exc, MemoryError) else INTERNAL_ERROR_EXIT
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+    sys.stderr.flush()
+    os._exit(code)  # no shutdown: its collections would walk the whole heap, and its flush could fail again
 
 
 if __name__ == "__main__":

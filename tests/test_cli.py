@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import python_env, run_python
 from spinatlas import tables
 from spinatlas.cli import _COMMANDS, _GLOBAL_OPTIONS, _read_args, build_parser, main
-from spinatlas.cli import parse_list, parse_map, parse_record, render_record, run as run_entry
+from spinatlas.cli import parse_list, parse_map, parse_record, render_record
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -56,6 +56,27 @@ def test_atlas_genus5_order2(capsys):
     by_key = {(r["i"], r["p"]): r for r in records}
     assert by_key[("0", "0,3")]["predicted"] == "0:1,1:1,2:C3"
     assert by_key[("1", "0,0")]["computed"] == "0:S3,1:S3,2:S3"
+
+
+class _FlushLog(io.StringIO):
+    """A stdout that keeps what had been written at each flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.at_flush = []
+
+    def flush(self):
+        self.at_flush.append(self.getvalue())
+
+
+def test_atlas_flushes_each_class_record(monkeypatch):
+    # a run cut short keeps every record it has finished, as verify's do
+    log = _FlushLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(["atlas", "--genus", "5"]) == 0
+    lines = log.getvalue().splitlines(keepends=True)
+    assert len(lines) == 10  # one record per class of genus 5
+    assert log.at_flush == ["".join(lines[:k]) for k in range(1, len(lines) + 1)]
 
 
 def test_atlas_genus2(capsys):
@@ -657,6 +678,9 @@ def test_reader_agrees_with_argparse(argv):
         (["verify", "--genus", "2..4"], 0),
         (["verify", "--genus", "1"], 2),
         (["verify", "--genus", "3", "--closure-cap", "2"], 3),
+        # long outputs: classify's records leave the buffer only through `run`'s flush, atlas's a class at a time
+        (["atlas", "--genus", "9"], 0),
+        (["classify", "-g", "12", "-r", "10", "-i", "0", "-p", "0,0,0,0,0,0,0,0,1,0"], 0),
     ],
 )
 def test_module_entry_point_exits_with_the_code_and_output_of_main(capsys, argv, code):
@@ -748,16 +772,31 @@ def test_main_leaves_the_collector_unfrozen(capsys):
     assert gc.get_freeze_count() == before
 
 
-def test_run_freezes_the_heap_and_exits_with_the_code_of_main(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["spin-atlas", "verify", "--genus", "1"])
-    try:
-        with pytest.raises(SystemExit) as exited:
-            run_entry()
-        assert exited.value.code == 2
-        assert gc.get_freeze_count() > 0
-    finally:
-        gc.unfreeze()
-    assert capsys.readouterr().err.startswith("usage error: ")
+def _run_with_main(*body: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter's `run()`, with `spinatlas.cli.main` replaced by a function of the body's lines."""
+    code = ["import sys", "from spinatlas import cli", "def main():", *("    " + line for line in body)]
+    return run_python("-c", "\n".join([*code, "cli.main = main", "cli.run()"]))
+
+
+def test_run_ends_the_process_after_its_flushes():
+    # the unflushed records leave, and no shutdown runs after them: atexit handlers are part of it
+    done = _run_with_main(
+        "import atexit",
+        "atexit.register(print, 'shutdown ran', file=sys.stderr)",
+        "print('kind=verify genus=2')",
+        "return 1",
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "kind=verify genus=2\n", "")
+
+
+@pytest.mark.parametrize("error,code", [("MemoryError", 3), ("AssertionError", 4)])
+def test_an_uncaught_exception_exits_with_its_own_code_after_the_records(error, code):
+    # exit 1 would read as a verification mismatch: out of memory is a resource limit, anything else a fault
+    done = _run_with_main("print('kind=verify genus=2')", f"raise {error}('injected')")
+    assert done.returncode == code
+    assert done.stdout == "kind=verify genus=2\n"
+    assert done.stderr.startswith("Traceback (most recent call last):\n"), done.stderr
+    assert done.stderr.endswith(f"{error}: injected\n"), done.stderr
 
 
 def test_console_script_is_the_exiting_entry_point():
