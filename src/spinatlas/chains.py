@@ -13,9 +13,8 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
-from . import tables
-from .faces import Face, cell_frame, cells_containing, cells_of, class_mask, direct_images
-from .faces import face_cycles, is_face, lifted_images, neighbour_ids, vertex_id
+from .faces import Face, cells_containing, cells_of, class_mask, direct_images, face_cycles, is_face, neighbour_ids
+from .faces import vertex_id
 from .faces import _face_map_pairs  # the memoized face maps `evaluate` composes
 from .graph import ConnectionGraph, Vertex
 
@@ -162,23 +161,19 @@ class StepTable:
     faces through a and b are their `face_cycles`, found once for the pair when either step is first
     read.  `steps(a, b)` gives each choice with its face map from one list per step: the first reader
     to reach a choice derives it from its face and appends it with its map, and the list is the step
-    once the choices run out.  Maps are built from their faces, unless `store` is a loaded table file
-    and the order is at least 4: then they are lifted through it, and `store` keeps it (else None).
+    once the choices run out; each map is built from its face by `faces.direct_images`.
     A search path is a sequence of (vertex id, choice index) steps; `chain` builds its chain, no map.
     """
 
-    def __init__(self, cg: ConnectionGraph, store: tables.FaceTables | None = None) -> None:
+    def __init__(self, cg: ConnectionGraph) -> None:
         self.cg = cg
         self.vertices = cg.vertices()
-        self.store = store if cg.order > 3 else None
         self._near = neighbour_ids(cg)
         # per vertex pair (a < b) read so far, the faces through both
         self._faces: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         # per step read so far, its (choice, face map) pairs listed so far, and the steps listed in full
         self._listed: dict[tuple[int, int], list[tuple[Choice, tuple[int, ...]]]] = {}
         self._whole: set[tuple[int, int]] = set()
-        # per cell, its `cell_frame` for the lookup in `store`
-        self._frames: dict[frozenset[int], tuple] = {}
 
     def _choices(self, a: int, b: int) -> Iterator[Choice]:
         pair = (a, b) if a < b else (b, a)
@@ -196,12 +191,7 @@ class StepTable:
         # a map that fails to build appends nothing, so the next read raises at the same choice
         for k, (cell, cycle) in enumerate(self._choices(a, b)):
             if k == len(listed):
-                if self.store is None:
-                    mapping = direct_images(self.cg.order, self.cg.connected, cell, cycle, a, b)
-                else:
-                    frame = self._frames.get(cell) or self._frames.setdefault(cell, cell_frame(self.cg, cell))
-                    mapping = lifted_images(self.store, self.cg.order, frame, cycle, a, b)
-                listed.append(((cell, cycle), mapping))
+                listed.append(((cell, cycle), direct_images(self.cg.order, self.cg.connected, cell, cycle, a, b)))
             yield listed[k]
         self._whole.add((a, b))
 

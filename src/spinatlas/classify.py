@@ -60,7 +60,6 @@ class SpinGroupResult(namedtuple("SpinGroupResult", "graph vertex verdict predic
     @property
     def witnesses(self) -> tuple[SpinChain, ...]:
         """Each kept generator's chain, built from its path when read."""
-        # a path's steps are the step table's (cell, face) choices, which no table store changes
         table = StepTable(self.graph)
         return tuple(table.chain(self.vertex, path) for path, _ in self.kept())
 
@@ -85,19 +84,17 @@ def _at_least(flag: str, value: int, least: int) -> None:
 
 
 class Engine:
-    """One run's table store and search settings, and the rows of each graph it computes.
+    """One run's search settings, and the rows of each graph it computes.
 
-    `store` is a loaded order-3 table file that face maps are lifted from at
-    order >= 4, or None, and every map is built from its face.  A bad setting
-    raises ValueError here, and every search goes through `search`.  The
-    command line builds one engine per run; `verify_class` given no engine
-    makes its own, which it drops when it returns.
+    A bad setting raises ValueError here, and every search goes through
+    `search`.  The command line builds one engine per run; `verify_class`
+    given no engine makes its own, which it drops when it returns.
     """
 
-    def __init__(self, store=None, max_steps=DEFAULT_MAX_STEPS, closure_cap=DEFAULT_CLOSURE_CAP, exhaustive=False):
+    def __init__(self, max_steps=DEFAULT_MAX_STEPS, closure_cap=DEFAULT_CLOSURE_CAP, exhaustive=False):
         _at_least("max-steps", max_steps, 2)
         _at_least("closure-cap", closure_cap, 1)
-        self.store, self.max_steps, self.closure_cap, self.exhaustive = store, max_steps, closure_cap, exhaustive
+        self.max_steps, self.closure_cap, self.exhaustive = max_steps, closure_cap, exhaustive
         # per graph, the `VertexRow`s of `verify_class`
         self.rows: dict[ConnectionGraph, tuple[VertexRow, ...]] = {}
 
@@ -129,11 +126,11 @@ def spin_group_at(
     `exhaustive` consumes the whole chain budget only while the group is
     smaller than S_n.  A search that ends without a certificate sifts what it
     met into a stabilizer chain for the exact order.  The search walks
-    `table`, the graph's step table, once (by default a new one that builds
-    every map from its face), and skips each repeat of a walk state whose
-    chains it has already walked, counting them as tried.  A vertex not in the graph, a step
-    table of another graph, or `max_steps` below 2 raises ValueError.  No closure cap applies:
-    a run's `Engine` checks it before its first search.
+    `table`, the graph's step table (by default a new one), once, and skips
+    each repeat of a walk state whose chains it has already walked, counting
+    them as tried.  A vertex not in the graph, a step table of another graph,
+    or `max_steps` below 2 raises ValueError.  No closure cap applies: a
+    run's `Engine` checks it before its first search.
     """
     _at_least("max-steps", max_steps, 2)
     if v not in cg.vertices():
@@ -246,9 +243,9 @@ def verify_class(gc: GraphClass, engine: Engine | None = None) -> ClassReport:
     swap, are automorphisms of its graph.  The face maps commute with them, so
     the chains at two vertices of one orbit correspond one to one and their
     groups are conjugate.  The orbits are the chorded and the unchorded
-    vertices: unless `_rows` turns the reduction off, the search runs once
-    per orbit, at its first (untilded) vertex, and the rest of the orbit
-    reuses that group.  Each row still gets its own prediction and comparison.
+    vertices: the search runs once per orbit, at its first (untilded) vertex,
+    and the rest of the orbit reuses that group.  Each row still gets its own
+    prediction and comparison.
 
     The rows depend only on the graph and the engine's search settings, so the
     engine keeps them per graph, and every later class of that graph reuses
@@ -264,14 +261,10 @@ def verify_class(gc: GraphClass, engine: Engine | None = None) -> ClassReport:
 
 def _rows(cg: ConnectionGraph, engine: Engine):
     """The `VertexRow` of every vertex of the graph, in vertex order."""
-    table = StepTable(cg, engine.store)
-    # Maps built from their faces commute with the automorphisms; a table that lifts maps through a loaded file,
-    # which nothing vouches for (even one equal to `tables.compute_order3_tables()`), turns the reduction off.
-    reduce = table.store is None
     firsts: dict[bool, Vertex] = {}
-    # per vertex, the vertex whose search gives its group
-    source = {v: firsts.setdefault(v.cls in cg.connected, v) if reduce else v for v in cg.vertices()}
-    verdicts = {res.vertex: res.verdict for res in engine.search(cg, dict.fromkeys(source.values()), table)}
+    # per vertex, the first vertex of its orbit, whose search gives its group
+    source = {v: firsts.setdefault(v.cls in cg.connected, v) for v in cg.vertices()}
+    verdicts = {res.vertex: res.verdict for res in engine.search(cg, firsts.values(), StepTable(cg))}
     rows = []
     for v, s in source.items():
         predicted = predict_group(cg, v)

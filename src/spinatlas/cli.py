@@ -13,7 +13,6 @@ import sys
 from types import SimpleNamespace
 
 from . import classify as _classify
-from . import tables as _tables
 from .chains import StepTable
 from .groups import CapExceededError, cycles_str
 from .graph import UnsupportedOrderError, Vertex, build_connection_graph, edge_multiplicities_r_le_2
@@ -145,7 +144,7 @@ def cmd_classify(args, engine: _classify.Engine) -> int:
         raise UsageError(str(exc)) from None
     if wanted is not None and not 0 <= wanted.cls <= gc.order:
         raise UsageError(f"vertex {args.vertex} is not in an order-{gc.order} graph")
-    table = StepTable(cg, engine.store)
+    table = StepTable(cg)
     for res in engine.search(cg, [v for v in cg.vertices() if wanted in (None, v)], table):
         print(
             render_record(
@@ -196,7 +195,7 @@ def cmd_verify(args, engine: _classify.Engine) -> int:
     if lo < 2 or hi > args.max_genus or lo > hi:
         raise UsageError(f"genus range must lie within 2..{args.max_genus}")
     orders = None
-    if args.orders:
+    if args.orders is not None:  # an empty value names no order: it fails as a bad integer, not as "every order"
         orders = sorted({_int(x, "--orders") for x in args.orders.split(",")})
         if orders[0] < 0 or orders[-1] >= hi:
             raise UsageError(f"--orders must lie within 0..{hi - 1} for genus up to {hi}")
@@ -240,7 +239,6 @@ def cmd_export_dot(args, engine: _classify.Engine) -> int:
 # Every option of the program, declared once: per option its strings and the keywords of its `add_argument`.
 # `build_parser` makes argparse's parser of them; `_read_args` reads the plain command lines without argparse.
 _GLOBAL_OPTIONS = (
-    (("--tables",), {"help": "path to an order-3 face-map table file to lift maps through from order 4 on"}),
     (("--max-genus",), {"type": int, "default": MAX_GENUS_DEFAULT}),
 )
 _SEARCH_OPTIONS = (
@@ -382,14 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _read_args(argv) or build_parser().parse_args(argv)
     flags = {k: v for k, v in vars(args).items() if k in ("max_steps", "closure_cap", "exhaustive")}
     try:
-        # the table file named by --tables (an empty name too) or else the environment, then the search flags,
-        # are checked before any record
-        store = _tables.active_tables() if args.tables is None else _tables.load_tables(args.tables)
-        engine = _classify.Engine(store, **flags)
-    except (OSError, _tables.TableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # a search setting; after TableError, which is a ValueError too
+        engine = _classify.Engine(**flags)  # the search flags are checked before any record
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -402,9 +394,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InvalidClassError as exc:
         print(f"InvalidClass: {exc}", file=sys.stderr)
-        return 2
-    except _tables.TableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

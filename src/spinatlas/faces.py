@@ -158,35 +158,6 @@ def direct_images(
     return tuple(images)
 
 
-Frame = tuple[tuple[int, ...], frozenset[int], tuple[int, ...]]
-
-
-def cell_frame(cg: ConnectionGraph, cell: frozenset[int]) -> Frame:
-    """A cell's sorted classes, its order-3 chord pattern, and per vertex id of the graph
-    its id in the cell's order-3 graph (-1 off the cell); parity is adjusted so sides carry over."""
-    if len(cell) != 4 or not cell <= set(cg.classes):
-        raise ValueError(f"not a cell of an order-{cg.order} graph: {sorted(cell)}")
-    classes = tuple(sorted(cell))
-    local = [-1] * (2 * cg.order + 2)
-    for lc, c in enumerate(classes):
-        for t in (0, 1):
-            local[2 * c + t] = 2 * lc + (t ^ (c == 0) ^ (lc == 0))
-    return classes, frozenset(lc for lc, c in enumerate(classes) if c in cg.connected), tuple(local)
-
-
-def lifted_images(store, order: int, frame: Frame, cycle: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
-    """The map of pair u -> v on a face of an order >= 4 graph, all by vertex id: renamed into the cell's
-    order-3 graph through its `cell_frame`, looked up in the loaded `tables.FaceTables` `store`, and lifted back."""
-    classes, pattern, local = frame
-    pairs = store.lookup(pattern, tuple(map(local.__getitem__, cycle)), local[u], local[v])
-    images = list(range(order + 1))
-    for c in classes:
-        images[c] = -1
-    for a, b in pairs:
-        images[classes[a]] = classes[b]
-    return tuple(images)
-
-
 @lru_cache(maxsize=None)
 def _face_map_pairs(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> tuple[int, ...]:
     """`direct_images`, memoized, for a vertex pair of the face."""

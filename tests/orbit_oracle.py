@@ -2,16 +2,15 @@
 
 `verify_class` searches one vertex per automorphism orbit and reuses that
 group for the rest of the orbit.  `face_map_differences` checks the premise:
-each face map of an engine's step tables commutes with the graph's
+each face map of a graph's step table commutes with the graph's
 automorphisms.  `own_searches` runs `spin_group_at` at every vertex, over one
 step table of the graph.  `row_differences` checks the result: it names each
 row whose prediction, verdict or match differs from that vertex's own search.
 `walk_differences` checks each of those searches, which skip the walk states
 they have already walked, against the reference walk of every chain
-(`conftest.reference_search`).  All take an `Engine`, whose store and search
-settings they use, by default a new one that loads no table file, so every
-face map is built from its face, at the default settings; the two checks
-search every vertex themselves unless given `own_searches`' result.  Run as
+(`conftest.reference_search`).  The last three search at an `Engine`'s
+settings, the two checks by default at a new one's; the two checks search
+every vertex themselves unless given `own_searches`' result.  Run as
 a script, it checks the rows and the searches of every vertex over a genus
 range at the default search settings, with one search per vertex and one
 engine whose closure cap is what the range's largest label set needs, and
@@ -68,10 +67,10 @@ def step_map(table: StepTable, cell: frozenset[int], face: Face, u: Vertex, v: V
     return {c: t for c, t in enumerate(mapping) if t >= 0}
 
 
-def face_map_differences(cg: ConnectionGraph, engine: Engine | None = None) -> tuple[int, list[str]]:
+def face_map_differences(cg: ConnectionGraph) -> tuple[int, list[str]]:
     """How many face maps were compared, and each one that an automorphism does not carry
     to the face map at the image cell, face and vertex pair."""
-    table = StepTable(cg, (engine or Engine()).store)
+    table = StepTable(cg)
     sigmas = generating_automorphisms(cg)
     compared, out = 0, []
     for face in enumerate_faces(cg):
@@ -104,9 +103,9 @@ def distinct_graph_classes(lo: int, hi: int) -> list[GraphClass]:
 
 
 def own_searches(gc: GraphClass, engine: Engine) -> Searched:
-    """One step table of the class's graph over the engine's store, and each vertex's own search over it."""
+    """One step table of the class's graph, and each vertex's own search over it at the engine's settings."""
     cg = build_connection_graph(gc)
-    table = StepTable(cg, engine.store)
+    table = StepTable(cg)
     search = dict(max_steps=engine.max_steps, exhaustive=engine.exhaustive, table=table)
     return table, {v: spin_group_at(cg, v, **search) for v in cg.vertices()}
 

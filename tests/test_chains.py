@@ -435,8 +435,8 @@ def test_lazily_listed_steps_end_equal_to_the_eager_listing(monkeypatch):
     """Every step of each top-slice graph up to order 6, after the searched vertices' searches have
     listed part of it: read one choice at a time, and in full, it is every face's cells at once,
     and each choice's map is built once.  A step back lists the same choices, each map the inverse
-    of the step's, with maps built from the faces and lifted through the shipped table file."""
-    from spinatlas import chains, tables
+    of the step's."""
+    from spinatlas import chains
     from spinatlas.classify import spin_group_at
     from spinatlas.faces import cells_of, class_mask, direct_images, face_cycles, neighbour_ids
 
@@ -451,7 +451,6 @@ def test_lazily_listed_steps_end_equal_to_the_eager_listing(monkeypatch):
         return [(c, t) for c, t in enumerate(mapping) if t >= 0]
 
     monkeypatch.setattr(chains, "direct_images", counted)
-    store = tables.load_tables(tables.shipped_tables_path())
     part_listed = steps = pairs = inverses = 0
     for order in range(7):
         for j in range(order + 2):
@@ -472,18 +471,16 @@ def test_lazily_listed_steps_end_equal_to_the_eager_listing(monkeypatch):
                 assert isinstance(listed, list) and [choice for choice, _ in listed] == eager
                 assert built.get((a, b), 0) == len(eager)
                 steps += 1
-            lifted = StepTable(cg, store)
             for a, b in itertools.combinations(range(len(table.vertices)), 2):
                 assert face_cycles(near, a, b) == face_cycles(near, b, a)
-                for both in (table, lifted):
-                    forth, back = list(both.steps(a, b)), list(both.steps(b, a))
-                    assert [choice for choice, _ in back] == [choice for choice, _ in forth]
-                    for (_, there), (_, home) in zip(forth, back):
-                        assert {t: c for c, t in sends(there)} == dict(sends(home))
-                        inverses += 1
+                forth, back = list(table.steps(a, b)), list(table.steps(b, a))
+                assert [choice for choice, _ in back] == [choice for choice, _ in forth]
+                for (_, there), (_, home) in zip(forth, back):
+                    assert {t: c for c, t in sends(there)} == dict(sends(home))
+                    inverses += 1
                 pairs += 1
-    # 50,502 maps and their inverses, each built from its face and lifted (from order 4 on) through the file
-    assert steps == 3360 and pairs == 1680 and inverses == 2 * 50502
+    # 50,502 maps and their inverses, each built from its face
+    assert steps == 3360 and pairs == 1680 and inverses == 50502
     # the searches stop part of the way through some steps, which stay part listed
     assert part_listed > 0
 
@@ -502,38 +499,33 @@ def test_step_table_maps_match_the_direct_builder():
     assert maps == 33792
 
 
-def test_a_map_that_fails_to_build_leaves_the_step_as_it_was():
-    # a store that lacks the entry of one choice's map: every read raises at that choice, and once the
-    # entry is back, the step lists every choice, none skipped, with the maps of a complete store
-    from spinatlas import tables
-    from spinatlas.faces import _canonical
+def test_a_map_that_fails_to_build_leaves_the_step_as_it_was(monkeypatch):
+    # a builder that fails on one choice's map: every read raises at that choice, and once the builder
+    # works again, the step lists every choice, none skipped, with the maps a working builder gives
+    from spinatlas import chains
+    from spinatlas.faces import direct_images
 
-    keys = []
-
-    class Recording(tables.FaceTables):
-        def lookup(self, pattern, cycle, u, v):
-            # the store's key, as `lookup` makes it
-            keys.append((pattern, _canonical(cycle), u, v))
-            return super().lookup(pattern, cycle, u, v)
-
-    complete = tables.compute_order3_tables()
     cg = ConnectionGraph(4, frozenset({4}))
     a, b = cg.vertices().index(P), cg.vertices().index(P4)
-    pairs = list(StepTable(cg, Recording(complete.entries)).steps(a, b))
-    assert len(keys) == len(pairs) > 2
-    lost = keys[len(keys) // 2]
-    # the first choice whose map needs the lost entry
-    k = keys.index(lost)
-    assert k > 0
-    store = tables.FaceTables({key: entry for key, entry in complete.entries.items() if key != lost})
-    table = StepTable(cg, store)
+    pairs = list(StepTable(cg).steps(a, b))
+    assert len(pairs) > 2
+    k = len(pairs) // 2
+    lost = pairs[k][0]
+
+    def failing(order, connected, cell, cycle, u, v):
+        if (cell, cycle) == lost:
+            raise AssertionError("no map")
+        return direct_images(order, connected, cell, cycle, u, v)
+
+    monkeypatch.setattr(chains, "direct_images", failing)
+    table = StepTable(cg)
     for _ in range(2):
         read = []
-        with pytest.raises(tables.TableError, match="^no table entry"):
+        with pytest.raises(AssertionError, match="^no map$"):
             for pair in table.steps(a, b):
                 read.append(pair)
         assert read == pairs[:k]
-    store.entries[lost] = complete.entries[lost]
+    monkeypatch.setattr(chains, "direct_images", direct_images)
     assert list(table.steps(a, b)) == pairs
 
 

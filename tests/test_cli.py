@@ -346,12 +346,16 @@ def test_bad_numbers_and_vertices_are_usage_errors(capsys):
     for argv in (
         ["verify", "--genus", "2..x"],
         ["verify", "--genus", "2", "--orders", "0,y"],
+        # an empty value names no order; it must not mean every order
+        ["verify", "--genus", "2", "--orders", ""],
+        ["verify", "--genus", "2", "--orders="],
         ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--vertex", "Q"],
         ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--vertex", "Px"],
         ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--vertex", "P-1"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("usage error: "), argv
+    assert run(capsys, "verify", "--genus", "2", "--orders=") == (2, "", "usage error: --orders must be an integer, got ''\n")
 
 
 @pytest.mark.parametrize("name", ["P0", "P01", "P+1", "P_1", "P1~~", "P 1"])
@@ -444,107 +448,37 @@ def test_export_dot_deterministic(capsys):
     assert out1 == out2
 
 
-def test_tables_flag(tmp_path, capsys):
-    path = tmp_path / "tables.txt"
-    path.write_text(tables.render_tables(tables.compute_order3_tables()), encoding="utf-8")
-    code, out, _ = run(capsys, "--tables", str(path), "verify", "--genus", "6", "--orders", "4")
-    assert code == 0
-    assert parse_record(out.splitlines()[-1])["mismatches"] == "0"
-
-
-def test_tables_flag_bad_file(tmp_path, capsys):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a table file\n", encoding="utf-8")
-    code, _, err = run(capsys, "--tables", str(path), "verify", "--genus", "2")
-    assert code == 2 and "error" in err
-
-
-def test_tables_flag_rejects_a_partial_map(tmp_path, capsys):
-    lines = tables.render_tables(tables.compute_order3_tables()).splitlines()
-    at = next(k for k, line in enumerate(lines) if line.startswith("pair "))
-    lines[at] = lines[at].rsplit(" ", 1)[0]  # drop the last a>b token
-    path = tmp_path / "partial.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, out, err = run(capsys, "--tables", str(path), "verify", "--genus", "5..7", "--orders", "4,5")
-    assert code == 2 and out == ""
-    assert f"line {at + 1}: the map" in err
-
-
-@pytest.mark.parametrize("digit", ["\u00b2", "\u0661"], ids=["superscript-two", "arabic-indic-one"])
-@pytest.mark.parametrize(
-    "kind,old,new",
-    [("vertex", "pair 0+ 1+ ", "pair 0+ {}+ "), ("pattern", "pattern 3\n", "pattern {}\n"), ("map", " 1>2 ", " {}>2 ")],
-    ids=["vertex", "pattern", "map"],
-)
-def test_table_tokens_take_ascii_digits_only(tmp_path, capsys, digit, kind, old, new):
-    # `int` rejects '²' and reads '١' as 1; either way the token is not the format's
-    text = tables.render_tables(tables.compute_order3_tables())
-    assert old in text
-    path = tmp_path / "tables.txt"
-    path.write_text(text.replace(old, new.format(digit), 1), encoding="utf-8")
-    code, out, err = run(capsys, "--tables", str(path), "verify", "--genus", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error: line ") and f"bad {kind} token" in err
+def test_tables_flag(capsys):
+    # no run loads a table file, so the option is gone: argparse rejects it, an empty path too, before any record
+    for option in (["--tables", "x"], ["--tables", ""], ["--tables=x"]):
+        with pytest.raises(SystemExit) as exit_:
+            main([*option, "verify", "--genus", "2"])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == "", option
+        assert captured.err.startswith("usage: spin-atlas"), option
 
 
 def test_verify_without_a_table_file_looks_up_no_table_entry(capsys, monkeypatch):
     def refuse(*args):
-        raise AssertionError("a run without a table file used the order-3 tables")
+        raise AssertionError("a run used the order-3 tables")
 
-    monkeypatch.delenv(tables.ENV_VAR, raising=False)
     monkeypatch.setattr(tables, "compute_order3_tables", refuse)
     monkeypatch.setattr(tables.FaceTables, "lookup", refuse)
-    # genus 9 has graphs up to order 8; from order 4 on, a run over a table file lifts their maps through it
+    # genus 9 has graphs up to order 8; every face map of them is built from its face
     code, out, _ = run(capsys, "verify", "--genus", "9")
     assert code == 0 and out.splitlines()[-1] == "kind=summary classes=41 mismatches=0"
 
 
-def test_tables_env_var(tmp_path, monkeypatch):
-    path = tmp_path / "tables.txt"
-    path.write_text(tables.render_tables(tables.compute_order3_tables()), encoding="utf-8")
-    monkeypatch.setenv(tables.ENV_VAR, str(path))
-    assert tables.active_tables().entries == tables.compute_order3_tables().entries
-    # without the variable a run loads no store, and builds every face map from its face
-    monkeypatch.delenv(tables.ENV_VAR)
-    assert tables.active_tables() is None
-
-
-@pytest.mark.parametrize("source", ["--tables", "env"])
-@pytest.mark.parametrize("genus", ["2..3", "5..6"])
-def test_unreadable_or_bad_table_files_fail_before_any_record(tmp_path, monkeypatch, capsys, source, genus):
-    # orders 2..3 never look a table up, and 5..6 print order <= 3 records before their first lookup
-    bad = tmp_path / "bad.txt"
-    bad.write_text("not a table file\n", encoding="utf-8")
-    # a decode error is a ValueError, like a bad search setting, but must still read as the file's error
-    latin1 = tmp_path / "latin1.txt"
-    latin1.write_bytes(tables.render_tables(tables.compute_order3_tables()).encode() + b"caf\xe9\n")
-    for path, message in (
-        (tmp_path / "missing.txt", "No such file or directory"),
-        (bad, "missing header line"),
-        (latin1, "latin1.txt: not UTF-8 text"),
-    ):
-        if source == "env":
-            monkeypatch.setenv(tables.ENV_VAR, str(path))
-            argv = ["verify", "--genus", genus]
-        else:
-            argv = ["--tables", str(path), "verify", "--genus", genus]
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and message in err
-
-
-def test_an_empty_tables_path_fails_as_a_file(tmp_path, monkeypatch, capsys):
-    # an empty --tables names no file; it must not fall back to no table file or to the environment's
-    path = tmp_path / "tables.txt"
-    path.write_text(tables.render_tables(tables.compute_order3_tables()), encoding="utf-8")
-    for env in (None, str(path)):
-        if env is None:
-            monkeypatch.delenv(tables.ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(tables.ENV_VAR, env)
-        code, out, err = run(capsys, "--tables", "", "verify", "--genus", "2")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "No such file or directory" in err
+def test_tables_env_var():
+    # the variable that once named a table file is not read: a file that does not exist changes nothing
+    argv = [sys.executable, "-m", "spinatlas.cli", "verify", "--genus", "2..9"]
+    plain = subprocess.run(argv, capture_output=True, text=True, env=python_env(), timeout=120)
+    named = subprocess.run(
+        argv, capture_output=True, text=True, env={**python_env(), "SPIN_ATLAS_TABLES": "/nonexistent"}, timeout=120
+    )
+    assert plain.returncode == named.returncode == 0
+    assert named.stdout == plain.stdout and named.stderr == plain.stderr == ""
+    assert named.stdout.endswith("kind=summary classes=127 mismatches=0\n")
 
 
 def test_usage_error_on_unknown_command():
@@ -570,7 +504,7 @@ def _argparse_reads(argv: list[str]) -> dict | None:
     [
         ["verify", "--genus", "2..8"],
         ["verify", "--genus", "2..5", "--orders", "0,1,2,3", "--exhaustive", "--max-steps", "4"],
-        ["--max-genus", "20", "--tables", "t.txt", "verify", "--genus=13..20", "--closure-cap", "51090942171709440000"],
+        ["--max-genus", "28", "--max-genus=20", "verify", "--genus=13..20", "--closure-cap", "51090942171709440000"],
         ["--max-genus=9", "atlas", "--genus", "9", "--no-compute", "--order", "3", "--order", "4"],
         ["classify", "-g", "12", "-r", "10", "-i", "0", "-p", "0,0,0,0,0,0,0,0,1,0", "--vertex", "P2~"],
         ["classify", "--genus", "3", "--order=2", "--i", "0", "--p=0,1", "--exhaustive", "--exhaustive"],

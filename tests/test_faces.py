@@ -4,23 +4,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import BASIC3_FACES, CHORD2_FACES, CHORD3_FACES, CELL3, F, P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V
+from conftest import BASIC3_FACES, CHORD2_FACES, CHORD3_FACES, CELL3, F, P, P1, P1t, P2, P2t, P3, P3t, Pt, V
 from conftest import FaceKind, build_face_map, conjugate_face, decorated_cell, face_classes, face_kind, pair_count
-from orbit_oracle import step_map
+from lift_oracle import cell_frame, lift_differences, top_slice_graphs
 from spinatlas import tables
-from spinatlas.chains import StepTable
-from spinatlas.faces import (
-    Face,
-    cells_containing,
-    enumerate_faces,
-    cell_frame,
-    face_map,
-    is_face,
-    vertex_id,
-)
+from spinatlas.faces import Face, cells_containing, enumerate_faces, face_map, is_face, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
 
 
@@ -186,7 +175,7 @@ def test_localization_preserves_structure():
                 assert cg.adjacent(u, w) == local.adjacent(lu, lw)
         # localization is a bijection onto the order-3 vertex set
         assert {localize_vertex(classes, v) for v in cell_verts} == set(local.vertices())
-        # the frame the table lookup uses renames by vertex id in the same way
+        # the frame the lift oracle looks maps up through renames by vertex id in the same way
         frame_classes, pattern, ids = cell_frame(cg, cell)
         assert frame_classes == classes and pattern == local.connected
         for v in cg.vertices():
@@ -287,24 +276,6 @@ def test_documented_one_pair_map(hexagon_one_chord):
     assert m == {1: 2, 2: 0}
 
 
-def test_table_round_trip(tmp_path):
-    computed = tables.compute_order3_tables()
-    text = tables.render_tables(computed)
-    parsed = tables.parse_tables(text)
-    assert parsed.entries == computed.entries
-    assert tables.render_tables(parsed) == text
-    path = tmp_path / "t.txt"
-    path.write_text(text, encoding="utf-8")
-    assert tables.load_tables(str(path)).entries == computed.entries
-
-
-def test_shipped_tables_match_computed():
-    with open(tables.shipped_tables_path(), "r", encoding="utf-8") as fh:
-        text = fh.read()
-    assert tables.parse_tables(text).entries == tables.compute_order3_tables().entries
-    assert tables.render_tables(tables.compute_order3_tables()) == text
-
-
 def test_lookup_finds_each_entry_through_a_reversed_cycle():
     store = tables.compute_order3_tables()
     looked_up = 0
@@ -371,106 +342,19 @@ def test_face_map_equals_the_dict_construction():
                 assert face_map(cg, cell, face, u, w) == build(cg, cell, face, u, w)
 
 
-@pytest.mark.parametrize("store", ["shipped", "computed"])
 @pytest.mark.parametrize("order", [4, 5])
-def test_direct_builder_matches_the_table_lift(order, store):
-    # the map built from the face at order r against the one lifted from the order-3
-    # tables: the shipped file, or tables freshly computed from the order-3 graphs
-    from lift_oracle import lift_differences, top_slice_graphs
-
-    lift = tables.load_tables(tables.shipped_tables_path()) if store == "shipped" else tables.compute_order3_tables()
+def test_direct_builder_matches_the_table_lift(order):
+    # the map built from the face at order r against the one lifted from the order-3 tables
     compared = 0
     for cg in top_slice_graphs(order):
-        count, diffs = lift_differences(cg, lift)
+        count, diffs = lift_differences(cg, ORDER3_TABLES)
         assert diffs == []
         compared += count
     assert compared == {4: 6_840, 5: 24_120}[order]
 
 
-def test_loaded_tables_drive_higher_orders(tmp_path):
-    path = tmp_path / "tables.txt"
-    path.write_text(tables.render_tables(tables.compute_order3_tables()), encoding="utf-8")
-    cg = ConnectionGraph(4, frozenset({4}))
-    cell = frozenset({0, 2, 3, 4})
-    face = F(P, P2, P4t, P4)
-    before = face_map(cg, cell, face, P, P4)
-    loaded = tables.load_tables(str(path))
-    assert step_map(StepTable(cg, loaded), cell, face, P, P4) == before
-    # the step table lifts the map from the store it is given: one without entries has none to give
-    with pytest.raises(tables.TableError):
-        step_map(StepTable(cg, tables.FaceTables({})), cell, face, P, P4)
-
-
-TABLE_LINES = tables.render_tables(ORDER3_TABLES).splitlines()
-
-
-def _mutate(kind: str, pick: int) -> str:
-    """The rendered tables with one line broken: a pair line dropped, a target repeated
-    within a pair line, or a face line rotated."""
-    lines = list(TABLE_LINES)
-    if kind == "drop pair":
-        at = [k for k, line in enumerate(lines) if line.startswith("pair ")]
-        del lines[at[pick % len(at)]]
-    elif kind == "repeat target":
-        at = [k for k, line in enumerate(lines) if line.startswith("pair ") and len(line.split()) >= 5]
-        fields = lines[at[pick % len(at)]].split()
-        fields[4] = fields[4].split(">")[0] + ">" + fields[3].split(">")[1]
-        lines[at[pick % len(at)]] = " ".join(fields)
-    else:
-        at = [k for k, line in enumerate(lines) if line.startswith("face ")]
-        fields = lines[at[pick % len(at)]].split()
-        shift = 1 + pick % 3
-        lines[at[pick % len(at)]] = " ".join(["face", *fields[1 + shift:], *fields[1:1 + shift]])
-    return "\n".join(lines) + "\n"
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["drop pair", "repeat target", "rotate face"]), st.integers(min_value=0, max_value=10_000))
-def test_broken_table_files_are_rejected_at_load(kind, pick):
-    with pytest.raises(tables.TableError):
-        tables.parse_tables(_mutate(kind, pick))
-
-
-def test_table_file_errors_name_the_line_or_entry():
-    text = "\n".join(TABLE_LINES) + "\n"
-    face_line, pair_line = TABLE_LINES[2:4]
-    assert face_line.startswith("face ") and pair_line.startswith("pair ")
-    first, *rest = face_line.split()[1:]
-    with pytest.raises(tables.TableError, match="^line 3: .* is not a canonical face"):
-        tables.parse_tables(text.replace(face_line, " ".join(["face", *rest, first])))
-    with pytest.raises(tables.TableError, match="^missing table entry: pattern -, face P-P1-P2~-P3, pair P->P1$"):
-        tables.parse_tables(text.replace(pair_line + "\n", ""))
-    with pytest.raises(tables.TableError, match="^line 5: P->P1 is not a new vertex pair"):
-        tables.parse_tables(text.replace(pair_line, pair_line + "\n" + pair_line))
-    # class 9 labels nothing in an order-3 graph
-    with pytest.raises(tables.TableError, match="^line 4: .* leaves their label sets"):
-        tables.parse_tables(text.replace(pair_line, pair_line.rsplit(">", 1)[0] + ">9"))
-    # a face map pairs every label at the end with fewer labels
-    with pytest.raises(tables.TableError, match="^line 4: the map P->P1 pairs 2 of 3 labels$"):
-        tables.parse_tables(text.replace(pair_line, pair_line.rsplit(" ", 1)[0]))
-    with pytest.raises(tables.TableError, match="^line 2: '5' is not an order-3 cell pattern"):
-        tables.parse_tables(text.replace("pattern -", "pattern 5", 1))
-    # a bad token names its line too, in a pattern, face or pair line
-    with pytest.raises(tables.TableError, match="^line 2: bad pattern token 'x'$"):
-        tables.parse_tables(text.replace("pattern -", "pattern x", 1))
-    # a pattern is written one way only, its classes ascending and each once, as faces are
-    for canonical, token in (("3", "33"), ("23", "32"), ("0123", "1230")):
-        line = TABLE_LINES.index(f"pattern {canonical}") + 1
-        with pytest.raises(tables.TableError, match=f"^line {line}: bad pattern token '{token}'$"):
-            tables.parse_tables(text.replace(f"\npattern {canonical}\n", f"\npattern {token}\n"))
-    with pytest.raises(tables.TableError, match="^line 3: bad vertex token 'x-'$"):
-        tables.parse_tables(text.replace(face_line, " ".join(["face", "x-", *rest])))
-    bad_pair = pair_line.split()
-    bad_pair[2] = "x+"
-    with pytest.raises(tables.TableError, match="^line 4: bad vertex token 'x\\+'$"):
-        tables.parse_tables(text.replace(pair_line, " ".join(bad_pair)))
-
-
 def test_bad_tables_rejected():
-    with pytest.raises(tables.TableError):
-        tables.parse_tables("wrong header\n")
-    with pytest.raises(tables.TableError):
-        tables.parse_tables(tables.FORMAT_HEADER + "\nnonsense line\n")
+    # tables without the entry a lookup asks for name the key they lack
     incomplete = tables.FaceTables({})
     with pytest.raises(tables.TableError, match=r"pattern \[\], face P-P1-P2~-P3, P->P1$"):
         incomplete.lookup(frozenset(), (0, 2, 5, 6), 0, 2)
