@@ -9,7 +9,6 @@ share one degree.  Inadmissible chains evaluate to the identity.
 """
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
@@ -158,10 +157,11 @@ class StepTable:
 
     The (cell, face) choices of a step from vertex a to vertex b are its faces as canonical id cycles
     in `enumerate_faces` order, each followed by its cells in order; choice k is the step's k-th.  The
-    faces through a and b are their `face_cycles`, found once for the pair when either step is first
-    read.  `steps(a, b)` gives each choice with its face map from one list per step: the first reader
-    to reach a choice derives it from its face and appends it with its map, and the list is the step
-    once the choices run out; each map is built from its face by `faces.direct_images`.
+    faces through a and b are their `face_cycles`, and both steps between a and b share one choice
+    list, extended a face at a time as far as any reader of either step reaches.  `steps(a, b)` gives
+    each choice with its face map from one list per step: the first reader to reach a choice appends
+    it with its map, built from its face by `faces.direct_images`, and the list is the step once the
+    choices run out.
     A search path is a sequence of (vertex id, choice index) steps; `chain` builds its chain, no map.
     """
 
@@ -169,18 +169,25 @@ class StepTable:
         self.cg = cg
         self.vertices = cg.vertices()
         self._near = neighbour_ids(cg)
-        # per vertex pair (a < b) read so far, the faces through both
-        self._faces: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        # per vertex pair (a < b) read so far: the choices of both steps between a and b listed so far,
+        # and the faces through a and b whose choices are not listed yet
+        self._choices: dict[tuple[int, int], tuple[list[Choice], Iterator[tuple[int, ...]]]] = {}
         # per step read so far, its (choice, face map) pairs listed so far, and the steps listed in full
         self._listed: dict[tuple[int, int], list[tuple[Choice, tuple[int, ...]]]] = {}
         self._whole: set[tuple[int, int]] = set()
 
-    def _choices(self, a: int, b: int) -> Iterator[Choice]:
+    def _choice(self, a: int, b: int, k: int) -> Choice | None:
+        """Choice k of the step from a to b, or None if the step has no more than k choices."""
         pair = (a, b) if a < b else (b, a)
-        faces = self._faces.get(pair)
-        if faces is None:
-            faces = self._faces[pair] = face_cycles(self._near, a, b)
-        return ((cell, cycle) for cycle in faces for cell in cells_of(self.cg.order, class_mask(cycle)))
+        if pair not in self._choices:
+            self._choices[pair] = [], iter(face_cycles(self._near, *pair))
+        choices, faces = self._choices[pair]
+        while k >= len(choices):
+            cycle = next(faces, None)
+            if cycle is None:
+                return None
+            choices += [(cell, cycle) for cell in cells_of(self.cg.order, class_mask(cycle))]
+        return choices[k]
 
     def steps(self, a: int, b: int) -> Iterable[tuple[Choice, tuple[int, ...]]]:
         """The step's (choice, face map) pairs in choice order: a list once every choice is listed."""
@@ -188,18 +195,21 @@ class StepTable:
         return listed if (a, b) in self._whole else self._listing(a, b, listed)
 
     def _listing(self, a: int, b: int, listed: list) -> Iterator[tuple[Choice, tuple[int, ...]]]:
-        # a map that fails to build appends nothing, so the next read raises at the same choice
-        for k, (cell, cycle) in enumerate(self._choices(a, b)):
+        k = 0
+        # a choice already listed is read from `listed`; only the next one past it is asked for
+        while k < len(listed) or (choice := self._choice(a, b, k)) is not None:
             if k == len(listed):
-                listed.append(((cell, cycle), direct_images(self.cg.order, self.cg.connected, cell, cycle, a, b)))
+                # a map that fails to build appends nothing, so the next read raises at the same choice
+                listed.append((choice, direct_images(self.cg.order, self.cg.connected, *choice, a, b)))
             yield listed[k]
+            k += 1
         self._whole.add((a, b))
 
     def chain(self, start: Vertex, path: tuple[tuple[int, int], ...]) -> SpinChain:
         """The chain at `start` whose steps take, in turn, choice k of the step to vertex b."""
         steps, a = [], vertex_id(start)
         for b, k in path:
-            cell, cycle = next(itertools.islice(self._choices(a, b), k, None))
+            cell, cycle = self._choice(a, b, k)
             steps.append(ChainStep(cell, Face(tuple(map(self.vertices.__getitem__, cycle))), self.vertices[b]))
             a = b
         return SpinChain(start, tuple(steps))

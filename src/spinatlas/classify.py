@@ -14,8 +14,6 @@ from .params import GraphClass
 from .groups import GroupVerdict
 
 DEFAULT_MAX_STEPS = 6
-# the largest label set at the default maximum genus 12 has 12 points
-DEFAULT_CLOSURE_CAP = math.factorial(12)
 
 
 def predict_group(cg: ConnectionGraph, v: Vertex) -> GroupVerdict:
@@ -91,19 +89,14 @@ class Engine:
     given no engine makes its own, which it drops when it returns.
     """
 
-    def __init__(self, max_steps=DEFAULT_MAX_STEPS, closure_cap=DEFAULT_CLOSURE_CAP, exhaustive=False):
+    def __init__(self, max_steps=DEFAULT_MAX_STEPS, exhaustive=False):
         _at_least("max-steps", max_steps, 2)
-        _at_least("closure-cap", closure_cap, 1)
-        self.max_steps, self.closure_cap, self.exhaustive = max_steps, closure_cap, exhaustive
+        self.max_steps, self.exhaustive = max_steps, exhaustive
         # per graph, the `VertexRow`s of `verify_class`
         self.rows: dict[ConnectionGraph, tuple[VertexRow, ...]] = {}
 
     def search(self, cg: ConnectionGraph, vertices, table: StepTable) -> Iterator[SpinGroupResult]:
-        """Yield each vertex's search over the graph's step table, in order, once every label set's n! fits the cap."""
-        for v in vertices:
-            n = len(cg.label_classes(v))
-            if math.factorial(n) > self.closure_cap:
-                raise groups.CapExceededError(f"label set of size {n} needs cap >= {math.factorial(n)}")
+        """Yield each vertex's search over the graph's step table, in order."""
         search = dict(max_steps=self.max_steps, exhaustive=self.exhaustive, table=table)
         # through the module global, so a wrapper installed on it sees every search
         yield from (spin_group_at(cg, v, **search) for v in vertices)
@@ -129,8 +122,7 @@ def spin_group_at(
     `table`, the graph's step table (by default a new one), once, and skips
     each repeat of a walk state whose chains it has already walked, counting
     them as tried.  A vertex not in the graph, a step table of another graph,
-    or `max_steps` below 2 raises ValueError.  No closure cap applies: a
-    run's `Engine` checks it before its first search.
+    or `max_steps` below 2 raises ValueError.
     """
     _at_least("max-steps", max_steps, 2)
     if v not in cg.vertices():

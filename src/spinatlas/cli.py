@@ -1,8 +1,7 @@
 """Command-line front end: enumerate classes, classify vertices, verify, export DOT.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parameter error,
-3 resource limit: the closure cap (`atlas` records the class as `match=skipped` instead) or memory,
-4 internal error (its traceback on stderr),
+3 out of memory, 4 internal error (its traceback on stderr),
 141 stdout closed by its reader (as `| head` does), the shell's code for SIGPIPE.
 All output is deterministic for fixed flags.
 """
@@ -14,7 +13,7 @@ from types import SimpleNamespace
 
 from . import classify as _classify
 from .chains import StepTable
-from .groups import CapExceededError, cycles_str
+from .groups import cycles_str
 from .graph import UnsupportedOrderError, Vertex, build_connection_graph, edge_multiplicities_r_le_2
 from .params import GraphClass, InvalidClassError, enumerate_classes, heads
 
@@ -40,26 +39,6 @@ def _fmt_map(pairs) -> str:
 
 def render_record(fields: dict[str, str]) -> str:
     return " ".join(f"{key}={value}" for key, value in fields.items())
-
-
-def parse_record(line: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for token in line.split():
-        key, sep, value = token.partition("=")
-        if sep != "=" or not key:
-            raise ValueError(f"bad record token {token!r}")
-        out[key] = value
-    return out
-
-
-def parse_list(value: str) -> list[str]:
-    return [] if value == "-" else value.split(",")
-
-
-def parse_map(value: str) -> dict[str, str]:
-    if value == "-":
-        return {}
-    return dict(item.split(":", 1) for item in value.split(","))
 
 
 # ---------------------------------------------------------------- rows
@@ -124,12 +103,7 @@ def cmd_atlas(args, engine: _classify.Engine) -> int:
     if args.order is not None and not 0 <= args.order < args.genus:
         raise UsageError(f"order must satisfy 0 <= r < genus")
     for gc in enumerate_classes(args.genus, args.order):
-        report = None
-        if not args.no_compute:
-            try:
-                report = _classify.verify_class(gc, engine=engine)
-            except CapExceededError:
-                report = None
+        report = None if args.no_compute else _classify.verify_class(gc, engine=engine)
         print(render_record(atlas_record(gc, report)))
         sys.stdout.flush()  # each class's record leaves as it finishes, so a run cut short keeps it
     return 0
@@ -243,7 +217,6 @@ _GLOBAL_OPTIONS = (
 )
 _SEARCH_OPTIONS = (
     (("--max-steps",), {"type": int, "default": _classify.DEFAULT_MAX_STEPS}),
-    (("--closure-cap",), {"type": int, "default": _classify.DEFAULT_CLOSURE_CAP}),
     (("--exhaustive",), {"action": "store_true", "help": "consume the whole chain budget until the group is S_n"}),
 )
 # per command: its help, its `func` default and its options, in the order `--help` lists them
@@ -378,7 +351,7 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_args(argv) or build_parser().parse_args(argv)
-    flags = {k: v for k, v in vars(args).items() if k in ("max_steps", "closure_cap", "exhaustive")}
+    flags = {k: v for k, v in vars(args).items() if k in ("max_steps", "exhaustive")}
     try:
         engine = _classify.Engine(**flags)  # the search flags are checked before any record
     except ValueError as exc:
@@ -386,9 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args, engine)
-    except CapExceededError as exc:
-        print(f"CapExceeded: {exc}", file=sys.stderr)
-        return 3
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -408,7 +378,7 @@ def run() -> None:
         code = exc.code
     except BrokenPipeError:
         code = BROKEN_PIPE_EXIT
-    except Exception as exc:  # out of memory is a resource limit, as the closure cap is; the rest are faults
+    except Exception as exc:  # out of memory is the one resource limit; the rest are faults
         code = 3 if isinstance(exc, MemoryError) else INTERNAL_ERROR_EXIT
         sys.excepthook(type(exc), exc, exc.__traceback__)
     sys.stderr.flush()

@@ -15,7 +15,7 @@ Perm = tuple[int, ...]
 
 
 class CapExceededError(RuntimeError):
-    """A group, or the full symmetric group on a label set, has order above the cap."""
+    """A group to be enumerated by `closure` has order above its cap."""
 
 
 def identity_perm(n: int) -> Perm:

@@ -35,6 +35,29 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=python_env(), timeout=120)
 
 
+def parse_record(line: str) -> dict[str, str]:
+    """The fields of a `key=value` record line, as `cli.render_record` writes them."""
+    out: dict[str, str] = {}
+    for token in line.split():
+        key, sep, value = token.partition("=")
+        if sep != "=" or not key:
+            raise ValueError(f"bad record token {token!r}")
+        out[key] = value
+    return out
+
+
+def parse_list(value: str) -> list[str]:
+    """A record's comma-joined list, `-` for empty."""
+    return [] if value == "-" else value.split(",")
+
+
+def parse_map(value: str) -> dict[str, str]:
+    """A record's `class:value` pairs, `-` for none."""
+    if value == "-":
+        return {}
+    return dict(item.split(":", 1) for item in value.split(","))
+
+
 def V(cls: int, tilded: bool = False) -> Vertex:
     return Vertex(cls, tilded)
 

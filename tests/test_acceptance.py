@@ -33,11 +33,12 @@ from conftest import (
     is_basic,
     mk_chain,
     parity,
+    parse_record,
     reversed_chain,
 )
 from spinatlas.chains import evaluate, is_admissible
 from spinatlas.classify import Engine, spin_group_at, verify_class
-from spinatlas.cli import main, parse_record
+from spinatlas.cli import main
 from spinatlas.faces import enumerate_faces, cells_containing, face_map
 from spinatlas.graph import ConnectionGraph, Vertex
 from spinatlas.groups import closure, identity_perm, inverse, recognize

@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import python_env, run_python
+from conftest import parse_list, parse_map, parse_record, python_env, run_python
 from spinatlas import tables
-from spinatlas.cli import _COMMANDS, _GLOBAL_OPTIONS, _read_args, build_parser, main
-from spinatlas.cli import parse_list, parse_map, parse_record, render_record
+from spinatlas.cli import _COMMANDS, _GLOBAL_OPTIONS, _read_args, build_parser, main, render_record
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -79,6 +78,17 @@ def test_atlas_flushes_each_class_record(monkeypatch):
     assert log.at_flush == ["".join(lines[:k]) for k in range(1, len(lines) + 1)]
 
 
+def test_verify_flushes_each_class_record(monkeypatch):
+    # each class's records leave at their own flush, so a run cut short keeps every class it has finished;
+    # the summary follows the last class, and leaves through `run`'s flush
+    log = _FlushLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(["verify", "--genus", "2..5"]) == 0
+    lines = log.getvalue().splitlines(keepends=True)
+    assert len(lines) == 23 and lines[-1] == "kind=summary classes=22 mismatches=0\n"
+    assert log.at_flush == ["".join(lines[:k]) for k in range(1, len(lines))]
+
+
 def test_atlas_genus2(capsys):
     code, out, _ = run(capsys, "atlas", "--genus", "2")
     assert code == 0
@@ -112,9 +122,9 @@ def test_atlas_passes_exhaustive_through(capsys, monkeypatch):
     assert code == 0 and flags == {True} and out == plain
 
 
-def test_atlas_checks_the_cap_before_any_search(capsys, monkeypatch):
-    # the default cap is 12!, so the genus-20 graphs with a larger label set are skipped without a search;
-    # each such graph cost every class of it a full search of its smaller orbit and a call that raised
+def test_atlas_computes_every_class_past_genus_12(capsys, monkeypatch):
+    # label sets of up to 20 points, each searched once per orbit of its graph; while the closure cap was 12!,
+    # the 66 classes of the graphs with a larger label set were skipped (`match=skipped`)
     from spinatlas import classify
 
     calls = []
@@ -126,8 +136,10 @@ def test_atlas_checks_the_cap_before_any_search(capsys, monkeypatch):
 
     monkeypatch.setattr(classify, "spin_group_at", counted)
     code, out, _ = run(capsys, "--max-genus", "20", "atlas", "--genus", "20")
-    assert code == 0 and len(calls) == 138
-    assert hashlib.sha256(out.encode()).hexdigest().startswith("3736a25a")
+    records = [parse_record(line) for line in out.splitlines()]
+    assert code == 0 and len(calls) == 210
+    assert len(records) == 791 and all(r["match"] == "true" for r in records)
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("c38d2dc9")
 
 
 def test_atlas_rejects_bad_genus(capsys):
@@ -252,7 +264,7 @@ def test_verify_small_range(capsys):
 
 
 def test_verify_genus10_under_default_flags(capsys):
-    # label sets of up to 10 points: S10 must fit the default closure cap
+    # label sets of up to 10 points
     code, out, _ = run(capsys, "verify", "--genus", "10")
     assert code == 0
     assert parse_record(out.splitlines()[-1]) == {"kind": "summary", "classes": "55", "mismatches": "0"}
@@ -265,17 +277,26 @@ def test_verify_exhaustive_range_finishes(capsys):
     assert out.splitlines()[-1] == "kind=summary classes=57 mismatches=0"
 
 
-def test_cap_exceeded_exits_3(capsys):
-    # S3 (6 elements) on the order-2 label sets does not fit a cap of 2
+def test_closure_cap_is_an_unknown_option(capsys):
+    # no search enumerates a group, and a label set at genus g has at most g points, so `--max-genus` is the
+    # one bound on a run: argparse rejects the option, before any record
     for argv in (
-        ["verify", "--genus", "3", "--closure-cap", "2"],
+        ["atlas", "--genus", "3", "--closure-cap", "2"],
         ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--closure-cap", "2"],
+        ["verify", "--genus", "3", "--closure-cap", "2"],
     ):
-        code, _, err = run(capsys, *argv)
-        assert code == 3 and err.startswith("CapExceeded: "), argv
-    code, out, _ = run(capsys, "atlas", "--genus", "3", "--closure-cap", "2")
-    assert code == 0
-    assert "skipped" in {parse_record(line)["match"] for line in out.splitlines()}
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == "", argv
+        assert "unrecognized arguments: --closure-cap 2" in captured.err, argv
+
+
+def test_verify_runs_past_genus_12_with_the_genus_bound_raised(capsys):
+    # label sets of up to 13 points; this stopped with exit 3 while the closure cap was 12!
+    code, out, err = run(capsys, "--max-genus", "13", "verify", "--genus", "13")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "kind=summary classes=134 mismatches=0"
 
 
 def test_max_steps_below_two_is_a_usage_error(capsys):
@@ -290,19 +311,15 @@ def test_max_steps_below_two_is_a_usage_error(capsys):
 
 
 def test_bad_parameters_are_usage_errors(capsys):
-    # a cap below 1, or orders no genus of the range has, would otherwise end
-    # as a cap hit or an empty "success"
+    # orders no genus of the range has would otherwise end as an empty "success"
     for argv in (
-        ["atlas", "--genus", "3", "--closure-cap", "0"],
-        ["classify", "-g", "3", "-r", "2", "-i", "0", "-p", "0,1", "--closure-cap", "0"],
-        ["verify", "--genus", "3", "--closure-cap", "-5"],
         ["verify", "--genus", "2..3", "--orders", "5"],
         ["verify", "--genus", "2..3", "--orders", "-1"],
         ["verify", "--genus", "2..3", "--orders", "0,3"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and err.startswith("usage error: ") and out == "", argv
-    code, out, _ = run(capsys, "verify", "--genus", "2..3", "--orders", "2", "--closure-cap", "6")
+    code, out, _ = run(capsys, "verify", "--genus", "2..3", "--orders", "2")
     assert code == 0 and out.splitlines()[-1] == "kind=summary classes=1 mismatches=0"
 
 
@@ -324,22 +341,6 @@ def test_verify_with_orders_filter(capsys):
 def test_verify_rejects_bad_range(capsys):
     code, _, err = run(capsys, "verify", "--genus", "6..2")
     assert code == 2 and "usage error" in err
-
-
-def test_verify_streams_records_before_a_cap_hit(capsys):
-    # label sets of orders 0 and 1 have at most 2 points, so their classes fit a
-    # cap of 2; the first order-2 class (genus 3) needs 3! and stops the run
-    code, out, err = run(capsys, "verify", "--genus", "2..3", "--closure-cap", "2")
-    records = [parse_record(line) for line in out.splitlines()]
-    assert code == 3 and err.startswith("CapExceeded: ")
-    assert all(r["kind"] == "verify" and r["match"] == "true" for r in records)
-    assert [(r["genus"], r["order"], r["i"], r["p"]) for r in records] == [
-        ("2", "0", "2", "-"),
-        ("2", "1", "0", "1"),
-        ("3", "0", "3", "-"),
-        ("3", "1", "0", "2"),
-        ("3", "1", "1", "0"),
-    ]
 
 
 def test_bad_numbers_and_vertices_are_usage_errors(capsys):
@@ -504,7 +505,7 @@ def _argparse_reads(argv: list[str]) -> dict | None:
     [
         ["verify", "--genus", "2..8"],
         ["verify", "--genus", "2..5", "--orders", "0,1,2,3", "--exhaustive", "--max-steps", "4"],
-        ["--max-genus", "28", "--max-genus=20", "verify", "--genus=13..20", "--closure-cap", "51090942171709440000"],
+        ["--max-genus", "28", "--max-genus=20", "verify", "--genus=13..20", "--max-steps", "51090942171709440000"],
         ["--max-genus=9", "atlas", "--genus", "9", "--no-compute", "--order", "3", "--order", "4"],
         ["classify", "-g", "12", "-r", "10", "-i", "0", "-p", "0,0,0,0,0,0,0,0,1,0", "--vertex", "P2~"],
         ["classify", "--genus", "3", "--order=2", "--i", "0", "--p=0,1", "--exhaustive", "--exhaustive"],
@@ -533,7 +534,7 @@ def test_reader_reads_plain_command_lines_as_argparse_does(argv):
         ["classify", "-g3", "-r", "2", "-i", "0", "-p", "0,1"],
         ["classify", "-g=3", "-r", "2", "-i", "0", "-p", "0,1"],
         ["verify", "--genus", "2", "--", "--orders", "1"],
-        ["verify", "--genus", "2", "--closure-cap", "-5"],
+        ["verify", "--genus", "2", "--max-steps", "-5"],
         ["classify", "-g", "2", "-r", "0", "-p", "-1"],
         ["verify", "--orders", "1"],
         ["verify", "--genus"],
@@ -611,7 +612,7 @@ def test_reader_agrees_with_argparse(argv):
     [
         (["verify", "--genus", "2..4"], 0),
         (["verify", "--genus", "1"], 2),
-        (["verify", "--genus", "3", "--closure-cap", "2"], 3),
+        (["verify", "--genus", "3", "--closure-cap", "2"], 2),
         # long outputs: classify's records leave the buffer only through `run`'s flush, atlas's a class at a time
         (["atlas", "--genus", "9"], 0),
         (["classify", "-g", "12", "-r", "10", "-i", "0", "-p", "0,0,0,0,0,0,0,0,1,0"], 0),
@@ -620,7 +621,11 @@ def test_reader_agrees_with_argparse(argv):
 def test_module_entry_point_exits_with_the_code_and_output_of_main(capsys, argv, code):
     done = run_python("-m", "spinatlas.cli", *argv)
     assert done.returncode == code
-    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+    try:
+        ours = run(capsys, *argv)
+    except SystemExit as exc:  # argparse's usage errors leave `main` this way
+        ours = (exc.code, *capsys.readouterr())
+    assert (done.returncode, done.stdout, done.stderr) == ours
 
 
 ARGPARSE_MODULES = {"argparse", "gettext", "locale"}

@@ -321,20 +321,6 @@ def test_exhaustive_stops_at_the_full_symmetric_group(order3_one_chord):
         assert full.chains_tried == early.chains_tried
 
 
-def test_cap_guard(monkeypatch):
-    # the cap is the engine's run policy: it stops the class before any search, and the search itself has no cap
-    from spinatlas import classify
-
-    cg = ConnectionGraph(5, frozenset({5}))
-    gc = next(gc for gc in enumerate_classes(6, 5) if build_connection_graph(gc) == cg)
-    calls = []
-    monkeypatch.setattr(classify, "spin_group_at", lambda *args, **kwargs: calls.append(args))
-    with pytest.raises(CapExceededError, match=r"^label set of size 5 needs cap >= 120$"):
-        verify_class(gc, engine=Engine(closure_cap=10))
-    assert calls == []
-    assert spin_group_at(cg, P).verdict == symmetric(5)
-
-
 def test_search_settings_below_their_bounds_raise_value_errors():
     # a search of no chains would report the trivial group, against a predicted S4
     cg = build_connection_graph(GraphClass(8, 3, 1, (0, 0, 1)))
@@ -342,11 +328,6 @@ def test_search_settings_below_their_bounds_raise_value_errors():
         spin_group_at(cg, P, max_steps=1)
     with pytest.raises(ValueError, match="^--max-steps must be >= 2, got 1$"):
         Engine(max_steps=1)
-    with pytest.raises(ValueError, match="^--closure-cap must be >= 1, got 0$"):
-        Engine(closure_cap=0)
-    # the steps are checked first, as the command line reports them
-    with pytest.raises(ValueError, match="^--max-steps"):
-        Engine(max_steps=0, closure_cap=0)
 
 
 def test_a_step_table_of_another_graph_is_rejected():

@@ -77,7 +77,7 @@ def test_two_engines_in_one_process(monkeypatch):
     # else of the run
     cg = ConnectionGraph(4, order4.connected_pairs)
     assert default.rows == {cg: first.rows}
-    assert set(vars(default)) == {"max_steps", "closure_cap", "exhaustive", "rows"}
+    assert set(vars(default)) == {"max_steps", "exhaustive", "rows"}
     # other search settings need a second engine, which shares nothing with the first
     calls.clear()
     other = classify.verify_class(order4, engine=five)
