@@ -175,6 +175,8 @@ class StepTable:
         # per step read so far, its (choice, face map) pairs listed so far, and the steps listed in full
         self._listed: dict[tuple[int, int], list[tuple[Choice, tuple[int, ...]]]] = {}
         self._whole: set[tuple[int, int]] = set()
+        # per class mask of a face met so far, its `cells_of`
+        self._cells: dict[int, tuple[frozenset[int], ...]] = {}
 
     def _choice(self, a: int, b: int, k: int) -> Choice | None:
         """Choice k of the step from a to b, or None if the step has no more than k choices."""
@@ -186,7 +188,11 @@ class StepTable:
             cycle = next(faces, None)
             if cycle is None:
                 return None
-            choices += [(cell, cycle) for cell in cells_of(self.cg.order, class_mask(cycle))]
+            mask = class_mask(cycle)
+            cells = self._cells.get(mask)
+            if cells is None:
+                cells = self._cells[mask] = cells_of(self.cg.order, mask)
+            choices += [(cell, cycle) for cell in cells]
         return choices[k]
 
     def steps(self, a: int, b: int) -> Iterable[tuple[Choice, tuple[int, ...]]]:

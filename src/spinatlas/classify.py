@@ -89,15 +89,15 @@ class Engine:
     given no engine makes its own, which it drops when it returns.
     """
 
-    def __init__(self, max_steps=DEFAULT_MAX_STEPS, exhaustive=False):
+    def __init__(self, max_steps=DEFAULT_MAX_STEPS):
         _at_least("max-steps", max_steps, 2)
-        self.max_steps, self.exhaustive = max_steps, exhaustive
+        self.max_steps = max_steps
         # per graph, the `VertexRow`s of `verify_class`
         self.rows: dict[ConnectionGraph, tuple[VertexRow, ...]] = {}
 
     def search(self, cg: ConnectionGraph, vertices, table: StepTable) -> Iterator[SpinGroupResult]:
         """Yield each vertex's search over the graph's step table, in order."""
-        search = dict(max_steps=self.max_steps, exhaustive=self.exhaustive, table=table)
+        search = dict(max_steps=self.max_steps, table=table)
         # through the module global, so a wrapper installed on it sees every search
         yield from (spin_group_at(cg, v, **search) for v in vertices)
 
@@ -106,23 +106,21 @@ def spin_group_at(
     cg: ConnectionGraph,
     v: Vertex,
     max_steps: int = DEFAULT_MAX_STEPS,
-    exhaustive: bool = False,
     table: StepTable | None = None,
 ) -> SpinGroupResult:
-    """Search the chains at v until their permutations generate the predicted group.
+    """Search the chains at v until their permutations generate S_n on the label set, or up to `max_steps`.
 
-    When the prediction is the full symmetric group S_n on the label set, a
-    `SymmetricCertificate` decides, and the search stops once it has proved
-    S_n, which no chain can exceed.  Otherwise each new permutation is sifted
-    into one stabilizer chain, and the search stops once the group is S_n
-    and, unless `exhaustive`, as soon as the prediction is reached.  So
-    `exhaustive` consumes the whole chain budget only while the group is
-    smaller than S_n.  A search that ends without a certificate sifts what it
-    met into a stabilizer chain for the exact order.  The search walks
-    `table`, the graph's step table (by default a new one), once, and skips
-    each repeat of a walk state whose chains it has already walked, counting
-    them as tried.  A vertex not in the graph, a step table of another graph,
-    or `max_steps` below 2 raises ValueError.
+    A `SymmetricCertificate` takes each new permutation, and the search stops
+    once it has proved S_n, which no chain can exceed; otherwise it walks the
+    whole chain budget.  A search that ends without a certificate sifts what it
+    met into a stabilizer chain for the exact order.  The closed-form
+    prediction neither chooses the engine nor stops the search: it only fills
+    the result's `predicted`, so the verdict is checked against it, never
+    shaped by it.  The search walks `table`, the graph's step table (by
+    default a new one), once, and skips each repeat of a walk state whose
+    chains it has already walked, counting them as tried.  A vertex not in the
+    graph, a step table of another graph, or `max_steps` below 2 raises
+    ValueError.
     """
     _at_least("max-steps", max_steps, 2)
     if v not in cg.vertices():
@@ -132,12 +130,7 @@ def spin_group_at(
     elif table.cg != cg:
         raise ValueError(f"a step table of {table.cg} cannot search {cg}")
     n = len(cg.label_classes(v))
-    predicted = predict_group(cg, v)
-    full_order = math.factorial(n)
-    if predicted == groups.symmetric(n):
-        certificate, group = groups.SymmetricCertificate(n), None
-    else:
-        certificate, group = None, groups.StabChain(n)
+    certificate = groups.SymmetricCertificate(n)
     # every permutation met so far: most chains repeat one of a few permutations,
     # and a set lookup is cheaper than a sift
     seen: set[groups.Perm] = {groups.identity_perm(n)}
@@ -168,12 +161,7 @@ def spin_group_at(
             return False
         seen.add(perm)
         distinct.append((tuple(path), perm))
-        if certificate is not None:
-            return certificate.add(perm)
-        if not group.add(perm):
-            return False
-        order = group.order()
-        return order == full_order or (not exhaustive and groups.recognize(order, n) == predicted)
+        return certificate.add(perm)
 
     def extend(a: int, carried: Carried | None, remaining: int) -> bool:
         """Walk every chain from vertex a with `remaining` steps left; True once the search is decided."""
@@ -206,12 +194,9 @@ def spin_group_at(
     # `extend` reaches itself through its closure, a reference cycle that would keep the walk's
     # memo, `seen` and the step table until the cyclic collector runs: break it now
     del extend
-    if decided and group is None:
-        order = full_order
-    else:
-        # a stop on the stabilizer chain, or the budget ran out: the exact group of every permutation met
-        order = (group or _sift(distinct, n)[0]).order()
-    return SpinGroupResult(cg, v, groups.recognize(order, n), predicted, order, tuple(distinct), tried)
+    # without a certificate the budget ran out: the exact group of every permutation met
+    order = math.factorial(n) if decided else _sift(distinct, n)[0].order()
+    return SpinGroupResult(cg, v, groups.recognize(order, n), predict_group(cg, v), order, tuple(distinct), tried)
 
 
 VertexRow = namedtuple("VertexRow", "vertex degree predicted computed match")

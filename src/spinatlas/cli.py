@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parameter error,
 3 out of memory, 4 internal error (its traceback on stderr),
 141 stdout closed by its reader (as `| head` does), the shell's code for SIGPIPE.
-All output is deterministic for fixed flags.
+All output is deterministic for fixed flags.  Every search runs until its
+chains prove S_n on the label set or spend the `--max-steps` budget, whatever
+the prediction; `--exhaustive` is accepted and changes nothing.
 """
 from __future__ import annotations
 
@@ -217,7 +219,8 @@ _GLOBAL_OPTIONS = (
 )
 _SEARCH_OPTIONS = (
     (("--max-steps",), {"type": int, "default": _classify.DEFAULT_MAX_STEPS}),
-    (("--exhaustive",), {"action": "store_true", "help": "consume the whole chain budget until the group is S_n"}),
+    # accepted so that older command lines still run: every search already runs until S_n or its budget
+    (("--exhaustive",), {"action": "store_true", "help": "accepted and changes nothing"}),
 )
 # per command: its help, its `func` default and its options, in the order `--help` lists them
 _COMMANDS = {
@@ -351,7 +354,7 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_args(argv) or build_parser().parse_args(argv)
-    flags = {k: v for k, v in vars(args).items() if k in ("max_steps", "exhaustive")}
+    flags = {k: v for k, v in vars(args).items() if k == "max_steps"}
     try:
         engine = _classify.Engine(**flags)  # the search flags are checked before any record
     except ValueError as exc:

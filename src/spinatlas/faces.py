@@ -104,14 +104,15 @@ def is_face(cg: ConnectionGraph, face: Face) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
 def cells_of(order: int, mask: int) -> tuple[frozenset[int], ...]:
-    """The standard 3-cells (4-class subsets) of an order-r graph that hold a face on the classes in `mask`."""
+    """The standard 3-cells (4-class subsets) of an order-r graph that hold a face on the classes in `mask`,
+    in the order of their sorted classes: adding fixed classes to each combination of the rest, taken in
+    order, keeps that order."""
     if order < 3:
         return (frozenset(range(order + 1)),)
     classes = frozenset(c for c in range(order + 1) if mask >> c & 1)
-    rest = sorted(set(range(order + 1)) - classes)
-    return tuple(sorted((classes.union(combo) for combo in combinations(rest, 4 - len(classes))), key=sorted))
+    rest = [c for c in range(order + 1) if c not in classes]
+    return tuple(map(classes.union, combinations(rest, 4 - len(classes))))
 
 
 def class_mask(cycle: tuple[int, ...]) -> int:

@@ -210,16 +210,14 @@ def admissible_evaluations(table: StepTable, start: Vertex, max_steps: int):
 
 
 def reference_search(
-    cg: ConnectionGraph, v: Vertex, max_steps: int = 6, exhaustive: bool = False, table: StepTable | None = None
+    cg: ConnectionGraph, v: Vertex, max_steps: int = 6, table: StepTable | None = None
 ) -> SpinGroupResult:
-    """`spin_group_at` over the reference walk: every chain walked, none skipped, with the same stopping rules.
+    """`spin_group_at` over the reference walk: every chain walked, none skipped, with the same stopping rule.
 
-    It walks `table`, or a new step table of the graph that builds every map from its face.
+    It stops once the certificate proves S_n, never at the prediction, and
+    walks `table`, or a new step table of the graph that builds every map from its face.
     """
     n = len(cg.label_classes(v))
-    predicted = predict_group(cg, v)
-    full_order = math.factorial(n)
-    symmetric_predicted = predicted == symmetric(n)
     certificate, group = SymmetricCertificate(n), StabChain(n)
     seen, distinct, tried = {identity_perm(n)}, [], 0
     for path, perm in admissible_evaluations(table or StepTable(cg), v, max_steps):
@@ -228,17 +226,12 @@ def reference_search(
             continue
         seen.add(perm)
         distinct.append((tuple(path), perm))
-        if symmetric_predicted:
-            if certificate.add(perm):
-                break
-        elif group.add(perm):
-            order = group.order()
-            if order == full_order or (not exhaustive and recognize(order, n) == predicted):
-                break
+        if certificate.add(perm):
+            break
     for _, perm in distinct:
         group.add(perm)
     order = group.order()
-    return SpinGroupResult(cg, v, recognize(order, n), predicted, order, tuple(distinct), tried)
+    return SpinGroupResult(cg, v, recognize(order, n), predict_group(cg, v), order, tuple(distinct), tried)
 
 
 StabChainSearch = namedtuple("StabChainSearch", "verdict order generators paths chains_tried")
@@ -250,11 +243,10 @@ def stab_chain_search(
     """Reference: the chain search at v with every new permutation sifted into one stabilizer chain.
 
     A permutation is kept, with its path, when it is not yet in the group; the
-    search stops once the group is S_n or the predicted one.  It walks `table`,
+    search stops once the group is S_n, never at the prediction.  It walks `table`,
     or a new step table of the graph that builds every map from its face.
     """
     n = len(cg.label_classes(v))
-    predicted = predict_group(cg, v)
     group, seen = StabChain(n), {identity_perm(n)}
     gens, paths, tried = [], [], 0
     for path, perm in admissible_evaluations(table or StepTable(cg), v, max_steps):
@@ -266,8 +258,7 @@ def stab_chain_search(
             continue
         gens.append(perm)
         paths.append(tuple(path))
-        order = group.order()
-        if order == math.factorial(n) or recognize(order, n) == predicted:
+        if group.order() == math.factorial(n):
             break
     order = group.order()
     return StabChainSearch(recognize(order, n), order, tuple(gens), tuple(paths), tried)

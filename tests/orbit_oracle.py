@@ -104,7 +104,7 @@ def own_searches(gc: GraphClass, engine: Engine) -> Searched:
     """One step table of the class's graph, and each vertex's own search over it at the engine's settings."""
     cg = build_connection_graph(gc)
     table = StepTable(cg)
-    search = dict(max_steps=engine.max_steps, exhaustive=engine.exhaustive, table=table)
+    search = dict(max_steps=engine.max_steps, table=table)
     return table, {v: spin_group_at(cg, v, **search) for v in cg.vertices()}
 
 
@@ -118,11 +118,10 @@ def row_differences(gc: GraphClass, engine: Engine | None = None, searched: Sear
     out = []
     for row in verify_class(gc, engine=engine).rows:
         own = searches[row.vertex]
-        match = own.match and (not engine.exhaustive or own.order <= own.predicted.order)
-        if (row.predicted, row.computed, row.match) != (own.predicted, own.verdict, match):
+        if (row.predicted, row.computed, row.match) != (own.predicted, own.verdict, own.match):
             out.append(
                 f"{gc.label()} genus {gc.genus} {row.vertex.name}: row {row.computed} match={row.match}, "
-                f"own search {own.verdict} match={match}"
+                f"own search {own.verdict} match={own.match}"
             )
     return out
 
@@ -136,7 +135,7 @@ def walk_differences(gc: GraphClass, engine: Engine | None = None, searched: Sea
     table, searches = searched or own_searches(gc, engine)
     out = []
     for v, own in searches.items():
-        ref = reference_search(table.cg, v, max_steps=engine.max_steps, exhaustive=engine.exhaustive, table=table)
+        ref = reference_search(table.cg, v, max_steps=engine.max_steps, table=table)
         if (own.chains_tried, own.distinct, own.order) != (ref.chains_tried, ref.distinct, ref.order):
             out.append(
                 f"{gc.label()} genus {gc.genus} {v.name}: search tried {own.chains_tried}, {len(own.distinct)} "

@@ -104,22 +104,23 @@ def test_atlas_genus4_order1(capsys):
     assert {r["k"] for r in records} == {"1,4", "2,3"}
 
 
-def test_atlas_passes_exhaustive_through(capsys, monkeypatch):
+def test_atlas_accepts_exhaustive_and_changes_nothing(capsys, monkeypatch):
+    # every search runs until S_n or its budget already, so the flag reaches no search
     from spinatlas import classify
 
-    flags = set()
+    keywords = set()
     search = classify.spin_group_at
 
     def recorded(cg, v, **kwargs):
-        flags.add(kwargs["exhaustive"])
+        keywords.update(kwargs)
         return search(cg, v, **kwargs)
 
     monkeypatch.setattr(classify, "spin_group_at", recorded)
     _, plain, _ = run(capsys, "atlas", "--genus", "3")
-    assert flags == {False}
-    flags.clear()
+    assert keywords == {"max_steps", "table"}
+    keywords.clear()
     code, out, _ = run(capsys, "atlas", "--genus", "3", "--exhaustive")
-    assert code == 0 and flags == {True} and out == plain
+    assert code == 0 and keywords == {"max_steps", "table"} and out == plain
 
 
 def test_atlas_computes_every_class_past_genus_12(capsys, monkeypatch):
@@ -271,7 +272,7 @@ def test_verify_genus10_under_default_flags(capsys):
 
 
 def test_verify_exhaustive_range_finishes(capsys):
-    # stops at S_n wherever the prediction is the full symmetric group
+    # `--exhaustive` is accepted, and every search stops at S_n whatever the prediction
     code, out, _ = run(capsys, "verify", "--genus", "2..7", "--exhaustive")
     assert code == 0
     assert out.splitlines()[-1] == "kind=summary classes=57 mismatches=0"

@@ -291,34 +291,30 @@ def test_fully_chorded_classes_get_full_symmetric():
         assert all(str(row.computed) == f"S{gc.order + 1}" for row in rep.rows)
 
 
-def test_exhaustive_mode_never_overshoots(hexagon_one_chord, hexagon_two_chords):
+def test_the_search_stops_at_the_full_symmetric_group_or_its_budget(
+    hexagon_one_chord, hexagon_two_chords, order3_one_chord
+):
     from conftest import admissible_evaluations
     from spinatlas.chains import StepTable
 
     for cg, v in [(hexagon_one_chord, P2), (hexagon_one_chord, P), (hexagon_two_chords, P)]:
-        res = spin_group_at(cg, v, max_steps=4, exhaustive=True)
+        res = spin_group_at(cg, v, max_steps=4)
         n = len(cg.label_classes(v))
         group = set(closure(kept_perms(res), n))
-        assert len(group) == res.order <= res.predicted.order
         evaluations = list(admissible_evaluations(StepTable(cg), v, 4))
-        assert all(perm in group for _, perm in evaluations)
-        # every group here (C3 at P2, trivial elsewhere) stays below S_n, so nothing
-        # stops the exhaustive search: it consumes the whole budget
+        assert len(group) == res.order and all(perm in group for _, perm in evaluations)
+        # every group here (C3 at P2, trivial elsewhere) stays below S_n, so nothing stops the
+        # search, not even reaching the prediction: it consumes the whole budget
         assert res.order < math.factorial(n) and res.chains_tried == len(evaluations)
         assert res.verdict == res.predicted
-
-
-def test_exhaustive_stops_at_the_full_symmetric_group(order3_one_chord):
-    # from order 3 on the prediction is S_n, which no chain can exceed, so the
-    # exhaustive search stops exactly where the early-stopping one does
+    assert spin_group_at(hexagon_one_chord, P2, max_steps=4).chains_tried == 20
+    # from order 3 on the group is S_n, which no chain can exceed: the search stops at the chain
+    # where a stabilizer chain first reaches it, and keeps that search's generators
     order4 = ConnectionGraph(4, frozenset({4}))
     for cg, v in [(order3_one_chord, P), (order3_one_chord, P3), (order4, P1), (order4, P4t)]:
-        early = spin_group_at(cg, v)
-        full = spin_group_at(cg, v, exhaustive=True)
-        assert full.order == math.factorial(len(cg.label_classes(v)))
-        assert full.kept() == early.kept()
-        assert full.witnesses == early.witnesses
-        assert full.chains_tried == early.chains_tried
+        res, ref = spin_group_at(cg, v), stab_chain_search(cg, v)
+        assert res.order == ref.order == math.factorial(len(cg.label_classes(v)))
+        assert (res.chains_tried, res.kept()) == (ref.chains_tried, tuple(zip(ref.paths, ref.generators)))
 
 
 def test_search_settings_below_their_bounds_raise_value_errors():
@@ -571,6 +567,35 @@ def test_every_vertex_to_order_6_matches_the_stabilizer_chain_search():
                 vertices += 1
     assert vertices == 280
     assert late == {(3, (1, 2, 3), "P2~"): (13, 12), (3, (1, 2, 3), "P3~"): (13, 12)}
+
+
+def test_no_search_follows_the_prediction(monkeypatch):
+    """Every vertex of every top-slice graph of orders 0..6 (280 vertices): with the prediction
+    replaced by one verdict everywhere, each search meets, tries and finds what it does unpatched;
+    the prediction only fills `predicted`."""
+    from spinatlas import classify
+    from spinatlas.chains import StepTable
+
+    graphs = [ConnectionGraph(r, frozenset(range(j, r + 1))) for r in range(7) for j in range(r + 1)]
+
+    def searches():
+        out = {}
+        for cg in graphs:
+            table = StepTable(cg)
+            for v in cg.vertices():
+                res = spin_group_at(cg, v, table=table)
+                out[cg, v] = res.predicted, (res.verdict, res.order, res.distinct, res.chains_tried)
+        return out
+
+    plain = searches()
+    assert len(plain) == 280
+    differing = {}
+    for wrong in (TRIVIAL, C3, symmetric(3)):
+        monkeypatch.setattr(classify, "predict_group", lambda cg, v, wrong=wrong: wrong)
+        patched = searches()
+        assert {predicted for predicted, _ in patched.values()} == {wrong}
+        differing[str(wrong)] = sum(found != plain[key][1] for key, (_, found) in patched.items())
+    assert differing == {"1": 0, "C3": 0, "S3": 0}
 
 
 def test_witness_oracle_over_orders_3_to_8(capsys):

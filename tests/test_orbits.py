@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from orbit_oracle import distinct_graph_classes, face_map_differences, row_differences, walk_differences
-from spinatlas import classify
+from spinatlas import classify, groups
 from spinatlas.graph import ConnectionGraph
 from spinatlas.params import GraphClass, enumerate_classes
 
@@ -19,18 +19,30 @@ def test_face_maps_commute_with_the_automorphisms():
     assert compared == 169_500
 
 
-@pytest.mark.parametrize("exhaustive", [False, True])
+def _mispredict(monkeypatch) -> None:
+    """Predict C3 at every tilded vertex, so that one orbit's vertices get different predictions."""
+    real = classify.predict_group
+    monkeypatch.setattr(classify, "predict_group", lambda cg, v: groups.C3 if v.tilded else real(cg, v))
+
+
+@pytest.mark.parametrize("mispredicted", [False, True])
 @pytest.mark.parametrize("max_steps", [3, 4, 6])
-def test_representatives_match_every_vertex(max_steps, exhaustive):
-    engine = classify.Engine(max_steps=max_steps, exhaustive=exhaustive)
+def test_representatives_match_every_vertex(max_steps, mispredicted, monkeypatch):
+    # each row keeps its own vertex's prediction and match, whatever the prediction of its orbit's representative
+    if mispredicted:
+        _mispredict(monkeypatch)
+    engine = classify.Engine(max_steps=max_steps)
     for gc in distinct_graph_classes(2, 9):
         assert row_differences(gc, engine=engine) == []
 
 
-@pytest.mark.parametrize("max_steps,exhaustive,orders", [(6, False, range(9)), (4, True, range(4))])
-def test_searches_match_the_reference_walk(max_steps, exhaustive, orders):
-    # every vertex, tilded ones too: skipping the walk states already walked keeps what the full walk counts and meets
-    engine = classify.Engine(max_steps=max_steps, exhaustive=exhaustive)
+@pytest.mark.parametrize("max_steps,mispredicted,orders", [(6, False, range(9)), (4, True, range(4))])
+def test_searches_match_the_reference_walk(max_steps, mispredicted, orders, monkeypatch):
+    # every vertex, tilded ones too: skipping the walk states already walked keeps what the full walk counts and
+    # meets, and neither stops at a prediction, so a wrong one changes nothing the search meets
+    if mispredicted:
+        _mispredict(monkeypatch)
+    engine = classify.Engine(max_steps=max_steps)
     classes = [gc for gc in distinct_graph_classes(2, 9) if gc.order in orders]
     for gc in classes:
         assert walk_differences(gc, engine=engine) == []
@@ -77,7 +89,7 @@ def test_two_engines_in_one_process(monkeypatch):
     # else of the run
     cg = ConnectionGraph(4, order4.connected_pairs)
     assert default.rows == {cg: first.rows}
-    assert set(vars(default)) == {"max_steps", "exhaustive", "rows"}
+    assert set(vars(default)) == {"max_steps", "rows"}
     # other search settings need a second engine, which shares nothing with the first
     calls.clear()
     other = classify.verify_class(order4, engine=five)
