@@ -291,9 +291,8 @@ def test_fully_chorded_classes_get_full_symmetric():
         assert all(str(row.computed) == f"S{gc.order + 1}" for row in rep.rows)
 
 
-def test_the_search_stops_at_the_full_symmetric_group_or_its_budget(
-    hexagon_one_chord, hexagon_two_chords, order3_one_chord
-):
+def test_exhaustive_mode_never_overshoots(hexagon_one_chord, hexagon_two_chords):
+    # every search is exhaustive below S_n: it walks its whole budget, whatever it predicts
     from conftest import admissible_evaluations
     from spinatlas.chains import StepTable
 
@@ -308,6 +307,9 @@ def test_the_search_stops_at_the_full_symmetric_group_or_its_budget(
         assert res.order < math.factorial(n) and res.chains_tried == len(evaluations)
         assert res.verdict == res.predicted
     assert spin_group_at(hexagon_one_chord, P2, max_steps=4).chains_tried == 20
+
+
+def test_exhaustive_stops_at_the_full_symmetric_group(order3_one_chord):
     # from order 3 on the group is S_n, which no chain can exceed: the search stops at the chain
     # where a stabilizer chain first reaches it, and keeps that search's generators
     order4 = ConnectionGraph(4, frozenset({4}))
