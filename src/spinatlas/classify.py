@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator
 
 from . import groups
 from .chains import Carried, SpinChain, StepTable, carry, close_out, label_positions
@@ -35,21 +34,18 @@ def predict_group(cg: ConnectionGraph, v: Vertex) -> GroupVerdict:
     return groups.symmetric(cg.epsilon_degree(v))
 
 
-class SpinGroupResult(namedtuple("SpinGroupResult", "graph vertex verdict predicted order distinct chains_tried")):
+class SpinGroupResult(namedtuple("SpinGroupResult", "graph vertex verdict distinct chains_tried")):
     """The group found at one vertex, with what its search met.
 
-    `distinct` holds each distinct permutation the search met, in search
-    order, as (its chain's search path, permutation); `chains_tried` counts
-    the chains the search tried.  The kept generators with their paths
-    (`kept()`) are what sifting every new permutation into a stabilizer chain
-    gives, stopping at the first full order: each read sifts `distinct` again.
+    `verdict` carries the group's order.  `distinct` holds each distinct
+    permutation the search met, in search order, as (its chain's search path,
+    permutation); `chains_tried` counts the chains the search tried.  The kept
+    generators with their paths (`kept()`) are what sifting every new
+    permutation into a stabilizer chain gives, stopping at the first full
+    order: each read sifts `distinct` again.
     """
 
     __slots__ = ()
-
-    @property
-    def match(self) -> bool:
-        return self.verdict == self.predicted
 
     def kept(self) -> tuple[tuple[tuple[tuple[int, int], ...], groups.Perm], ...]:
         """Each kept generator, with its chain's search path, from one sift of `distinct`."""
@@ -84,9 +80,11 @@ def _at_least(flag: str, value: int, least: int) -> None:
 class Engine:
     """One run's search settings, and the rows of each graph it computes.
 
-    A bad setting raises ValueError here, and every search goes through
-    `search`.  The command line builds one engine per run; `verify_class`
-    given no engine makes its own, which it drops when it returns.
+    A bad setting raises ValueError here.  Each search reads `max_steps`
+    from here and calls `spin_group_at` through this module's global, so a
+    wrapper installed on it sees every search.  The command line builds one
+    engine per run; `verify_class` given no engine makes its own, which it
+    drops when it returns.
     """
 
     def __init__(self, max_steps=DEFAULT_MAX_STEPS):
@@ -94,12 +92,6 @@ class Engine:
         self.max_steps = max_steps
         # per graph, the `VertexRow`s of `verify_class`
         self.rows: dict[ConnectionGraph, tuple[VertexRow, ...]] = {}
-
-    def search(self, cg: ConnectionGraph, vertices, table: StepTable) -> Iterator[SpinGroupResult]:
-        """Yield each vertex's search over the graph's step table, in order."""
-        search = dict(max_steps=self.max_steps, table=table)
-        # through the module global, so a wrapper installed on it sees every search
-        yield from (spin_group_at(cg, v, **search) for v in vertices)
 
 
 def spin_group_at(
@@ -113,14 +105,11 @@ def spin_group_at(
     A `SymmetricCertificate` takes each new permutation, and the search stops
     once it has proved S_n, which no chain can exceed; otherwise it walks the
     whole chain budget.  A search that ends without a certificate sifts what it
-    met into a stabilizer chain for the exact order.  The closed-form
-    prediction neither chooses the engine nor stops the search: it only fills
-    the result's `predicted`, so the verdict is checked against it, never
-    shaped by it.  The search walks `table`, the graph's step table (by
-    default a new one), once, and skips each repeat of a walk state whose
-    chains it has already walked, counting them as tried.  A vertex not in the
-    graph, a step table of another graph, or `max_steps` below 2 raises
-    ValueError.
+    met into a stabilizer chain for the exact order.  The search walks
+    `table`, the graph's step table (by default a new one), once, and skips
+    each repeat of a walk state whose chains it has already walked, counting
+    them as tried.  A vertex not in the graph, a step table of another graph,
+    or `max_steps` below 2 raises ValueError.
     """
     _at_least("max-steps", max_steps, 2)
     if v not in cg.vertices():
@@ -196,10 +185,19 @@ def spin_group_at(
     del extend
     # without a certificate the budget ran out: the exact group of every permutation met
     order = math.factorial(n) if decided else _sift(distinct, n)[0].order()
-    return SpinGroupResult(cg, v, groups.recognize(order, n), predict_group(cg, v), order, tuple(distinct), tried)
+    return SpinGroupResult(cg, v, groups.recognize(order, n), tuple(distinct), tried)
 
 
 VertexRow = namedtuple("VertexRow", "vertex degree predicted computed match")
+
+
+def vertex_row(cg: ConnectionGraph, v: Vertex, computed: GroupVerdict) -> VertexRow:
+    """The row of v given its computed verdict: its degree and prediction, and whether the two verdicts agree.
+
+    A verdict carries its group's order, so an equal verdict also rules out over-generation.
+    """
+    predicted = predict_group(cg, v)
+    return VertexRow(v, cg.epsilon_degree(v), predicted, computed, computed == predicted)
 
 
 class ClassReport(namedtuple("ClassReport", "graph_class rows")):
@@ -241,10 +239,6 @@ def _rows(cg: ConnectionGraph, engine: Engine):
     firsts: dict[bool, Vertex] = {}
     # per vertex, the first vertex of its orbit, whose search gives its group
     source = {v: firsts.setdefault(v.cls in cg.connected, v) for v in cg.vertices()}
-    verdicts = {res.vertex: res.verdict for res in engine.search(cg, firsts.values(), StepTable(cg))}
-    rows = []
-    for v, s in source.items():
-        predicted = predict_group(cg, v)
-        # a verdict carries its group's order, so an equal verdict also rules out over-generation
-        rows.append(VertexRow(v, cg.epsilon_degree(v), predicted, verdicts[s], verdicts[s] == predicted))
-    return tuple(rows)
+    table = StepTable(cg)
+    verdicts = {s: spin_group_at(cg, s, max_steps=engine.max_steps, table=table).verdict for s in firsts.values()}
+    return tuple(vertex_row(cg, v, verdicts[s]) for v, s in source.items())

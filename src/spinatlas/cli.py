@@ -121,22 +121,24 @@ def cmd_classify(args, engine: _classify.Engine) -> int:
     if wanted is not None and not 0 <= wanted.cls <= gc.order:
         raise UsageError(f"vertex {args.vertex} is not in an order-{gc.order} graph")
     table = StepTable(cg)
-    for res in engine.search(cg, [v for v in cg.vertices() if wanted in (None, v)], table):
+    for v in (wanted,) if wanted else cg.vertices():
+        res = _classify.spin_group_at(cg, v, max_steps=engine.max_steps, table=table)
+        row = _classify.vertex_row(cg, v, res.verdict)
         print(
             render_record(
                 {
                     "kind": "vertex",
-                    "vertex": res.vertex.name,
-                    "degree": str(cg.epsilon_degree(res.vertex)),
-                    "predicted": str(res.predicted),
-                    "computed": str(res.verdict),
-                    "match": "true" if res.match else "false",
+                    "vertex": v.name,
+                    "degree": str(row.degree),
+                    "predicted": str(row.predicted),
+                    "computed": str(row.computed),
+                    "match": "true" if row.match else "false",
                 }
             )
         )
         # each witness evaluates to the generator kept with it
         for path, perm in res.kept():
-            print(f"  witness {cycles_str(perm)}: {table.chain(res.vertex, path).describe()}")
+            print(f"  witness {cycles_str(perm)}: {table.chain(v, path).describe()}")
     return 0
 
 

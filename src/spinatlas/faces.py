@@ -79,7 +79,6 @@ def face_cycles(near: list[set[int]], a: int, b: int) -> list[tuple[int, ...]]:
     return sorted(map(_canonical, cycles))
 
 
-@lru_cache(maxsize=None)
 def enumerate_faces(cg: ConnectionGraph) -> tuple[Face, ...]:
     """All 4-cycles: the faces through each pair of non-adjacent vertices, a face's opposite corners."""
     verts = cg.vertices()

@@ -14,7 +14,7 @@ import pytest
 
 import spinatlas
 from spinatlas.chains import ChainStep, SpinChain, StepTable, carry, close_out, label_positions, validate_structure
-from spinatlas.classify import SpinGroupResult, predict_group
+from spinatlas.classify import SpinGroupResult
 from spinatlas.faces import Face, cells_containing, direct_images, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
 from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, StabChain, SymmetricCertificate, alternating, identity_perm
@@ -230,11 +230,10 @@ def reference_search(
             break
     for _, perm in distinct:
         group.add(perm)
-    order = group.order()
-    return SpinGroupResult(cg, v, recognize(order, n), predict_group(cg, v), order, tuple(distinct), tried)
+    return SpinGroupResult(cg, v, recognize(group.order(), n), tuple(distinct), tried)
 
 
-StabChainSearch = namedtuple("StabChainSearch", "verdict order generators paths chains_tried")
+StabChainSearch = namedtuple("StabChainSearch", "verdict generators paths chains_tried")
 
 
 def stab_chain_search(
@@ -260,8 +259,7 @@ def stab_chain_search(
         paths.append(tuple(path))
         if group.order() == math.factorial(n):
             break
-    order = group.order()
-    return StabChainSearch(recognize(order, n), order, tuple(gens), tuple(paths), tried)
+    return StabChainSearch(recognize(group.order(), n), tuple(gens), tuple(paths), tried)
 
 
 def kept_perms(res: SpinGroupResult) -> tuple[tuple[int, ...], ...]:

@@ -5,7 +5,7 @@ group for the rest of the orbit.  `face_map_differences` checks the premise:
 each face map of a graph's step table commutes with the graph's
 automorphisms.  `own_searches` runs `spin_group_at` at every vertex, over one
 step table of the graph.  `row_differences` checks the result: it names each
-row whose prediction, verdict or match differs from that vertex's own search.
+row that differs from the row `vertex_row` makes of that vertex's own verdict.
 `walk_differences` checks each of those searches, which skip the walk states
 they have already walked, against the reference walk of every chain
 (`conftest.reference_search`).  The last three search at an `Engine`'s
@@ -26,7 +26,7 @@ from itertools import permutations
 
 from conftest import reference_search
 from spinatlas.chains import StepTable
-from spinatlas.classify import Engine, SpinGroupResult, spin_group_at, verify_class
+from spinatlas.classify import Engine, SpinGroupResult, spin_group_at, verify_class, vertex_row
 from spinatlas.faces import Face, cells_containing, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.params import GraphClass, enumerate_classes
@@ -109,25 +109,26 @@ def own_searches(gc: GraphClass, engine: Engine) -> Searched:
 
 
 def row_differences(gc: GraphClass, engine: Engine | None = None, searched: Searched | None = None) -> list[str]:
-    """Each `verify_class` row whose prediction, verdict or match differs from its own vertex's search.
+    """Each `verify_class` row that differs from `vertex_row` of its own vertex's search: degree,
+    prediction, verdict or match.
 
     `searched` is what `own_searches` gave for the same engine, or None to search here.
     """
     engine = engine or Engine()
-    _, searches = searched or own_searches(gc, engine)
+    table, searches = searched or own_searches(gc, engine)
     out = []
     for row in verify_class(gc, engine=engine).rows:
-        own = searches[row.vertex]
-        if (row.predicted, row.computed, row.match) != (own.predicted, own.verdict, own.match):
+        own = vertex_row(table.cg, row.vertex, searches[row.vertex].verdict)
+        if row != own:
             out.append(
                 f"{gc.label()} genus {gc.genus} {row.vertex.name}: row {row.computed} match={row.match}, "
-                f"own search {own.verdict} match={own.match}"
+                f"own search {own.computed} match={own.match}"
             )
     return out
 
 
 def walk_differences(gc: GraphClass, engine: Engine | None = None, searched: Searched | None = None) -> list[str]:
-    """Each vertex whose search's (chains_tried, distinct, order) differs from the reference walk's.
+    """Each vertex whose search's (chains_tried, distinct, verdict) differs from the reference walk's.
 
     `searched` is what `own_searches` gave for the same engine, or None to search here.
     """
@@ -136,10 +137,10 @@ def walk_differences(gc: GraphClass, engine: Engine | None = None, searched: Sea
     out = []
     for v, own in searches.items():
         ref = reference_search(table.cg, v, max_steps=engine.max_steps, table=table)
-        if (own.chains_tried, own.distinct, own.order) != (ref.chains_tried, ref.distinct, ref.order):
+        if (own.chains_tried, own.distinct, own.verdict) != (ref.chains_tried, ref.distinct, ref.verdict):
             out.append(
                 f"{gc.label()} genus {gc.genus} {v.name}: search tried {own.chains_tried}, {len(own.distinct)} "
-                f"distinct, order {own.order}; reference walk {ref.chains_tried}, {len(ref.distinct)}, {ref.order}"
+                f"distinct, {own.verdict}; reference walk {ref.chains_tried}, {len(ref.distinct)}, {ref.verdict}"
             )
     return out
 

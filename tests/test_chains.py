@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -87,14 +88,23 @@ def test_a_step_on_no_canonical_face_of_the_graph_raises(hexagon_one_chord, cycl
     assert str(err.value) == f"step 0: {fake.name} is not a face of the graph"
 
 
-def test_evaluate_lists_no_faces(hexagon_one_chord):
-    # the face check reads each step's own cycle, so checking a chain memoizes no graph's faces
+def test_evaluate_lists_no_faces(hexagon_one_chord, monkeypatch):
+    # the face check reads each step's own cycle, so checking a chain lists no graph's faces
     face = F(P, P1, P2t, P2)
     chain = mk_chain(P2, (CELL2, face, P2t), (CELL2, conjugate_face(face), P2))
-    enumerate_faces.cache_clear()
+    calls = []
+
+    def counted(cg):
+        calls.append(cg)
+        return enumerate_faces(cg)
+
+    # every module of the package that holds the function, so an import by name is counted too
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "spinatlas"]:
+        if getattr(module, "enumerate_faces", None) is enumerate_faces:
+            monkeypatch.setattr(module, "enumerate_faces", counted)
     evaluate(hexagon_one_chord, chain)
     is_admissible(hexagon_one_chord, chain)
-    assert enumerate_faces.cache_info().currsize == 0
+    assert calls == []
 
 
 def test_face_must_sit_inside_cell():

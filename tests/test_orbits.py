@@ -39,7 +39,7 @@ def test_representatives_match_every_vertex(max_steps, mispredicted, monkeypatch
 @pytest.mark.parametrize("max_steps,mispredicted,orders", [(6, False, range(9)), (4, True, range(4))])
 def test_searches_match_the_reference_walk(max_steps, mispredicted, orders, monkeypatch):
     # every vertex, tilded ones too: skipping the walk states already walked keeps what the full walk counts and
-    # meets, and neither stops at a prediction, so a wrong one changes nothing the search meets
+    # meets, and neither reads the prediction, so a wrong one changes nothing the search meets
     if mispredicted:
         _mispredict(monkeypatch)
     engine = classify.Engine(max_steps=max_steps)

@@ -35,7 +35,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from conftest import searched_vertices
 from lift_oracle import top_slice_graphs
 from spinatlas.chains import StepTable, evaluate
-from spinatlas.classify import spin_group_at
+from spinatlas.classify import predict_group, spin_group_at
 from spinatlas.graph import ConnectionGraph
 from spinatlas.groups import symmetric
 
@@ -53,15 +53,15 @@ def witness_differences(cg: ConnectionGraph) -> tuple[int, list[str]]:
             evaluated = evaluate(cg, table.chain(v, path))
             if evaluated != perm:
                 out.append(f"{where}: witness {path} evaluates to {evaluated}, kept {perm}")
-        n = len(cg.label_classes(v))
+        n, predicted = len(cg.label_classes(v)), predict_group(cg, v)
         # no generators at all is the trivial group
         group = PermutationGroup([Permutation(list(perm)) for _, perm in kept] or [Permutation(n - 1)])
-        if res.predicted == symmetric(n) and group.is_symmetric:
+        if predicted == symmetric(n) and group.is_symmetric:
             order = math.factorial(n)
         else:
             order = group.order()
-        if not order == res.order == res.predicted.order:
-            out.append(f"{where}: sympy order {order}, search order {res.order}, predicted {res.predicted}")
+        if not order == res.verdict.order == predicted.order:
+            out.append(f"{where}: sympy order {order}, search order {res.verdict.order}, predicted {predicted}")
     return len(vertices), out
 
 
