@@ -12,8 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
-from .faces import Face, cells_containing, cells_of, class_mask, direct_images, face_cycles, is_face, neighbour_ids
-from .faces import vertex_id
+from .faces import Face, cells_containing, cells_of, direct_images, face_cycles, is_face, neighbour_ids, vertex_id
 from .faces import _face_map_pairs  # the memoized face maps `evaluate` composes
 from .graph import ConnectionGraph, Vertex
 
@@ -156,7 +155,8 @@ class StepTable:
     """The chain steps of one connection graph, by vertex id (index into `vertices`).
 
     The (cell, face) choices of a step from vertex a to vertex b are its faces as canonical id cycles
-    in `enumerate_faces` order, each followed by its cells in order; choice k is the step's k-th.  The
+    in `enumerate_faces` order, each followed by its cells in order, `faces.cells_of` of the face's own
+    class set (a four-class face's one cell is that set); choice k is the step's k-th.  The
     faces through a and b are their `face_cycles`, and both steps between a and b share one choice
     list, extended a face at a time as far as any reader of either step reaches.  `steps(a, b)` gives
     each choice with its face map from one list per step: the first reader to reach a choice appends
@@ -175,8 +175,6 @@ class StepTable:
         # per step read so far, its (choice, face map) pairs listed so far, and the steps listed in full
         self._listed: dict[tuple[int, int], list[tuple[Choice, tuple[int, ...]]]] = {}
         self._whole: set[tuple[int, int]] = set()
-        # per class mask of a face met so far, its `cells_of`
-        self._cells: dict[int, tuple[frozenset[int], ...]] = {}
 
     def _choice(self, a: int, b: int, k: int) -> Choice | None:
         """Choice k of the step from a to b, or None if the step has no more than k choices."""
@@ -188,11 +186,7 @@ class StepTable:
             cycle = next(faces, None)
             if cycle is None:
                 return None
-            mask = class_mask(cycle)
-            cells = self._cells.get(mask)
-            if cells is None:
-                cells = self._cells[mask] = cells_of(self.cg.order, mask)
-            choices += [(cell, cycle) for cell in cells]
+            choices += [(cell, cycle) for cell in cells_of(self.cg.order, frozenset(w >> 1 for w in cycle))]
         return choices[k]
 
     def steps(self, a: int, b: int) -> Iterable[tuple[Choice, tuple[int, ...]]]:

@@ -112,12 +112,12 @@ def spin_group_at(
     or `max_steps` below 2 raises ValueError.
     """
     _at_least("max-steps", max_steps, 2)
-    if v not in cg.vertices():
-        raise ValueError(f"{v} is not a vertex of {cg}")
     if table is None:
         table = StepTable(cg)
     elif table.cg != cg:
         raise ValueError(f"a step table of {table.cg} cannot search {cg}")
+    if v not in table.vertices:
+        raise ValueError(f"{v} is not a vertex of {cg}")
     n = len(cg.label_classes(v))
     certificate = groups.SymmetricCertificate(n)
     # every permutation met so far: most chains repeat one of a few permutations,

@@ -103,25 +103,21 @@ def is_face(cg: ConnectionGraph, face: Face) -> bool:
     )
 
 
-def cells_of(order: int, mask: int) -> tuple[frozenset[int], ...]:
-    """The standard 3-cells (4-class subsets) of an order-r graph that hold a face on the classes in `mask`,
-    in the order of their sorted classes: adding fixed classes to each combination of the rest, taken in
-    order, keeps that order."""
+def cells_of(order: int, classes: frozenset[int]) -> tuple[frozenset[int], ...]:
+    """The standard 3-cells (4-class subsets) of an order-r graph that hold a face on `classes`, in the
+    order of their sorted classes: a four-class face's one cell is its class set, and adding fixed
+    classes to each combination of the rest, taken in order, keeps that order."""
     if order < 3:
         return (frozenset(range(order + 1)),)
-    classes = frozenset(c for c in range(order + 1) if mask >> c & 1)
+    if len(classes) == 4:
+        return (classes,)
     rest = [c for c in range(order + 1) if c not in classes]
     return tuple(map(classes.union, combinations(rest, 4 - len(classes))))
 
 
-def class_mask(cycle: tuple[int, ...]) -> int:
-    """The classes of an id cycle, as a bitmask."""
-    return sum({1 << (w >> 1) for w in cycle})
-
-
 def cells_containing(cg: ConnectionGraph, face: Face) -> tuple[frozenset[int], ...]:
     """The standard 3-cells (4-class subsets) whose decorated graph contains the face."""
-    return cells_of(cg.order, class_mask(tuple(map(vertex_id, face.cycle))))
+    return cells_of(cg.order, frozenset(v.cls for v in face.cycle))
 
 
 def direct_images(

@@ -9,7 +9,7 @@ from conftest import BASIC3_FACES, CHORD2_FACES, CHORD3_FACES, CELL3, F, P, P1, 
 from conftest import FaceKind, build_face_map, conjugate_face, decorated_cell, face_classes, face_kind, pair_count
 from lift_oracle import cell_frame, lift_differences, top_slice_graphs
 from spinatlas import tables
-from spinatlas.faces import Face, cells_containing, enumerate_faces, face_map, is_face, vertex_id
+from spinatlas.faces import Face, cells_containing, cells_of, enumerate_faces, face_map, is_face, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
 
 
@@ -119,6 +119,24 @@ def test_order4_has_five_cells():
     cells = {cell for face in enumerate_faces(cg) for cell in cells_containing(cg, face)}
     assert cells == {frozenset(c) for c in itertools.combinations(range(5), 4)}
     assert len(cells) == 5
+
+
+def test_cells_of_lists_the_sorted_cells_holding_a_class_set():
+    # every set of 2 to 4 classes at every order to 15: the 4-subsets that hold it, in sorted order,
+    # or below order 3 the one cell of all classes
+    for order in range(16):
+        every = range(order + 1)
+        holding: dict[frozenset[int], list[frozenset[int]]] = {}
+        for cell in itertools.combinations(every, 4):
+            for size in (2, 3, 4):
+                for classes in itertools.combinations(cell, size):
+                    holding.setdefault(frozenset(classes), []).append(frozenset(cell))
+        for size in (2, 3, 4):
+            for classes in map(frozenset, itertools.combinations(every, size)):
+                brute = [frozenset(every)] if order < 3 else holding[classes]
+                assert list(cells_of(order, classes)) == brute
+                if size == 4:
+                    assert cells_of(order, classes) == (classes,)
 
 
 def test_every_face_lies_in_a_cell():
