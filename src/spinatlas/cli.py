@@ -142,10 +142,10 @@ def cmd_classify(args, engine: _classify.Engine) -> int:
     return 0
 
 
-def _print_verify(reports) -> int:
-    """Print each class's records as its report arrives; the number of mismatched classes."""
-    mismatches = 0
-    for report in reports:
+def _print_verify(reports) -> tuple[int, int]:
+    """Print each class's records as its report arrives; the number of classes printed and of mismatched ones."""
+    classes = mismatches = 0
+    for classes, report in enumerate(reports, 1):
         gc, ok = report.graph_class, report.match_all
         mismatches += 0 if ok else 1
         print(
@@ -163,9 +163,8 @@ def _print_verify(reports) -> int:
         for row in report.rows:
             if not row.match:
                 print(f"  mismatch {row.vertex.name}: predicted {row.predicted}, computed {row.computed}")
-        # each class's records leave as it finishes, so a run cut short keeps them
-        sys.stdout.flush()
-    return mismatches
+        sys.stdout.flush()  # each class's records leave as it finishes, so a run cut short keeps them
+    return classes, mismatches
 
 
 def cmd_verify(args, engine: _classify.Engine) -> int:
@@ -177,14 +176,10 @@ def cmd_verify(args, engine: _classify.Engine) -> int:
         orders = sorted({_int(x, "--orders") for x in args.orders.split(",")})
         if orders[0] < 0 or orders[-1] >= hi:
             raise UsageError(f"--orders must lie within 0..{hi - 1} for genus up to {hi}")
-    targets = []
-    for genus in range(lo, hi + 1):
-        for gc in enumerate_classes(genus):
-            if orders is None or gc.order in orders:
-                targets.append(gc)
-
-    mismatches = _print_verify(_classify.verify_class(gc, engine=engine) for gc in targets)
-    print(render_record({"kind": "summary", "classes": str(len(targets)), "mismatches": str(mismatches)}))
+    targets = (gc for genus in range(lo, hi + 1) for gc in enumerate_classes(genus))
+    reports = (_classify.verify_class(gc, engine=engine) for gc in targets if orders is None or gc.order in orders)
+    classes, mismatches = _print_verify(reports)
+    print(render_record({"kind": "summary", "classes": str(classes), "mismatches": str(mismatches)}))
     return 0 if mismatches == 0 else 1
 
 
@@ -294,7 +289,7 @@ def _dest(strings: tuple[str, ...]) -> str:
 
 def _read_options(options, argv: list[str], k: int, values: dict) -> int | None:
     """Read the option tokens of argv from index k into values, defaults first; the index of the first
-    token that starts no option, or None where argparse must read the line."""
+    token that starts none of these options, or None where argparse must read the line."""
     by_string = {}
     for strings, keywords in options:
         dest, flag = _dest(strings), keywords.get("action") == "store_true"
@@ -305,7 +300,7 @@ def _read_options(options, argv: list[str], k: int, values: dict) -> int | None:
         # only a long option takes its value after "="; "-g=3" and "-g3" are argparse's
         name, eq, value = argv[k].partition("=") if argv[k].startswith("--") else (argv[k], "", "")
         if name not in by_string:
-            return None
+            break
         dest, keywords, flag = by_string[name]
         if flag:
             if eq:
@@ -353,9 +348,19 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argparse's reading of argv; an unknown option before the command is named, not its value read as the command."""
+    parser, k = build_parser(), _read_options(_GLOBAL_OPTIONS, argv, 0, {})
+    if k is not None and k + 1 < len(argv) and argv[k + 1] not in _COMMANDS and not argv[k + 1].startswith("-"):
+        known = ("--help", *(s for strings, _ in _GLOBAL_OPTIONS for s in strings))  # "--" is a prefix of them all
+        if argv[k].startswith("--") and "=" not in argv[k] and not any(s.startswith(argv[k]) for s in known):
+            parser.error(f"unrecognized arguments: {argv[k]}")  # a prefix of a known option is its abbreviation
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _read_args(argv) or build_parser().parse_args(argv)
+    args = _read_args(argv) or _parse_args(argv)
     flags = {k: v for k, v in vars(args).items() if k == "max_steps"}
     try:
         engine = _classify.Engine(**flags)  # the search flags are checked before any record

@@ -7,8 +7,8 @@ k_l = k_{l-1} + p_l.
 """
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
+from collections.abc import Iterator
 
 
 class InvalidClassError(ValueError):
@@ -77,20 +77,15 @@ def _increment_tuples(order: int, total: int):
             yield (first, *rest)
 
 
-def enumerate_classes(genus: int, order: int | None = None) -> list[GraphClass]:
-    """Every class of the given genus (optionally one order), in (order, i, p) order: the loops run
-    over r, then i, then p, each ascending (`_increment_tuples` is lexicographic)."""
+def enumerate_classes(genus: int, order: int | None = None) -> Iterator[GraphClass]:
+    """Every class of the given genus (optionally one order), read lazily once the call has checked its arguments,
+    in (order, i, p) order: r, then i, then p, each ascending (`_increment_tuples` is lexicographic)."""
     if genus < 2:
         raise InvalidClassError(f"genus must be >= 2, got {genus}")
-    orders = range(genus) if order is None else [order]
-    out: list[GraphClass] = []
-    for r in orders:
-        if not 0 <= r < genus:
-            raise InvalidClassError(f"order must satisfy 0 <= r < genus, got r={r}")
-        for i in itertools.count():
-            base = (r + 1) * (i + 1) - 1
-            if base > genus:
-                break
-            for p in _increment_tuples(r, genus - base):
-                out.append(GraphClass(genus, r, i, p))
-    return out
+    if order is not None and not 0 <= order < genus:
+        raise InvalidClassError(f"order must satisfy 0 <= r < genus, got r={order}")
+    return (
+        GraphClass(genus, r, i, p) for r in (range(genus) if order is None else (order,))
+        for i in range((genus + 1) // (r + 1))  # the i with (r+1)(i+1) - 1 <= genus
+        for p in _increment_tuples(r, genus + 1 - (r + 1) * (i + 1))
+    )

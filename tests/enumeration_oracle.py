@@ -39,7 +39,7 @@ def count_differences(lo: int, hi: int) -> tuple[int, list[str]]:
     coeffs = [partition_counts(order, hi) for order in range(hi)]
     total, out = 0, []
     for genus in range(lo, hi + 1):
-        classes = enumerate_classes(genus)
+        classes = list(enumerate_classes(genus))
         total += len(classes)
         if len(set(classes)) != len(classes):
             out.append(f"genus {genus}: {len(classes) - len(set(classes))} classes listed twice")

@@ -89,6 +89,46 @@ def test_verify_flushes_each_class_record(monkeypatch):
     assert log.at_flush == ["".join(lines[:k]) for k in range(1, len(lines))]
 
 
+def test_verify_and_atlas_stream_their_classes(monkeypatch):
+    # a class's record leaves before the classes after it are enumerated, so a run's memory does not grow
+    # with its range; and the summary counts the records that left
+    from spinatlas import cli
+
+    events = []
+    enumerate_classes = cli.enumerate_classes
+
+    def logged(genus, order=None):
+        events.append(("enumerate", genus))
+        classes = enumerate_classes(genus, order)
+
+        def read():
+            yield from classes
+            events.append(("exhausted", genus))
+
+        return read()
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            events.append(("write", text))
+            return super().write(text)
+
+    def first_record(kind: str) -> int:
+        return next(k for k, (what, text) in enumerate(events) if what == "write" and text.startswith(f"kind={kind} "))
+
+    monkeypatch.setattr(cli, "enumerate_classes", logged)
+    for argv in (["verify", "--genus", "2..6"], ["verify", "--genus", "2..6", "--orders", "1,3"]):
+        events.clear()
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(argv) == 0
+        assert first_record("verify") < events.index(("enumerate", 6)), argv
+        lines = sys.stdout.getvalue().splitlines()
+        records = sum(line.startswith("kind=verify ") for line in lines)
+        assert lines[-1] == f"kind=summary classes={records} mismatches=0", argv
+    events.clear()
+    assert main(["atlas", "--genus", "6"]) == 0
+    assert first_record("atlas") < events.index(("exhausted", 6))
+
+
 def test_atlas_genus2(capsys):
     code, out, _ = run(capsys, "atlas", "--genus", "2")
     assert code == 0
@@ -291,6 +331,25 @@ def test_closure_cap_is_an_unknown_option(capsys):
         captured = capsys.readouterr()
         assert exit_.value.code == 2 and captured.out == "", argv
         assert "unrecognized arguments: --closure-cap 2" in captured.err, argv
+
+
+def test_an_unknown_option_before_the_command_is_named(capsys):
+    # argparse alone reads the value after such an option as the command, and reports `invalid choice: 'x'`
+    for argv in (
+        ["--tables", "x", "verify", "--genus", "2"],
+        ["--closure-cap", "5", "verify", "--genus", "2"],
+        ["--max-genus", "9", "--tables", "x", "atlas", "--genus", "2"],
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == "", argv
+        assert captured.err.endswith(f"spin-atlas: error: unrecognized arguments: {argv[-5]}\n"), argv
+    # argparse's abbreviations of the options the program has still read as those options
+    assert run(capsys, "--max", "3", "verify", "--genus", "3")[:2] == (0, run(capsys, "verify", "--genus", "3")[1])
+    with pytest.raises(SystemExit) as exit_:
+        main(["--he", "x", "verify"])
+    assert exit_.value.code == 0 and capsys.readouterr().out.startswith("usage: spin-atlas [-h]")
 
 
 def test_verify_runs_past_genus_12_with_the_genus_bound_raised(capsys):

@@ -127,7 +127,7 @@ def test_edge_multiplicities_order_one_and_zero():
         (Pt, P1t): 1,
         (P1, P1t): 2,
     }
-    gc0 = enumerate_classes(2, 0)[0]
+    gc0 = list(enumerate_classes(2, 0))[0]
     mult0 = edge_multiplicities_r_le_2(gc0)
     assert mult0 == {(P, Pt): 2}  # the single pair carries the whole genus
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinatlas import params
 from spinatlas.params import GraphClass, InvalidClassError, enumerate_classes, genus_of, heads, k_tuple
 
 
@@ -80,7 +81,7 @@ def test_enumeration_fixtures():
 
 def test_enumeration_sorted_and_order_bounded():
     for genus in range(2, 25):
-        classes = enumerate_classes(genus)
+        classes = list(enumerate_classes(genus))
         keys = [(gc.order, gc.i, gc.p) for gc in classes]
         assert keys == sorted(keys)
         assert all(gc.order < genus for gc in classes)
@@ -89,6 +90,15 @@ def test_enumeration_sorted_and_order_bounded():
             assert all(ks[l] <= ks[l + 1] for l in range(len(ks) - 1))
             assert gc.i <= (gc.genus - gc.order) // (gc.order + 1)
             assert gc.connected_pairs == {l for l, kl in enumerate(ks) if kl >= 2}
+
+
+def test_enumeration_builds_each_class_as_it_is_read(monkeypatch):
+    # the call checks its arguments and builds nothing; the first class read is the only one built
+    built = []
+    monkeypatch.setattr(params, "GraphClass", lambda *args: built.append(args) or GraphClass(*args))
+    classes = enumerate_classes(30)
+    assert built == []
+    assert next(classes) == GraphClass(30, 0, 30, ()) and built == [(30, 0, 30, ())]
 
 
 def test_heads():
