@@ -10,7 +10,7 @@ share one degree.  Inadmissible chains evaluate to the identity.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from .faces import Face, cells_containing, cells_of, direct_images, face_cycles, is_face, neighbour_ids, vertex_id
 from .faces import _face_map_pairs  # the memoized face maps `evaluate` composes
@@ -158,10 +158,9 @@ class StepTable:
     in `enumerate_faces` order, each followed by its cells in order, `faces.cells_of` of the face's own
     class set (a four-class face's one cell is that set); choice k is the step's k-th.  The
     faces through a and b are their `face_cycles`, and both steps between a and b share one choice
-    list, extended a face at a time as far as any reader of either step reaches.  `steps(a, b)` gives
+    list, extended a face at a time as far as any reader of either step reaches.  `steps(a, b)` yields
     each choice with its face map from one list per step: the first reader to reach a choice appends
-    it with its map, built from its face by `faces.direct_images`, and the list is the step once the
-    choices run out.
+    it with its map, built from its face by `faces.direct_images`.
     A search path is a sequence of (vertex id, choice index) steps; `chain` builds its chain, no map.
     """
 
@@ -172,9 +171,8 @@ class StepTable:
         # per vertex pair (a < b) read so far: the choices of both steps between a and b listed so far,
         # and the faces through a and b whose choices are not listed yet
         self._choices: dict[tuple[int, int], tuple[list[Choice], Iterator[tuple[int, ...]]]] = {}
-        # per step read so far, its (choice, face map) pairs listed so far, and the steps listed in full
+        # per step read so far, its (choice, face map) pairs listed so far
         self._listed: dict[tuple[int, int], list[tuple[Choice, tuple[int, ...]]]] = {}
-        self._whole: set[tuple[int, int]] = set()
 
     def _choice(self, a: int, b: int, k: int) -> Choice | None:
         """Choice k of the step from a to b, or None if the step has no more than k choices."""
@@ -189,12 +187,9 @@ class StepTable:
             choices += [(cell, cycle) for cell in cells_of(self.cg.order, frozenset(w >> 1 for w in cycle))]
         return choices[k]
 
-    def steps(self, a: int, b: int) -> Iterable[tuple[Choice, tuple[int, ...]]]:
-        """The step's (choice, face map) pairs in choice order: a list once every choice is listed."""
+    def steps(self, a: int, b: int) -> Iterator[tuple[Choice, tuple[int, ...]]]:
+        """The step's (choice, face map) pairs in choice order."""
         listed = self._listed.setdefault((a, b), [])
-        return listed if (a, b) in self._whole else self._listing(a, b, listed)
-
-    def _listing(self, a: int, b: int, listed: list) -> Iterator[tuple[Choice, tuple[int, ...]]]:
         k = 0
         # a choice already listed is read from `listed`; only the next one past it is asked for
         while k < len(listed) or (choice := self._choice(a, b, k)) is not None:
@@ -203,7 +198,6 @@ class StepTable:
                 listed.append((choice, direct_images(self.cg.order, self.cg.connected, *choice, a, b)))
             yield listed[k]
             k += 1
-        self._whole.add((a, b))
 
     def chain(self, start: Vertex, path: tuple[tuple[int, int], ...]) -> SpinChain:
         """The chain at `start` whose steps take, in turn, choice k of the step to vertex b."""

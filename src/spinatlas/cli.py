@@ -46,10 +46,13 @@ def render_record(fields: dict[str, str]) -> str:
 # ---------------------------------------------------------------- rows
 
 def atlas_record(gc: GraphClass, report: _classify.ClassReport | None) -> dict[str, str]:
-    cg = build_connection_graph(gc)
-    degrees = [(c, cg.epsilon_degree(Vertex(c, False))) for c in cg.classes]
-    predicted = [(c, _classify.predict_group(cg, Vertex(c, False))) for c in cg.classes]
-    fields = {
+    """The class's `kind=atlas` record, read from its report's untilded rows, or from rows of no verdict."""
+    if report is None:
+        cg = build_connection_graph(gc)
+        rows = [_classify.vertex_row(cg, v, None) for v in cg.vertices() if not v.tilded]
+    else:
+        rows = [row for row in report.rows if not row.vertex.tilded]
+    return {
         "kind": "atlas",
         "genus": str(gc.genus),
         "order": str(gc.order),
@@ -58,17 +61,11 @@ def atlas_record(gc: GraphClass, report: _classify.ClassReport | None) -> dict[s
         "k": _fmt_list(gc.k),
         "connected": _fmt_list(sorted(gc.connected_pairs)),
         "heads": _fmt_list(sorted(heads(gc))),
-        "degrees": _fmt_map(degrees),
-        "predicted": _fmt_map((c, str(v)) for c, v in predicted),
+        "degrees": _fmt_map((row.vertex.cls, row.degree) for row in rows),
+        "predicted": _fmt_map((row.vertex.cls, row.predicted) for row in rows),
+        "computed": "-" if report is None else _fmt_map((row.vertex.cls, row.computed) for row in rows),
+        "match": "skipped" if report is None else ("true" if report.match_all else "false"),
     }
-    if report is None:
-        fields["computed"] = "-"
-        fields["match"] = "skipped"
-    else:
-        by_class = {row.vertex.cls: row.computed for row in report.rows if not row.vertex.tilded}
-        fields["computed"] = _fmt_map((c, str(by_class[c])) for c in cg.classes)
-        fields["match"] = "true" if report.match_all else "false"
-    return fields
 
 
 def _int(text: str, what: str) -> int:
@@ -350,11 +347,17 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """argparse's reading of argv; an unknown option before the command is named, not its value read as the command."""
-    parser, k = build_parser(), _read_options(_GLOBAL_OPTIONS, argv, 0, {})
-    if k is not None and k + 1 < len(argv) and argv[k + 1] not in _COMMANDS and not argv[k + 1].startswith("-"):
-        known = ("--help", *(s for strings, _ in _GLOBAL_OPTIONS for s in strings))  # "--" is a prefix of them all
-        if argv[k].startswith("--") and "=" not in argv[k] and not any(s.startswith(argv[k]) for s in known):
-            parser.error(f"unrecognized arguments: {argv[k]}")  # a prefix of a known option is its abbreviation
+    parser, k = build_parser(), 0
+    known = ("--help", *(s for strings, _ in _GLOBAL_OPTIONS for s in strings))
+    while k < len(argv) and argv[k].startswith("--"):  # the global options, each with its value, as argparse reads them
+        name, eq, _ = argv[k].partition("=")
+        matches = [s for s in known if s.startswith(name)]  # a prefix of one known option is its abbreviation
+        after = argv[k + 1] if k + 1 < len(argv) and not eq else "-"  # "-" where no separate value follows
+        if not matches and after not in _COMMANDS and not after.startswith("-"):
+            parser.error(f"unrecognized arguments: {argv[k]}")
+        if len(matches) != 1 or matches[0] == "--help":
+            break  # "--" is a prefix of them all; help and an ambiguous abbreviation are argparse's to read
+        k += 1 if eq else 2  # every global option but --help takes a value
     return parser.parse_args(argv)
 
 

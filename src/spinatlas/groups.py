@@ -156,8 +156,7 @@ class SymmetricCertificate:
     taken also maps the known cycles to their conjugates, which lie in the
     group too, so g(C) is joined for every part C, and again until g maps
     every part into a part.  A flag records an odd permutation, its parity
-    read off the same cycles; g's cycles are listed only while the parts are
-    unjoined or no odd g has been taken.  It never proves a smaller group,
+    read off the same cycles.  It never proves a smaller group,
     so a search that gets no certificate decides with a `StabChain`.
     """
 
@@ -178,22 +177,21 @@ class SymmetricCertificate:
 
     def add(self, g: Perm) -> bool:
         """Take g into the group; True once the permutations taken generate S_n."""
-        if self._parts > 1 or not self._odd:
-            decomposition = cycles(g)
-            # each cycle of length L is L - 1 transpositions
-            self._odd = self._odd or (len(g) - len(decomposition)) % 2 == 1
-            if self._parts > 1:
-                for cyc in power_cycles(decomposition):
-                    for p in cyc[1:]:
-                        self._join(cyc[0], p)
-                parts = len(g)
-                while 1 < self._parts < parts:
-                    # points of one part map into one part: join each image with that of the part's name
-                    parts = self._parts
-                    part = self._part
-                    for p in range(len(g)):
-                        if part[g[part[p]]] != part[g[p]]:
-                            self._join(g[part[p]], g[p])
+        decomposition = cycles(g)
+        # each cycle of length L is L - 1 transpositions
+        self._odd = self._odd or (len(g) - len(decomposition)) % 2 == 1
+        if self._parts > 1:
+            for cyc in power_cycles(decomposition):
+                for p in cyc[1:]:
+                    self._join(cyc[0], p)
+            parts = len(g)
+            while 1 < self._parts < parts:
+                # points of one part map into one part: join each image with that of the part's name
+                parts = self._parts
+                part = self._part
+                for p in range(len(g)):
+                    if part[g[part[p]]] != part[g[p]]:
+                        self._join(g[part[p]], g[p])
         return self._parts == 1 and self._odd
 
 

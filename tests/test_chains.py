@@ -479,8 +479,8 @@ def test_lazily_listed_steps_end_equal_to_the_eager_listing(monkeypatch):
                 part_listed += 0 < built.get((a, b), 0) < len(eager)
                 for k, (choice, _) in enumerate(table.steps(a, b)):
                     assert choice == eager[k]
-                listed = table.steps(a, b)
-                assert isinstance(listed, list) and [choice for choice, _ in listed] == eager
+                listed = list(table.steps(a, b))
+                assert [choice for choice, _ in listed] == eager
                 assert built.get((a, b), 0) == len(eager)
                 steps += 1
             for a, b in itertools.combinations(range(len(table.vertices)), 2):

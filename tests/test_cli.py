@@ -339,6 +339,10 @@ def test_an_unknown_option_before_the_command_is_named(capsys):
         ["--tables", "x", "verify", "--genus", "2"],
         ["--closure-cap", "5", "verify", "--genus", "2"],
         ["--max-genus", "9", "--tables", "x", "atlas", "--genus", "2"],
+        # the global options before it, abbreviated or not, are read as argparse reads them
+        ["--max-genus", "9", "--tables", "x", "verify", "--genus", "2"],
+        ["--max", "9", "--tables", "x", "verify", "--genus", "2"],
+        ["--max=9", "--tables", "x", "verify", "--genus", "2"],
     ):
         with pytest.raises(SystemExit) as exit_:
             main(argv)

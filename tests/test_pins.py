@@ -1,0 +1,66 @@
+"""The pinned command lines: each run in a fresh interpreter must exit 0 with stdout whose sha256 is its pin.
+
+The benchmark's three workloads are read from `perfbench/run.py`, which holds their pins; the
+others are pinned here, and nowhere else.
+"""
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import python_env
+
+
+def _benchmark_workloads() -> dict:
+    """`WORKLOADS` of `perfbench/run.py`, imported from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # a dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+# per name: the command line, the classes its `verify` summary counts (None for no `verify`), and its sha256
+PINS = {
+    **{name: (w.args, w.classes, w.stdout_sha256) for name, w in _benchmark_workloads().items()},
+    # the witnesses are read back from the search paths, which are choice indices of the step table
+    "classify-witnesses": (
+        ("classify", "-g", "12", "-r", "10", "-i", "0", "-p", "0,0,0,0,0,0,0,0,1,0"),
+        None,
+        "11cdc51c86a305aa5a3116dafe39564a5e90a6420beaa6f3df22237e284c80dc",
+    ),
+    # label sets up to 20 points, each S_n verdict decided by the 2- and 3-cycle certificate
+    "verify-13..20": (
+        ("--max-genus", "20", "verify", "--genus", "13..20"),
+        3125,
+        "91f7b2aae2c9232dbcb10022a4b8bb32d6a28e96e78bc2fa9ca82bc0d87cff1e",
+    ),
+    # label sets up to 28 points: the lifetime of each graph's step table and walk state sets the memory
+    "verify-25..28": (
+        ("--max-genus", "28", "verify", "--genus", "25..28"),
+        13725,
+        "cf0d26c36740c4a49727ea6c2642ae9931c4aca9b4afe58a705f2e67e137548d",
+    ),
+    # two-pair faces at orders up to 31, each in C(r-1, 2) cells, which 25..28 does not reach
+    "verify-29..32": (
+        ("--max-genus", "32", "verify", "--genus", "29..32"),
+        30934,
+        "5ac57c704eb944a3ddac8539382155b0209df5ce7f82699ed3c5ed5842520a5c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_stdout_matches_its_pin(name):
+    args, classes, pin = PINS[name]
+    argv = [sys.executable, "-m", "spinatlas.cli", *args]
+    child = subprocess.run(argv, capture_output=True, env=python_env(), timeout=120)
+    assert child.returncode == 0, child.stderr.decode()
+    if classes is not None:
+        assert child.stdout.splitlines()[-1] == f"kind=summary classes={classes} mismatches=0".encode()
+    assert hashlib.sha256(child.stdout).hexdigest() == pin
