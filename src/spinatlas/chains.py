@@ -184,7 +184,9 @@ class StepTable:
             cycle = next(faces, None)
             if cycle is None:
                 return None
-            choices += [(cell, cycle) for cell in cells_of(self.cg.order, frozenset(w >> 1 for w in cycle))]
+            w, x, y, z = cycle
+            classes = frozenset((w >> 1, x >> 1, y >> 1, z >> 1))
+            choices += [(cell, cycle) for cell in cells_of(self.cg.order, classes)]
         return choices[k]
 
     def steps(self, a: int, b: int) -> Iterator[tuple[Choice, tuple[int, ...]]]:

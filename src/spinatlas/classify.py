@@ -236,9 +236,9 @@ def verify_class(gc: GraphClass, engine: Engine | None = None) -> ClassReport:
 
 def _rows(cg: ConnectionGraph, engine: Engine):
     """The `VertexRow` of every vertex of the graph, in vertex order."""
+    table = StepTable(cg)
     firsts: dict[bool, Vertex] = {}
     # per vertex, the first vertex of its orbit, whose search gives its group
-    source = {v: firsts.setdefault(v.cls in cg.connected, v) for v in cg.vertices()}
-    table = StepTable(cg)
+    source = {v: firsts.setdefault(v.cls in cg.connected, v) for v in table.vertices}
     verdicts = {s: spin_group_at(cg, s, max_steps=engine.max_steps, table=table).verdict for s in firsts.values()}
     return tuple(vertex_row(cg, v, verdicts[s]) for v, s in source.items())

@@ -69,14 +69,22 @@ def face_cycles(near: list[set[int]], a: int, b: int) -> list[tuple[int, ...]]:
 
     The graph is bipartite (chords join the two sides too), so on a face two
     adjacent vertices are neighbours on the cycle, and two that are not are
-    opposite corners of one side: only those share neighbours.
+    opposite corners of one side: only those share neighbours.  A face is
+    thus two same-side pairs, and its canonical cycle is (least point, lesser
+    of the other pair, the least point's partner, greater of the other pair).
     """
     if b in near[a]:
-        cycles = [(a, b, x, y) for x in near[b] - {a} for y in near[x] & near[a] - {b}]
+        found = []
+        for x in near[b] - {a}:
+            p, s = (a, x) if a < x else (x, a)
+            for y in near[x] & near[a] - {b}:
+                q, t = (b, y) if b < y else (y, b)
+                found.append((p, q, s, t) if p < q else (q, p, t, s))
     else:
+        p, s = (a, b) if a < b else (b, a)
         common = sorted(near[a] & near[b])
-        cycles = [(a, x, b, y) for k, x in enumerate(common) for y in common[k + 1:]]
-    return sorted(map(_canonical, cycles))
+        found = [(p, x, s, y) if p < x else (x, p, y, s) for k, x in enumerate(common) for y in common[k + 1:]]
+    return sorted(found)
 
 
 def enumerate_faces(cg: ConnectionGraph) -> tuple[Face, ...]:
@@ -125,32 +133,45 @@ def direct_images(
 ) -> tuple[int, ...]:
     """The map of pair u -> v on a face, built from the face itself, all by vertex id: per class
     0..r its image, -1 off the domain.  `chords` are the graph's chorded classes and `cycle` the
-    face's id 4-cycle, in either orientation, inside the 3-cell `cell`."""
-    classes = {w >> 1 for w in cycle}
-    pairs = 4 - len(classes)  # conjugate pairs on the face
-    # a face of two conjugate pairs is cell-independent: everything off the face stays put
-    kept = classes if pairs == 2 else cell
-    images = [-1 if c in kept else c for c in range(order + 1)]
-    # per end: the classes of its successor and predecessor on the cycle, its leftover and dropped labels
-    ends = []
-    for w in (u, v):
-        k, own = cycle.index(w), w >> 1
-        after, before = cycle[k - 3] >> 1, cycle[k - 1] >> 1
-        left = dropped = None
-        if pairs < 2:
-            if own in chords:
-                # at maximal degree the face suppresses one label: the own class's, or with a pair the absent class's
-                dropped = own if pairs == 0 else min(cell - classes, default=None)
-            rest = [c for c in cell if c not in (after, before, dropped) and (c != own or own in chords)]
-            if len(rest) > 1:
-                raise AssertionError(f"ambiguous leftover at vertex {w} on face {cycle}")
-            left = rest[0] if rest else None
-        ends.append((after, before, left, dropped))
-    (au, bu, lu, du), (av, bv, lv, dv) = ends
-    images[au], images[bu] = av, bv
-    for a, b in ((lu, lv), (du, dv)):
-        if a is not None and b is not None:
-            images[a] = b
+    face's id 4-cycle, in either orientation, inside the 3-cell `cell`.
+
+    The classes after and before u on the cycle go to those after and before v.  A face of two
+    conjugate pairs maps nothing else and fixes every class off the face.  On any other face each
+    end has one leftover label: the opposite corner's class, but at an end off the face's one
+    conjugate pair, whose opposite corner's class is a neighbour's, its own class if chorded, else
+    the cell's class off the face.  A chorded end also drops one label: its own class's on a face of
+    four classes (whose one cell is its class set), the cell's class off the face on a face of one
+    pair.  Leftover goes to leftover and, between two chorded ends, dropped to dropped; the rest of
+    the cell is -1 and every class off the cell is fixed.
+    """
+    k, j = cycle.index(u), cycle.index(v)
+    images = list(range(order + 1))
+    a, b, c, d = cycle
+    if a >> 1 != b >> 1 != c >> 1 != d >> 1 != a >> 1:  # only adjacent corners can be conjugate
+        # four classes, whose set is the face's one cell
+        images[cycle[k - 1] >> 1] = cycle[j - 1] >> 1
+        images[cycle[k - 2] >> 1] = cycle[j - 2] >> 1
+        images[cycle[k - 3] >> 1] = cycle[j - 3] >> 1
+        images[u >> 1] = v >> 1 if u >> 1 in chords and v >> 1 in chords else -1
+        return tuple(images)
+    classes = {a >> 1, b >> 1, c >> 1, d >> 1}
+    if len(classes) == 3:
+        # one conjugate pair; the cell's class off the face is absent at order 2, where the cell is the face's
+        spare = min(cell - classes, default=None)
+        ends = []
+        for at, w in ((k, u), (j, v)):
+            own = w >> 1
+            if own in (cycle[at - 1] >> 1, cycle[at - 3] >> 1):  # an end of the pair, so chorded
+                ends.append((cycle[at - 2] >> 1, spare))
+            else:
+                ends.append((own, spare) if own in chords else (spare, None))
+        for x in cell:
+            images[x] = -1
+        for x, y in zip(*ends):  # leftover to leftover, then dropped to dropped
+            if x is not None and y is not None:
+                images[x] = y
+    images[cycle[k - 1] >> 1] = cycle[j - 1] >> 1
+    images[cycle[k - 3] >> 1] = cycle[j - 3] >> 1
     return tuple(images)
 
 

@@ -35,13 +35,13 @@ def inverse(a: Perm) -> Perm:
 
 
 def cycles(a: Perm) -> list[list[int]]:
-    """The cycles of a, fixed points included, each from its least point, in order of that point."""
+    """The cycles of a that move points, each from its least point, in order of that point."""
     out = []
     seen = [False] * len(a)
-    for k in range(len(a)):
-        if not seen[k]:
+    for k, j in enumerate(a):
+        if j != k and not seen[k]:
             seen[k] = True
-            cyc, j = [k], a[k]
+            cyc = [k]
             while j != k:
                 seen[j] = True
                 cyc.append(j)
@@ -52,7 +52,7 @@ def cycles(a: Perm) -> list[list[int]]:
 
 def cycles_str(a: Perm) -> str:
     """One-based cycle notation, fixed points suppressed."""
-    return "".join("(" + " ".join(str(j + 1) for j in cyc) + ")" for cyc in cycles(a) if len(cyc) > 1) or "()"
+    return "".join("(" + " ".join(str(j + 1) for j in cyc) + ")" for cyc in cycles(a)) or "()"
 
 
 class StabChain:
@@ -131,11 +131,13 @@ class StabChain:
 
 
 def power_cycles(decomposition: list[list[int]]) -> list[list[int]]:
-    """Of a permutation g's cycles (`cycles(g)`), the 2- and 3-cycles in the group g generates.
+    """Of a permutation g's nontrivial cycles (`cycles(g)`), the 2- and 3-cycles in the group g generates.
 
     A cycle c of length L in {2, 3} qualifies when it is g's only cycle of
     that length and every other cycle length of g is prime to L: then g^m is
-    a generator of <c>, for m the lcm of the other lengths.
+    a generator of <c>, for m the lcm of the other lengths.  A fixed point is
+    a cycle of length 1, prime to both, so listing g's fixed points among its
+    cycles never changes the result.
     """
     lengths = list(map(len, decomposition))
     return [
@@ -176,11 +178,24 @@ class SymmetricCertificate:
             self._parts -= 1
 
     def add(self, g: Perm) -> bool:
-        """Take g into the group; True once the permutations taken generate S_n."""
-        decomposition = cycles(g)
-        # each cycle of length L is L - 1 transpositions
-        self._odd = self._odd or (len(g) - len(decomposition)) % 2 == 1
-        if self._parts > 1:
+        """Take g into the group; True once the permutations taken generate S_n.
+
+        Only g's moved points are read: a fixed point is a cycle of length 1,
+        which changes neither g's parity nor its `power_cycles`.  When every
+        moved point of g lies in one part C, as each does once one part holds
+        every point, g joins no parts, so only its parity is read, and only
+        while no odd element is known:
+        * g's cycles stay inside C, so each of its `power_cycles` joins points already in C;
+        * g fixes every other part pointwise, so it maps each of them onto itself;
+        * g maps C onto itself, as it permutes its moved points and fixes the rest of C.
+        """
+        part = self._part
+        joins = self._parts > 1 and len({part[p] for p, q in enumerate(g) if p != q}) > 1
+        if joins or not self._odd:
+            decomposition = cycles(g)
+            # each cycle of length L is L - 1 transpositions
+            self._odd = self._odd or (sum(map(len, decomposition)) - len(decomposition)) % 2 == 1
+        if joins:
             for cyc in power_cycles(decomposition):
                 for p in cyc[1:]:
                     self._join(cyc[0], p)
@@ -188,7 +203,6 @@ class SymmetricCertificate:
             while 1 < self._parts < parts:
                 # points of one part map into one part: join each image with that of the part's name
                 parts = self._parts
-                part = self._part
                 for p in range(len(g)):
                     if part[g[part[p]]] != part[g[p]]:
                         self._join(g[part[p]], g[p])

@@ -15,10 +15,10 @@ import pytest
 import spinatlas
 from spinatlas.chains import ChainStep, SpinChain, StepTable, carry, close_out, label_positions, validate_structure
 from spinatlas.classify import SpinGroupResult
-from spinatlas.faces import Face, cells_containing, direct_images, enumerate_faces, vertex_id
+from spinatlas.faces import Face, _canonical, cells_containing, direct_images, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
 from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, StabChain, SymmetricCertificate, alternating, identity_perm
-from spinatlas.groups import recognize, symmetric
+from spinatlas.groups import power_cycles, recognize, symmetric
 
 
 SRC = str(Path(spinatlas.__file__).resolve().parent.parent)
@@ -89,6 +89,94 @@ def build_face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Ver
     """`direct_images` for a `Face`, as a dict from each class at u to its image at v."""
     cycle, a, b = tuple(map(vertex_id, face.cycle)), vertex_id(u), vertex_id(v)
     return {c: t for c, t in enumerate(direct_images(cg.order, cg.connected, cell, cycle, a, b)) if t >= 0}
+
+
+def reference_images(
+    order: int, chords: frozenset[int], cell: frozenset[int], cycle: tuple[int, ...], u: int, v: int
+) -> tuple[int, ...]:
+    """Reference for `faces.direct_images`: the generic rule, one end at a time, for every face kind.
+
+    Per end it reads the classes after and before it on the cycle, the leftover label (the one
+    in-cell label left once those two, the dropped label and an unchorded own class are taken out)
+    and the label a maximal-degree end drops (its own class on a face without a conjugate pair, the
+    cell's class off the face on a face with one); a face of two pairs fixes every class off the face.
+    """
+    classes = {w >> 1 for w in cycle}
+    pairs = 4 - len(classes)  # conjugate pairs on the face
+    kept = classes if pairs == 2 else cell
+    images = [-1 if c in kept else c for c in range(order + 1)]
+    ends = []
+    for w in (u, v):
+        k, own = cycle.index(w), w >> 1
+        after, before = cycle[k - 3] >> 1, cycle[k - 1] >> 1
+        left = dropped = None
+        if pairs < 2:
+            if own in chords:
+                dropped = own if pairs == 0 else min(cell - classes, default=None)
+            rest = [c for c in cell if c not in (after, before, dropped) and (c != own or own in chords)]
+            if len(rest) > 1:
+                raise AssertionError(f"ambiguous leftover at vertex {w} on face {cycle}")
+            left = rest[0] if rest else None
+        ends.append((after, before, left, dropped))
+    (au, bu, lu, du), (av, bv, lv, dv) = ends
+    images[au], images[bu] = av, bv
+    for a, b in ((lu, lv), (du, dv)):
+        if a is not None and b is not None:
+            images[a] = b
+    return tuple(images)
+
+
+def reference_face_cycles(near: list[set[int]], a: int, b: int) -> list[tuple[int, ...]]:
+    """Reference for `faces.face_cycles`: every 4-cycle through a and b as found, each made canonical, sorted."""
+    if b in near[a]:
+        cycles = [(a, b, x, y) for x in near[b] - {a} for y in near[x] & near[a] - {b}]
+    else:
+        common = sorted(near[a] & near[b])
+        cycles = [(a, x, b, y) for k, x in enumerate(common) for y in common[k + 1:]]
+    return sorted(map(_canonical, cycles))
+
+
+def all_cycles(g: tuple[int, ...]) -> list[list[int]]:
+    """Every cycle of g, fixed points included, each from its least point, in order of that point."""
+    out, seen = [], set()
+    for k in range(len(g)):
+        if k not in seen:
+            cyc, j = [k], g[k]
+            while j != k:
+                cyc.append(j)
+                j = g[j]
+            seen.update(cyc)
+            out.append(cyc)
+    return out
+
+
+class ReferenceCertificate:
+    """Reference for `groups.SymmetricCertificate`: every permutation's full cycle decomposition,
+    fixed points included, its 2- and 3-cycle powers joined and the conjugation pass run while
+    points stay apart, with no shortcut; the parts are held as a set of frozensets."""
+
+    def __init__(self, n: int) -> None:
+        self.parts = {frozenset([p]) for p in range(n)}
+        self.odd = False
+
+    def _join(self, points) -> None:
+        joined = {part for part in self.parts if part & set(points)}
+        self.parts = (self.parts - joined) | {frozenset().union(*joined)}
+
+    def add(self, g: tuple[int, ...]) -> bool:
+        decomposition = all_cycles(g)
+        self.odd = self.odd or (len(g) - len(decomposition)) % 2 == 1
+        if len(self.parts) > 1:
+            for cyc in power_cycles(decomposition):
+                self._join(cyc)
+            # every part maps into a part: join the images of each part until none is split
+            while len(self.parts) > 1:
+                images = [{g[p] for p in part} for part in self.parts]
+                split = next((image for image in images if sum(1 for part in self.parts if part & image) > 1), None)
+                if split is None:
+                    break
+                self._join(split)
+        return len(self.parts) == 1 and self.odd
 
 
 def conjugate_face(face: Face) -> Face:

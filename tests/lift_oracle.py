@@ -5,9 +5,10 @@ A face map at order r should be the map of its cell's order-3 graph, renamed:
 `lifted_images` renames a face into its cell's order-3 graph through the
 cell's `cell_frame`, looks its map up in `tables.compute_order3_tables()` and
 lifts it back.  `lift_differences` builds every map of a graph both ways, over
-every (cell, face, u, v), and names each map where the two differ.  Run as a
-script over a range of orders, for every top-slice chord set, it exits 1 on
-any difference:
+every (cell, face, u, v), checks each against the generic rule of
+`conftest.reference_images` too, and names each map where any two differ.  Run
+as a script over a range of orders, for every top-slice chord set, it exits 1
+on any difference:
 
     PYTHONPATH=src python3 tests/lift_oracle.py 6..9
 """
@@ -17,6 +18,7 @@ import sys
 import time
 from itertools import permutations
 
+from conftest import reference_images
 from spinatlas import tables
 from spinatlas.faces import cells_containing, direct_images, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph
@@ -58,7 +60,8 @@ def top_slice_graphs(order: int) -> list[ConnectionGraph]:
 
 
 def lift_differences(cg: ConnectionGraph, store: tables.FaceTables) -> tuple[int, list[str]]:
-    """How many maps were compared, and each one whose lift through `store` differs from the direct build."""
+    """How many maps were compared, and each one whose lift through `store` or whose generic rule
+    (`reference_images`) differs from the direct build."""
     compared, out = 0, []
     for face in enumerate_faces(cg):
         cycle = tuple(map(vertex_id, face.cycle))
@@ -67,10 +70,11 @@ def lift_differences(cg: ConnectionGraph, store: tables.FaceTables) -> tuple[int
             for u, v in permutations(cycle, 2):
                 direct = direct_images(cg.order, cg.connected, cell, cycle, u, v)
                 lifted = lifted_images(store, cg.order, frame, cycle, u, v)
+                reference = reference_images(cg.order, cg.connected, cell, cycle, u, v)
                 compared += 1
-                if direct != lifted:
+                if not direct == lifted == reference:
                     where = f"order {cg.order} chords {sorted(cg.connected)} cell {sorted(cell)} {face.name}"
-                    out.append(f"{where} {u}->{v}: direct {direct}, lifted {lifted}")
+                    out.append(f"{where} {u}->{v}: direct {direct}, lifted {lifted}, reference {reference}")
     return compared, out
 
 

@@ -7,9 +7,11 @@ import pytest
 
 from conftest import BASIC3_FACES, CHORD2_FACES, CHORD3_FACES, CELL3, F, P, P1, P1t, P2, P2t, P3, P3t, Pt, V
 from conftest import FaceKind, build_face_map, conjugate_face, decorated_cell, face_classes, face_kind, pair_count
+from conftest import reference_face_cycles, reference_images
 from lift_oracle import cell_frame, lift_differences, top_slice_graphs
 from spinatlas import tables
-from spinatlas.faces import Face, cells_containing, cells_of, enumerate_faces, face_map, is_face, vertex_id
+from spinatlas.faces import Face, cells_containing, cells_of, direct_images, enumerate_faces, face_cycles, face_map
+from spinatlas.faces import is_face, neighbour_ids, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
 
 
@@ -146,12 +148,44 @@ def test_every_face_lies_in_a_cell():
             assert len(cells_containing(cg, face)) >= 1
 
 
-def test_neighbour_ids_match_adjacency():
-    from spinatlas.faces import neighbour_ids
+def slice_graphs(order: int) -> list[ConnectionGraph]:
+    """The order-r graphs with chords on classes j..r, j <= r + 1: the top slices and the chordless graph."""
+    return [ConnectionGraph(order, frozenset(range(j, order + 1))) for j in range(order + 2)]
 
+
+def test_face_cycles_match_the_canonicalized_raw_cycles():
+    # every ordered vertex pair, adjacent or not: the cycles canonical as built equal each raw cycle made canonical
+    pairs = 0
+    for order in range(12):
+        for cg in slice_graphs(order):
+            near = neighbour_ids(cg)
+            for a, b in itertools.permutations(range(len(near)), 2):
+                assert face_cycles(near, a, b) == reference_face_cycles(near, a, b), (cg, a, b)
+                pairs += 1
+    assert pairs == 25_480
+
+
+def test_direct_images_match_the_reference_rule():
+    # every (cell, face, u, v) map of every slice graph of orders 0..6, the face's cycle read both ways round:
+    # the closed forms per face kind against the generic rule of one end at a time
+    compared, kinds = 0, set()
+    for order in range(7):
+        for cg in slice_graphs(order):
+            for face in enumerate_faces(cg):
+                cycle = tuple(map(vertex_id, face.cycle))
+                kinds.add(face_kind(face))
+                for cell in cells_containing(cg, face):
+                    for way in (cycle, cycle[::-1]):
+                        for u, v in itertools.permutations(way, 2):
+                            got = direct_images(order, cg.connected, cell, way, u, v)
+                            assert got == reference_images(order, cg.connected, cell, way, u, v), (cg, cell, way, u, v)
+                            compared += 1
+    assert kinds == set(FaceKind) and compared == 202_008
+
+
+def test_neighbour_ids_match_adjacency():
     for order in range(11):
-        for j in range(order + 2):
-            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+        for cg in slice_graphs(order):
             verts = cg.vertices()
             assert len(verts) == 2 * order + 2
             expected = [{vertex_id(w) for w in verts if cg.adjacent(v, w)} for v in verts]

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, conjugate_face, cycle_type, parity, parse_verdict
-from conftest import kept_perms, reference_search, searched_vertices, stab_chain_search
+from conftest import ReferenceCertificate, all_cycles, kept_perms, reference_search, searched_vertices, stab_chain_search
 from spinatlas.classify import Engine, predict_group, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
@@ -418,13 +418,18 @@ def sympy_order(perms, n):
 
 
 def test_power_cycles_are_powers_of_their_permutation():
-    assert power_cycles(cycles((1, 0, 3, 4, 2))) == [[0, 1], [2, 3, 4]]  # (0 1)(2 3 4): both
-    assert power_cycles(cycles((1, 0, 3, 4, 5, 2))) == []  # (0 1)(2 3 4 5): g^4 = 1, g^2 = (2 4)(3 5)
-    assert power_cycles(cycles((1, 0, 3, 2, 5, 6, 4))) == [[4, 5, 6]]  # two 2-cycles: neither
-    assert power_cycles(cycles((1, 2, 0, 4, 5, 3, 7, 6))) == [[6, 7]]  # two 3-cycles: neither
-    assert power_cycles(cycles((1, 2, 3, 4, 5, 0, 7, 8, 6))) == []  # a 6-cycle beside a 3-cycle
+    for g, expected in [
+        ((1, 0, 3, 4, 2), [[0, 1], [2, 3, 4]]),  # (0 1)(2 3 4): both
+        ((1, 0, 3, 4, 5, 2), []),  # (0 1)(2 3 4 5): g^4 = 1, g^2 = (2 4)(3 5)
+        ((1, 0, 3, 2, 5, 6, 4), [[4, 5, 6]]),  # two 2-cycles: neither
+        ((1, 2, 0, 4, 5, 3, 7, 6), [[6, 7]]),  # two 3-cycles: neither
+        ((1, 2, 3, 4, 5, 0, 7, 8, 6), []),  # a 6-cycle beside a 3-cycle
+        ((0, 2, 1, 3, 5, 6, 4), [[1, 2], [4, 5, 6]]),  # (1 2)(4 5 6) beside the fixed points 0 and 3
+    ]:
+        # the nontrivial cycles, and the decomposition that lists the fixed points too
+        assert power_cycles(cycles(g)) == power_cycles(all_cycles(g)) == expected, g
     rng = random.Random(20261018)
-    found = 0
+    found = fixed = 0
     for _ in range(400):
         n = rng.randint(2, 8)
         g = random_perm(rng, n)
@@ -432,10 +437,57 @@ def test_power_cycles_are_powers_of_their_permutation():
         while h not in powers:
             powers.add(h)
             h = compose(h, g)
+        assert cycles(g) == [cyc for cyc in all_cycles(g) if len(cyc) > 1]
+        assert power_cycles(cycles(g)) == power_cycles(all_cycles(g)), g
+        fixed += len(cycles(g)) < len(all_cycles(g))
         for cyc in power_cycles(cycles(g)):
             found += 1
             assert len(cyc) in (2, 3) and cycle_perm(n, cyc) in powers, (g, cyc)
-    assert found > 100
+    assert found > 100 and fixed > 100
+
+
+def certificate_parts(certificate):
+    """A `SymmetricCertificate`'s partition of the points, as a set of frozensets."""
+    by_name = {}
+    for p, name in enumerate(certificate._part):
+        by_name.setdefault(name, set()).add(p)
+    return set(map(frozenset, by_name.values()))
+
+
+def test_certificate_matches_the_full_path_reference():
+    """Seeded random permutations, many moving only points of one part, before and after an odd one
+    is met: after every add, the return value, the odd flag and the partition equal those of a
+    certificate that decomposes every permutation in full and never takes the one-part path."""
+    rng = random.Random(20261020)
+    one_part = {False: 0, True: 0}  # by whether an odd element was known before the add
+    decided = 0
+    for _ in range(400):
+        n = rng.randint(2, 10)
+        certificate, reference = SymmetricCertificate(n), ReferenceCertificate(n)
+        for _ in range(rng.randint(1, 12)):
+            kind = rng.random()
+            if kind < 0.5:
+                # a permutation of some points of one part: the parity changes, the parts must not
+                part = sorted(rng.choice(sorted(reference.parts, key=min)))
+                points = rng.sample(part, rng.randint(1, len(part)))
+                image = rng.sample(points, len(points))
+                g = list(range(n))
+                for p, q in zip(points, image):
+                    g[p] = q
+                g = tuple(g)
+            elif kind < 0.8:
+                g = cycle_perm(n, rng.sample(range(n), rng.randint(2, min(n, 3))))
+            else:
+                g = random_perm(rng, n)
+            moved = {p for p in range(n) if g[p] != p}
+            if any(moved <= part for part in reference.parts):
+                one_part[reference.odd] += 1
+            result = certificate.add(g)
+            assert result == reference.add(g), g
+            assert certificate._odd == reference.odd, g
+            assert certificate_parts(certificate) == reference.parts, g
+            decided += result
+    assert min(one_part.values()) >= 300 and decided >= 100, (one_part, decided)
 
 
 def test_certificate_on_transpositions_and_three_cycles_matches_sympy():
