@@ -13,7 +13,6 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .faces import Face, cells_containing, cells_of, direct_images, face_cycles, is_face, neighbour_ids, vertex_id
-from .faces import _face_map_pairs  # the memoized face maps `evaluate` composes
 from .graph import ConnectionGraph, Vertex
 
 
@@ -73,7 +72,7 @@ Carried = tuple[tuple[int, ...], tuple[int, ...]]
 def carry(mapping: tuple[int, ...], carried: Carried | None) -> Carried | None:
     """Push the carried labels (start labels, current labels) through one step's face map.
 
-    `mapping` is a face map as `faces._face_map_pairs` gives it.  None as
+    `mapping` is a face map as `faces.direct_images` gives it.  None as
     `carried` starts a chain from the face map's whole domain (part of the
     start's label set); None comes back once a carried label is lost.
     """
@@ -90,15 +89,13 @@ def label_positions(cg: ConnectionGraph, v: Vertex) -> list[int | None]:
     return [labels.index(c) if c in labels else None for c in cg.classes]
 
 
-def close_out(pos: list[int | None], carried: Carried, n: int | None = None) -> tuple[int, ...]:
+def close_out(pos: list[int | None], carried: Carried, n: int) -> tuple[int, ...]:
     """Permutation of label positions from a closed loop's carried labels.
 
-    `pos` is the base vertex's `label_positions` and `n` its number of labels, counted from `pos` if not
-    given.  At most one label may be missing, on return to a base vertex of maximal degree; it is
-    repaired onto the one missing image.
+    `pos` is the base vertex's `label_positions` and `n` its number of labels.  At most one label may
+    be missing, on return to a base vertex of maximal degree; it is repaired onto the one missing image.
     """
     srcs, curs = carried
-    n = len(pos) - pos.count(None) if n is None else n
     perm = [-1] * n
     for src, cur in zip(srcs, curs):
         perm[pos[src]] = pos[cur]
@@ -112,26 +109,32 @@ def close_out(pos: list[int | None], carried: Carried, n: int | None = None) -> 
     return tuple(perm)
 
 
+def visitable(cg: ConnectionGraph, v: Vertex) -> list[int]:
+    """The ids of the vertices a chain at v may visit: at order <= 2, where a loop is admissible exactly
+    when all its vertices share one degree, those of v's degree; else every vertex of the graph."""
+    degree = cg.epsilon_degree(v)
+    return [b for b, w in enumerate(cg.vertices()) if cg.order > 2 or cg.epsilon_degree(w) == degree]
+
+
 def _admit(cg: ConnectionGraph, chain: SpinChain) -> tuple[AdmissibilityVerdict, Carried | None]:
     """The verdict, and for an admissible chain its carried labels, from one composition.
 
-    The first face's domain is carried through every step; the chain fails
-    at the 1-based step where a label is first lost.
+    A chain fails at its first step to a vertex it may not visit (`visitable`); else the first face's
+    domain is carried through every step, and it fails at the 1-based step where a label is first lost.
     """
     validate_structure(cg, chain)
-    if cg.order <= 2:
-        degrees = [cg.epsilon_degree(v) for v in chain.loop()]
-        for k, d in enumerate(degrees):
-            if d != degrees[0]:
-                return AdmissibilityVerdict(False, k, "DomainMismatch"), None
-    carried, current = None, chain.start
+    ids, allowed = list(map(vertex_id, chain.loop())), visitable(cg, chain.start)
+    for k, b in enumerate(ids):
+        if b not in allowed:
+            return AdmissibilityVerdict(False, k, "DomainMismatch"), None
+    carried = None
     for k, step in enumerate(chain.steps, start=1):
-        carried = carry(_face_map_pairs(cg, step.cell, step.face, current, step.target), carried)
+        cycle = tuple(map(vertex_id, step.face.cycle))
+        carried = carry(direct_images(cg.order, cg.connected, step.cell, cycle, ids[k - 1], ids[k]), carried)
         if carried is None:
             if cg.order <= 2:
                 raise AssertionError("at order <= 2 the degree rule admits only loops that compose")
             return AdmissibilityVerdict(False, k, "DomainMismatch"), None
-        current = step.target
     return AdmissibilityVerdict(True, None, "Composable"), carried
 
 
@@ -142,9 +145,8 @@ def is_admissible(cg: ConnectionGraph, chain: SpinChain) -> AdmissibilityVerdict
 def evaluate(cg: ConnectionGraph, chain: SpinChain) -> tuple[int, ...]:
     """Permutation of the base vertex's label positions; identity if inadmissible."""
     verdict, carried = _admit(cg, chain)
-    if not verdict.admissible:
-        return tuple(range(len(cg.label_classes(chain.start))))
-    return close_out(label_positions(cg, chain.start), carried)
+    n = len(cg.label_classes(chain.start))
+    return close_out(label_positions(cg, chain.start), carried, n) if verdict.admissible else tuple(range(n))
 
 
 # a step's (cell, face) choice, the face as its canonical cycle of vertex ids

@@ -5,7 +5,7 @@ import math
 from collections import namedtuple
 
 from . import groups
-from .chains import Carried, SpinChain, StepTable, carry, close_out, label_positions
+from .chains import Carried, SpinChain, StepTable, carry, close_out, label_positions, visitable
 from .faces import vertex_id
 from .faces import face_map  # noqa: F401  (perfbench/probe.py traces classify.face_map)
 from .graph import ConnectionGraph, Vertex, build_connection_graph
@@ -129,13 +129,11 @@ def spin_group_at(
     # The walk, shortest chains first: a path is the list of (vertex id, choice index)
     # steps taken so far through the graph's step table, and the step table's `chain`
     # builds its chain.  A prefix whose carried label set has already lost an element
-    # (or, at order <= 2, mixed degrees) is dropped with all its extensions: those
-    # chains evaluate to the identity.
+    # is dropped with all its extensions, and a step goes only to a `visitable` vertex:
+    # those chains evaluate to the identity.
     pos = label_positions(cg, v)
     base = vertex_id(v)
-    targets = range(len(table.vertices))
-    if cg.order <= 2:
-        targets = [b for b in targets if cg.epsilon_degree(table.vertices[b]) == cg.epsilon_degree(v)]
+    targets = visitable(cg, v)
     path: list[tuple[int, int]] = []
     # The chains below a walk state (vertex, carried labels, steps left) depend only on
     # that state, so once its subtree is walked every permutation below it is in `seen`:

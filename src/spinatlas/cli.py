@@ -75,7 +75,19 @@ def _int(text: str, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
+def _genera(args) -> range:
+    """The genera `--genus` names, one or verify's range `lo..hi`: every command's check against `--max-genus`."""
+    if args.max_genus < 2:
+        raise UsageError(f"--max-genus must be >= 2, got {args.max_genus}")
+    lo, dots, hi = str(args.genus).partition("..")
+    lo, hi = _int(lo, "--genus"), _int(hi if dots else lo, "--genus")
+    if not 2 <= lo <= hi <= args.max_genus:
+        raise UsageError(f"genus must lie within 2..{args.max_genus}, got {args.genus}")
+    return range(lo, hi + 1)
+
+
 def _class_from_args(args) -> GraphClass:
+    _genera(args)
     p = tuple(_int(x, "-p") for x in args.p.split(",")) if args.p not in (None, "", "-") else ()
     i = args.i
     if i is None:
@@ -86,19 +98,10 @@ def _class_from_args(args) -> GraphClass:
     return GraphClass(args.genus, args.order, i, p)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return _int(lo, "--genus"), _int(hi, "--genus")
-    value = _int(text, "--genus")
-    return value, value
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_atlas(args, engine: _classify.Engine) -> int:
-    if not 2 <= args.genus <= args.max_genus:
-        raise UsageError(f"genus must be within 2..{args.max_genus}")
+    _genera(args)
     if args.order is not None and not 0 <= args.order < args.genus:
         raise UsageError(f"order must satisfy 0 <= r < genus")
     for gc in enumerate_classes(args.genus, args.order):
@@ -165,15 +168,13 @@ def _print_verify(reports) -> tuple[int, int]:
 
 
 def cmd_verify(args, engine: _classify.Engine) -> int:
-    lo, hi = _parse_range(args.genus)
-    if lo < 2 or hi > args.max_genus or lo > hi:
-        raise UsageError(f"genus range must lie within 2..{args.max_genus}")
+    genera = _genera(args)
     orders = None
     if args.orders is not None:  # an empty value names no order: it fails as a bad integer, not as "every order"
         orders = sorted({_int(x, "--orders") for x in args.orders.split(",")})
-        if orders[0] < 0 or orders[-1] >= hi:
-            raise UsageError(f"--orders must lie within 0..{hi - 1} for genus up to {hi}")
-    targets = (gc for genus in range(lo, hi + 1) for gc in enumerate_classes(genus))
+        if orders[0] < 0 or orders[-1] >= genera[-1]:
+            raise UsageError(f"--orders must lie within 0..{genera[-1] - 1} for genus up to {genera[-1]}")
+    targets = (gc for genus in genera for gc in enumerate_classes(genus))
     reports = (_classify.verify_class(gc, engine=engine) for gc in targets if orders is None or gc.order in orders)
     classes, mismatches = _print_verify(reports)
     print(render_record({"kind": "summary", "classes": str(classes), "mismatches": str(mismatches)}))

@@ -177,15 +177,13 @@ def direct_images(
 
 @lru_cache(maxsize=None)
 def _face_map_pairs(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> tuple[int, ...]:
-    """`direct_images`, memoized, for a vertex pair of the face."""
+    """`direct_images`, memoized, for a vertex pair of the face; `face_map` is its only reader."""
     if u == v or u not in face or v not in face:
         raise ValueError(f"{u.name}->{v.name} is not a vertex pair of face {face.name}")
     return direct_images(cg.order, cg.connected, cell, tuple(map(vertex_id, face.cycle)), vertex_id(u), vertex_id(v))
 
 
 def face_map(cg: ConnectionGraph, cell: frozenset[int], face: Face, u: Vertex, v: Vertex) -> dict[int, int]:
-    """Partial bijection (label class at u) -> (label class at v) induced by the face.
-
-    Built from the face itself at every order, mapping every class outside the cell to itself.
-    """
+    """Partial bijection (label class at u) -> (label class at v) induced by the face, every class off the cell
+    fixed.  No run reads it: the chain search and `chains.evaluate` call `direct_images` by vertex id."""
     return {c: t for c, t in enumerate(_face_map_pairs(cg, cell, face, u, v)) if t >= 0}

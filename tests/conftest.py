@@ -271,6 +271,7 @@ def admissible_evaluations(table: StepTable, start: Vertex, max_steps: int):
     """
     cg = table.cg
     pos = label_positions(cg, start)
+    n = len(cg.label_classes(start))
     verts = table.vertices
     base = verts.index(start)
     walk = range(len(verts))
@@ -288,7 +289,7 @@ def admissible_evaluations(table: StepTable, start: Vertex, max_steps: int):
                     continue
                 path.append((b, k))
                 if remaining == 1:
-                    yield path, close_out(pos, moved)
+                    yield path, close_out(pos, moved, n)
                 else:
                     yield from extend(b, moved, remaining - 1)
                 path.pop()

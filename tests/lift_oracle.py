@@ -6,9 +6,11 @@ A face map at order r should be the map of its cell's order-3 graph, renamed:
 cell's `cell_frame`, looks its map up in `tables.compute_order3_tables()` and
 lifts it back.  `lift_differences` builds every map of a graph both ways, over
 every (cell, face, u, v), checks each against the generic rule of
-`conftest.reference_images` too, and names each map where any two differ.  Run
-as a script over a range of orders, for every top-slice chord set, it exits 1
-on any difference:
+`conftest.reference_images` too, and names each map where any two differ.
+`inverse_differences` checks that a face's map back is the inverse of its map
+there, for every vertex pair of every face in every cell holding it.  Run as a
+script over a range of orders, for every top-slice chord set, it runs both
+checks and exits 1 on any difference:
 
     PYTHONPATH=src python3 tests/lift_oracle.py 6..9
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import sys
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 
 from conftest import reference_images
 from spinatlas import tables
@@ -78,19 +80,40 @@ def lift_differences(cg: ConnectionGraph, store: tables.FaceTables) -> tuple[int
     return compared, out
 
 
+def inverse_differences(cg: ConnectionGraph) -> tuple[int, list[str]]:
+    """How many (vertex pair, face through it, cell holding the face) triples were checked, and each one
+    whose map back, `direct_images(..., b, a)`, is not the inverse of its map there, `direct_images(..., a, b)`:
+    both must map as many labels, and each label's image must map back to it."""
+    checked, out = 0, []
+    for face in enumerate_faces(cg):
+        cycle = tuple(map(vertex_id, face.cycle))
+        for cell in cells_containing(cg, face):
+            for a, b in combinations(cycle, 2):
+                there = direct_images(cg.order, cg.connected, cell, cycle, a, b)
+                back = direct_images(cg.order, cg.connected, cell, cycle, b, a)
+                mapped = [c for c, t in enumerate(there) if t >= 0]
+                checked += 1
+                if len(mapped) != len(back) - back.count(-1) or any(back[there[c]] != c for c in mapped):
+                    where = f"order {cg.order} chords {sorted(cg.connected)} cell {sorted(cell)} {face.name}"
+                    out.append(f"{where} {a}<->{b}: there {there}, back {back}")
+    return checked, out
+
+
 def main(argv: list[str]) -> int:
     lo, _, hi = (argv[0] if argv else "6..9").partition("..")
     start = time.perf_counter()
     store = tables.compute_order3_tables()
-    compared, diffs = 0, []
+    compared, inverted, diffs = 0, 0, []
     for order in range(int(lo), int(hi or lo) + 1):
         for cg in top_slice_graphs(order):
             count, found = lift_differences(cg, store)
+            pairs, unpaired = inverse_differences(cg)
             compared += count
-            diffs += found
+            inverted += pairs
+            diffs += found + unpaired
     for line in diffs:
         print(line)
-    print(f"{compared} maps, {len(diffs)} differences, {time.perf_counter() - start:.1f} s")
+    print(f"{compared} maps, {inverted} inverse pairs, {len(diffs)} differences, {time.perf_counter() - start:.1f} s")
     return 1 if diffs else 0
 
 

@@ -36,8 +36,9 @@ from conftest import (
     reversed_chain,
     searched_vertices,
 )
-from spinatlas.chains import ChainStructureError, SpinChain, StepTable, evaluate, is_admissible, validate_structure
-from spinatlas.faces import Face, enumerate_faces
+from spinatlas.chains import ChainStructureError, SpinChain, StepTable, carry, close_out, evaluate, is_admissible
+from spinatlas.chains import label_positions, validate_structure, visitable
+from spinatlas.faces import Face, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph
 from spinatlas.groups import compose, cycles_str, identity_perm, inverse
 
@@ -245,8 +246,18 @@ def test_mixed_degree_loops_inadmissible_at_order2(hexagon_two_chords):
     f2 = F(P2, P2t, P1, P)
     chain = mk_chain(P, (CELL2, f1, P1), (CELL2, f3, P2), (CELL2, f2, P))
     verdict = is_admissible(hexagon_two_chords, chain)
-    assert not verdict.admissible and verdict.reason == "DomainMismatch"
+    assert verdict == (False, 1, "DomainMismatch")
     assert evaluate(hexagon_two_chords, chain) == identity_perm(2)
+
+
+def test_visitable_vertices_share_the_degree_at_order_two_or_less():
+    for order in range(5):
+        for j in range(order + 1):
+            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+            verts = cg.vertices()
+            for v in verts:
+                same = [b for b, w in enumerate(verts) if cg.epsilon_degree(w) == cg.epsilon_degree(v)]
+                assert visitable(cg, v) == (same if order <= 2 else list(range(len(verts))))
 
 
 # ---------------------------------------------------------------- properties
@@ -628,29 +639,76 @@ def test_close_out_repairs_one_label_and_rejects_the_rest():
     assert label_positions(cg, P) == [None, 0, 1, 2]
     pos = label_positions(cg, P3)
     assert pos == [0, 1, 2, 3]
-    assert close_out(pos, ((0, 1, 2, 3), (1, 2, 3, 0))) == (1, 2, 3, 0)
+    assert close_out(pos, ((0, 1, 2, 3), (1, 2, 3, 0)), 4) == (1, 2, 3, 0)
     # one label lost on return to the base: it goes to the one image left over
-    assert close_out(pos, ((0, 1, 3), (2, 0, 1))) == (2, 0, 3, 1)
+    assert close_out(pos, ((0, 1, 3), (2, 0, 1)), 4) == (2, 0, 3, 1)
     with pytest.raises(AssertionError):
-        close_out(pos, ((0, 1), (2, 0)))
+        close_out(pos, ((0, 1), (2, 0)), 4)
     with pytest.raises(AssertionError):
-        close_out(pos, ((0, 1, 2), (1, 1, 3)))
+        close_out(pos, ((0, 1, 2), (1, 1, 3)), 4)
+    # n is required: no count is read off `pos`
+    with pytest.raises(TypeError):
+        close_out(pos, ((0, 1, 2, 3), (1, 2, 3, 0)))
 
 
 def test_evaluate_composes_once(order3_one_chord, monkeypatch):
+    # one face map per step, each built by `direct_images` from the step's face, by vertex id
     from spinatlas import chains
 
     calls = []
-    face_maps = chains._face_map_pairs
+    build = chains.direct_images
 
     def counted(*args):
         calls.append(args)
-        return face_maps(*args)
+        return build(*args)
 
-    monkeypatch.setattr(chains, "_face_map_pairs", counted)
+    monkeypatch.setattr(chains, "direct_images", counted)
     witness = mk_chain(P3, (CELL3, F(P, P1, P2t, P3), P), (CELL3, F(P, P1, P3t, P3), P3))
     assert evaluate(order3_one_chord, witness) != identity_perm(4)
     assert len(calls) == 2
+
+
+def test_evaluate_and_is_admissible_leave_the_face_map_memo_alone(order3_one_chord, hexagon_two_chords):
+    # both build each step's map by vertex id through `direct_images`: the memo only `faces.face_map` reads
+    from spinatlas import chains, faces
+
+    assert not hasattr(chains, "_face_map_pairs")
+    before = faces._face_map_pairs.cache_info()
+    verdicts = set()
+    for cg, start in ((order3_one_chord, P), (order3_one_chord, P3), (hexagon_two_chords, P1)):
+        for chain in sample_chains(cg, start, 3, 300):
+            verdicts.add(is_admissible(cg, chain).admissible)
+            evaluate(cg, chain)
+    assert verdicts == {True, False}
+    assert faces._face_map_pairs.cache_info() == before
+
+
+def test_a_round_trip_closes_to_the_identity():
+    """A chain v -> u -> v that steps back along the same choice is the identity: through the step table's
+    maps, `carry` and `close_out` at every vertex of every top-slice graph to order 6, and through
+    `evaluate` to order 4."""
+    trips = evaluated = 0
+    for order in range(7):
+        for j in range(order + 1):
+            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+            table = StepTable(cg)
+            for v in table.vertices:
+                a, n, pos = vertex_id(v), len(cg.label_classes(v)), label_positions(cg, v)
+                for b in visitable(cg, v):
+                    if b == a:
+                        continue
+                    # both steps between a and b share one choice list
+                    for k, ((there_choice, there), (back_choice, back)) in enumerate(
+                        zip(table.steps(a, b), table.steps(b, a), strict=True)
+                    ):
+                        assert there_choice == back_choice
+                        carried = carry(back, carry(there, None))
+                        assert carried is not None and close_out(pos, carried, n) == identity_perm(n)
+                        trips += 1
+                        if order <= 4:
+                            assert evaluate(cg, table.chain(v, ((b, k), (a, k)))) == identity_perm(n)
+                            evaluated += 1
+    assert trips == 96_932 and evaluated == 8_132
 
 
 # ---------------------------------------------------------------- basic chains

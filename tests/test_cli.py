@@ -363,6 +363,31 @@ def test_verify_runs_past_genus_12_with_the_genus_bound_raised(capsys):
     assert out.splitlines()[-1] == "kind=summary classes=134 mismatches=0"
 
 
+def test_max_genus_bounds_every_command(capsys):
+    # one check of the genus against the bound, before any record; `classify` and `export-dot` once ran past it
+    commands = (["atlas", "--genus"], ["verify", "--genus"], ["classify", "-r", "0", "-g"], ["export-dot", "-r", "0", "-g"])
+    for head, bound in (([], 12), (["--max-genus", "5"], 5)):
+        for command in commands:
+            expected = (2, "", f"usage error: genus must lie within 2..{bound}, got {bound + 1}\n")
+            assert run(capsys, *head, *command, str(bound + 1)) == expected, (head, command)
+    expected = (2, "", "usage error: genus must lie within 2..5, got 2..6\n")
+    assert run(capsys, "--max-genus", "5", "verify", "--genus", "2..6") == expected
+    code, out, err = run(capsys, "--max-genus", "13", "classify", "-g", "13", "-r", "0")
+    assert code == 0 and err == "" and out.splitlines()[0].startswith("kind=vertex vertex=P degree=1 ")
+    code, out, err = run(capsys, "--max-genus", "13", "export-dot", "-g", "13", "-r", "0")
+    assert code == 0 and err == "" and out.startswith("graph spin_atlas {")
+
+
+def test_max_genus_below_two_is_named(capsys):
+    for argv in (
+        ["atlas", "--genus", "2"],
+        ["verify", "--genus", "2"],
+        ["classify", "-g", "2", "-r", "0"],
+        ["export-dot", "-g", "2", "-r", "0"],
+    ):
+        assert run(capsys, "--max-genus", "1", *argv) == (2, "", "usage error: --max-genus must be >= 2, got 1\n"), argv
+
+
 def test_max_steps_below_two_is_a_usage_error(capsys):
     for argv in (
         ["atlas", "--genus", "3", "--max-steps", "1"],

@@ -8,7 +8,7 @@ import pytest
 from conftest import BASIC3_FACES, CHORD2_FACES, CHORD3_FACES, CELL3, F, P, P1, P1t, P2, P2t, P3, P3t, Pt, V
 from conftest import FaceKind, build_face_map, conjugate_face, decorated_cell, face_classes, face_kind, pair_count
 from conftest import reference_face_cycles, reference_images
-from lift_oracle import cell_frame, lift_differences, top_slice_graphs
+from lift_oracle import cell_frame, inverse_differences, lift_differences, top_slice_graphs
 from spinatlas import tables
 from spinatlas.faces import Face, cells_containing, cells_of, direct_images, enumerate_faces, face_cycles, face_map
 from spinatlas.faces import is_face, neighbour_ids, vertex_id
@@ -403,6 +403,18 @@ def test_direct_builder_matches_the_table_lift(order):
         assert diffs == []
         compared += count
     assert compared == {4: 6_840, 5: 24_120}[order]
+
+
+def test_a_face_map_back_is_the_inverse_map():
+    # every (vertex pair, face through it, cell holding the face) of every top-slice graph to order 6;
+    # tests/lift_oracle.py runs the same check on orders 6..9
+    checked = 0
+    for order in range(7):
+        for cg in top_slice_graphs(order):
+            count, diffs = inverse_differences(cg)
+            assert diffs == []
+            checked += count
+    assert checked == 48_486
 
 
 def test_bad_tables_rejected():

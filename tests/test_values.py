@@ -143,7 +143,7 @@ def test_importing_the_cli_loads_no_heavy_modules():
 
 def test_close_out_checks_its_permutation_under_optimization():
     # `python -O` strips assert statements; the check must survive it
-    probe = "from spinatlas.chains import close_out; close_out([0, 1, 2], ((0, 1, 2), (0, 0, 2)))"
+    probe = "from spinatlas.chains import close_out; close_out([0, 1, 2], ((0, 1, 2), (0, 0, 2)), 3)"
     done = run_python("-O", "-c", probe)
     assert done.returncode == 1
     assert "AssertionError: ((0, 1, 2), (0, 0, 2)) does not close to a permutation" in done.stderr
