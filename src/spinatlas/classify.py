@@ -16,21 +16,18 @@ DEFAULT_MAX_STEPS = 6
 
 
 def predict_group(cg: ConnectionGraph, v: Vertex) -> GroupVerdict:
-    """Closed-form verdict: trivial through order 1, the three-way split at order 2,
+    """Closed-form verdict: trivial through order 1; at order 2 trivial at an unchorded vertex, and at
+    a chorded one C3 when only class 2 is chorded, else S3 (ValueError for chords no class has);
     and the full symmetric group on the label set from order 3 on."""
     r = cg.order
     if r <= 1:
         return groups.TRIVIAL
     if r == 2:
-        chords = cg.connected
-        if chords == frozenset({2}):
-            return groups.C3 if v.cls == 2 else groups.TRIVIAL
-        if chords == frozenset({1, 2}):
-            return groups.symmetric(3) if v.cls in (1, 2) else groups.TRIVIAL
-        if chords == frozenset({0, 1, 2}):
-            return groups.symmetric(3)
-        # no valid class produces other chord sets; fall back to triviality
-        return groups.TRIVIAL
+        if cg.connected not in ({2}, {1, 2}, {0, 1, 2}):
+            raise ValueError(f"no class has the order-2 chords {sorted(cg.connected)}")
+        if v.cls not in cg.connected:
+            return groups.TRIVIAL
+        return groups.C3 if cg.connected == {2} else groups.symmetric(3)
     return groups.symmetric(cg.epsilon_degree(v))
 
 

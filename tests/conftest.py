@@ -1,24 +1,31 @@
-"""Shared fixture data: the small connection graphs and their named faces."""
+"""Shared test rules: the small connection graphs and their named faces, the reference walks, the
+top-slice sweep, the call spy and the oracle runner."""
 from __future__ import annotations
 
 import math
 import os
+import re
+import resource
 import subprocess
 import sys
+import time
+import traceback
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import spinatlas
-from spinatlas.chains import ChainStep, SpinChain, StepTable, carry, close_out, label_positions, validate_structure
+from spinatlas.chains import ChainStep, SpinChain, StepTable, carry, close_out, evaluate, is_admissible, label_positions
+from spinatlas.chains import validate_structure
 from spinatlas.classify import SpinGroupResult
-from spinatlas.faces import Face, _canonical, cells_containing, direct_images, enumerate_faces, vertex_id
+from spinatlas.faces import Face, _canonical, cells_containing, direct_images, enumerate_faces, face_map, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
 from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, StabChain, SymmetricCertificate, alternating, identity_perm
-from spinatlas.groups import power_cycles, recognize, symmetric
+from spinatlas.groups import closure, inverse, power_cycles, recognize, symmetric
 
 
 SRC = str(Path(spinatlas.__file__).resolve().parent.parent)
@@ -33,6 +40,63 @@ def python_env() -> dict[str, str]:
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter with this checkout's package first on its path."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=python_env(), timeout=120)
+
+
+def top_slice_graphs(order: int) -> list[ConnectionGraph]:
+    """The order-r graphs with chords on classes j..r, j <= r: the graphs of valid classes."""
+    return [ConnectionGraph(order, frozenset(range(j, order + 1))) for j in range(order + 1)]
+
+
+def spy(monkeypatch, owner, name: str) -> list:
+    """Replace `owner.name` with a wrapper that records each call, as a `unittest.mock.call`, in the
+    list returned, and passes it through."""
+    calls, real = [], getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(mock.call(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def read_range(argv: list[str], default: str, lowest: int) -> tuple[int, int]:
+    """An oracle's range: its one argument (`default` when none is given), `lo..hi` or one integer,
+    with lowest <= lo <= hi; ValueError naming what it accepts."""
+    given = " ".join(argv) if argv else default
+    found = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", given, re.ASCII)
+    if found:
+        lo, hi = int(found[1]), int(found[2] or found[1])
+        if lowest <= lo <= hi:
+            return lo, hi
+    accepted = f"one argument, lo..hi or one integer, with {lowest} <= lo <= hi"
+    raise ValueError(f"the range must be {accepted}, got {given!r}")
+
+
+def run_oracle(argv: list[str], default: str, lowest: int, sweep) -> int:
+    """An oracle's command line: its range, read by `read_range`, and `sweep(lo, hi)`, which returns
+    its counts by name and the differences it found.  Prints each difference, then the counts, the
+    number of differences, the time and the peak RSS on one line.  Returns 0 for no difference and
+    1 for any; a bad range prints a message on stderr alone and returns 2, and a fault in the sweep
+    prints its traceback and returns 3 (out of memory) or 4."""
+    try:
+        lo, hi = read_range(argv, default, lowest)
+    except ValueError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return 2
+    start = time.perf_counter()
+    try:
+        counts, diffs = sweep(lo, hi)
+    except Exception as exc:  # a fault is never a difference: the codes `spin-atlas` gives one
+        traceback.print_exc()
+        return 3 if isinstance(exc, MemoryError) else 4
+    for line in diffs:
+        print(line)
+    took = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    counted = ", ".join(f"{n} {name}" for name, n in counts.items())
+    print(f"{counted}, {len(diffs)} differences, {took:.1f} s, {peak:.0f} MB peak")
+    return 1 if diffs else 0
 
 
 def parse_record(line: str) -> dict[str, str]:
@@ -201,6 +265,43 @@ def is_basic(cg: ConnectionGraph, chain: SpinChain) -> bool:
     return all(face_kind(step.face) is FaceKind.STANDARD for step in chain.steps)
 
 
+def reversal_holds(cg: ConnectionGraph, start: Vertex, chain: SpinChain) -> bool:
+    """Reversal inverts a chain's value whenever both traversals compose.  The end-of-loop repair at a
+    maximal-degree base is one-directional: a chain consuming it has an inadmissible reversal, which
+    evaluates to the identity by convention, and those are the only one-sided cases."""
+    back = reversed_chain(chain)
+    if is_admissible(cg, chain).admissible == is_admissible(cg, back).admissible:
+        return evaluate(cg, back) == inverse(evaluate(cg, chain))
+    return cg.epsilon_degree(start) == cg.order + 1
+
+
+def inadmissible_values(cg: ConnectionGraph, start: Vertex, max_steps: int) -> dict[SpinChain, tuple[int, ...]]:
+    """What each inadmissible chain at `start` of up to `max_steps` steps evaluates to."""
+    chains = enumerate_chains(cg, start, max_steps)
+    return {chain: evaluate(cg, chain) for chain in chains if not is_admissible(cg, chain).admissible}
+
+
+def skeleton_group(cg: ConnectionGraph, start: Vertex) -> tuple[tuple[int, ...], ...]:
+    """The group the two-step loops at `start` in the chord-free skeleton generate."""
+    perms = {evaluate(cg, chain) for chain in enumerate_chains(cg, start, 2) if is_basic(cg, chain)}
+    return closure(perms, len(cg.label_classes(start)))
+
+
+def around_face(cg: ConnectionGraph, cell: frozenset[int], face: Face) -> dict[int, int]:
+    """Each label at the face's first corner that its `face_map`s carry once around the face, with the
+    label they bring it back as."""
+    a, b, c, d = face.cycle
+    out = {}
+    for label, image in face_map(cg, cell, face, a, b).items():
+        for u, w in ((b, c), (c, d), (d, a)):
+            image = face_map(cg, cell, face, u, w).get(image)
+            if image is None:
+                break
+        else:
+            out[label] = image
+    return out
+
+
 def neighbors(cg: ConnectionGraph, v: Vertex) -> tuple[Vertex, ...]:
     return tuple(w for w in cg.vertices() if cg.adjacent(v, w))
 
@@ -214,31 +315,9 @@ def neighbor_of_class(cg: ConnectionGraph, v: Vertex, cls: int) -> Vertex:
     return Vertex(cls, bool((1 - v.side) ^ int(cls == 0)))
 
 
-@lru_cache(maxsize=None)
-def decorated_cell(cg: ConnectionGraph, cell: frozenset[int]) -> tuple[ConnectionGraph, dict[int, int]]:
-    """Order-3 connection graph of a cell plus the class renaming used for it."""
-    if len(cell) != min(4, cg.order + 1) or not cell <= set(cg.classes):
-        raise ValueError(f"not a cell of an order-{cg.order} graph: {sorted(cell)}")
-    classes = tuple(sorted(cell))
-    renaming = {c: k for k, c in enumerate(classes)}
-    local = ConnectionGraph(len(classes) - 1, frozenset(renaming[c] for c in cg.connected & cell))
-    return local, renaming
-
-
 def cycle_type(a: tuple[int, ...]) -> tuple[int, ...]:
     """Cycle lengths in decreasing order, fixed points included."""
-    seen = [False] * len(a)
-    out = []
-    for k in range(len(a)):
-        if seen[k]:
-            continue
-        length, j = 0, k
-        while not seen[j]:
-            seen[j] = True
-            length += 1
-            j = a[j]
-        out.append(length)
-    return tuple(sorted(out, reverse=True))
+    return tuple(sorted(map(len, all_cycles(a)), reverse=True))
 
 
 def parity(a: tuple[int, ...]) -> int:

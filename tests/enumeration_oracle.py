@@ -6,17 +6,18 @@ weigh r, r-1, ..., 1, so they number the coefficient of q^t in
 prod_{w=1..r} 1/(1 - q^w), the partitions of t = g - r - (r+1)i into parts of
 at most r.  `class_count` sums those coefficients over i; they come from the
 product alone, not from `params._increment_tuples`.  Run as a script over a
-range of genera, it compares `enumerate_classes` at every genus and order with
-them, checks that no class is listed twice, and exits 1 on any difference:
+range of genera from 2, it compares `enumerate_classes` at every genus and
+order with them, checks that no class is listed twice, and exits 0 with no
+difference, 1 on any difference and 2 on a bad range (`conftest.run_oracle`):
 
     PYTHONPATH=src python3 tests/enumeration_oracle.py 2..40
 """
 from __future__ import annotations
 
 import sys
-import time
 from collections import Counter
 
+from conftest import run_oracle
 from spinatlas.params import enumerate_classes
 
 
@@ -34,7 +35,10 @@ def class_count(genus: int, order: int, coeffs: list[int]) -> int:
     return sum(coeffs[t] for t in range(genus - order, -1, -(order + 1)))
 
 
-def count_differences(lo: int, hi: int) -> tuple[int, list[str]]:
+DEFAULT, LOWEST = "2..30", 2
+
+
+def sweep(lo: int, hi: int) -> tuple[dict[str, int], list[str]]:
     """How many classes genus lo..hi has, and each (genus, order) whose listing differs from its count."""
     coeffs = [partition_counts(order, hi) for order in range(hi)]
     total, out = 0, []
@@ -48,17 +52,11 @@ def count_differences(lo: int, hi: int) -> tuple[int, list[str]]:
             want = class_count(genus, order, coeffs[order]) if 0 <= order < genus else 0
             if listed[order] != want:
                 out.append(f"genus {genus} order {order}: {listed[order]} classes listed, {want} counted")
-    return total, out
+    return {"classes": total}, out
 
 
 def main(argv: list[str]) -> int:
-    lo, _, hi = (argv[0] if argv else "2..30").partition("..")
-    start = time.perf_counter()
-    total, diffs = count_differences(int(lo), int(hi or lo))
-    for line in diffs:
-        print(line)
-    print(f"{total} classes, {len(diffs)} differences, {time.perf_counter() - start:.1f} s")
-    return 1 if diffs else 0
+    return run_oracle(argv, DEFAULT, LOWEST, sweep)
 
 
 if __name__ == "__main__":

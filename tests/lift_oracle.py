@@ -9,18 +9,18 @@ every (cell, face, u, v), checks each against the generic rule of
 `conftest.reference_images` too, and names each map where any two differ.
 `inverse_differences` checks that a face's map back is the inverse of its map
 there, for every vertex pair of every face in every cell holding it.  Run as a
-script over a range of orders, for every top-slice chord set, it runs both
-checks and exits 1 on any difference:
+script over a range of orders from 3 (the lift needs four-class cells), for
+every top-slice chord set, it runs both checks and exits 0 with no difference,
+1 on any difference and 2 on a bad range (`conftest.run_oracle`):
 
     PYTHONPATH=src python3 tests/lift_oracle.py 6..9
 """
 from __future__ import annotations
 
 import sys
-import time
 from itertools import combinations, permutations
 
-from conftest import reference_images
+from conftest import reference_images, run_oracle, top_slice_graphs
 from spinatlas import tables
 from spinatlas.faces import cells_containing, direct_images, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph
@@ -54,11 +54,6 @@ def lifted_images(
     for a, b in pairs:
         images[classes[a]] = classes[b]
     return tuple(images)
-
-
-def top_slice_graphs(order: int) -> list[ConnectionGraph]:
-    """The order-r graphs with chords on classes j..r, j <= r: the graphs of valid classes."""
-    return [ConnectionGraph(order, frozenset(range(j, order + 1))) for j in range(order + 1)]
 
 
 def lift_differences(cg: ConnectionGraph, store: tables.FaceTables) -> tuple[int, list[str]]:
@@ -99,22 +94,25 @@ def inverse_differences(cg: ConnectionGraph) -> tuple[int, list[str]]:
     return checked, out
 
 
-def main(argv: list[str]) -> int:
-    lo, _, hi = (argv[0] if argv else "6..9").partition("..")
-    start = time.perf_counter()
+DEFAULT, LOWEST = "6..9", 3
+
+
+def sweep(lo: int, hi: int) -> tuple[dict[str, int], list[str]]:
+    """Both checks on every top-slice graph of orders lo..hi."""
     store = tables.compute_order3_tables()
     compared, inverted, diffs = 0, 0, []
-    for order in range(int(lo), int(hi or lo) + 1):
+    for order in range(lo, hi + 1):
         for cg in top_slice_graphs(order):
             count, found = lift_differences(cg, store)
             pairs, unpaired = inverse_differences(cg)
             compared += count
             inverted += pairs
             diffs += found + unpaired
-    for line in diffs:
-        print(line)
-    print(f"{compared} maps, {inverted} inverse pairs, {len(diffs)} differences, {time.perf_counter() - start:.1f} s")
-    return 1 if diffs else 0
+    return {"maps": compared, "inverse pairs": inverted}, diffs
+
+
+def main(argv: list[str]) -> int:
+    return run_oracle(argv, DEFAULT, LOWEST, sweep)
 
 
 if __name__ == "__main__":

@@ -12,19 +12,18 @@ they have already walked, against the reference walk of every chain
 settings, the two checks by default at a new one's; the two checks search
 every vertex themselves unless given `own_searches`' result.  Run as
 a script, it checks the rows and the searches of every vertex over a genus
-range at the default search settings, with one search per vertex and one
-engine, and exits 1 on any difference:
+range from 2 at the default search settings, with one search per vertex and
+one engine, and exits 0 with no difference, 1 on any difference and 2 on a
+bad range (`conftest.run_oracle`):
 
     PYTHONPATH=src python3 tests/orbit_oracle.py 10..12
 """
 from __future__ import annotations
 
-import resource
 import sys
-import time
 from itertools import permutations
 
-from conftest import reference_search
+from conftest import reference_search, run_oracle
 from spinatlas.chains import StepTable
 from spinatlas.classify import Engine, SpinGroupResult, spin_group_at, verify_class, vertex_row
 from spinatlas.faces import Face, cells_containing, enumerate_faces, vertex_id
@@ -145,10 +144,11 @@ def walk_differences(gc: GraphClass, engine: Engine | None = None, searched: Sea
     return out
 
 
-def main(argv: list[str]) -> int:
-    lo, _, hi = (argv[0] if argv else "10..12").partition("..")
-    lo, hi = int(lo), int(hi or lo)
-    start = time.perf_counter()
+DEFAULT, LOWEST = "10..12", 2
+
+
+def sweep(lo: int, hi: int) -> tuple[dict[str, int], list[str]]:
+    """The row and walk checks at every vertex of each distinct graph of genus lo..hi."""
     classes = distinct_graph_classes(lo, hi)
     engine = Engine()
     diffs = []
@@ -157,13 +157,11 @@ def main(argv: list[str]) -> int:
         searched = own_searches(gc, engine)
         for check in (row_differences, walk_differences):
             diffs += check(gc, engine=engine, searched=searched)
-    for line in diffs:
-        print(line)
-    vertices = sum(2 * gc.order + 2 for gc in classes)
-    took = time.perf_counter() - start
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{len(classes)} graphs, {vertices} vertices, {len(diffs)} differences, {took:.1f} s, {peak:.0f} MB peak")
-    return 1 if diffs else 0
+    return {"graphs": len(classes), "vertices": sum(2 * gc.order + 2 for gc in classes)}, diffs
+
+
+def main(argv: list[str]) -> int:
+    return run_oracle(argv, DEFAULT, LOWEST, sweep)
 
 
 if __name__ == "__main__":

@@ -27,21 +27,23 @@ from conftest import (
     P4,
     P4t,
     Pt,
+    around_face,
     conjugate_face,
     cycle_type,
     enumerate_chains,
-    is_basic,
+    inadmissible_values,
     mk_chain,
     parity,
     parse_record,
-    reversed_chain,
+    reversal_holds,
+    skeleton_group,
 )
 from spinatlas.chains import evaluate, is_admissible
 from spinatlas.classify import Engine, spin_group_at, verify_class
 from spinatlas.cli import main
-from spinatlas.faces import enumerate_faces, cells_containing, face_map
-from spinatlas.graph import ConnectionGraph, Vertex
-from spinatlas.groups import closure, identity_perm, inverse, recognize
+from spinatlas.faces import enumerate_faces, cells_containing
+from spinatlas.graph import ConnectionGraph
+from spinatlas.groups import closure, identity_perm, inverse
 from spinatlas.params import InvalidClassError, enumerate_classes
 
 G1 = frozenset({0, 2, 3, 4})
@@ -58,74 +60,52 @@ def report(number: int, ok: bool, detail: str, elapsed: float | None = None) -> 
     assert ok, f"criterion {number} failed: {detail}"
 
 
-def test_criterion_1_order2_classification():
+def misclassified(genera, orders, want) -> list[tuple]:
+    """Each `verify` row of the classes of the given genera and orders (below the genus) whose computed
+    verdict is not `want(gc, row)`, or that does not match its prediction."""
     engine = Engine()
+    return [
+        (gc, row.vertex.name, str(row.computed))
+        for genus in genera
+        for order in orders
+        if order < genus
+        for gc in enumerate_classes(genus, order)
+        for row in verify_class(gc, engine=engine).rows
+        if str(row.computed) != want(gc, row) or not row.match
+    ]
+
+
+def test_criterion_1_order2_classification():
+    def want(gc, row) -> str:
+        if gc.k[0] == gc.k[1] == 1:
+            return "C3" if row.vertex.cls == 2 else "1"
+        if gc.k[0] == 1:
+            return "S3" if row.vertex.cls in (1, 2) else "1"
+        return "S3"
+
     t0 = time.perf_counter()
-    failures = []
-    for genus in range(3, 9):
-        for gc in enumerate_classes(genus, 2):
-            rep = verify_class(gc, engine=engine)
-            k = gc.k
-            for row in rep.rows:
-                want = str(row.predicted)
-                if k[0] == k[1] == 1:
-                    want = "C3" if row.vertex.cls == 2 else "1"
-                elif k[0] == 1:
-                    want = "S3" if row.vertex.cls in (1, 2) else "1"
-                else:
-                    want = "S3"
-                if str(row.computed) != want or not row.match:
-                    failures.append((gc, row.vertex.name, want, str(row.computed)))
+    failures = misclassified(range(3, 9), (2,), want)
     elapsed = time.perf_counter() - t0
     report(1, not failures and elapsed < 1.0, f"order-2 case split over genus 3..8, {elapsed:.2f}s < 1s", elapsed)
 
 
 def test_criterion_2_order3_classification():
-    engine = Engine()
     t0 = time.perf_counter()
-    failures = []
-    for genus in range(4, 9):
-        for gc in enumerate_classes(genus, 3):
-            rep = verify_class(gc, engine=engine)
-            for row in rep.rows:
-                want = "S3" if row.degree == 3 else "S4"
-                if str(row.computed) != want or not row.match:
-                    failures.append((gc, row.vertex.name))
+    failures = misclassified(range(4, 9), (3,), lambda gc, row: "S3" if row.degree == 3 else "S4")
     elapsed = time.perf_counter() - t0
     report(2, not failures and elapsed < 5.0, f"order-3 S3/S4 split over genus 4..8, {elapsed:.2f}s < 5s", elapsed)
 
 
 def test_criterion_3_order4_and_5_classification():
-    engine = Engine()
     t0 = time.perf_counter()
-    failures = []
-    for genus in range(5, 10):
-        for order in (4, 5):
-            if order >= genus:
-                continue
-            for gc in enumerate_classes(genus, order):
-                rep = verify_class(gc, engine=engine)
-                for row in rep.rows:
-                    want = f"S{row.degree}"
-                    if str(row.computed) != want or not row.match:
-                        failures.append((gc, row.vertex.name))
+    failures = misclassified(range(5, 10), (4, 5), lambda gc, row: f"S{row.degree}")
     elapsed = time.perf_counter() - t0
     report(3, not failures and elapsed < 60.0, f"orders 4-5 S(r)/S(r+1) split up to genus 9, {elapsed:.2f}s < 60s", elapsed)
 
 
 def test_criterion_4_low_order_triviality():
-    engine = Engine()
     t0 = time.perf_counter()
-    failures = []
-    for genus in range(2, 9):
-        for order in (0, 1):
-            if order >= genus:
-                continue
-            for gc in enumerate_classes(genus, order):
-                rep = verify_class(gc, engine=engine)
-                for row in rep.rows:
-                    if str(row.computed) != "1" or not row.match:
-                        failures.append((gc, row.vertex.name))
+    failures = misclassified(range(2, 9), (0, 1), lambda gc, row: "1")
     elapsed = time.perf_counter() - t0
     report(4, not failures and elapsed < 1.0, f"orders 0-1 trivial everywhere, {elapsed:.2f}s < 1s", elapsed)
 
@@ -286,13 +266,8 @@ def test_criterion_7_property_suites():
         (ConnectionGraph(3, frozenset({2, 3})), P, 3, 400),
     ]:
         for chain in itertools.islice(enumerate_chains(cg, start, depth), limit):
-            fwd_ok = is_admissible(cg, chain).admissible
-            rev = reversed_chain(chain)
-            if fwd_ok == is_admissible(cg, rev).admissible:
-                if evaluate(cg, rev) != inverse(evaluate(cg, chain)):
-                    failures.append(f"reversal mismatch at {chain.describe()}")
-            elif cg.epsilon_degree(start) != cg.order + 1:
-                failures.append(f"one-sided admissibility off a repairable base: {chain.describe()}")
+            if not reversal_holds(cg, start, chain):
+                failures.append(f"reversal fails at {chain.describe()}")
 
     # conjugation equivariance of verdicts
     for order, connected in [(2, {2}), (2, {1, 2}), (3, {3}), (3, {2, 3}), (4, {3, 4})]:
@@ -304,12 +279,7 @@ def test_criterion_7_property_suites():
     # skeleton chains close into the 3-element alternating group on the core labels
     r3 = ConnectionGraph(3, frozenset({3}))
     for start in (P, P3):
-        perms = {
-            evaluate(r3, chain)
-            for chain in itertools.islice(enumerate_chains(r3, start, 2), 4000)
-            if is_basic(r3, chain)
-        }
-        group = closure(perms, len(r3.label_classes(start)))
+        group = skeleton_group(r3, start)
         if len(group) != 3 or any(parity(g) for g in group):
             failures.append(f"skeleton chains at {start.name} gave order {len(group)}")
 
@@ -317,16 +287,9 @@ def test_criterion_7_property_suites():
     for cg in (ConnectionGraph(3, frozenset({2, 3})), ConnectionGraph(4, frozenset({4}))):
         for face in enumerate_faces(cg):
             for cell in cells_containing(cg, face):
-                a, b, c, d = face.cycle
-                for src, val in face_map(cg, cell, face, a, b).items():
-                    for hop, nxt in ((b, c), (c, d), (d, a)):
-                        step = face_map(cg, cell, face, hop, nxt)
-                        if val not in step:
-                            val = None
-                            break
-                        val = step[val]
-                    if val is not None and val != src:
-                        failures.append(f"cyclic composition moved {src} on {face.name}")
+                for label, image in around_face(cg, cell, face).items():
+                    if image != label:
+                        failures.append(f"cyclic composition moved {label} on {face.name}")
 
     # closure against an independent saturation oracle, fixed seed
     rng = random.Random(0)
@@ -347,13 +310,9 @@ def test_criterion_7_property_suites():
             break
 
     # inadmissible chains never move labels
-    bad_seen = 0
-    for chain in itertools.islice(enumerate_chains(r3, P, 3), 3000):
-        if not is_admissible(r3, chain).admissible:
-            bad_seen += 1
-            if evaluate(r3, chain) != identity_perm(3):
-                failures.append(f"inadmissible chain moved labels: {chain.describe()}")
-    if bad_seen == 0:
+    values = inadmissible_values(r3, P, 3)
+    failures += [f"inadmissible chain moved labels: {c.describe()}" for c, v in values.items() if v != identity_perm(3)]
+    if not values:
         failures.append("no inadmissible chain sampled")
 
     elapsed = time.perf_counter() - t0

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -30,17 +31,22 @@ from conftest import (
     conjugate_face,
     cycle_type,
     enumerate_chains,
+    inadmissible_values,
     is_basic,
     mk_chain,
     parity,
+    reversal_holds,
     reversed_chain,
     searched_vertices,
+    skeleton_group,
+    spy,
+    top_slice_graphs,
 )
 from spinatlas.chains import ChainStructureError, SpinChain, StepTable, carry, close_out, evaluate, is_admissible
 from spinatlas.chains import label_positions, validate_structure, visitable
 from spinatlas.faces import Face, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph
-from spinatlas.groups import compose, cycles_str, identity_perm, inverse
+from spinatlas.groups import compose, identity_perm, inverse
 
 G1 = frozenset({0, 2, 3, 4})
 G2 = frozenset({0, 1, 3, 4})
@@ -93,19 +99,13 @@ def test_evaluate_lists_no_faces(hexagon_one_chord, monkeypatch):
     # the face check reads each step's own cycle, so checking a chain lists no graph's faces
     face = F(P, P1, P2t, P2)
     chain = mk_chain(P2, (CELL2, face, P2t), (CELL2, conjugate_face(face), P2))
-    calls = []
-
-    def counted(cg):
-        calls.append(cg)
-        return enumerate_faces(cg)
-
     # every module of the package that holds the function, so an import by name is counted too
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "spinatlas"]:
-        if getattr(module, "enumerate_faces", None) is enumerate_faces:
-            monkeypatch.setattr(module, "enumerate_faces", counted)
+    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "spinatlas"]
+    holders = [m for m in package if getattr(m, "enumerate_faces", None) is enumerate_faces]
+    calls = [spy(monkeypatch, m, "enumerate_faces") for m in holders]
     evaluate(hexagon_one_chord, chain)
     is_admissible(hexagon_one_chord, chain)
-    assert calls == []
+    assert calls and not any(calls)
 
 
 def test_face_must_sit_inside_cell():
@@ -252,8 +252,7 @@ def test_mixed_degree_loops_inadmissible_at_order2(hexagon_two_chords):
 
 def test_visitable_vertices_share_the_degree_at_order_two_or_less():
     for order in range(5):
-        for j in range(order + 1):
-            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+        for cg in top_slice_graphs(order):
             verts = cg.vertices()
             for v in verts:
                 same = [b for b, w in enumerate(verts) if cg.epsilon_degree(w) == cg.epsilon_degree(v)]
@@ -277,19 +276,8 @@ REVERSE_CASES = [
 
 @pytest.mark.parametrize("cg,start,depth,limit", REVERSE_CASES, ids=["r2a", "r2b", "r3a", "r3b", "r4"])
 def test_reverse_loop_gives_inverse(cg, start, depth, limit):
-    """Reversal inverts the value whenever both traversals compose.
-
-    The end-of-loop repair at a maximal-degree base vertex is one-directional:
-    a chain consuming it has an inadmissible reversal, which evaluates to the
-    identity by convention.  Those are the only one-sided cases.
-    """
     for chain in sample_chains(cg, start, depth, limit):
-        fwd_ok = is_admissible(cg, chain).admissible
-        back_ok = is_admissible(cg, reversed_chain(chain)).admissible
-        if fwd_ok == back_ok:
-            assert evaluate(cg, reversed_chain(chain)) == inverse(evaluate(cg, chain))
-        else:
-            assert cg.epsilon_degree(start) == cg.order + 1
+        assert reversal_holds(cg, start, chain), chain.describe()
 
 
 @settings(max_examples=120, derandomize=True)
@@ -322,13 +310,8 @@ def test_all_chains_admissible_when_all_degrees_match(hexagon_full, order3_full)
 
 
 def test_inadmissible_always_identity(order3_one_chord):
-    cg = order3_one_chord
-    seen = 0
-    for chain in sample_chains(cg, P, 3, 2000):
-        if not is_admissible(cg, chain).admissible:
-            seen += 1
-            assert evaluate(cg, chain) == identity_perm(3)
-    assert seen > 0
+    values = inadmissible_values(order3_one_chord, P, 3)
+    assert values and set(values.values()) == {identity_perm(3)}
 
 
 # ---------------------------------------------------------------- enumeration
@@ -438,8 +421,7 @@ def test_step_entries_list_the_faces_through_both_vertices():
 
     pairs = 0
     for order in range(8):
-        for j in range(order + 2):
-            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+        for cg in (*top_slice_graphs(order), ConnectionGraph(order, frozenset())):
             table = StepTable(cg)
             faces = enumerate_faces(cg)
             # per vertex, the positions in `faces` of the faces through it
@@ -459,41 +441,36 @@ def test_lazily_listed_steps_end_equal_to_the_eager_listing(monkeypatch):
     of the step's."""
     from spinatlas import chains
     from spinatlas.classify import spin_group_at
-    from spinatlas.faces import cells_of, direct_images, face_cycles, neighbour_ids
-
-    # per step, the maps built for it
-    built: dict[tuple[int, int], int] = {}
-
-    def counted(order, connected, cell, cycle, a, b):
-        built[a, b] = built.get((a, b), 0) + 1
-        return direct_images(order, connected, cell, cycle, a, b)
+    from spinatlas.faces import cells_of, face_cycles, neighbour_ids
 
     def sends(mapping):
         return [(c, t) for c, t in enumerate(mapping) if t >= 0]
 
-    monkeypatch.setattr(chains, "direct_images", counted)
+    calls = spy(monkeypatch, chains, "direct_images")
     part_listed = steps = pairs = inverses = 0
     for order in range(7):
-        for j in range(order + 2):
-            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+        for cg in (*top_slice_graphs(order), ConnectionGraph(order, frozenset())):
             table = StepTable(cg)
-            built.clear()
+            calls.clear()
             # no class has a chordless graph, where the group at P stays A_n and the search walks its budget
             for v in searched_vertices(cg) if cg.connected else ():
                 spin_group_at(cg, v, table=table)
+            # per step, the maps built for it by the searches, then once every step is read
+            built, eagers = Counter(call.args[4:] for call in calls), Counter()
             near = neighbour_ids(cg)
             for a, b in itertools.permutations(range(len(table.vertices)), 2):
                 cycles = face_cycles(near, a, b)
                 eager = [
                     (cell, cycle) for cycle in cycles for cell in cells_of(order, frozenset(w >> 1 for w in cycle))
                 ]
-                part_listed += 0 < built.get((a, b), 0) < len(eager)
+                part_listed += 0 < built[a, b] < len(eager)
                 for k, (choice, _) in enumerate(table.steps(a, b)):
                     assert choice == eager[k]
                 listed = list(table.steps(a, b))
                 assert [choice for choice, _ in listed] == eager
-                assert built.get((a, b), 0) == len(eager)
+                eagers[a, b] = len(eager)
                 steps += 1
+            assert Counter(call.args[4:] for call in calls) == +eagers
             for a, b in itertools.combinations(range(len(table.vertices)), 2):
                 assert face_cycles(near, a, b) == face_cycles(near, b, a)
                 forth, back = list(table.steps(a, b)), list(table.steps(b, a))
@@ -511,8 +488,7 @@ def test_lazily_listed_steps_end_equal_to_the_eager_listing(monkeypatch):
 def test_step_table_maps_match_the_direct_builder():
     maps = 0
     for order in range(2, 6):
-        for j in range(order + 2):
-            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+        for cg in (*top_slice_graphs(order), ConnectionGraph(order, frozenset())):
             table = StepTable(cg)
             for a, b in itertools.permutations(range(len(table.vertices)), 2):
                 for (cell, face), (_, mapping) in zip(step_faces(table, a, b), table.steps(a, b)):
@@ -558,33 +534,25 @@ def test_faces_are_found_once_per_vertex_pair(monkeypatch):
     from spinatlas import chains
     from spinatlas.classify import spin_group_at
 
-    found, read = [], set()
-    face_cycles, steps = chains.face_cycles, StepTable.steps
+    def vertex_pairs(calls):
+        """The vertex pair of each call, `face_cycles(near, a, b)` or `steps(table, a, b)`."""
+        return [frozenset(call.args[1:]) for call in calls]
 
-    def counted(near, a, b):
-        found.append(frozenset((a, b)))
-        return face_cycles(near, a, b)
-
-    def reading(table, a, b):
-        read.add(frozenset((a, b)))
-        return steps(table, a, b)
-
-    monkeypatch.setattr(chains, "face_cycles", counted)
-    monkeypatch.setattr(StepTable, "steps", reading)
+    finds, reads = spy(monkeypatch, chains, "face_cycles"), spy(monkeypatch, StepTable, "steps")
     searched = pairs = 0
     for order in range(7):
-        for j in range(order + 2):
-            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+        for cg in (*top_slice_graphs(order), ConnectionGraph(order, frozenset())):
             table = StepTable(cg)
-            found.clear()
-            read.clear()
+            finds.clear()
+            reads.clear()
             # no class has a chordless graph, where the group at P stays A_n and the search walks its budget
             for v in searched_vertices(cg) if cg.connected else ():
                 spin_group_at(cg, v, table=table)
                 searched += 1
-            assert sorted(found, key=sorted) == sorted(read, key=sorted)
+            assert sorted(vertex_pairs(finds), key=sorted) == sorted(set(vertex_pairs(reads)), key=sorted)
             for a, b in itertools.permutations(range(len(table.vertices)), 2):
                 list(table.steps(a, b))
+            found = vertex_pairs(finds)
             assert len(found) == len(set(found)) == len(table.vertices) * (len(table.vertices) - 1) // 2
             pairs += len(found)
     assert searched == 49 and pairs == 1680
@@ -597,18 +565,10 @@ def test_chains_rebuilt_from_paths_build_no_face_map(monkeypatch):
     from spinatlas.chains import ChainStep
     from spinatlas.classify import spin_group_at
 
-    built = []
-    direct_images = chains.direct_images
-
-    def counted(*args):
-        built.append(args)
-        return direct_images(*args)
-
-    monkeypatch.setattr(chains, "direct_images", counted)
+    built = spy(monkeypatch, chains, "direct_images")
     witnesses = 0
     for order in range(2, 7):
-        for j in range(order + 1):
-            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+        for cg in top_slice_graphs(order):
             searched = StepTable(cg)
             verts = searched.vertices
             for v in searched_vertices(cg):
@@ -655,14 +615,7 @@ def test_evaluate_composes_once(order3_one_chord, monkeypatch):
     # one face map per step, each built by `direct_images` from the step's face, by vertex id
     from spinatlas import chains
 
-    calls = []
-    build = chains.direct_images
-
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(chains, "direct_images", counted)
+    calls = spy(monkeypatch, chains, "direct_images")
     witness = mk_chain(P3, (CELL3, F(P, P1, P2t, P3), P), (CELL3, F(P, P1, P3t, P3), P3))
     assert evaluate(order3_one_chord, witness) != identity_perm(4)
     assert len(calls) == 2
@@ -689,8 +642,7 @@ def test_a_round_trip_closes_to_the_identity():
     `evaluate` to order 4."""
     trips = evaluated = 0
     for order in range(7):
-        for j in range(order + 1):
-            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+        for cg in top_slice_graphs(order):
             table = StepTable(cg)
             for v in table.vertices:
                 a, n, pos = vertex_id(v), len(cg.label_classes(v)), label_positions(cg, v)
@@ -726,16 +678,9 @@ def test_is_basic(order3_one_chord):
 
 def test_basic_chains_generate_even_rotations(order3_one_chord):
     """Two-step skeleton loops close into the 3-element alternating group on the core labels."""
-    from spinatlas.groups import closure, recognize
-
     cg = order3_one_chord
     for start in (P, P3):
-        perms = set()
-        for chain in sample_chains(cg, start, 2, 5000):
-            if is_basic(cg, chain):
-                perms.add(evaluate(cg, chain))
-        n = len(cg.label_classes(start))
-        group = closure(perms, n)
+        group = skeleton_group(cg, start)
         assert len(group) == 3
         assert all(parity(g) == 0 for g in group)
         if start == P3:

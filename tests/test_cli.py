@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parse_list, parse_map, parse_record, python_env, run_python
+from conftest import parse_list, parse_map, parse_record, python_env, run_python, spy
 from spinatlas import tables
 from spinatlas.cli import _COMMANDS, _GLOBAL_OPTIONS, _read_args, build_parser, main, render_record
 
@@ -148,19 +148,12 @@ def test_atlas_accepts_exhaustive_and_changes_nothing(capsys, monkeypatch):
     # every search runs until S_n or its budget already, so the flag reaches no search
     from spinatlas import classify
 
-    keywords = set()
-    search = classify.spin_group_at
-
-    def recorded(cg, v, **kwargs):
-        keywords.update(kwargs)
-        return search(cg, v, **kwargs)
-
-    monkeypatch.setattr(classify, "spin_group_at", recorded)
+    calls = spy(monkeypatch, classify, "spin_group_at")
     _, plain, _ = run(capsys, "atlas", "--genus", "3")
-    assert keywords == {"max_steps", "table"}
-    keywords.clear()
+    searches = len(calls)
     code, out, _ = run(capsys, "atlas", "--genus", "3", "--exhaustive")
-    assert code == 0 and keywords == {"max_steps", "table"} and out == plain
+    assert code == 0 and out == plain and len(calls) == 2 * searches > 0
+    assert all(call.kwargs.keys() == {"max_steps", "table"} for call in calls)
 
 
 def test_atlas_computes_every_class_past_genus_12(capsys, monkeypatch):
@@ -168,14 +161,7 @@ def test_atlas_computes_every_class_past_genus_12(capsys, monkeypatch):
     # the 66 classes of the graphs with a larger label set were skipped (`match=skipped`)
     from spinatlas import classify
 
-    calls = []
-    search = classify.spin_group_at
-
-    def counted(cg, v, **kwargs):
-        calls.append(v)
-        return search(cg, v, **kwargs)
-
-    monkeypatch.setattr(classify, "spin_group_at", counted)
+    calls = spy(monkeypatch, classify, "spin_group_at")
     code, out, _ = run(capsys, "--max-genus", "20", "atlas", "--genus", "20")
     records = [parse_record(line) for line in out.splitlines()]
     assert code == 0 and len(calls) == 210
@@ -234,6 +220,16 @@ def _classify_argv(gc) -> list[str]:
     return ["classify", "-g", str(gc.genus), "-r", str(gc.order), "-i", str(gc.i), "-p", ",".join(map(str, gc.p)) or "-"]
 
 
+def _sweep(capsys, runs) -> str:
+    """The joined stdout of `main` over each command line, each of which must exit 0 with nothing on stderr."""
+    out = []
+    for argv in runs:
+        code, text, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+        out.append(text)
+    return "".join(out)
+
+
 def test_classify_sweep_output_is_pinned(capsys, monkeypatch):
     """classify over every class of genus 2..8, then `--exhaustive --max-steps 4` over the
     order <= 3 classes of genus 2..5: byte-identical, and no witness is evaluated again."""
@@ -251,12 +247,7 @@ def test_classify_sweep_output_is_pinned(capsys, monkeypatch):
         for gc in enumerate_classes(genus)
         if gc.order <= 3
     ]
-    out = []
-    for argv in runs:
-        code, text, err = run(capsys, *argv)
-        assert code == 0 and err == ""
-        out.append(text)
-    text = "".join(out)
+    text = _sweep(capsys, runs)
     assert len(text.splitlines()) == 2233 and text.count("\n  witness ") == 1535
     assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_SWEEP_SHA256
 
@@ -271,15 +262,7 @@ EXPORT_DOT_SWEEP_SHA256 = "eab5bddb300443e434b6a3d4d58470fb88b8d5e3ea09844062091
 def test_atlas_and_export_dot_sweeps_are_pinned(capsys):
     from spinatlas.params import enumerate_classes
 
-    def sweep(runs) -> str:
-        out = []
-        for argv in runs:
-            code, text, err = run(capsys, *argv)
-            assert code == 0 and err == ""
-            out.append(text)
-        return "".join(out)
-
-    atlas = sweep(["atlas", "--genus", str(genus)] for genus in range(2, 10))
+    atlas = _sweep(capsys, (["atlas", "--genus", str(genus)] for genus in range(2, 10)))
     assert hashlib.sha256(atlas.encode()).hexdigest() == ATLAS_SWEEP_SHA256
     dots = [
         ["export-dot", *_classify_argv(gc)[1:], "--kind", kind]
@@ -288,7 +271,7 @@ def test_atlas_and_export_dot_sweeps_are_pinned(capsys):
         for kind in ("connection", "full")[: 2 if gc.order <= 2 else 1]
     ]
     assert len(dots) == 62
-    assert hashlib.sha256(sweep(dots).encode()).hexdigest() == EXPORT_DOT_SWEEP_SHA256
+    assert hashlib.sha256(_sweep(capsys, dots).encode()).hexdigest() == EXPORT_DOT_SWEEP_SHA256
 
 
 def test_classify_invalid_class(capsys):

@@ -5,10 +5,10 @@ import itertools
 
 import pytest
 
-from conftest import BASIC3_FACES, CHORD2_FACES, CHORD3_FACES, CELL3, F, P, P1, P1t, P2, P2t, P3, P3t, Pt, V
-from conftest import FaceKind, build_face_map, conjugate_face, decorated_cell, face_classes, face_kind, pair_count
-from conftest import reference_face_cycles, reference_images
-from lift_oracle import cell_frame, inverse_differences, lift_differences, top_slice_graphs
+from conftest import BASIC3_FACES, CHORD2_FACES, CHORD3_FACES, CELL3, F, P, P1, P2, P2t, P3
+from conftest import FaceKind, around_face, build_face_map, conjugate_face, face_classes, face_kind, pair_count
+from conftest import reference_face_cycles, reference_images, top_slice_graphs
+from lift_oracle import cell_frame, inverse_differences, lift_differences, lifted_images
 from spinatlas import tables
 from spinatlas.faces import Face, cells_containing, cells_of, direct_images, enumerate_faces, face_cycles, face_map
 from spinatlas.faces import is_face, neighbour_ids, vertex_id
@@ -148,16 +148,11 @@ def test_every_face_lies_in_a_cell():
             assert len(cells_containing(cg, face)) >= 1
 
 
-def slice_graphs(order: int) -> list[ConnectionGraph]:
-    """The order-r graphs with chords on classes j..r, j <= r + 1: the top slices and the chordless graph."""
-    return [ConnectionGraph(order, frozenset(range(j, order + 1))) for j in range(order + 2)]
-
-
 def test_face_cycles_match_the_canonicalized_raw_cycles():
     # every ordered vertex pair, adjacent or not: the cycles canonical as built equal each raw cycle made canonical
     pairs = 0
     for order in range(12):
-        for cg in slice_graphs(order):
+        for cg in (*top_slice_graphs(order), ConnectionGraph(order, frozenset())):
             near = neighbour_ids(cg)
             for a, b in itertools.permutations(range(len(near)), 2):
                 assert face_cycles(near, a, b) == reference_face_cycles(near, a, b), (cg, a, b)
@@ -170,7 +165,7 @@ def test_direct_images_match_the_reference_rule():
     # the closed forms per face kind against the generic rule of one end at a time
     compared, kinds = 0, set()
     for order in range(7):
-        for cg in slice_graphs(order):
+        for cg in (*top_slice_graphs(order), ConnectionGraph(order, frozenset())):
             for face in enumerate_faces(cg):
                 cycle = tuple(map(vertex_id, face.cycle))
                 kinds.add(face_kind(face))
@@ -185,7 +180,7 @@ def test_direct_images_match_the_reference_rule():
 
 def test_neighbour_ids_match_adjacency():
     for order in range(11):
-        for cg in slice_graphs(order):
+        for cg in (*top_slice_graphs(order), ConnectionGraph(order, frozenset())):
             verts = cg.vertices()
             assert len(verts) == 2 * order + 2
             expected = [{vertex_id(w) for w in verts if cg.adjacent(v, w)} for v in verts]
@@ -193,47 +188,33 @@ def test_neighbour_ids_match_adjacency():
 
 
 def test_decorated_cell_renaming():
-    cg = ConnectionGraph(4, frozenset({3, 4}))
-    local, renaming = decorated_cell(cg, frozenset({0, 1, 3, 4}))
-    assert local.order == 3
-    assert local.connected == {2, 3}
-    assert renaming == {0: 0, 1: 1, 3: 2, 4: 3}
-
-    cg2 = ConnectionGraph(4, frozenset({4}))
-    local2, _ = decorated_cell(cg2, frozenset({0, 1, 2, 3}))
-    assert local2.connected == frozenset()
-
-    full = ConnectionGraph(4, frozenset({0, 1, 2, 3, 4}))
-    local3, _ = decorated_cell(full, frozenset({1, 2, 3, 4}))
-    assert local3.connected == {0, 1, 2, 3}
-
-
-def localize_vertex(cell_classes: tuple[int, ...], v: Vertex) -> Vertex:
-    """Rename v into the order-3 graph of a cell; parity is adjusted so sides carry over."""
-    local_cls = cell_classes.index(v.cls)
-    tilded = bool(v.tilded ^ (v.cls == 0) ^ (local_cls == 0))
-    return Vertex(local_cls, tilded)
+    # a cell's sorted classes, and its chords renamed into its order-3 graph
+    for chords, cell, pattern in [
+        ({3, 4}, {0, 1, 3, 4}, {2, 3}),
+        ({4}, {0, 1, 2, 3}, set()),
+        ({0, 1, 2, 3, 4}, {1, 2, 3, 4}, {0, 1, 2, 3}),
+    ]:
+        classes, renamed, _ = cell_frame(ConnectionGraph(4, frozenset(chords)), frozenset(cell))
+        assert classes == tuple(sorted(cell)) and renamed == pattern
+    # classes 0, 1, 3 and 4 renamed 0..3, class 2 off the cell
+    assert cell_frame(ConnectionGraph(4, frozenset({3, 4})), frozenset({0, 1, 3, 4}))[2] == (0, 1, 2, 3, -1, -1, 4, 5, 6, 7)
 
 
 def test_localization_preserves_structure():
+    # each cell's id renaming is a bijection onto the vertices of its order-3 graph that keeps adjacency
     cg = ConnectionGraph(5, frozenset({4, 5}))
+    verts = cg.vertices()
     for cell in map(frozenset, itertools.combinations(range(6), 4)):
-        classes = tuple(sorted(cell))
-        local, _ = decorated_cell(cg, cell)
-        cell_verts = [v for v in cg.vertices() if v.cls in cell]
-        for u in cell_verts:
-            for w in cell_verts:
-                lu, lw = localize_vertex(classes, u), localize_vertex(classes, w)
-                assert cg.adjacent(u, w) == local.adjacent(lu, lw)
-        # localization is a bijection onto the order-3 vertex set
-        assert {localize_vertex(classes, v) for v in cell_verts} == set(local.vertices())
-        # the frame the lift oracle looks maps up through renames by vertex id in the same way
-        frame_classes, pattern, ids = cell_frame(cg, cell)
-        assert frame_classes == classes and pattern == local.connected
-        for v in cg.vertices():
-            assert ids[vertex_id(v)] == (vertex_id(localize_vertex(classes, v)) if v.cls in cell else -1)
-    with pytest.raises(ValueError):
-        cell_frame(cg, frozenset({0, 1, 2}))
+        _, pattern, ids = cell_frame(cg, cell)
+        local = ConnectionGraph(3, pattern)
+        renamed = {v: local.vertices()[ids[vertex_id(v)]] for v in verts if v.cls in cell}
+        assert sorted(renamed.values()) == list(local.vertices())
+        assert all(ids[vertex_id(v)] == -1 for v in verts if v not in renamed)
+        for u, w in itertools.permutations(renamed, 2):
+            assert cg.adjacent(u, w) == local.adjacent(renamed[u], renamed[w])
+    for bad in ({0, 1, 2}, {0, 1, 2, 6}):
+        with pytest.raises(ValueError, match="^not a cell of an order-5 graph"):
+            cell_frame(cg, frozenset(bad))
 
 
 def all_cell_face_pairs(cg):
@@ -242,17 +223,8 @@ def all_cell_face_pairs(cg):
             yield cell, face
 
 
-SAMPLE_GRAPHS = [
-    ConnectionGraph(2, frozenset({2})),
-    ConnectionGraph(2, frozenset({1, 2})),
-    ConnectionGraph(2, frozenset({0, 1, 2})),
-    ConnectionGraph(3, frozenset({3})),
-    ConnectionGraph(3, frozenset({2, 3})),
-    ConnectionGraph(3, frozenset({1, 2, 3})),
-    ConnectionGraph(3, frozenset({0, 1, 2, 3})),
-    ConnectionGraph(4, frozenset({4})),
-    ConnectionGraph(4, frozenset({3, 4})),
-]
+# the top slices of orders 2 and 3, and the two narrowest of order 4
+SAMPLE_GRAPHS = [*top_slice_graphs(2), *top_slice_graphs(3), *top_slice_graphs(4)[3:]]
 
 
 @pytest.mark.parametrize("cg", SAMPLE_GRAPHS, ids=lambda g: f"r{g.order}-{''.join(map(str, sorted(g.connected)))}")
@@ -275,19 +247,7 @@ def test_face_maps_are_partial_bijections(cg):
 @pytest.mark.parametrize("cg", SAMPLE_GRAPHS, ids=lambda g: f"r{g.order}-{''.join(map(str, sorted(g.connected)))}")
 def test_face_map_cyclic_identity(cg):
     for cell, face in all_cell_face_pairs(cg):
-        a, b, c, d = face.cycle
-        composed = {}
-        for src, val in face_map(cg, cell, face, a, b).items():
-            for hop, nxt in ((b, c), (c, d), (d, a)):
-                step = face_map(cg, cell, face, hop, nxt)
-                if val not in step:
-                    val = None
-                    break
-                val = step[val]
-            if val is not None:
-                composed[src] = val
-        for src, val in composed.items():
-            assert val == src
+        assert all(image == label for label, image in around_face(cg, cell, face).items()), (cell, face)
 
 
 @pytest.mark.parametrize("cg", SAMPLE_GRAPHS, ids=lambda g: f"r{g.order}-{''.join(map(str, sorted(g.connected)))}")
@@ -368,30 +328,18 @@ def test_table_lookup_path_agrees_with_direct_construction():
 ORDER3_TABLES = tables.compute_order3_tables()
 
 
-def _table_lift(cg, cell, face, u, w):
-    """A face map at order >= 4 as a dict: localize the cell, look it up in the computed tables, lift it back."""
-    classes = tuple(sorted(cell))
-    local_cg, _ = decorated_cell(cg, cell)
-    local_face = Face.from_cycle(tuple(localize_vertex(classes, x) for x in face.cycle))
-    local = ORDER3_TABLES.lookup(
-        local_cg.connected,
-        tuple(map(vertex_id, local_face.cycle)),
-        vertex_id(localize_vertex(classes, u)),
-        vertex_id(localize_vertex(classes, w)),
-    )
-    mapping = {classes[a]: classes[b] for a, b in local}
-    mapping.update((c, c) for c in cg.label_classes(u) if c not in cell)
-    return mapping
-
-
 def test_face_map_equals_the_dict_construction():
-    for cg, build in (
-        (ConnectionGraph(3, frozenset({3})), build_face_map),
-        (ConnectionGraph(4, frozenset({3, 4})), _table_lift),
-    ):
-        for cell, face in all_cell_face_pairs(cg):
-            for u, w in itertools.permutations(face.cycle, 2):
-                assert face_map(cg, cell, face, u, w) == build(cg, cell, face, u, w)
+    cg = ConnectionGraph(3, frozenset({3}))
+    for cell, face in all_cell_face_pairs(cg):
+        for u, w in itertools.permutations(face.cycle, 2):
+            assert face_map(cg, cell, face, u, w) == build_face_map(cg, cell, face, u, w)
+    # at order 4, the map lifted from the order-3 tables
+    cg = ConnectionGraph(4, frozenset({3, 4}))
+    for cell, face in all_cell_face_pairs(cg):
+        frame, cycle = cell_frame(cg, cell), tuple(map(vertex_id, face.cycle))
+        for u, w in itertools.permutations(face.cycle, 2):
+            lifted = lifted_images(ORDER3_TABLES, 4, frame, cycle, vertex_id(u), vertex_id(w))
+            assert face_map(cg, cell, face, u, w) == {c: t for c, t in enumerate(lifted) if t >= 0}
 
 
 @pytest.mark.parametrize("order", [4, 5])

@@ -4,11 +4,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 
-from conftest import P, P1, P1t, P2, P2t, P3, P3t, P4, P4t, Pt, V, conjugate_face, cycle_type, parity, parse_verdict
-from conftest import ReferenceCertificate, all_cycles, kept_perms, reference_search, searched_vertices, stab_chain_search
+from conftest import P, P1, P1t, P2, P2t, P3, P4t, conjugate_face, cycle_type, parity, parse_verdict
+from conftest import ReferenceCertificate, all_cycles, kept_perms, reference_search, searched_vertices, spy
+from conftest import stab_chain_search, top_slice_graphs
 from spinatlas.classify import Engine, predict_group, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
@@ -208,6 +210,12 @@ def test_predictions_order2():
     assert predict_group(two, P) == TRIVIAL
     full = ConnectionGraph(2, frozenset({0, 1, 2}))
     assert all(predict_group(full, v) == symmetric(3) for v in full.vertices())
+
+
+def test_order2_chords_no_class_has_raise():
+    for chords in ({1}, {0}, set()):
+        with pytest.raises(ValueError, match=re.escape(f"no class has the order-2 chords {sorted(chords)}")):
+            predict_group(ConnectionGraph(2, frozenset(chords)), P)
 
 
 def test_predictions_by_degree():
@@ -607,8 +615,7 @@ def test_every_vertex_to_order_6_matches_the_stabilizer_chain_search():
 
     late, vertices = {}, 0
     for order in range(7):
-        for j in range(order + 1):
-            cg = ConnectionGraph(order, frozenset(range(j, order + 1)))
+        for cg in top_slice_graphs(order):
             table = StepTable(cg)
             for v in cg.vertices():
                 res = spin_group_at(cg, v, table=table)
@@ -631,7 +638,7 @@ def test_a_search_never_reads_the_prediction(monkeypatch):
     from spinatlas import classify
     from spinatlas.chains import StepTable
 
-    graphs = [ConnectionGraph(r, frozenset(range(j, r + 1))) for r in range(7) for j in range(r + 1)]
+    graphs = [cg for order in range(7) for cg in top_slice_graphs(order)]
 
     def searches():
         out = {}
@@ -668,21 +675,12 @@ def test_a_repeated_walk_state_is_counted_not_walked(monkeypatch):
     from spinatlas import classify
 
     cg = ConnectionGraph(1, frozenset({0, 1}))
-    steps = {classify: 0, conftest: 0}
-    carry = classify.carry
-
-    for walker in steps:
-
-        def counted(mapping, carried, walker=walker):
-            steps[walker] += 1
-            return carry(mapping, carried)
-
-        monkeypatch.setattr(walker, "carry", counted)
+    steps = [spy(monkeypatch, walker, "carry") for walker in (classify, conftest)]
     res, ref = spin_group_at(cg, P), reference_search(cg, P)
     assert (res.chains_tried, res.distinct, res.verdict) == (273, (), TRIVIAL)
     assert (ref.chains_tried, ref.distinct) == (273, ())
     # the reference walk takes a step per chain prefix; the search, only the steps below each new state
-    assert (steps[classify], steps[conftest]) == (63, 810)
+    assert list(map(len, steps)) == [63, 810]
 
 
 def test_kept_stops_at_the_first_full_order():

@@ -1,10 +1,13 @@
 """Class parameters: multiplicity tuples, the genus formula, enumeration, heads."""
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spy
 from spinatlas import params
 from spinatlas.params import GraphClass, InvalidClassError, enumerate_classes, genus_of, heads, k_tuple
 
@@ -94,11 +97,10 @@ def test_enumeration_sorted_and_order_bounded():
 
 def test_enumeration_builds_each_class_as_it_is_read(monkeypatch):
     # the call checks its arguments and builds nothing; the first class read is the only one built
-    built = []
-    monkeypatch.setattr(params, "GraphClass", lambda *args: built.append(args) or GraphClass(*args))
+    built = spy(monkeypatch, params, "GraphClass")
     classes = enumerate_classes(30)
     assert built == []
-    assert next(classes) == GraphClass(30, 0, 30, ()) and built == [(30, 0, 30, ())]
+    assert next(classes) == GraphClass(30, 0, 30, ()) and built == [mock.call(30, 0, 30, ())]
 
 
 def test_heads():

@@ -17,8 +17,9 @@ the order is then n!, or `order()`'s when it is not S_n.  Every other
 prediction is checked with `order()`.  Run as a script over a range of
 orders, it checks every graph whose chords are a top slice {j..r},
 0 <= j <= r (never the chordless graph, which no class has), at the default
-search settings, and exits 1 on any difference.  Orders 3..32 are checked,
-3..28 and 29..32 in two runs:
+search settings, from order 0, and exits 0 with no difference, 1 on any
+difference and 2 on a bad range (`conftest.run_oracle`).  Orders 3..32 are
+checked, 3..28 and 29..32 in two runs:
 
     PYTHONPATH=src python3 tests/witness_oracle.py 3..28
     PYTHONPATH=src python3 tests/witness_oracle.py 29..32
@@ -26,14 +27,11 @@ search settings, and exits 1 on any difference.  Orders 3..32 are checked,
 from __future__ import annotations
 
 import math
-import resource
 import sys
-import time
 
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from conftest import searched_vertices
-from lift_oracle import top_slice_graphs
+from conftest import run_oracle, searched_vertices, top_slice_graphs
 from spinatlas.chains import StepTable, evaluate
 from spinatlas.classify import predict_group, spin_group_at
 from spinatlas.graph import ConnectionGraph
@@ -65,23 +63,24 @@ def witness_differences(cg: ConnectionGraph) -> tuple[int, list[str]]:
     return len(vertices), out
 
 
-def main(argv: list[str]) -> int:
-    lo, _, hi = (argv[0] if argv else "3..8").partition("..")
-    start = time.perf_counter()
+DEFAULT, LOWEST = "3..8", 0
+
+
+def sweep(lo: int, hi: int) -> tuple[dict[str, int], list[str]]:
+    """The witness check on every top-slice graph of orders lo..hi."""
     graphs = vertices = 0
     diffs = []
-    for order in range(int(lo), int(hi or lo) + 1):
+    for order in range(lo, hi + 1):
         for cg in top_slice_graphs(order):
             count, found = witness_differences(cg)
             graphs += 1
             vertices += count
             diffs += found
-    for line in diffs:
-        print(line)
-    took = time.perf_counter() - start
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{graphs} graphs, {vertices} vertices, {len(diffs)} differences, {took:.1f} s, {peak:.0f} MB peak")
-    return 1 if diffs else 0
+    return {"graphs": graphs, "vertices": vertices}, diffs
+
+
+def main(argv: list[str]) -> int:
+    return run_oracle(argv, DEFAULT, LOWEST, sweep)
 
 
 if __name__ == "__main__":
