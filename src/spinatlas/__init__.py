@@ -18,12 +18,11 @@ from .chains import (
     is_admissible,
     validate_structure,
 )
-from .groups import CapExceededError, GroupVerdict, closure, recognize
+from .groups import GroupVerdict, closure, recognize
 from .classify import predict_group, spin_group_at, verify_class
 
 __all__ = [
     "AdmissibilityVerdict",
-    "CapExceededError",
     "ChainStep",
     "ChainStructureError",
     "ConnectionGraph",

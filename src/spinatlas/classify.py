@@ -75,7 +75,7 @@ def _at_least(flag: str, value: int, least: int) -> None:
 
 
 class Engine:
-    """One run's search settings, and the rows of each graph it computes.
+    """One run's search settings, and the rows of each slice it computes.
 
     A bad setting raises ValueError here.  Each search reads `max_steps`
     from here and calls `spin_group_at` through this module's global, so a
@@ -87,8 +87,8 @@ class Engine:
     def __init__(self, max_steps=DEFAULT_MAX_STEPS):
         _at_least("max-steps", max_steps, 2)
         self.max_steps = max_steps
-        # per graph, the `VertexRow`s of `verify_class`
-        self.rows: dict[ConnectionGraph, tuple[VertexRow, ...]] = {}
+        # per slice (order, `GraphClass.connected_pairs`), the `VertexRow`s of `verify_class`
+        self.rows: dict[tuple[int, range], tuple[VertexRow, ...]] = {}
 
 
 def spin_group_at(
@@ -213,27 +213,34 @@ def verify_class(gc: GraphClass, engine: Engine | None = None) -> ClassReport:
     swap, are automorphisms of its graph.  The face maps commute with them, so
     the chains at two vertices of one orbit correspond one to one and their
     groups are conjugate.  The orbits are the chorded and the unchorded
-    vertices: the search runs once per orbit, at its first (untilded) vertex,
-    and the rest of the orbit reuses that group.  Each row still gets its own
+    vertices: the search runs once per orbit, at its `searched_vertices`, and
+    the rest of the orbit reuses that group.  Each row still gets its own
     prediction and comparison.
 
-    The rows depend only on the graph and the engine's search settings, so the
-    engine keeps them per graph, and every later class of that graph reuses
-    them without a search.  The graph's step table lives only while its rows are made.
+    The rows depend only on the slice (order, chorded classes), which fixes the graph, and on the
+    engine's search settings, so the engine keeps them per slice: a later class of the slice reuses
+    them with no search and no graph.  A graph's step table lives only while its rows are made.
     """
     engine = engine or Engine()
-    cg = build_connection_graph(gc)
-    rows = engine.rows.get(cg)
+    key = (gc.order, gc.connected_pairs)
+    rows = engine.rows.get(key)
     if rows is None:
-        rows = engine.rows[cg] = _rows(cg, engine)
+        rows = engine.rows[key] = _rows(build_connection_graph(gc), engine)
     return ClassReport(gc, rows)
 
 
+def searched_vertices(cg: ConnectionGraph) -> tuple[Vertex, ...]:
+    """The vertices `verify_class` searches, one per orbit, in vertex order: the first chorded and the first
+    unchorded vertex, both untilded."""
+    chorded = [c in cg.connected for c in cg.classes]
+    return tuple(sorted(Vertex(chorded.index(kind), False) for kind in set(chorded)))
+
+
 def _rows(cg: ConnectionGraph, engine: Engine):
-    """The `VertexRow` of every vertex of the graph, in vertex order."""
+    """The `VertexRow` of every vertex of the graph, in vertex order, with the group of its orbit's searched vertex."""
     table = StepTable(cg)
-    firsts: dict[bool, Vertex] = {}
-    # per vertex, the first vertex of its orbit, whose search gives its group
-    source = {v: firsts.setdefault(v.cls in cg.connected, v) for v in table.vertices}
-    verdicts = {s: spin_group_at(cg, s, max_steps=engine.max_steps, table=table).verdict for s in firsts.values()}
-    return tuple(vertex_row(cg, v, verdicts[s]) for v, s in source.items())
+    verdicts = {
+        v.cls in cg.connected: spin_group_at(cg, v, max_steps=engine.max_steps, table=table).verdict
+        for v in searched_vertices(cg)
+    }
+    return tuple(vertex_row(cg, v, verdicts[v.cls in cg.connected]) for v in table.vertices)

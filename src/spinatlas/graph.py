@@ -102,7 +102,7 @@ def edge_multiplicities_r_le_2(gc: GraphClass) -> dict[tuple[Vertex, Vertex], in
         Pl, Plt = Vertex(l, False), Vertex(l, True)
         out[edge(P, Pl)] = k[0]
         out[edge(Pt, Plt)] = k[0]
-        if k[l] >= 2:
+        if l in gc.connected_pairs:
             out[edge(Pl, Plt)] = k[l] - 1
     if gc.order == 2:
         out[edge(Vertex(1, False), Vertex(2, True))] = k[1]

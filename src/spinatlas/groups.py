@@ -14,10 +14,6 @@ from collections import namedtuple
 Perm = tuple[int, ...]
 
 
-class CapExceededError(RuntimeError):
-    """A group to be enumerated by `closure` has order above its cap."""
-
-
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
@@ -209,17 +205,13 @@ class SymmetricCertificate:
         return self._parts == 1 and self._odd
 
 
-def closure(gens, n: int, cap: int = 400_000) -> tuple[Perm, ...]:
+def closure(gens, n: int) -> tuple[Perm, ...]:
     """Subgroup generated by `gens`, enumerated from its stabilizer chain, in sorted order."""
-    gen_list = sorted({tuple(g) for g in gens})
-    for g in gen_list:
+    chain = StabChain(n)
+    for g in sorted({tuple(g) for g in gens}):
         if sorted(g) != list(range(n)):
             raise ValueError(f"not a permutation of {n} points: {g}")
-    chain = StabChain(n)
-    for g in gen_list:
         chain.add(g)
-    if chain.order() > cap:
-        raise CapExceededError(f"closure exceeded cap {cap} on {n} points")
     return tuple(sorted(chain.elements()))
 
 

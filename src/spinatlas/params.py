@@ -50,9 +50,10 @@ class GraphClass(namedtuple("GraphClass", "genus order i p")):
         return k_tuple(self.i, self.p)
 
     @property
-    def connected_pairs(self) -> frozenset[int]:
-        """Conjugate pairs joined by an edge: exactly the classes with k_l >= 2."""
-        return frozenset(l for l, kl in enumerate(self.k) if kl >= 2)
+    def connected_pairs(self) -> range:
+        """Conjugate pairs joined by an edge, the classes with k_l >= 2: as k is nondecreasing, the top slice j..r,
+        with j = 0 when i >= 1, else the first l with p_l > 0 (a valid class has one, its genus exceeding its order)."""
+        return range(0 if self.i else next(l for l, pl in enumerate(self.p, 1) if pl), self.order + 1)
 
     def label(self) -> str:
         inner = ",".join(str(x) for x in (self.i, *self.p))

@@ -21,7 +21,7 @@ import pytest
 import spinatlas
 from spinatlas.chains import ChainStep, SpinChain, StepTable, carry, close_out, evaluate, is_admissible, label_positions
 from spinatlas.chains import validate_structure
-from spinatlas.classify import SpinGroupResult
+from spinatlas.classify import SpinGroupResult, searched_vertices  # noqa: F401  (the tests read it here)
 from spinatlas.faces import Face, _canonical, cells_containing, direct_images, enumerate_faces, face_map, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
 from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, StabChain, SymmetricCertificate, alternating, identity_perm
@@ -281,6 +281,19 @@ def inadmissible_values(cg: ConnectionGraph, start: Vertex, max_steps: int) -> d
     return {chain: evaluate(cg, chain) for chain in chains if not is_admissible(cg, chain).admissible}
 
 
+def brute_closure(gens, n: int) -> frozenset[tuple[int, ...]]:
+    """Reference for `groups.closure`: the identity and the generators, each multiplied by every generator
+    until nothing new appears, composed by plain index lookups.  In a finite group every element is a
+    product of generators, so this is the group."""
+    gens = [tuple(g) for g in gens]
+    elems = {tuple(range(n)), *gens}
+    fresh = set(elems)
+    while fresh:
+        fresh = {tuple(g[x] for x in a) for a in fresh for g in gens} - elems
+        elems |= fresh
+    return frozenset(elems)
+
+
 def skeleton_group(cg: ConnectionGraph, start: Vertex) -> tuple[tuple[int, ...], ...]:
     """The group the two-step loops at `start` in the chord-free skeleton generate."""
     perms = {evaluate(cg, chain) for chain in enumerate_chains(cg, start, 2) if is_basic(cg, chain)}
@@ -433,14 +446,6 @@ def stab_chain_search(
 def kept_perms(res: SpinGroupResult) -> tuple[tuple[int, ...], ...]:
     """A search result's kept generators, without their paths, from one read of `kept()`."""
     return tuple(perm for _, perm in res.kept())
-
-
-def searched_vertices(cg: ConnectionGraph) -> list[Vertex]:
-    """The vertices `verify_class` searches: the first of the chorded and of the unchorded ones."""
-    firsts = {}
-    for v in cg.vertices():
-        firsts.setdefault(v.cls in cg.connected, v)
-    return sorted(firsts.values())
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,10 @@ prod_{w=1..r} 1/(1 - q^w), the partitions of t = g - r - (r+1)i into parts of
 at most r.  `class_count` sums those coefficients over i; they come from the
 product alone, not from `params._increment_tuples`.  Run as a script over a
 range of genera from 2, it compares `enumerate_classes` at every genus and
-order with them, checks that no class is listed twice, and exits 0 with no
-difference, 1 on any difference and 2 on a bad range (`conftest.run_oracle`):
+order with them, checks that no class is listed twice and that each class's
+`connected_pairs`, the closed-form top slice, is the set {l : k_l >= 2} read
+off its k, and exits 0 with no difference, 1 on any difference and 2 on a bad
+range (`conftest.run_oracle`):
 
     PYTHONPATH=src python3 tests/enumeration_oracle.py 2..40
 """
@@ -39,7 +41,8 @@ DEFAULT, LOWEST = "2..30", 2
 
 
 def sweep(lo: int, hi: int) -> tuple[dict[str, int], list[str]]:
-    """How many classes genus lo..hi has, and each (genus, order) whose listing differs from its count."""
+    """How many classes genus lo..hi has, each (genus, order) whose listing differs from its count, and
+    each class whose chorded classes differ from those with k_l >= 2."""
     coeffs = [partition_counts(order, hi) for order in range(hi)]
     total, out = 0, []
     for genus in range(lo, hi + 1):
@@ -47,6 +50,10 @@ def sweep(lo: int, hi: int) -> tuple[dict[str, int], list[str]]:
         total += len(classes)
         if len(set(classes)) != len(classes):
             out.append(f"genus {genus}: {len(classes) - len(set(classes))} classes listed twice")
+        for gc in classes:
+            chords = {l for l, kl in enumerate(gc.k) if kl >= 2}
+            if set(gc.connected_pairs) != chords:
+                out.append(f"{gc}: connected_pairs {list(gc.connected_pairs)}, k_l >= 2 at {sorted(chords)}")
         listed = Counter(gc.order for gc in classes)
         for order in sorted(set(range(genus)) | set(listed)):
             want = class_count(genus, order, coeffs[order]) if 0 <= order < genus else 0

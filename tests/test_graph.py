@@ -71,8 +71,9 @@ def test_connected_pair_rule():
     assert build_connection_graph(GraphClass(4, 3, 0, (0, 0, 1))).connected == {3}
     for genus in range(2, 10):
         for gc in enumerate_classes(genus):
+            # the graph's chords are the class's slice, which `test_params` checks against k
             cg = build_connection_graph(gc)
-            assert cg.connected == {l for l, kl in enumerate(gc.k) if kl >= 2}
+            assert cg.order == gc.order and cg.connected == set(gc.connected_pairs)
 
 
 def test_epsilon_degrees(hexagon_one_chord, order3_one_chord):

@@ -9,14 +9,13 @@ import re
 import pytest
 
 from conftest import P, P1, P1t, P2, P2t, P3, P4t, conjugate_face, cycle_type, parity, parse_verdict
-from conftest import ReferenceCertificate, all_cycles, kept_perms, reference_search, searched_vertices, spy
-from conftest import stab_chain_search, top_slice_graphs
+from conftest import ReferenceCertificate, all_cycles, brute_closure, kept_perms, reference_search, searched_vertices
+from conftest import spy, stab_chain_search, top_slice_graphs
 from spinatlas.classify import Engine, predict_group, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
     C2,
     C3,
-    CapExceededError,
     GroupVerdict,
     StabChain,
     SymmetricCertificate,
@@ -33,18 +32,6 @@ from spinatlas.groups import (
     symmetric,
 )
 from spinatlas.params import GraphClass, enumerate_classes
-
-
-def brute_closure(gens, n):
-    """Oracle: saturate by multiplying the newest elements by each generator until nothing new
-    appears.  In a finite group every element is a product of generators, so this is the group."""
-    gens = [tuple(g) for g in gens]
-    elems = {identity_perm(n), *gens}
-    fresh = set(elems)
-    while fresh:
-        fresh = {compose(a, g) for a in fresh for g in gens} - elems
-        elems |= fresh
-    return frozenset(elems)
 
 
 def random_perm(rng, n):
@@ -148,11 +135,6 @@ def test_full_orbit_cut_off_matches_sympy():
                 assert (perm in chain) == group.contains(Perm(list(perm))), (gens, perm)
         assert chain.order() == math.factorial(n)
     assert tails_full > 200
-
-
-def test_closure_cap():
-    with pytest.raises(CapExceededError):
-        closure([(1, 0, 2, 3), (1, 2, 3, 0)], 4, cap=10)
 
 
 def test_closure_rejects_non_permutations():

@@ -6,6 +6,7 @@ import pytest
 from conftest import spy, top_slice_graphs
 from orbit_oracle import distinct_graph_classes, face_map_differences, row_differences, walk_differences
 from spinatlas import classify, groups
+from spinatlas.cli import main
 from spinatlas.graph import ConnectionGraph
 from spinatlas.params import GraphClass, enumerate_classes
 
@@ -74,19 +75,19 @@ def test_two_engines_in_one_process(monkeypatch):
     default, five = classify.Engine(), classify.Engine(max_steps=5)
     first = classify.verify_class(order4, engine=default)
     assert len(calls) == 2
-    # the engine keeps the graph's rows under the graph alone, beside its search settings, and nothing
-    # else of the run
-    cg = ConnectionGraph(4, order4.connected_pairs)
-    assert default.rows == {cg: first.rows}
+    # the engine keeps the graph's rows under its slice alone, (order, chorded classes), beside its search
+    # settings, and nothing else of the run
+    key = (4, range(4, 5))
+    assert default.rows == {key: first.rows}
     assert set(vars(default)) == {"max_steps", "rows"}
     # other search settings need a second engine, which shares nothing with the first
     calls.clear()
     other = classify.verify_class(order4, engine=five)
-    assert len(calls) == 2 and five.rows == {cg: other.rows} and other.rows is not first.rows
+    assert len(calls) == 2 and five.rows == {key: other.rows} and other.rows is not first.rows
     calls.clear()
     again = classify.verify_class(order4, engine=default)
     assert calls == [] and again.rows is first.rows
-    # a class of the same graph gets the same rows without a search, under its own class
+    # a class of the same slice gets the same rows without a search, under its own class
     shared = classify.verify_class(same_graph, engine=default)
     assert calls == []
     assert shared.rows is first.rows and shared.graph_class == same_graph
@@ -95,3 +96,12 @@ def test_two_engines_in_one_process(monkeypatch):
     fresh = classify.verify_class(same_graph, engine=classify.Engine())
     assert len(calls) == 2
     assert fresh.rows == first.rows and fresh.rows is not first.rows
+
+
+def test_verify_builds_one_graph_per_slice(monkeypatch, capsys):
+    # a class whose slice has rows already builds no graph: 358 classes of genus 2..12, on 42 graphs
+    calls = spy(monkeypatch, classify, "build_connection_graph")
+    assert main(["verify", "--genus", "2..12"]) == 0
+    assert capsys.readouterr().out.endswith("kind=summary classes=358 mismatches=0\n")
+    slices = [(call.args[0].order, call.args[0].connected_pairs) for call in calls]
+    assert len(slices) == len(set(slices)) == 42

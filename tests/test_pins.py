@@ -1,7 +1,9 @@
 """The pinned command lines: each run in a fresh interpreter must exit 0 with stdout whose sha256 is its pin.
 
 The benchmark's three workloads are read from `perfbench/run.py`, which holds their pins; the
-others are pinned here, and nowhere else.
+others are pinned here, and nowhere else.  The short lines also run under `python -O`, which
+strips assert statements, and under two more hash seeds, since sets of classes are everywhere:
+their bytes must not change.
 """
 from __future__ import annotations
 
@@ -34,6 +36,12 @@ PINS = {
         None,
         "11cdc51c86a305aa5a3116dafe39564a5e90a6420beaa6f3df22237e284c80dc",
     ),
+    # every class of one genus, with its degrees, predictions and computed groups
+    "atlas-g9": (
+        ("atlas", "--genus", "9"),
+        None,
+        "90b6a64aeb68e7e54d43d2727325ef550bf40065cfa247655fd5a5f294df0dce",
+    ),
     # label sets up to 20 points, each S_n verdict decided by the 2- and 3-cycle certificate
     "verify-13..20": (
         ("--max-genus", "20", "verify", "--genus", "13..20"),
@@ -55,12 +63,28 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("name", PINS)
-def test_stdout_matches_its_pin(name):
+# per extra run of each short line: the interpreter's flags and PYTHONHASHSEED
+VARIANTS = {"optimized-seed-1": (("-O",), "1"), "seed-123": ((), "123")}
+SHORT = ["verify-small", "verify-g9", "exhaustive-small", "classify-witnesses", "atlas-g9"]
+
+
+def check_pin(name: str, flags: tuple[str, ...] = (), env: dict[str, str] | None = None) -> None:
     args, classes, pin = PINS[name]
-    argv = [sys.executable, "-m", "spinatlas.cli", *args]
-    child = subprocess.run(argv, capture_output=True, env=python_env(), timeout=120)
+    argv = [sys.executable, *flags, "-m", "spinatlas.cli", *args]
+    child = subprocess.run(argv, capture_output=True, env={**python_env(), **(env or {})}, timeout=120)
     assert child.returncode == 0, child.stderr.decode()
     if classes is not None:
         assert child.stdout.splitlines()[-1] == f"kind=summary classes={classes} mismatches=0".encode()
     assert hashlib.sha256(child.stdout).hexdigest() == pin
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_stdout_matches_its_pin(name):
+    check_pin(name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", SHORT)
+def test_stdout_holds_its_pin_optimized_and_under_other_hash_seeds(name, variant):
+    flags, seed = VARIANTS[variant]
+    check_pin(name, flags, {"PYTHONHASHSEED": seed})

@@ -1,11 +1,12 @@
 """Witness oracle for the group found at each searched vertex.
 
 `witness_differences` searches a graph at the vertices that `verify` searches
-(the first chorded and the first unchorded one) and checks the verdict along
-a path that shares none of the search's fast parts.  Each kept generator's
-chain is rebuilt from its search path (`StepTable.chain`) and evaluated by
-`chains.evaluate`, which composes the maps that `faces.direct_images` builds
-from each face: no table lift, no step-table map and no walk-state memo.
+(`classify.searched_vertices`: the first chorded and the first unchorded one)
+and checks the verdict along a path that shares none of the search's fast
+parts.  Each kept generator's chain is rebuilt from its search path
+(`StepTable.chain`) and evaluated by `chains.evaluate`, which composes the
+maps that `faces.direct_images` builds from each face: no table lift, no
+step-table map and no walk-state memo.
 The result must be the generator kept with it.  Then sympy's
 `PermutationGroup` of the kept generators, a group engine the program does
 not use, must have the search's order, and that order must be the predicted
@@ -31,9 +32,9 @@ import sys
 
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from conftest import run_oracle, searched_vertices, top_slice_graphs
+from conftest import run_oracle, top_slice_graphs
 from spinatlas.chains import StepTable, evaluate
-from spinatlas.classify import predict_group, spin_group_at
+from spinatlas.classify import predict_group, searched_vertices, spin_group_at
 from spinatlas.graph import ConnectionGraph
 from spinatlas.groups import symmetric
 
