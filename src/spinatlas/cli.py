@@ -102,8 +102,6 @@ def _class_from_args(args) -> GraphClass:
 
 def cmd_atlas(args, engine: _classify.Engine) -> int:
     _genera(args)
-    if args.order is not None and not 0 <= args.order < args.genus:
-        raise UsageError(f"order must satisfy 0 <= r < genus")
     for gc in enumerate_classes(args.genus, args.order):
         report = None if args.no_compute else _classify.verify_class(gc, engine=engine)
         print(render_record(atlas_record(gc, report)))

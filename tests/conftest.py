@@ -1,5 +1,6 @@
-"""Shared test rules: the small connection graphs and their named faces, the reference walks, the
-top-slice sweep, the call spy and the oracle runner."""
+"""Shared test rules: the small connection graphs, their named faces and cells, the case tables the
+acceptance criteria and the unit tests share, the reference walks, the top-slice sweep, the call spy and
+the oracle runner."""
 from __future__ import annotations
 
 import math
@@ -22,7 +23,7 @@ import spinatlas
 from spinatlas.chains import ChainStep, SpinChain, StepTable, carry, close_out, evaluate, is_admissible, label_positions
 from spinatlas.chains import validate_structure
 from spinatlas.classify import SpinGroupResult, searched_vertices  # noqa: F401  (the tests read it here)
-from spinatlas.faces import Face, _canonical, cells_containing, direct_images, enumerate_faces, face_map, vertex_id
+from spinatlas.faces import Face, _canonical, cells_containing, direct_images, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
 from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, StabChain, SymmetricCertificate, alternating, identity_perm
 from spinatlas.groups import closure, inverse, power_cycles, recognize, symmetric
@@ -301,13 +302,13 @@ def skeleton_group(cg: ConnectionGraph, start: Vertex) -> tuple[tuple[int, ...],
 
 
 def around_face(cg: ConnectionGraph, cell: frozenset[int], face: Face) -> dict[int, int]:
-    """Each label at the face's first corner that its `face_map`s carry once around the face, with the
+    """Each label at the face's first corner that its face maps carry once around the face, with the
     label they bring it back as."""
     a, b, c, d = face.cycle
     out = {}
-    for label, image in face_map(cg, cell, face, a, b).items():
+    for label, image in build_face_map(cg, cell, face, a, b).items():
         for u, w in ((b, c), (c, d), (d, a)):
-            image = face_map(cg, cell, face, u, w).get(image)
+            image = build_face_map(cg, cell, face, u, w).get(image)
             if image is None:
                 break
         else:
@@ -482,6 +483,24 @@ P4, P4t = V(4), V(4, True)
 
 CELL2 = frozenset({0, 1, 2})
 CELL3 = frozenset({0, 1, 2, 3})
+# the five cells of an order-4 graph: Gk lacks class k, G5 lacks class 0
+G1 = frozenset({0, 2, 3, 4})
+G2 = frozenset({0, 1, 3, 4})
+G3 = frozenset({0, 1, 2, 4})
+G4 = frozenset({0, 1, 2, 3})
+G5 = frozenset({1, 2, 3, 4})
+
+# reversal cases of acceptance criterion 7: graph, start, most steps, chains read
+REVERSE_CASES = [
+    (ConnectionGraph(2, frozenset({2})), P2, 4, 400),
+    (ConnectionGraph(2, frozenset({1, 2})), P1t, 3, 400),
+    (ConnectionGraph(3, frozenset({3})), P3, 3, 500),
+    (ConnectionGraph(3, frozenset({2, 3})), P, 3, 500),
+    (ConnectionGraph(4, frozenset({4})), P4, 2, 500),
+]
+
+# the top slices of orders 2 and 3, and the two narrowest of order 4
+SAMPLE_GRAPHS = [*top_slice_graphs(2), *top_slice_graphs(3), *top_slice_graphs(4)[3:]]
 
 
 @pytest.fixture

@@ -17,6 +17,11 @@ from conftest import (
     CHORD2_FACES,
     CHORD3_FACES,
     F,
+    G1,
+    G2,
+    G3,
+    G4,
+    G5,
     P,
     P1,
     P1t,
@@ -27,6 +32,8 @@ from conftest import (
     P4,
     P4t,
     Pt,
+    REVERSE_CASES,
+    SAMPLE_GRAPHS,
     around_face,
     brute_closure,
     conjugate_face,
@@ -39,19 +46,13 @@ from conftest import (
     reversal_holds,
     skeleton_group,
 )
-from spinatlas.chains import evaluate, is_admissible
+from spinatlas.chains import SpinChain, StepTable, evaluate, is_admissible
 from spinatlas.classify import Engine, spin_group_at, verify_class
 from spinatlas.cli import main
-from spinatlas.faces import enumerate_faces, cells_containing
+from spinatlas.faces import enumerate_faces, cells_containing, vertex_id
 from spinatlas.graph import ConnectionGraph
-from spinatlas.groups import closure, identity_perm
+from spinatlas.groups import closure, cycles_str, identity_perm
 from spinatlas.params import InvalidClassError, enumerate_classes
-
-G1 = frozenset({0, 2, 3, 4})
-G2 = frozenset({0, 1, 3, 4})
-G3 = frozenset({0, 1, 2, 4})
-G4 = frozenset({0, 1, 2, 3})
-G5 = frozenset({1, 2, 3, 4})
 
 
 def report(number: int, ok: bool, detail: str, elapsed: float | None = None) -> None:
@@ -112,7 +113,8 @@ def test_criterion_4_low_order_triviality():
 
 
 def _witnesses():
-    """Published chain examples: graph, chain, expected cycle type, expected parity."""
+    """Published chain examples: label, graph, chain and the exact permutation it evaluates to, whose cycle
+    type is the published one (its one-based cycles, as `groups.cycles_str` prints them, in the comment)."""
     r2a = ConnectionGraph(2, frozenset({2}))
     r2b = ConnectionGraph(2, frozenset({1, 2}))
     r2c = ConnectionGraph(2, frozenset({0, 1, 2}))
@@ -131,84 +133,80 @@ def _witnesses():
     h3, h4 = F(P4, P3t, P3, P2t), F(P3t, P2, P4t, P3)
 
     return [
-        # (label, graph, chain, cycle type, parity)
-        ("3.2a three-cycle", r2a, mk_chain(P2, (CELL2, fa, P2t), (CELL2, conjugate_face(fa), P2)), (3,), 0),
-        ("3.2a inverse", r2a, mk_chain(P2, (CELL2, conjugate_face(fa), P2t), (CELL2, fa, P2)), (3,), 0),
-        ("3.2b swap one", r2b, mk_chain(P1t, (CELL2, f1b, P1), (CELL2, f3b, P1t)), (2, 1), 1),
-        ("3.2b swap two", r2b, mk_chain(P1t, (CELL2, conjugate_face(f1b), P1), (CELL2, f3b, P1t)), (2, 1), 1),
-        ("3.2c swap", r2c, mk_chain(P1, (CELL2, kc, P2t), (CELL2, tp12, P1)), (2, 1), 1),
-        ("3.2c three-cycle", r2c, mk_chain(P, (CELL2, f1c, P2t), (CELL2, f2c, P)), (3,), 0),
-        ("4.1 swap", r3a, mk_chain(P, (CELL3, CHORD3_FACES["F5"], P2), (CELL3, BASIC3_FACES["F1"], P)), (2, 1), 1),
-        ("4.1 three-cycle", r3a, mk_chain(P3, (CELL3, CHORD3_FACES["F4"], P3t), (CELL3, CHORD3_FACES["F5"], P3)), (3, 1), 0),
-        (
-            "4.1 four-cycle",
-            r3a,
-            mk_chain(
-                P3,
-                (CELL3, BASIC3_FACES["F1'"], P1t),
-                (CELL3, BASIC3_FACES["F1'"], Pt),
-                (CELL3, BASIC3_FACES["F3"], P3t),
-                (CELL3, CHORD3_FACES["F5"], P3),
-            ),
-            (4,),
-            1,
-        ),
+        ("3.2a three-cycle", r2a, mk_chain(
+            P2, (CELL2, fa, P2t), (CELL2, conjugate_face(fa), P2)), (1, 2, 0)),  # (1 2 3)
+        # the three-cycle walked backwards, its inverse
+        ("3.2a inverse", r2a, mk_chain(P2, (CELL2, conjugate_face(fa), P2t), (CELL2, fa, P2)), (2, 0, 1)),  # (1 3 2)
+        ("3.2b swap one", r2b, mk_chain(P1t, (CELL2, f1b, P1), (CELL2, f3b, P1t)), (2, 1, 0)),  # (1 3)
+        ("3.2b swap two", r2b, mk_chain(P1t, (CELL2, conjugate_face(f1b), P1), (CELL2, f3b, P1t)), (1, 0, 2)),  # (1 2)
+        ("3.2c swap", r2c, mk_chain(P1, (CELL2, kc, P2t), (CELL2, tp12, P1)), (2, 1, 0)),  # (1 3)
+        ("3.2c three-cycle", r2c, mk_chain(P, (CELL2, f1c, P2t), (CELL2, f2c, P)), (1, 2, 0)),  # (1 2 3)
+        ("4.1 swap", r3a, mk_chain(
+            P, (CELL3, CHORD3_FACES["F5"], P2), (CELL3, BASIC3_FACES["F1"], P)), (2, 1, 0)),  # (1 3)
+        ("4.1 three-cycle", r3a, mk_chain(
+            P3, (CELL3, CHORD3_FACES["F4"], P3t), (CELL3, CHORD3_FACES["F5"], P3)), (0, 2, 3, 1)),  # (2 3 4)
+        ("4.1 four-cycle", r3a, mk_chain(
+            P3, (CELL3, BASIC3_FACES["F1'"], P1t), (CELL3, BASIC3_FACES["F1'"], Pt),
+            (CELL3, BASIC3_FACES["F3"], P3t), (CELL3, CHORD3_FACES["F5"], P3)), (1, 2, 3, 0)),  # (1 2 3 4)
         ("4.2 three-cycle", r3b, mk_chain(
             P, (CELL3, BASIC3_FACES["F3'"], P2), (CELL3, CHORD2_FACES["F10"], P3t),
-            (CELL3, CHORD3_FACES["F4"], P1), (CELL3, BASIC3_FACES["F2"], P)), (3,), 0),
+            (CELL3, CHORD3_FACES["F4"], P1), (CELL3, BASIC3_FACES["F2"], P)), (1, 2, 0)),  # (1 2 3)
         ("4.2 swap short", r3b, mk_chain(
-            P, (CELL3, CHORD2_FACES["F8"], P1), (CELL3, BASIC3_FACES["F1"], P)), (2, 1), 1),
+            P, (CELL3, CHORD2_FACES["F8"], P1), (CELL3, BASIC3_FACES["F1"], P)), (2, 1, 0)),  # (1 3)
         ("4.2 swap long", r3b, mk_chain(
             P, (CELL3, BASIC3_FACES["F3'"], P2), (CELL3, CHORD2_FACES["F10"], P3t),
-            (CELL3, CHORD2_FACES["F10"], P3), (CELL3, BASIC3_FACES["F2"], P)), (2, 1), 1),
+            (CELL3, CHORD2_FACES["F10"], P3), (CELL3, BASIC3_FACES["F2"], P)), (2, 1, 0)),  # (1 3)
         ("4.2 four-cycle", r3b, mk_chain(
-            P2, (CELL3, CHORD2_FACES["F10"], P3t), (CELL3, BASIC3_FACES["F2'"], P2)), (4,), 1),
+            P2, (CELL3, CHORD2_FACES["F10"], P3t), (CELL3, BASIC3_FACES["F2'"], P2)), (2, 0, 3, 1)),  # (1 3 4 2)
         ("5.I three-cycle", r4a, mk_chain(
-            P, (G1, e1, P4), (G3, e2, P4t), (G5, e3, P2), (G1, e1, P)), (3, 1), 0),
-        ("5.I swap", r4a, mk_chain(P, (G3, e2, P1), (G2, e2b, P)), (2, 1, 1), 1),
+            P, (G1, e1, P4), (G3, e2, P4t), (G5, e3, P2), (G1, e1, P)), (3, 1, 0, 2)),  # (1 4 3)
+        ("5.I swap", r4a, mk_chain(P, (G3, e2, P1), (G2, e2b, P)), (2, 1, 0, 3)),  # (1 3)
         ("5.II swap", r4b, mk_chain(
-            P2, (G4, h1, P3t), (G2, h2, P4), (G5, h3, P3t), (G5, h4, P2)), (2, 1, 1), 1),
+            P2, (G4, h1, P3t), (G2, h2, P4), (G5, h3, P3t), (G5, h4, P2)), (1, 0, 2, 3)),  # (1 2)
     ]
 
 
-def _inadmissible_witnesses():
+def _blocked_witnesses():
+    """Published chains that do not compose: label, graph, chain and the step at which its labels stop
+    matching (the `DomainMismatch` of `is_admissible`)."""
     r3a = ConnectionGraph(3, frozenset({3}))
+    r3b = ConnectionGraph(3, frozenset({2, 3}))
     r4a = ConnectionGraph(4, frozenset({4}))
     e1 = F(P, P2, P4t, P4)
     e2 = F(P, P1, P4t, P4)
     f2g = F(P4, P3t, Pt, P1t)
     f3g = F(P3t, P1, P4t, P2)
     return [
-        ("4.1 blocked", r3a, mk_chain(P, (CELL3, CHORD3_FACES["F5"], P3), (CELL3, BASIC3_FACES["F2"], P))),
-        ("5.I blocked", r4a, mk_chain(P, (G1, e1, P4), (G2, f2g, P3t), (G5, f3g, P1), (G3, e2, P))),
+        ("4.1 blocked", r3a, mk_chain(P, (CELL3, CHORD3_FACES["F5"], P3), (CELL3, BASIC3_FACES["F2"], P)), 2),
+        ("4.2 blocked", r3b, mk_chain(
+            P, (CELL3, BASIC3_FACES["F3'"], P2), (CELL3, CHORD2_FACES["F10"], P3t),
+            (CELL3, CHORD3_FACES["F6"], P1), (CELL3, BASIC3_FACES["F2"], P)), 3),
+        ("5.I blocked", r4a, mk_chain(P, (G1, e1, P4), (G2, f2g, P3t), (G5, f3g, P1), (G3, e2, P)), 2),
     ]
 
 
 def test_criterion_5_published_chain_witnesses():
     failures = []
-    for label, cg, chain, want_type, want_parity in _witnesses():
+    for label, cg, chain, want in _witnesses():
         perm = evaluate(cg, chain)
         if not is_admissible(cg, chain).admissible:
             failures.append(f"{label}: unexpectedly inadmissible")
-        elif cycle_type(perm) != want_type or parity(perm) != want_parity:
-            failures.append(f"{label}: got {cycle_type(perm)} parity {parity(perm)}")
-    for label, cg, chain in _inadmissible_witnesses():
-        if is_admissible(cg, chain).admissible:
-            failures.append(f"{label}: unexpectedly admissible")
+        elif perm != want:
+            failures.append(f"{label}: got {perm}, {cycles_str(perm)}, want {want}, {cycles_str(want)}")
+    for label, cg, chain, step in _blocked_witnesses():
+        verdict = is_admissible(cg, chain)
+        if verdict != (False, step, "DomainMismatch"):
+            failures.append(f"{label}: {verdict}, want a DomainMismatch at step {step}")
         elif evaluate(cg, chain) != identity_perm(len(cg.label_classes(chain.start))):
             failures.append(f"{label}: inadmissible chain moved labels")
-    detail = "published witnesses reproduce cycle types and parities" if not failures else "; ".join(failures)
-    report(5, not failures, detail + " (one documented discrepancy checked separately)")
+    detail = "published witnesses reproduce their exact permutations and blocked steps"
+    report(5, not failures, ("; ".join(failures) or detail) + " (one documented discrepancy checked separately)")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="documented source inconsistency: the six-step loop built from the published face "
-    "identifications evaluates to an even double swap, not a 3-cycle; see README, section \"Criterion 5\"",
-)
-def test_criterion_5_known_discrepant_witness():
+def _discrepant_loop() -> tuple[ConnectionGraph, SpinChain]:
+    """The published six-step loop at P2 of the order-3 graph with chords {2, 3}: README, section "Criterion 5"."""
     cg = ConnectionGraph(3, frozenset({2, 3}))
-    chain = mk_chain(
+    return cg, mk_chain(
         P2,
         (CELL3, CHORD2_FACES["F7"], P),
         (CELL3, BASIC3_FACES["F2"], P3),
@@ -217,8 +215,50 @@ def test_criterion_5_known_discrepant_witness():
         (CELL3, CHORD2_FACES["F9"], P3t),
         (CELL3, CHORD2_FACES["F10"], P2),
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="documented source inconsistency: the six-step loop built from the published face "
+    "identifications evaluates to an even double swap, not a 3-cycle; see README, section \"Criterion 5\"",
+)
+def test_criterion_5_known_discrepant_witness():
+    cg, chain = _discrepant_loop()
     assert is_admissible(cg, chain).admissible
     assert cycle_type(evaluate(cg, chain)) == (3, 1)
+
+
+def test_criterion_5_one_face_edits_of_the_discrepant_witness():
+    # the discrepant loop rebuilt from the step table's choices, and each loop that takes one other
+    # choice at one step: exactly four of the 28 are admissible 3-cycles
+    cg, published = _discrepant_loop()
+    table = StepTable(cg)
+    ids = [table.vertices.index(v) for v in published.loop()]
+    choices = [[choice for choice, _ in table.steps(a, b)] for a, b in zip(ids, ids[1:])]
+    assert [len(listed) for listed in choices] == [5, 5, 7, 5, 5, 7]
+    taken = [(s.cell, tuple(map(vertex_id, s.face.cycle))) for s in published.steps]
+    picked = [listed.index(choice) for listed, choice in zip(choices, taken)]
+    assert picked == [3, 0, 6, 0, 3, 6]
+    path = tuple(zip(ids[1:], picked))
+    assert table.chain(P2, path) == published and evaluate(cg, published) == (1, 0, 3, 2)
+    edits, three_cycles = 0, []
+    for s, listed in enumerate(choices):
+        for k in range(len(listed)):
+            if k != picked[s]:
+                edited = table.chain(P2, (*path[:s], (ids[s + 1], k), *path[s + 1:]))
+                perm = evaluate(cg, edited)
+                if is_admissible(cg, edited).admissible and cycle_type(perm) == (3, 1):
+                    three_cycles.append((s + 1, edited.steps[s].face.name, perm))
+                edits += 1
+    assert edits == 28
+    assert three_cycles == [
+        (1, "P-P1-P2~-P2", (3, 1, 0, 2)),
+        (2, "P-P2-P1~-P3", (2, 0, 1, 3)),
+        (5, "P-P1-P3~-P2", (0, 2, 3, 1)),
+        (5, "P~-P2~-P1-P3~", (1, 2, 0, 3)),
+    ]
+    # step 1's edit is F8, the face step 4 takes
+    assert three_cycles[0][1] == published.steps[3].face.name == CHORD2_FACES["F8"].name
 
 
 def test_criterion_6_enumeration_fixtures():
@@ -261,36 +301,35 @@ def test_criterion_7_property_suites():
     failures = []
 
     # reverse-loop inversion wherever both traversals compose
-    for cg, start, depth, limit in [
-        (ConnectionGraph(2, frozenset({2})), P2, 4, 300),
-        (ConnectionGraph(3, frozenset({3})), P3, 3, 400),
-        (ConnectionGraph(3, frozenset({2, 3})), P, 3, 400),
-    ]:
+    for cg, start, depth, limit in REVERSE_CASES:
         for chain in itertools.islice(enumerate_chains(cg, start, depth), limit):
             if not reversal_holds(cg, start, chain):
                 failures.append(f"reversal fails at {chain.describe()}")
 
     # conjugation equivariance of verdicts
-    for order, connected in [(2, {2}), (2, {1, 2}), (3, {3}), (3, {2, 3}), (4, {3, 4})]:
+    for order, connected in [(2, {2}), (2, {1, 2}), (3, {3}), (3, {2, 3}), (4, {4}), (4, {3, 4})]:
         cg = ConnectionGraph(order, frozenset(connected))
         for v in cg.vertices():
             if not v.tilded and spin_group_at(cg, v).verdict != spin_group_at(cg, v.conjugate).verdict:
                 failures.append(f"conjugation inequivalence at r={order} {sorted(connected)} {v.name}")
 
-    # skeleton chains close into the 3-element alternating group on the core labels
+    # skeleton chains close into the 3-element alternating group on the core labels; P3's own label stays put
     r3 = ConnectionGraph(3, frozenset({3}))
+    own = r3.label_classes(P3).index(3)
     for start in (P, P3):
         group = skeleton_group(r3, start)
         if len(group) != 3 or any(parity(g) for g in group):
             failures.append(f"skeleton chains at {start.name} gave order {len(group)}")
+        if start == P3 and any(g[own] != own for g in group):
+            failures.append("skeleton chains at P3 moved its own label")
 
     # face maps compose to the identity around every face
-    for cg in (ConnectionGraph(3, frozenset({2, 3})), ConnectionGraph(4, frozenset({4}))):
+    for cg in SAMPLE_GRAPHS:
         for face in enumerate_faces(cg):
             for cell in cells_containing(cg, face):
                 for label, image in around_face(cg, cell, face).items():
                     if image != label:
-                        failures.append(f"cyclic composition moved {label} on {face.name}")
+                        failures.append(f"cyclic composition moved {label} on {face.name} in {sorted(cell)} of {cg}")
 
     # closure against the saturation oracle, fixed seed
     rng = random.Random(0)

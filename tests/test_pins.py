@@ -42,6 +42,12 @@ PINS = {
         None,
         "90b6a64aeb68e7e54d43d2727325ef550bf40065cfa247655fd5a5f294df0dce",
     ),
+    # every class to the default genus bound that the benchmark's lines do not reach
+    "verify-10..12": (
+        ("verify", "--genus", "10..12"),
+        231,
+        "202733e5147970515cee3bf424c325edbe619123fbf19873469e36a851eea080",
+    ),
     # label sets up to 20 points, each S_n verdict decided by the 2- and 3-cycle certificate
     "verify-13..20": (
         ("--max-genus", "20", "verify", "--genus", "13..20"),
@@ -65,7 +71,7 @@ PINS = {
 
 # per extra run of each short line: the interpreter's flags and PYTHONHASHSEED
 VARIANTS = {"optimized-seed-1": (("-O",), "1"), "seed-123": ((), "123")}
-SHORT = ["verify-small", "verify-g9", "exhaustive-small", "classify-witnesses", "atlas-g9"]
+SHORT = ["verify-small", "verify-g9", "exhaustive-small", "classify-witnesses", "atlas-g9", "verify-10..12"]
 
 
 def check_pin(name: str, flags: tuple[str, ...] = (), env: dict[str, str] | None = None) -> None:
