@@ -8,7 +8,7 @@ from .graph import (
     build_connection_graph,
     edge_multiplicities_r_le_2,
 )
-from .faces import Face, cells_containing, enumerate_faces, face_map
+from .faces import Face, cells_containing, enumerate_faces
 from .chains import (
     AdmissibilityVerdict,
     ChainStep,
@@ -18,7 +18,7 @@ from .chains import (
     is_admissible,
     validate_structure,
 )
-from .groups import GroupVerdict, closure, recognize
+from .groups import GroupVerdict, recognize
 from .classify import predict_group, spin_group_at, verify_class
 
 __all__ = [
@@ -35,12 +35,10 @@ __all__ = [
     "Vertex",
     "build_connection_graph",
     "cells_containing",
-    "closure",
     "edge_multiplicities_r_le_2",
     "enumerate_classes",
     "enumerate_faces",
     "evaluate",
-    "face_map",
     "genus_of",
     "heads",
     "is_admissible",

@@ -113,13 +113,13 @@ def cmd_classify(args, engine: _classify.Engine) -> int:
     gc = _class_from_args(args)
     cg = build_connection_graph(gc)
     try:
-        wanted = Vertex.parse(args.vertex) if args.vertex else None
+        wanted = None if args.vertex is None else Vertex.parse(args.vertex)  # an empty name is no vertex, not all
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if wanted is not None and not 0 <= wanted.cls <= gc.order:
         raise UsageError(f"vertex {args.vertex} is not in an order-{gc.order} graph")
     table = StepTable(cg)
-    for v in (wanted,) if wanted else cg.vertices():
+    for v in cg.vertices() if wanted is None else (wanted,):
         res = _classify.spin_group_at(cg, v, max_steps=engine.max_steps, table=table)
         row = _classify.vertex_row(cg, v, res.verdict)
         print(

@@ -153,8 +153,9 @@ class SymmetricCertificate:
     cycle `power_cycles` finds is joined into one part.  Each permutation g
     taken also maps the known cycles to their conjugates, which lie in the
     group too, so g(C) is joined for every part C, and again until g maps
-    every part into a part.  A flag records an odd permutation, its parity
-    read off the same cycles.  It never proves a smaller group,
+    every part into a part, while more than one part is left.  A flag records
+    an odd g, its parity read off g's cycles, which are listed for every g
+    taken.  It never proves a smaller group,
     so a search that gets no certificate decides with a `StabChain`.
     """
 
@@ -174,24 +175,12 @@ class SymmetricCertificate:
             self._parts -= 1
 
     def add(self, g: Perm) -> bool:
-        """Take g into the group; True once the permutations taken generate S_n.
-
-        Only g's moved points are read: a fixed point is a cycle of length 1,
-        which changes neither g's parity nor its `power_cycles`.  When every
-        moved point of g lies in one part C, as each does once one part holds
-        every point, g joins no parts, so only its parity is read, and only
-        while no odd element is known:
-        * g's cycles stay inside C, so each of its `power_cycles` joins points already in C;
-        * g fixes every other part pointwise, so it maps each of them onto itself;
-        * g maps C onto itself, as it permutes its moved points and fixes the rest of C.
-        """
+        """Take g into the group; True once the permutations taken generate S_n."""
         part = self._part
-        joins = self._parts > 1 and len({part[p] for p, q in enumerate(g) if p != q}) > 1
-        if joins or not self._odd:
-            decomposition = cycles(g)
-            # each cycle of length L is L - 1 transpositions
-            self._odd = self._odd or (sum(map(len, decomposition)) - len(decomposition)) % 2 == 1
-        if joins:
+        decomposition = cycles(g)  # g's moved points: a fixed point changes neither its parity nor its `power_cycles`
+        # each cycle of length L is L - 1 transpositions
+        self._odd = self._odd or (sum(map(len, decomposition)) - len(decomposition)) % 2 == 1
+        if self._parts > 1:
             for cyc in power_cycles(decomposition):
                 for p in cyc[1:]:
                     self._join(cyc[0], p)

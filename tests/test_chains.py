@@ -46,42 +46,41 @@ from spinatlas.groups import compose, identity_perm
 
 # ---------------------------------------------------------------- structure
 
-def test_loop_must_close(hexagon_one_chord):
-    face = F(P, P1, P2t, P2)
-    chain = mk_chain(P2, (CELL2, face, P2t))
-    with pytest.raises(ChainStructureError) as err:
-        validate_structure(hexagon_one_chord, chain)
-    assert err.value.code == "LoopNotClosed"
+ONE_CHORD, HEXAGON_FACE, DIAGONAL_FACE = ConnectionGraph(2, {2}), F(P, P1, P2t, P2), F(P, Pt, P2t, P1)
+OTHER_FACE, WIDE_FACE = F(P, P1, P1t, P2), F(P, P2, P4t, P4)  # a face of the two-chord graph only; classes {0, 2, 4}
+
+# each chain `validate_structure` refuses, with its error's code and message; the diagonal chain is the one it takes
+STRUCTURE_CASES = {
+    "open": (ONE_CHORD, mk_chain(P2, (CELL2, HEXAGON_FACE, P2t)), "LoopNotClosed", "loop does not return to P2"),
+    "off-face": (ONE_CHORD, mk_chain(P2, (CELL2, HEXAGON_FACE, P1t), (CELL2, HEXAGON_FACE, P2)),
+                 "StepNotOnFace", "step 0: P2->P1~ does not lie on face P-P1-P2~-P2"),
+    "other-graph": (ONE_CHORD, mk_chain(P, (CELL2, OTHER_FACE, P1), (CELL2, OTHER_FACE, P)),
+                    "StepNotOnFace", "step 0: P-P1-P1~-P2 is not a face of the graph"),
+    # a first step along a 4-cycle that is no canonical face of the graph
+    **{name: (ONE_CHORD, mk_chain(P2, (CELL2, Face(cycle), P2t), (CELL2, conjugate_face(HEXAGON_FACE), P2)),
+              "StepNotOnFace", f"step 0: {text} is not a face of the graph")
+       for name, cycle, text in (
+           ("rotated", (P1, P2t, P2, P), "P1-P2~-P2-P"),
+           ("reflected", (P, P2, P2t, P1), "P-P2-P2~-P1"),
+           ("missing-chord", (P, P1, P1t, P2), "P-P1-P1~-P2"),
+           ("missing-vertex", (P, P1, P2t, P3), "P-P1-P2~-P3"),
+           ("repeated", (P, P1, P, P1), "P-P1-P-P1"),
+       )},
+    "outside-cell": (ConnectionGraph(4, {4}), mk_chain(P, (G2, WIDE_FACE, P4), (G1, WIDE_FACE, P)),
+                     "FaceNotInCell", "step 0: face P-P2-P4~-P4 is not contained in cell [0, 1, 3, 4]"),
+    "diagonal": (ConnectionGraph(2, {0, 1, 2}), mk_chain(P1, (CELL2, DIAGONAL_FACE, Pt), (CELL2, DIAGONAL_FACE, P1)),
+                 None, None),
+}
 
 
-def test_step_vertices_must_lie_on_face(hexagon_one_chord):
-    face = F(P, P1, P2t, P2)
-    chain = mk_chain(P2, (CELL2, face, P1t), (CELL2, face, P2))
-    with pytest.raises(ChainStructureError) as err:
-        validate_structure(hexagon_one_chord, chain)
-    assert err.value.code == "StepNotOnFace"
-
-
-def test_face_must_exist_in_graph(hexagon_one_chord):
-    fake = F(P, P1, P1t, P2)  # a face of the two-chord graph only
-    chain = mk_chain(P, (CELL2, fake, P1), (CELL2, fake, P))
-    with pytest.raises(ChainStructureError) as err:
-        validate_structure(hexagon_one_chord, chain)
-    assert err.value.code == "StepNotOnFace"
-
-
-@pytest.mark.parametrize(
-    "cycle",
-    [(P1, P2t, P2, P), (P, P2, P2t, P1), (P, P1, P1t, P2), (P, P1, P2t, P3), (P, P1, P, P1)],
-    ids=["rotated", "reflected", "missing-chord", "missing-vertex", "repeated"],
-)
-def test_a_step_on_no_canonical_face_of_the_graph_raises(hexagon_one_chord, cycle):
-    fake = Face(cycle)
-    chain = mk_chain(P2, (CELL2, fake, P2t), (CELL2, conjugate_face(F(P, P1, P2t, P2)), P2))
-    with pytest.raises(ChainStructureError) as err:
-        validate_structure(hexagon_one_chord, chain)
-    assert err.value.code == "StepNotOnFace"
-    assert str(err.value) == f"step 0: {fake.name} is not a face of the graph"
+@pytest.mark.parametrize("cg,chain,code,message", STRUCTURE_CASES.values(), ids=STRUCTURE_CASES)
+def test_validate_structure(cg, chain, code, message):
+    try:
+        validate_structure(cg, chain)
+    except ChainStructureError as err:
+        assert (err.code, str(err)) == (code, message)
+    else:
+        assert code is None
 
 
 def test_evaluate_lists_no_faces(hexagon_one_chord, monkeypatch):
@@ -95,21 +94,6 @@ def test_evaluate_lists_no_faces(hexagon_one_chord, monkeypatch):
     evaluate(hexagon_one_chord, chain)
     is_admissible(hexagon_one_chord, chain)
     assert calls and not any(calls)
-
-
-def test_face_must_sit_inside_cell():
-    cg = ConnectionGraph(4, frozenset({4}))
-    face = F(P, P2, P4t, P4)  # classes {0, 2, 4}
-    chain = mk_chain(P, (G2, face, P4), (G1, face, P))
-    with pytest.raises(ChainStructureError) as err:
-        validate_structure(cg, chain)
-    assert err.value.code == "FaceNotInCell"
-
-
-def test_diagonal_steps_are_structurally_fine(hexagon_full):
-    face = F(P, Pt, P2t, P1)
-    chain = mk_chain(P1, (CELL2, face, Pt), (CELL2, face, P1))
-    validate_structure(hexagon_full, chain)
 
 
 # ---------------------------------------------------------------- degrees at order <= 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import spy
 from spinatlas import params
-from spinatlas.params import GraphClass, InvalidClassError, enumerate_classes, genus_of, heads, k_tuple
+from spinatlas.params import GraphClass, enumerate_classes, genus_of, heads, k_tuple
 
 
 def brute_force_classes(genus: int, order: int) -> set[tuple[int, tuple[int, ...]]]:
@@ -107,19 +107,6 @@ def test_heads():
         for gc in enumerate_classes(genus):
             hs = heads(gc)
             assert 0 in hs and hs <= set(range(gc.order + 1))
-
-
-def test_invalid_classes_rejected():
-    with pytest.raises(InvalidClassError):
-        GraphClass(1, 0, 1, ())
-    with pytest.raises(InvalidClassError):
-        GraphClass(3, 3, 0, (0, 0, 0))  # order must stay below genus
-    with pytest.raises(InvalidClassError):
-        GraphClass(5, 2, 0, (0, 0))  # genus formula mismatch
-    with pytest.raises(InvalidClassError):
-        genus_of(2, 0, (0,))  # wrong increment count
-    with pytest.raises(InvalidClassError):
-        enumerate_classes(1)
 
 
 def test_enumeration_oracle_over_genus_2_to_30(capsys):

@@ -15,7 +15,7 @@ from spinatlas.classify import spin_group_at, verify_class
 from spinatlas.faces import enumerate_faces
 from spinatlas.graph import ConnectionGraph, Vertex
 from spinatlas.groups import GroupVerdict, symmetric
-from spinatlas.params import GraphClass, InvalidClassError
+from spinatlas.params import GraphClass, InvalidClassError, enumerate_classes, genus_of
 
 def sample_values() -> list[tuple]:
     """One value of every type, each from the code path that makes it."""
@@ -104,6 +104,21 @@ def test_constructors_coerce_their_fields():
 def test_graph_class_validation_messages(args, message):
     with pytest.raises(InvalidClassError) as err:
         GraphClass(*args)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "check,args,message",
+    [
+        (GraphClass, (1, 0, 1, ()), "genus must be >= 2, got 1"),  # its genus formula holds
+        (genus_of, (2, 0, (0,)), "malformed parameters (order=2, i=0, p=(0,))"),
+        (enumerate_classes, (1,), "genus must be >= 2, got 1"),
+        (enumerate_classes, (5, 7), "order must satisfy 0 <= r < genus, got r=7"),
+    ],
+)
+def test_class_validation_messages(check, args, message):
+    with pytest.raises(InvalidClassError) as err:
+        check(*args)
     assert str(err.value) == message
 
 
