@@ -22,7 +22,7 @@ import pytest
 import spinatlas
 from spinatlas.chains import ChainStep, SpinChain, StepTable, carry, close_out, evaluate, is_admissible, label_positions
 from spinatlas.chains import validate_structure
-from spinatlas.classify import SpinGroupResult, searched_vertices  # noqa: F401  (the tests read it here)
+from spinatlas.classify import SpinGroupResult
 from spinatlas.faces import Face, _canonical, cells_containing, direct_images, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph, Vertex
 from spinatlas.groups import C2, C3, TRIVIAL, GroupVerdict, StabChain, SymmetricCertificate, alternating, identity_perm
@@ -217,8 +217,8 @@ def all_cycles(g: tuple[int, ...]) -> list[list[int]]:
 
 class ReferenceCertificate:
     """Reference for `groups.SymmetricCertificate`: every permutation's full cycle decomposition,
-    fixed points included, its 2- and 3-cycle powers joined and the conjugation pass run while
-    points stay apart, with no shortcut; the parts are held as a set of frozensets."""
+    fixed points included, its parity read off all of them, its 2- and 3-cycle powers joined and the
+    conjugation pass run while points stay apart; the parts are held as a set of frozensets."""
 
     def __init__(self, n: int) -> None:
         self.parts = {frozenset([p]) for p in range(n)}

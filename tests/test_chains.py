@@ -34,12 +34,12 @@ from conftest import (
     is_basic,
     mk_chain,
     reversed_chain,
-    searched_vertices,
     spy,
     top_slice_graphs,
 )
 from spinatlas.chains import ChainStructureError, SpinChain, StepTable, carry, close_out, evaluate, is_admissible
 from spinatlas.chains import label_positions, validate_structure, visitable
+from spinatlas.classify import searched_vertices
 from spinatlas.faces import Face, enumerate_faces, vertex_id
 from spinatlas.graph import ConnectionGraph
 from spinatlas.groups import compose, identity_perm

@@ -9,9 +9,9 @@ import re
 import pytest
 
 from conftest import P, P1, P1t, P2, P2t, P3, P4t, conjugate_face, cycle_type, parity, parse_verdict
-from conftest import ReferenceCertificate, all_cycles, brute_closure, kept_perms, reference_search, searched_vertices
+from conftest import ReferenceCertificate, all_cycles, brute_closure, kept_perms, reference_search
 from conftest import spy, stab_chain_search, top_slice_graphs
-from spinatlas.classify import Engine, predict_group, spin_group_at, verify_class
+from spinatlas.classify import Engine, predict_group, searched_vertices, spin_group_at, verify_class
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
     C2,
@@ -432,8 +432,9 @@ def certificate_parts(certificate):
 
 def test_certificate_matches_the_full_path_reference():
     """Seeded random permutations, many moving only points of one part, before and after an odd one
-    is met: after every add, the return value, the odd flag and the partition equal those of a
-    certificate that decomposes every permutation in full and never takes the one-part path."""
+    is met: such an add may change the parity and joins nothing.  After every add, the return value,
+    the odd flag and the partition equal those of the reference, which decomposes every permutation
+    in full, fixed points included."""
     rng = random.Random(20261020)
     one_part = {False: 0, True: 0}  # by whether an odd element was known before the add
     decided = 0

@@ -6,6 +6,8 @@ frozen dataclasses they replace hashed, which keeps the output byte-identical.
 """
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from conftest import CELL2, P, P1, P2, P2t, F, conjugate_face, mk_chain, run_python
@@ -154,6 +156,52 @@ def test_importing_the_cli_loads_no_heavy_modules():
     assert not loaded & heavy, sorted(loaded & heavy)
     # no run reads the order-3 tables
     assert "spinatlas.tables" not in loaded
+
+
+# the names the package root once re-exported, each with the module that defines it
+FORMER_ROOT_NAMES = (
+    ("AdmissibilityVerdict", "chains"),
+    ("ChainStep", "chains"),
+    ("ChainStructureError", "chains"),
+    ("ConnectionGraph", "graph"),
+    ("Face", "faces"),
+    ("GraphClass", "params"),
+    ("GroupVerdict", "groups"),
+    ("InvalidClassError", "params"),
+    ("SpinChain", "chains"),
+    ("UnsupportedOrderError", "graph"),
+    ("Vertex", "graph"),
+    ("build_connection_graph", "graph"),
+    ("cells_containing", "faces"),
+    ("edge_multiplicities_r_le_2", "graph"),
+    ("enumerate_classes", "params"),
+    ("enumerate_faces", "faces"),
+    ("evaluate", "chains"),
+    ("genus_of", "params"),
+    ("heads", "params"),
+    ("is_admissible", "chains"),
+    ("k_tuple", "params"),
+    ("predict_group", "classify"),
+    ("recognize", "groups"),
+    ("spin_group_at", "classify"),
+    ("validate_structure", "chains"),
+    ("verify_class", "classify"),
+)
+
+
+def test_each_name_has_one_import_path():
+    # the package root binds only submodules, so a name is imported from the module that defines it
+    probe = (
+        "import types, spinatlas; "
+        "print(*sorted(n for n, v in vars(spinatlas).items() "
+        "if not n.startswith('_') and not isinstance(v, types.ModuleType)))"
+    )
+    done = run_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+    assert len({name for name, _ in FORMER_ROOT_NAMES}) == 26
+    for name, module in FORMER_ROOT_NAMES:
+        assert getattr(importlib.import_module(f"spinatlas.{module}"), name).__module__ == f"spinatlas.{module}", name
 
 
 def test_close_out_checks_its_permutation_under_optimization():
