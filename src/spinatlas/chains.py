@@ -85,12 +85,13 @@ def carry(mapping: tuple[int, ...], carried: Carried | None) -> Carried | None:
 
 def label_positions(cg: ConnectionGraph, v: Vertex) -> list[int | None]:
     """Per class 0..r, its position in v's label set, or None if it labels nothing at v."""
-    labels = cg.label_classes(v)
-    return [labels.index(c) if c in labels else None for c in cg.classes]
+    own = cg.order if v.cls in cg.connected else None  # `label_classes`: the other classes, then own if chorded
+    return [own if c == v.cls else c - (c > v.cls) for c in cg.classes]
 
 
-def close_out(pos: list[int | None], carried: Carried, n: int) -> tuple[int, ...]:
-    """Permutation of label positions from a closed loop's carried labels.
+def close_out(pos: list[int | None], mapping: tuple[int, ...], carried: Carried, n: int) -> tuple[int, ...] | None:
+    """Permutation of label positions from a loop closed by a last step with face map `mapping`, in one
+    pass over the carried labels; None if that step loses one.
 
     `pos` is the base vertex's `label_positions` and `n` its number of labels.  At most one label may
     be missing, on return to a base vertex of maximal degree; it is repaired onto the one missing image.
@@ -98,39 +99,48 @@ def close_out(pos: list[int | None], carried: Carried, n: int) -> tuple[int, ...
     srcs, curs = carried
     perm = [-1] * n
     for src, cur in zip(srcs, curs):
-        perm[pos[src]] = pos[cur]
+        end = mapping[cur]
+        if end < 0:
+            return None
+        perm[pos[src]] = pos[end]
     if len(srcs) == n - 1:
         # the images 0..n-1 sum to n(n-1)/2, and the -1 still in perm stands for the missing one
         perm[perm.index(-1)] = n * (n - 1) // 2 - sum(perm) - 1
     # two labels or more missing leave two -1; else each entry is a position below n or None, the repaired one
     # the missing position unless two others coincide: so n distinct entries, none None, are each position once
     if len(set(perm)) != n or None in perm:
-        raise AssertionError(f"{carried} does not close to a permutation")
+        raise AssertionError(f"{carried} does not close to a permutation through {mapping}")
     return tuple(perm)
 
 
 def visitable(cg: ConnectionGraph, v: Vertex) -> list[int]:
     """The ids of the vertices a chain at v may visit: at order <= 2, where a loop is admissible exactly
-    when all its vertices share one degree, those of v's degree; else every vertex of the graph."""
-    degree = cg.epsilon_degree(v)
-    return [b for b, w in enumerate(cg.vertices()) if cg.order > 2 or cg.epsilon_degree(w) == degree]
+    when all its vertices share one degree, those whose class has v's chord status; else every id."""
+    ids = range(2 * cg.order + 2)
+    if cg.order > 2:
+        return list(ids)
+    chorded = v.cls in cg.connected
+    return [b for b in ids if (b >> 1 in cg.connected) == chorded]
 
 
-def _admit(cg: ConnectionGraph, chain: SpinChain) -> tuple[AdmissibilityVerdict, Carried | None]:
-    """The verdict, and for an admissible chain its carried labels, from one composition.
+def _admit(cg: ConnectionGraph, chain: SpinChain) -> tuple[AdmissibilityVerdict, tuple[int, ...] | None]:
+    """The verdict, and for an admissible chain its permutation, from one composition.
 
     A chain fails at its first step to a vertex it may not visit (`visitable`); else the first face's
-    domain is carried through every step, and it fails at the 1-based step where a label is first lost.
+    domain is carried through every step but the last, which `close_out` closes, and it fails at the
+    1-based step where a label is first lost.
     """
     validate_structure(cg, chain)
     ids, allowed = list(map(vertex_id, chain.loop())), visitable(cg, chain.start)
     for k, b in enumerate(ids):
         if b not in allowed:
             return AdmissibilityVerdict(False, k, "DomainMismatch"), None
-    carried = None
+    pos, n, carried = label_positions(cg, chain.start), cg.epsilon_degree(chain.start), None
     for k, step in enumerate(chain.steps, start=1):
         cycle = tuple(map(vertex_id, step.face.cycle))
-        carried = carry(direct_images(cg.order, cg.connected, step.cell, cycle, ids[k - 1], ids[k]), carried)
+        mapping = direct_images(cg.order, cg.connected, step.cell, cycle, ids[k - 1], ids[k])
+        # every step but the last carries the labels on; the last closes them to the chain's permutation
+        carried = carry(mapping, carried) if k < len(chain.steps) else close_out(pos, mapping, carried, n)
         if carried is None:
             if cg.order <= 2:
                 raise AssertionError("at order <= 2 the degree rule admits only loops that compose")
@@ -144,9 +154,8 @@ def is_admissible(cg: ConnectionGraph, chain: SpinChain) -> AdmissibilityVerdict
 
 def evaluate(cg: ConnectionGraph, chain: SpinChain) -> tuple[int, ...]:
     """Permutation of the base vertex's label positions; identity if inadmissible."""
-    verdict, carried = _admit(cg, chain)
-    n = len(cg.label_classes(chain.start))
-    return close_out(label_positions(cg, chain.start), carried, n) if verdict.admissible else tuple(range(n))
+    verdict, perm = _admit(cg, chain)
+    return perm if verdict.admissible else tuple(range(cg.epsilon_degree(chain.start)))
 
 
 # a step's (cell, face) choice, the face as its canonical cycle of vertex ids
@@ -176,30 +185,39 @@ class StepTable:
         # per step read so far, its (choice, face map) pairs listed so far
         self._listed: dict[tuple[int, int], list[tuple[Choice, tuple[int, ...]]]] = {}
 
-    def _choice(self, a: int, b: int, k: int) -> Choice | None:
-        """Choice k of the step from a to b, or None if the step has no more than k choices."""
+    def _pair(self, a: int, b: int) -> tuple[list[Choice], Iterator[tuple[int, ...]]]:
+        """The choices listed so far of both steps between a and b, and the faces through them not listed yet."""
         pair = (a, b) if a < b else (b, a)
-        if pair not in self._choices:
-            self._choices[pair] = [], iter(face_cycles(self._near, *pair))
-        choices, faces = self._choices[pair]
+        found = self._choices.get(pair)
+        if found is None:
+            found = self._choices[pair] = [], iter(face_cycles(self._near, *pair))
+        return found
+
+    def _list(self, choices: list[Choice], faces: Iterator[tuple[int, ...]], k: int) -> bool:
+        """List faces' choices until choice k is listed; False if the faces run out first."""
         while k >= len(choices):
             cycle = next(faces, None)
             if cycle is None:
-                return None
+                return False
             w, x, y, z = cycle
             classes = frozenset((w >> 1, x >> 1, y >> 1, z >> 1))
-            choices += [(cell, cycle) for cell in cells_of(self.cg.order, classes)]
-        return choices[k]
+            if len(classes) == 4:  # a four-class face's one cell is its class set (`cells_of`)
+                choices.append((classes, cycle))
+            else:
+                choices += [(cell, cycle) for cell in cells_of(self.cg.order, classes)]
+        return True
 
     def steps(self, a: int, b: int) -> Iterator[tuple[Choice, tuple[int, ...]]]:
         """The step's (choice, face map) pairs in choice order."""
         listed = self._listed.setdefault((a, b), [])
+        choices, faces = self._pair(a, b)
+        order, chords = self.cg
         k = 0
-        # a choice already listed is read from `listed`; only the next one past it is asked for
-        while k < len(listed) or (choice := self._choice(a, b, k)) is not None:
+        # `listed` is a prefix of the pair's `choices`, and a face is listed only past its end
+        while k < len(choices) or self._list(choices, faces, k):
             if k == len(listed):
                 # a map that fails to build appends nothing, so the next read raises at the same choice
-                listed.append((choice, direct_images(self.cg.order, self.cg.connected, *choice, a, b)))
+                listed.append((choices[k], direct_images(order, chords, *choices[k], a, b)))
             yield listed[k]
             k += 1
 
@@ -207,7 +225,9 @@ class StepTable:
         """The chain at `start` whose steps take, in turn, choice k of the step to vertex b."""
         steps, a = [], vertex_id(start)
         for b, k in path:
-            cell, cycle = self._choice(a, b, k)
+            choices, faces = self._pair(a, b)
+            self._list(choices, faces, k)
+            cell, cycle = choices[k]
             steps.append(ChainStep(cell, Face(tuple(map(self.vertices.__getitem__, cycle))), self.vertices[b]))
             a = b
         return SpinChain(start, tuple(steps))

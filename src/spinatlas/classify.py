@@ -115,7 +115,7 @@ def spin_group_at(
         raise ValueError(f"a step table of {table.cg} cannot search {cg}")
     if v not in table.vertices:
         raise ValueError(f"{v} is not a vertex of {cg}")
-    n = len(cg.label_classes(v))
+    n = cg.epsilon_degree(v)
     certificate = groups.SymmetricCertificate(n)
     # every permutation met so far: most chains repeat one of a few permutations,
     # and a set lookup is cheaper than a sift
@@ -127,7 +127,8 @@ def spin_group_at(
     # steps taken so far through the graph's step table, and the step table's `chain`
     # builds its chain.  A prefix whose carried label set has already lost an element
     # is dropped with all its extensions, and a step goes only to a `visitable` vertex:
-    # those chains evaluate to the identity.
+    # those chains evaluate to the identity.  The last step back to the base closes
+    # the carried labels straight to the chain's permutation (`close_out`).
     pos = label_positions(cg, v)
     base = vertex_id(v)
     targets = visitable(cg, v)
@@ -137,40 +138,40 @@ def spin_group_at(
     # per finished state, the chains it held, which a repeat of the state adds to `tried`.
     walked: dict[tuple, int] = {}
 
-    def met(perm: groups.Perm) -> bool:
-        """Take a closed chain's permutation; True once the search is decided."""
-        nonlocal tried
-        tried += 1
-        if perm in seen:
-            return False
-        seen.add(perm)
-        distinct.append((tuple(path), perm))
-        return certificate.add(perm)
-
     def extend(a: int, carried: Carried | None, remaining: int) -> bool:
         """Walk every chain from vertex a with `remaining` steps left; True once the search is decided."""
         nonlocal tried
-        for b in (base,) if remaining == 1 else targets:
+        if remaining == 1:
+            if a == base:
+                return False
+            for k, (_, mapping) in enumerate(table.steps(a, base)):
+                perm = close_out(pos, mapping, carried, n)
+                if perm is None:
+                    continue
+                tried += 1
+                if perm not in seen:
+                    seen.add(perm)
+                    distinct.append(((*path, (base, k)), perm))
+                    if certificate.add(perm):
+                        return True
+            return False
+        for b in targets:
             if b == a:
                 continue
             for k, (_, mapping) in enumerate(table.steps(a, b)):
                 moved = carry(mapping, carried)
                 if moved is None:
                     continue
+                state = (b, moved, remaining - 1)
+                below = walked.get(state)
+                if below is not None:
+                    tried += below
+                    continue
                 path.append((b, k))
-                if remaining == 1:
-                    if met(close_out(pos, moved, n)):
-                        return True
-                else:
-                    state = (b, moved, remaining - 1)
-                    below = walked.get(state)
-                    if below is not None:
-                        tried += below
-                    else:
-                        before = tried
-                        if extend(b, moved, remaining - 1):
-                            return True
-                        walked[state] = tried - before
+                before = tried
+                if extend(b, moved, remaining - 1):
+                    return True
+                walked[state] = tried - before
                 path.pop()
         return False
 

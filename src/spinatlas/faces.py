@@ -58,10 +58,10 @@ def vertex_id(v: Vertex) -> int:
 
 def neighbour_ids(cg: ConnectionGraph) -> list[set[int]]:
     """Per vertex id, its neighbours' ids: the other side, less its conjugate unless that pair is chorded."""
-    ids = range(2 * cg.order + 2)
-    side = [(w & 1) ^ (w < 2) for w in ids]  # `Vertex.side` by id
-    across = [{w for w in ids if side[w] != s} for s in (0, 1)]
-    return [across[side[a]] - (set() if a >> 1 in cg.connected else {a ^ 1}) for a in ids]
+    n = 2 * cg.order + 2
+    # `Vertex.side` of id a is (a & 1) ^ (a < 2): side 0 holds ids 1, 2, 4, 6, ..., side 1 ids 0, 3, 5, ...
+    across = ({0, *range(3, n, 2)}, {1, *range(2, n, 2)})  # the ids off side 0, then off side 1
+    return [across[(a & 1) ^ (a < 2)] - (set() if a >> 1 in cg.connected else {a ^ 1}) for a in range(n)]
 
 
 def face_cycles(near: list[set[int]], a: int, b: int) -> list[tuple[int, ...]]:
@@ -74,10 +74,10 @@ def face_cycles(near: list[set[int]], a: int, b: int) -> list[tuple[int, ...]]:
     of the other pair, the least point's partner, greater of the other pair).
     """
     if b in near[a]:
-        found = []
+        found, across = [], near[a] - {b}
         for x in near[b] - {a}:
             p, s = (a, x) if a < x else (x, a)
-            for y in near[x] & near[a] - {b}:
+            for y in near[x] & across:
                 q, t = (b, y) if b < y else (y, b)
                 found.append((p, q, s, t) if p < q else (q, p, t, s))
     else:

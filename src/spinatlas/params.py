@@ -68,9 +68,9 @@ def heads(gc: GraphClass) -> frozenset[int]:
 
 def _increment_tuples(order: int, total: int):
     """All p with sum((r+1-l) * p_l) == total, in lexicographic order."""
-    if order == 0:
-        if total == 0:
-            yield ()
+    if order <= 1:  # order 0: only the empty tuple, of sum 0; order 1: p_1, of weight 1, is the whole total
+        if order or total == 0:
+            yield (total,) * order
         return
     weight = order  # coefficient of p_1
     for first in range(total // weight + 1):
@@ -85,8 +85,9 @@ def enumerate_classes(genus: int, order: int | None = None) -> Iterator[GraphCla
         raise InvalidClassError(f"genus must be >= 2, got {genus}")
     if order is not None and not 0 <= order < genus:
         raise InvalidClassError(f"order must satisfy 0 <= r < genus, got r={order}")
+    # each (r, i, p) listed has genus `genus`: `_make` builds its class without `GraphClass`'s checks
     return (
-        GraphClass(genus, r, i, p) for r in (range(genus) if order is None else (order,))
+        GraphClass._make((genus, r, i, p)) for r in (range(genus) if order is None else (order,))
         for i in range((genus + 1) // (r + 1))  # the i with (r+1)(i+1) - 1 <= genus
         for p in _increment_tuples(r, genus + 1 - (r + 1) * (i + 1))
     )

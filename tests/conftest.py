@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 
 import spinatlas
-from spinatlas.chains import ChainStep, SpinChain, StepTable, carry, close_out, evaluate, is_admissible, label_positions
+from spinatlas.chains import ChainStep, SpinChain, StepTable, carry, evaluate, is_admissible, label_positions
 from spinatlas.chains import validate_structure
 from spinatlas.classify import SpinGroupResult
 from spinatlas.faces import Face, _canonical, cells_containing, direct_images, enumerate_faces, vertex_id
@@ -351,6 +351,21 @@ def parse_verdict(text: str) -> GroupVerdict:
     raise ValueError(f"cannot parse group verdict {text!r}")
 
 
+def reference_close_out(pos: list[int | None], carried, n: int) -> tuple[int, ...]:
+    """Reference for `chains.close_out`: the permutation of label positions of a loop whose labels were
+    already carried through its last step, one label repaired onto the one missing image when the
+    loop returns to a base vertex of maximal degree; AssertionError if they do not close to one."""
+    srcs, curs = carried
+    perm = [-1] * n
+    for src, cur in zip(srcs, curs):
+        perm[pos[src]] = pos[cur]
+    if len(srcs) == n - 1:
+        perm[perm.index(-1)] = n * (n - 1) // 2 - sum(perm) - 1
+    if len(set(perm)) != n or None in perm:
+        raise AssertionError(f"{carried} does not close to a permutation")
+    return tuple(perm)
+
+
 def admissible_evaluations(table: StepTable, start: Vertex, max_steps: int):
     """Reference walk: yield (path, permutation) for every admissible chain at `start`, shortest first.
 
@@ -360,7 +375,8 @@ def admissible_evaluations(table: StepTable, start: Vertex, max_steps: int):
     evaluating the full chain stream, but a prefix whose carried label set has
     already lost an element (or, at order <= 2, mixed degrees) is dropped with
     all its extensions: those chains evaluate to the identity.  Unlike the
-    search, it walks every repeated state again.
+    search, it walks every repeated state again, and closes a loop in two
+    passes: `carry` through the last step, then `reference_close_out`.
     """
     cg = table.cg
     pos = label_positions(cg, start)
@@ -382,7 +398,7 @@ def admissible_evaluations(table: StepTable, start: Vertex, max_steps: int):
                     continue
                 path.append((b, k))
                 if remaining == 1:
-                    yield path, close_out(pos, moved, n)
+                    yield path, reference_close_out(pos, moved, n)
                 else:
                     yield from extend(b, moved, remaining - 1)
                 path.pop()

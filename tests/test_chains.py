@@ -437,16 +437,54 @@ def test_close_out_repairs_one_label_and_rejects_the_rest():
     assert label_positions(cg, P) == [None, 0, 1, 2]
     pos = label_positions(cg, P3)
     assert pos == [0, 1, 2, 3]
-    assert close_out(pos, ((0, 1, 2, 3), (1, 2, 3, 0)), 4) == (1, 2, 3, 0)
+    # in closed form, the positions of `label_classes`, whose length is the vertex's degree
+    for order in range(7):
+        for g in top_slice_graphs(order):
+            for v in g.vertices():
+                labels = g.label_classes(v)
+                assert label_positions(g, v) == [labels.index(c) if c in labels else None for c in g.classes]
+                assert len(labels) == g.epsilon_degree(v)
+    # a last step that fixes every class closes the carried labels as they stand
+    fixed, swap = (0, 1, 2, 3), (1, 0, 2, 3)
+    assert close_out(pos, fixed, ((0, 1, 2, 3), (1, 2, 3, 0)), 4) == (1, 2, 3, 0)
+    assert close_out(pos, swap, ((0, 1, 2, 3), (1, 2, 3, 0)), 4) == (0, 2, 3, 1)
     # one label lost on return to the base: it goes to the one image left over
-    assert close_out(pos, ((0, 1, 3), (2, 0, 1)), 4) == (2, 0, 3, 1)
+    assert close_out(pos, fixed, ((0, 1, 3), (2, 0, 1)), 4) == (2, 0, 3, 1)
+    # a label the last step loses breaks the chain, before any check of what is left
+    assert close_out(pos, (1, 0, -1, 3), ((0, 1, 2, 3), (1, 2, 3, 0)), 4) is None
+    assert close_out(pos, (-1, 0, 2, 3), ((0, 1), (2, 0)), 4) is None
     with pytest.raises(AssertionError):
-        close_out(pos, ((0, 1), (2, 0)), 4)
+        close_out(pos, fixed, ((0, 1), (2, 0)), 4)
     with pytest.raises(AssertionError):
-        close_out(pos, ((0, 1, 2), (1, 1, 3)), 4)
+        close_out(pos, fixed, ((0, 1, 2), (1, 1, 3)), 4)
     # n is required: no count is read off `pos`
     with pytest.raises(TypeError):
-        close_out(pos, ((0, 1, 2, 3), (1, 2, 3, 0)))
+        close_out(pos, fixed, ((0, 1, 2, 3), (1, 2, 3, 0)))
+
+
+def test_close_out_is_carry_then_the_two_pass_close(monkeypatch):
+    """Every closing step the search reaches, at both searched vertices of every top-slice graph of
+    orders 0..6: `close_out` in one pass gives the permutation that carrying the labels through the
+    step's map and then closing them gave, and None exactly where the step loses a label."""
+    from conftest import reference_close_out
+    from spinatlas import classify
+    from spinatlas.classify import spin_group_at
+
+    closes = spy(monkeypatch, classify, "close_out")
+    outcomes = Counter()
+    for order in range(7):
+        for cg in top_slice_graphs(order):
+            for v in searched_vertices(cg):
+                closes.clear()
+                spin_group_at(cg, v)
+                for call in closes:
+                    pos, mapping, carried, n = call.args
+                    moved = carry(mapping, carried)
+                    expected = None if moved is None else reference_close_out(pos, moved, n)
+                    assert close_out(pos, mapping, carried, n) == expected, (cg, v, call)
+                    outcomes[expected is None] += 1
+    # per outcome, lost or closed, the closing steps the searches reach
+    assert outcomes == {True: 37, False: 353}
 
 
 def test_evaluate_composes_once(order3_one_chord, monkeypatch):
@@ -492,8 +530,7 @@ def test_a_round_trip_closes_to_the_identity():
                         zip(table.steps(a, b), table.steps(b, a), strict=True)
                     ):
                         assert there_choice == back_choice
-                        carried = carry(back, carry(there, None))
-                        assert carried is not None and close_out(pos, carried, n) == identity_perm(n)
+                        assert close_out(pos, back, carry(there, None), n) == identity_perm(n)
                         trips += 1
                         if order <= 4:
                             assert evaluate(cg, table.chain(v, ((b, k), (a, k)))) == identity_perm(n)

@@ -645,11 +645,13 @@ def test_a_repeated_walk_state_is_counted_not_walked(monkeypatch):
 
     cg = ConnectionGraph(1, frozenset({0, 1}))
     steps = [spy(monkeypatch, walker, "carry") for walker in (classify, conftest)]
+    closes = spy(monkeypatch, classify, "close_out")
     res, ref = spin_group_at(cg, P), reference_search(cg, P)
     assert (res.chains_tried, res.distinct, res.verdict) == (273, (), TRIVIAL)
     assert (ref.chains_tried, ref.distinct) == (273, ())
-    # the reference walk takes a step per chain prefix; the search, only the steps below each new state
-    assert list(map(len, steps)) == [63, 810]
+    # the reference walk takes a step per chain prefix, each through `carry`; the search, only the steps
+    # below each new state, its last step back to the base through `close_out` instead: 63 in all
+    assert (len(steps[0]), len(closes), len(steps[1])) == (60, 3, 810)
 
 
 def test_kept_stops_at_the_first_full_order():

@@ -92,11 +92,13 @@ def test_enumeration_sorted_and_order_bounded():
 
 
 def test_enumeration_builds_each_class_as_it_is_read(monkeypatch):
-    # the call checks its arguments and builds nothing; the first class read is the only one built
-    built = spy(monkeypatch, params, "GraphClass")
+    # the call checks its arguments and builds nothing; the first class read is the only one built,
+    # by `_make`, which skips the checks of `GraphClass` (every class listed passes them)
+    built = spy(monkeypatch, params.GraphClass, "_make")
     classes = enumerate_classes(30)
     assert built == []
-    assert next(classes) == GraphClass(30, 0, 30, ()) and built == [mock.call(30, 0, 30, ())]
+    assert next(classes) == GraphClass(30, 0, 30, ()) and built == [mock.call((30, 0, 30, ()))]
+    assert all(GraphClass(*gc) == gc for genus in range(2, 16) for gc in enumerate_classes(genus))
 
 
 def test_heads():

@@ -94,3 +94,27 @@ def test_stdout_matches_its_pin(name):
 def test_stdout_holds_its_pin_optimized_and_under_other_hash_seeds(name, variant):
     flags, seed = VARIANTS[variant]
     check_pin(name, flags, {"PYTHONHASHSEED": seed})
+
+
+# per benchmark workload, the search work its run does: (searches, chains tried, distinct permutations met)
+SEARCH_WORK = {"verify-small": (36, 575, 186), "verify-g9": (45, 711, 306), "exhaustive-small": (13, 70, 14)}
+
+
+@pytest.mark.parametrize("name", SEARCH_WORK)
+def test_each_benchmark_workload_does_its_pinned_search_work(name, monkeypatch, capsys):
+    # a faster run must come from cheaper searches, not from fewer of them or from less search
+    from spinatlas import classify, cli
+
+    results = []
+    real = classify.spin_group_at
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(classify, "spin_group_at", recorded)
+    args, _, _ = PINS[name]
+    assert cli.main(list(args)) == 0
+    capsys.readouterr()
+    work = (len(results), sum(r.chains_tried for r in results), sum(len(r.distinct) for r in results))
+    assert work == SEARCH_WORK[name]

@@ -206,7 +206,8 @@ def test_each_name_has_one_import_path():
 
 def test_close_out_checks_its_permutation_under_optimization():
     # `python -O` strips assert statements; the check must survive it
-    probe = "from spinatlas.chains import close_out; close_out([0, 1, 2], ((0, 1, 2), (0, 0, 2)), 3)"
+    # the search's closing step, through a last step that fixes every class
+    probe = "from spinatlas.chains import close_out; close_out([0, 1, 2], (0, 1, 2), ((0, 1, 2), (0, 0, 2)), 3)"
     done = run_python("-O", "-c", probe)
     assert done.returncode == 1
-    assert "AssertionError: ((0, 1, 2), (0, 0, 2)) does not close to a permutation" in done.stderr
+    assert "AssertionError: ((0, 1, 2), (0, 0, 2)) does not close to a permutation through (0, 1, 2)" in done.stderr
