@@ -139,13 +139,6 @@ def test_cells_of_lists_the_sorted_cells_holding_a_class_set():
                     assert cells_of(order, classes) == (classes,)
 
 
-def test_every_face_lies_in_a_cell():
-    for order, connected in [(4, {4}), (5, {4, 5})]:
-        cg = ConnectionGraph(order, frozenset(connected))
-        for face in enumerate_faces(cg):
-            assert len(cells_containing(cg, face)) >= 1
-
-
 def test_face_cycles_match_the_canonicalized_raw_cycles():
     # every ordered vertex pair, adjacent or not: the cycles canonical as built equal each raw cycle made canonical
     pairs = 0

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import F, P, P1, P1t, P2, P2t, P3, P3t, Pt, V, neighbor_of_class, neighbors
+from conftest import P, P1, P1t, P2, P2t, P3, P3t, Pt, neighbor_of_class, neighbors
 from spinatlas.graph import ConnectionGraph, UnsupportedOrderError, Vertex, build_connection_graph, edge_multiplicities_r_le_2
 from spinatlas.params import GraphClass, enumerate_classes
 
@@ -108,16 +108,6 @@ def test_vertex_names_round_trip():
 def test_names_no_vertex_prints_are_rejected(text):
     with pytest.raises(ValueError, match=r"^cannot parse vertex name "):
         Vertex.parse(text)
-
-
-def test_edge_multiplicities_symmetric_class():
-    # all sides 2, all diagonals 1 on the fully chorded genus-5 hexagon
-    gc = GraphClass(5, 2, 1, (0, 0))
-    mult = edge_multiplicities_r_le_2(gc)
-    sides = [m for (u, w), m in mult.items() if u.cls != w.cls]
-    diags = [m for (u, w), m in mult.items() if u.cls == w.cls]
-    assert sorted(sides) == [2] * 6
-    assert sorted(diags) == [1, 1, 1]
 
 
 def test_edge_multiplicities_order_one_and_zero():

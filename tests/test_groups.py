@@ -8,10 +8,10 @@ import re
 
 import pytest
 
-from conftest import P, P1, P1t, P2, P2t, P3, P4t, conjugate_face, cycle_type, parity, parse_verdict
+from conftest import P, P1, P2, P3, P4t, conjugate_face, cycle_type, parity, parse_verdict
 from conftest import ReferenceCertificate, all_cycles, brute_closure, kept_perms, reference_search
 from conftest import spy, stab_chain_search, top_slice_graphs
-from spinatlas.classify import Engine, predict_group, searched_vertices, spin_group_at, verify_class
+from spinatlas.classify import Engine, predict_group, searched_vertices, spin_group_at
 from spinatlas.graph import ConnectionGraph, Vertex, build_connection_graph
 from spinatlas.groups import (
     C2,
@@ -168,25 +168,6 @@ def test_verdict_strings_round_trip():
 # ---------------------------------------------------------------- predictions
 
 
-def test_predictions_low_order():
-    for order, connected in [(0, {0}), (1, {1}), (1, {0, 1})]:
-        cg = ConnectionGraph(order, frozenset(connected))
-        assert all(predict_group(cg, v) == TRIVIAL for v in cg.vertices())
-
-
-def test_predictions_order2():
-    one = ConnectionGraph(2, frozenset({2}))
-    assert predict_group(one, P2) == C3
-    assert predict_group(one, P2t) == C3
-    assert predict_group(one, P) == TRIVIAL
-    assert predict_group(one, P1t) == TRIVIAL
-    two = ConnectionGraph(2, frozenset({1, 2}))
-    assert predict_group(two, P1t) == symmetric(3)
-    assert predict_group(two, P) == TRIVIAL
-    full = ConnectionGraph(2, frozenset({0, 1, 2}))
-    assert all(predict_group(full, v) == symmetric(3) for v in full.vertices())
-
-
 def test_order2_chords_no_class_has_raise():
     for chords in ({1}, {0}, set()):
         with pytest.raises(ValueError, match=re.escape(f"no class has the order-2 chords {sorted(chords)}")):
@@ -207,38 +188,6 @@ def test_predictions_by_degree():
 # ---------------------------------------------------------------- computed groups
 
 
-def test_spin_groups_order2_patterns(hexagon_one_chord, hexagon_two_chords, hexagon_full):
-    res = spin_group_at(hexagon_one_chord, P2)
-    assert res.verdict == C3 == predict_group(hexagon_one_chord, P2)
-    assert spin_group_at(hexagon_one_chord, P).verdict == TRIVIAL
-    assert spin_group_at(hexagon_one_chord, P1t).verdict == TRIVIAL
-    assert spin_group_at(hexagon_two_chords, P1t).verdict == symmetric(3)
-    assert spin_group_at(hexagon_two_chords, P).verdict == TRIVIAL
-    assert spin_group_at(hexagon_full, P2).verdict == symmetric(3)
-
-
-def test_spin_groups_order3_patterns(order3_one_chord, order3_three_chords):
-    assert spin_group_at(order3_one_chord, P).verdict == symmetric(3)
-    assert spin_group_at(order3_one_chord, P3).verdict == symmetric(4)
-    assert spin_group_at(order3_three_chords, P2).verdict == symmetric(4)
-    assert spin_group_at(order3_three_chords, P).verdict == symmetric(3)
-
-
-def test_witnesses_are_enumerable_chains(order3_one_chord):
-    from spinatlas.chains import evaluate, is_admissible, validate_structure
-
-    res = spin_group_at(order3_one_chord, P3)
-    assert res.witnesses
-    for chain in res.witnesses:
-        validate_structure(order3_one_chord, chain)
-        assert chain.start == P3
-        assert is_admissible(order3_one_chord, chain).admissible
-    perms = [evaluate(order3_one_chord, chain) for chain in res.witnesses]
-    group = set(closure(kept_perms(res), 4))
-    assert len(group) == res.verdict.order
-    assert set(closure(perms, 4)) == group
-
-
 def test_conjugated_chains_evaluate_identically(order3_two_chords):
     from conftest import enumerate_chains
     from spinatlas.chains import ChainStep, SpinChain, evaluate
@@ -250,49 +199,6 @@ def test_conjugated_chains_evaluate_identically(order3_two_chords):
             tuple(ChainStep(s.cell, conjugate_face(s.face), s.target.conjugate) for s in chain.steps),
         )
         assert evaluate(cg, mirrored) == evaluate(cg, chain)
-
-
-def test_verify_class_matches_everywhere():
-    for genus in range(2, 8):
-        for gc in enumerate_classes(genus):
-            assert verify_class(gc).match_all, gc
-
-
-def test_fully_chorded_classes_get_full_symmetric():
-    for gc in [GraphClass(5, 2, 1, (0, 0)), GraphClass(8, 3, 1, (0, 0, 1))]:
-        cg = build_connection_graph(gc)
-        if cg.connected != set(cg.classes):
-            continue
-        rep = verify_class(gc)
-        assert all(str(row.computed) == f"S{gc.order + 1}" for row in rep.rows)
-
-
-def test_exhaustive_mode_never_overshoots(hexagon_one_chord, hexagon_two_chords):
-    # every search is exhaustive below S_n: it walks its whole budget, whatever it predicts
-    from conftest import admissible_evaluations
-    from spinatlas.chains import StepTable
-
-    for cg, v in [(hexagon_one_chord, P2), (hexagon_one_chord, P), (hexagon_two_chords, P)]:
-        res = spin_group_at(cg, v, max_steps=4)
-        n = len(cg.label_classes(v))
-        group = set(closure(kept_perms(res), n))
-        evaluations = list(admissible_evaluations(StepTable(cg), v, 4))
-        assert len(group) == res.verdict.order and all(perm in group for _, perm in evaluations)
-        # every group here (C3 at P2, trivial elsewhere) stays below S_n, so nothing stops the
-        # search, not even reaching the prediction: it consumes the whole budget
-        assert res.verdict.order < math.factorial(n) and res.chains_tried == len(evaluations)
-        assert res.verdict == predict_group(cg, v)
-    assert spin_group_at(hexagon_one_chord, P2, max_steps=4).chains_tried == 20
-
-
-def test_exhaustive_stops_at_the_full_symmetric_group(order3_one_chord):
-    # from order 3 on the group is S_n, which no chain can exceed: the search stops at the chain
-    # where a stabilizer chain first reaches it, and keeps that search's generators
-    order4 = ConnectionGraph(4, frozenset({4}))
-    for cg, v in [(order3_one_chord, P), (order3_one_chord, P3), (order4, P1), (order4, P4t)]:
-        res, ref = spin_group_at(cg, v), stab_chain_search(cg, v)
-        assert res.verdict == ref.verdict == symmetric(len(cg.label_classes(v)))
-        assert (res.chains_tried, res.kept()) == (ref.chains_tried, tuple(zip(ref.paths, ref.generators)))
 
 
 def test_search_settings_below_their_bounds_raise_value_errors():
@@ -353,24 +259,6 @@ def test_label_relabeling_conjugates_the_group(order3_one_chord):
     conjugated_gens = [compose(compose(inverse(relabel), g), relabel) for g in gens]
     assert set(closure(conjugated_gens, 4)) == conjugated
     assert recognize(len(conjugated), 4) == res.verdict
-
-
-def test_pruned_search_agrees_with_plain_stream():
-    """The group engine's pruned generator must yield exactly the admissible chains."""
-    from conftest import admissible_evaluations, enumerate_chains
-    from spinatlas.chains import StepTable, evaluate, is_admissible
-
-    for order, connected, start in [(2, {2}, P2), (2, {1, 2}, P1t), (3, {3}, P3), (3, {2, 3}, P1)]:
-        cg = ConnectionGraph(order, frozenset(connected))
-        plain = {
-            (chain, evaluate(cg, chain))
-            for chain in enumerate_chains(cg, start, 3)
-            if is_admissible(cg, chain).admissible
-        }
-        table = StepTable(cg)
-        pruned = {(table.chain(start, path), perm) for path, perm in admissible_evaluations(table, start, 3)}
-        assert plain
-        assert pruned == plain
 
 
 def cycle_perm(n, support):
@@ -575,13 +463,19 @@ def test_certificate_stops_where_the_stabilizer_chain_does_and_the_lazy_fields_m
     assert len(reps) == 136
 
 
-def test_every_vertex_to_order_6_matches_the_stabilizer_chain_search():
+def test_every_vertex_to_order_6_matches_the_stabilizer_chain_search(monkeypatch):
     """Every vertex, tilded ones too, of every top-slice graph of orders 0..6 (280 vertices): the
     verdict, order and kept generators (which `classify` prints) equal the stabilizer-chain search's,
     and so do the chains tried, but for the two vertices where the certificate proves S_n one chain
-    after the stabilizer chain is full."""
+    after the stabilizer chain is full.  The prediction is made to raise, so no search reads the
+    closed form its verdict is checked against."""
+    from spinatlas import classify
     from spinatlas.chains import StepTable
 
+    def unreadable(cg, v):
+        raise AssertionError(f"the search at {v.name} of {cg} read the prediction")
+
+    monkeypatch.setattr(classify, "predict_group", unreadable)
     late, vertices = {}, 0
     for order in range(7):
         for cg in top_slice_graphs(order):
@@ -598,34 +492,6 @@ def test_every_vertex_to_order_6_matches_the_stabilizer_chain_search():
                 vertices += 1
     assert vertices == 280
     assert late == {(3, (1, 2, 3), "P2~"): (13, 12), (3, (1, 2, 3), "P3~"): (13, 12)}
-
-
-def test_a_search_never_reads_the_prediction(monkeypatch):
-    """Every vertex of every top-slice graph of orders 0..6 (280 vertices): with the prediction made
-    to raise, each search still finds, meets and tries what it does unpatched, so no verdict can
-    be shaped by the closed form it is checked against."""
-    from spinatlas import classify
-    from spinatlas.chains import StepTable
-
-    graphs = [cg for order in range(7) for cg in top_slice_graphs(order)]
-
-    def searches():
-        out = {}
-        for cg in graphs:
-            table = StepTable(cg)
-            for v in cg.vertices():
-                res = spin_group_at(cg, v, table=table)
-                out[cg, v] = res.verdict, res.distinct, res.chains_tried
-        return out
-
-    plain = searches()
-    assert len(plain) == 280
-
-    def unreadable(cg, v):
-        raise AssertionError(f"the search at {v.name} of {cg} read the prediction")
-
-    monkeypatch.setattr(classify, "predict_group", unreadable)
-    assert searches() == plain
 
 
 def test_witness_oracle_over_orders_3_to_8(capsys):

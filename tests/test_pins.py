@@ -1,7 +1,9 @@
 """The pinned command lines: each run in a fresh interpreter must exit 0 with stdout whose sha256 is its pin.
 
 The benchmark's three workloads are read from `perfbench/run.py`, which holds their pins; the
-others are pinned here, and nowhere else.  The short lines also run under `python -O`, which
+others are pinned here.  Only `atlas --genus 9` has its bytes pinned a second time: they are the
+last run of `tests/test_cli.py`'s `ATLAS_SWEEP_SHA256`, over `atlas --genus G` for G = 2..9, which
+runs in process.  The short lines also run under `python -O`, which
 strips assert statements, and under two more hash seeds, since sets of classes are everywhere:
 their bytes must not change.
 """

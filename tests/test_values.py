@@ -6,7 +6,9 @@ frozen dataclasses they replace hashed, which keeps the output byte-identical.
 """
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +204,32 @@ def test_each_name_has_one_import_path():
     assert len({name for name, _ in FORMER_ROOT_NAMES}) == 26
     for name, module in FORMER_ROOT_NAMES:
         assert getattr(importlib.import_module(f"spinatlas.{module}"), name).__module__ == f"spinatlas.{module}", name
+
+
+def unread_imports(path: Path) -> list[str]:
+    """Each name the module at `path` imports and never reads, as `line: name`; a `from __future__` import and
+    a line marked `# noqa` are left out."""
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa" not in lines[node.lineno - 1]:
+            # `import a.b` binds `a`
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            out += [f"{node.lineno}: {name}" for name in bound if name not in read]
+    return out
+
+
+def test_every_imported_name_is_read():
+    tests = Path(__file__).resolve().parent
+    modules = [*sorted((tests.parent / "src" / "spinatlas").glob("*.py")), *sorted(tests.glob("*.py"))]
+    unread = {path.name: found for path in modules if (found := unread_imports(path))}
+    assert unread == {}
+    assert len(modules) > 20
 
 
 def test_close_out_checks_its_permutation_under_optimization():
